@@ -42,6 +42,7 @@ from .assembly import (
     energy_inner,
 )
 from .estimators import (
+    NumericalError,
     SolvePair,
     solve_pair,
     solve_spd,
@@ -76,6 +77,9 @@ CSV_COLUMNS = ("level", "N_coarse", "N_fine", "eta2", "eta_tilde2", "mu2",
                "mu_tilde2", "rho2", "rho_hat2", "conf_gap2", "wall_ms")
 
 SINGULAR_POWER = -0.6
+# rule sizes grow as p^4 (the edge-adjacent rule has 16 p^4 nodes), so
+# the order is capped where the largest rule stays near 10^5 nodes
+MAX_QUAD_ORDER = 9
 
 
 @dataclass
@@ -104,8 +108,9 @@ class ExperimentConfig:
             raise ValueError("max_levels must be at least 1")
         if self.beta < 1.0:
             raise ValueError(f"beta must be >= 1, got {self.beta}")
-        if self.quad_order < 3:
-            raise ValueError("quadrature order below 3 is not supported")
+        if not 3 <= self.quad_order <= MAX_QUAD_ORDER:
+            raise ValueError(f"quadrature order must lie in "
+                             f"[3, {MAX_QUAD_ORDER}], got {self.quad_order}")
         return self
 
 
@@ -345,7 +350,13 @@ def _run_graded(config):
     history = ConvergenceHistory(config=config)
     n = 2
     for level in range(config.max_levels):
-        mesh = graded_square_mesh(n, config.beta)
+        try:
+            mesh = graded_square_mesh(n, config.beta)
+        except ValueError as exc:
+            # beta is validated and n is a power of two, so what fails
+            # here is a grading map that underflows to degenerate triangles
+            raise NumericalError(f"graded mesh n={n}, beta={config.beta}: "
+                                 f"{exc}") from exc
         if _fine_dof_prediction(mesh) > config.max_fine_dofs:
             break
         t0 = time.perf_counter()

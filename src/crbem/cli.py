@@ -77,6 +77,10 @@ def main(argv=None):
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    if not history.records:
+        print(f"error: no level fits within --max-fine-dofs "
+              f"{config.max_fine_dofs}", file=sys.stderr)
+        return EXIT_BAD_CONFIG
 
     emit_csv(history, config.out_csv)
     if config.out_svg:

@@ -30,6 +30,7 @@ from .spaces import (
     PwConstVecField,
 )
 from .assembly import (
+    NumericalError,
     assemble_energy_form,
     assemble_stiffness,
     assemble_rhs_constant,
@@ -56,10 +57,6 @@ __all__ = [
 ]
 
 _RESIDUAL_TOL = 1e-10
-
-
-class NumericalError(RuntimeError):
-    """A linear-algebra step failed (non-SPD matrix or bad residual)."""
 
 
 def solve_spd(a, b):

@@ -10,6 +10,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 FOUR_PI = 4.0 * np.pi
+_CHUNK = 1024  # sub-triangles per batch of pair_value
 
 
 def _ccw(tri):
@@ -44,29 +45,35 @@ def inner_integral(tri, pts):
 
 
 def pair_value(ta, tb, depth=5, order=14):
-    """(1/4pi) int_ta int_tb 1/|x-y| by subdivision of the outer panel."""
-    ta = _ccw(ta)
+    """(1/4pi) int_ta int_tb 1/|x-y| by subdivision of the outer panel.
+
+    The 4^depth sub-triangles are built level by level and integrated
+    ``_CHUNK`` at a time.
+    """
+    tris = _ccw(ta)[None]
     tb = np.asarray(tb, float)
-    tris = [ta]
     for _ in range(depth):
-        nxt = []
-        for t in tris:
-            m01, m12, m20 = (t[0] + t[1]) / 2, (t[1] + t[2]) / 2, (t[2] + t[0]) / 2
-            nxt += [np.array([t[0], m01, m20]), np.array([m01, t[1], m12]),
-                    np.array([m20, m12, t[2]]), np.array([m01, m12, m20])]
-        tris = nxt
+        t0, t1, t2 = tris[:, 0], tris[:, 1], tris[:, 2]
+        m01, m12, m20 = (t0 + t1) / 2, (t1 + t2) / 2, (t2 + t0) / 2
+        tris = np.stack([np.stack([t0, m01, m20], 1),
+                         np.stack([m01, t1, m12], 1),
+                         np.stack([m20, m12, t2], 1),
+                         np.stack([m01, m12, m20], 1)], axis=1).reshape(-1, 3, 2)
     g, w = leggauss(order)
     g = 0.5 * (g + 1.0)
     w = 0.5 * w
     ga, gb = np.meshgrid(g, g, indexing="ij")
     wa, wb = np.meshgrid(w, w, indexing="ij")
-    n1 = ga.ravel()
-    n2 = (ga * gb).ravel()
+    n1 = ga.ravel()[None, :, None]
+    n2 = (ga * gb).ravel()[None, :, None]
     wts = (wa * wb * ga).ravel()
     total = 0.0
-    for t in tris:
-        area2 = abs((t[1, 0] - t[0, 0]) * (t[2, 1] - t[0, 1])
-                    - (t[1, 1] - t[0, 1]) * (t[2, 0] - t[0, 0]))
-        pts = (t[0] + np.outer(n1, t[1] - t[0]) + np.outer(n2, t[2] - t[1]))
-        total += area2 * np.sum(wts * inner_integral(tb, pts))
+    for lo in range(0, len(tris), _CHUNK):
+        t = tris[lo:lo + _CHUNK]
+        area2 = np.abs((t[:, 1, 0] - t[:, 0, 0]) * (t[:, 2, 1] - t[:, 0, 1])
+                       - (t[:, 1, 1] - t[:, 0, 1]) * (t[:, 2, 0] - t[:, 0, 0]))
+        pts = (t[:, None, 0] + n1 * (t[:, None, 1] - t[:, None, 0])
+               + n2 * (t[:, None, 2] - t[:, None, 1]))
+        vals = inner_integral(tb, pts.reshape(-1, 2)).reshape(len(t), -1)
+        total += area2 @ (vals @ wts)
     return total / FOUR_PI

@@ -21,7 +21,12 @@ from crbem import (
     uniform_refine,
 )
 from crbem.spaces import PwConstVecField
-from crbem.assembly import _power_moments_element, _self_entry_closed_form
+from crbem.assembly import (
+    NumericalError,
+    _apply_rule_pairs,
+    _power_moments_element,
+    _self_entry_closed_form,
+)
 
 from oracle import pair_value
 
@@ -48,6 +53,67 @@ class TestQuadratureRules:
             assert np.all(nodes[:, 0] <= 1.0 + 1e-12)
             assert np.all(nodes[:, 1] >= -1e-12)
             assert np.all(nodes[:, 1] <= nodes[:, 0] + 1e-12)
+
+
+def _direct_rule_value(rule, ta, tb):
+    """Map the rule nodes into both panels and sum weights / |x - y|."""
+    def mapped(t, nodes):
+        return (t[0] + nodes[:, :1] * (t[1] - t[0])
+                + nodes[:, 1:] * (t[2] - t[1]))
+
+    def area2(t):
+        (a, b), (c, d) = t[1] - t[0], t[2] - t[0]
+        return abs(a * d - b * c)
+
+    r = np.linalg.norm(mapped(ta, rule.x_nodes) - mapped(tb, rule.y_nodes),
+                       axis=1)
+    return (rule.weights / r).sum() * area2(ta) * area2(tb) / (4 * np.pi)
+
+
+def _kernel_pairs(case):
+    """Shape-regular panel pairs laid out as the rule of ``case`` expects:
+    shared vertices first, in the same order on both panels."""
+    p, q = np.array([0.1, 0.2]), np.array([1.1, 0.3])
+    ta = np.array([p, q, [0.4, 1.0]])
+    if case == "identical":
+        return [(ta, ta), (UNIT_RIGHT, UNIT_RIGHT)]
+    if case == "edge-adjacent":
+        return [(ta, np.array([p, q, [0.7, -0.6]])),
+                (UNIT_RIGHT, np.array([[0.0, 0.0], [1.0, 0.0], [1.0, -1.0]]))]
+    if case == "vertex-adjacent":
+        return [(ta, np.array([p, [-0.8, 0.1], [-0.3, -0.7]])),
+                (UNIT_RIGHT, np.array([[0.0, 0.0], [-1.0, 0.0], [-1.0, -1.0]]))]
+    # UNIT_RIGHT + (s, 0) lies s - 1 from UNIT_RIGHT; diameters are sqrt(2)
+    return [(UNIT_RIGHT, UNIT_RIGHT + [1.0 + rho * np.sqrt(2.0), 0.0])
+            for rho in (0.3, 0.45, 0.6)]
+
+
+class TestRuleKernel:
+    @pytest.mark.parametrize("case", ["identical", "edge-adjacent",
+                                      "vertex-adjacent", "disjoint"])
+    @pytest.mark.parametrize("order", [3, 5])
+    def test_matches_direct_evaluation(self, case, order):
+        rule = quadrature_rule(case, order)
+        pairs = _kernel_pairs(case)
+        got = _apply_rule_pairs(rule, np.array([a for a, _ in pairs]),
+                                np.array([b for _, b in pairs]))
+        for value, (ta, tb) in zip(got, pairs):
+            ref = _direct_rule_value(rule, ta, tb)
+            assert abs(value - ref) / ref < 1e-13
+
+    def test_table_invariant_under_dyadic_translation(self, refined_once):
+        _, mesh, _ = refined_once
+        moved = Mesh(mesh.vertices + [1024.0, -1024.0], mesh.triangles,
+                     mesh.ref_edge)
+        G = assemble_energy_form(mesh, 5).table
+        H = assemble_energy_form(moved, 5).table
+        assert np.abs(H - G).max() <= 1e-14 * np.abs(G).max()
+
+    def test_non_finite_table_raises(self, initial_mesh, monkeypatch):
+        monkeypatch.setattr("crbem.assembly._apply_rule_pairs",
+                            lambda rule, ta, tb: np.full(len(ta), np.nan))
+        with pytest.raises(NumericalError):
+            assemble_energy_form(initial_mesh, 5)
 
 
 class TestPanelIntegral:

@@ -45,3 +45,32 @@ def test_unknown_experiment_rejected_by_parser(tmp_path):
         main(["run", "--experiment", "bogus",
               "--out-csv", str(tmp_path / "x.csv")])
     assert err.value.code == 2
+
+
+def test_empty_history_is_a_config_error(tmp_path, capsys):
+    code = main([
+        "run", "--experiment", "adaptive-smooth", "--max-fine-dofs", "0",
+        "--out-csv", str(tmp_path / "x.csv"),
+        "--out-svg", str(tmp_path / "x.svg"),
+    ])
+    assert code == 2
+    assert "max-fine-dofs" in capsys.readouterr().err
+
+
+def test_degenerate_grading_is_a_numerical_failure(tmp_path, capsys):
+    code = main([
+        "run", "--experiment", "graded-smooth", "--beta", "400",
+        "--levels", "3", "--out-csv", str(tmp_path / "x.csv"),
+    ])
+    assert code == 3
+    assert "degenerate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("order", ["2", "10"])
+def test_quad_order_out_of_range(tmp_path, capsys, order):
+    code = main([
+        "run", "--experiment", "uniform-smooth", "--quad-order", order,
+        "--out-csv", str(tmp_path / "x.csv"),
+    ])
+    assert code == 2
+    assert "quadrature order" in capsys.readouterr().err
