@@ -93,7 +93,6 @@ class ExperimentConfig:
     out_csv: str | None = None
     out_svg: str | None = None
     dump_meshes: str | None = None
-    seed: int = 0  # reserved; every preset is deterministic
     rate_window: int = 4
     include_boundary_jumps: bool = True
     jump_full_h1: bool = False
@@ -188,14 +187,6 @@ def _recipe_for(config):
     if name.endswith("singular"):
         return ("power", SINGULAR_POWER), build_initial_square_mesh()
     return ("constant",), build_initial_square_mesh()
-
-
-def _carried_data(recipe, root_curl, root_of):
-    """Data recipe for a descendant mesh; manufactured data is the
-    initial-mesh curl field carried through the element ancestry."""
-    if recipe[0] != "manufactured":
-        return recipe, None
-    return recipe, root_curl[root_of]
 
 
 def _fine_dof_prediction(mesh):

@@ -27,6 +27,19 @@ beyond the rules' anisotropy or proximity envelope switch to a robust
 semi-analytic path: the inner integral of the kernel over a flat panel is
 evaluated in closed form and the outer integral by adaptive subdivision;
 identical anisotropic panels use a fully closed-form self-entry.
+
+The robust path computes the edge frames of the inner panels (start
+vertex, unit tangent, length) once per call and evaluates the closed form
+in place on split x and y coordinate arrays, in blocks of _ROBUST_BLOCK
+cells times the 25 Duffy points.  The triangle distances that pick the
+disjoint bands are split and blocked the same way.  Both kernels keep the
+floating-point operations of the earlier (M, K, 2) formulation, in the
+same order: subdivision stops where four children agree with their parent
+to _ROBUST_RTOL and the bands compare distance ratios with RHO_CLOSE and
+RHO_NEAR, so a change of rounding could flip a decision and move a table
+entry by up to about 1e-6 relative.  The tests keep the earlier kernels
+and check bit equality.  A call whose live cells pass _ROBUST_MAX_CELLS
+raises NumericalError instead of running out of memory.
 """
 
 from __future__ import annotations
@@ -69,6 +82,20 @@ SINGULAR_ASPECT_LIMIT = 3.0
 _ROBUST_RTOL = 1e-6
 _ROBUST_ORDER = 5
 _ROBUST_MAX_DEPTH = 24
+# cells per block of the robust-path kernel: its ten (1024, 25) work arrays
+# stay in L2.  Single-thread time for the 5480 robust pairs of the
+# 2048-panel beta=2 graded mesh: 2.2 s at 1024 cells, 2.6 s at 4096, about
+# flat from 256 to 1024.
+_ROBUST_BLOCK = 1024
+# live cells of one robust-path call before it gives up with NumericalError,
+# 11 times the peak of the beta=2 graded preset (93,440 cells at 2048
+# panels).  beta=20 reaches 859k cells on a 32-panel mesh; without a cap,
+# beta=50 runs out of memory.
+_ROBUST_MAX_CELLS = 1 << 20
+# panel pairs per block of _triangle_distances.  Single-thread time for the
+# 639k near candidates of the same mesh: 0.45 s at 4096 pairs, 0.76 s at
+# 1024, 0.55 s at 16384 and 1.05 s unblocked.
+_DIST_BLOCK = 4096
 
 
 class NumericalError(RuntimeError):
@@ -247,29 +274,60 @@ def _apply_rule_pairs(rule, ta, tb):
 # -- robust semi-analytic path -------------------------------------------------
 
 
-def _segment_potential(tris, pts):
+def _edge_frames(tris):
+    """Edge frames of panels (M, 3, 2) -> (M, 3, 5): start vertex (x, y),
+    unit tangent (x, y) and length of edge k, which runs from vertex k to
+    vertex k + 1."""
+    t = tris[:, [1, 2, 0]] - tris
+    ln = np.sqrt(t[..., 0] * t[..., 0] + t[..., 1] * t[..., 1])
+    return np.stack([tris[..., 0], tris[..., 1], t[..., 0] / ln,
+                     t[..., 1] / ln, ln], axis=-1)
+
+
+def _segment_potential(frames, px, py):
     """int_tri 1/|x-y| dy in closed form, batched.
 
-    tris: (M, 3, 2) counterclockwise; pts: (M, K, 2) in the same plane.
+    frames: (M, 3, 5) edge frames of counterclockwise panels (see
+    _edge_frames); px, py: (M, K) point coordinates in the same plane.
+    Each edge adds d log(num/den), with d the signed distance of the point
+    to the edge line and num, den from the tangential offsets s_b, s_a of
+    the edge's end points; the rationalized form is used where s < 0.
     """
-    total = np.zeros(pts.shape[:2])
-    for k in range(3):
-        a = tris[:, k][:, None, :]
-        t = (tris[:, (k + 1) % 3] - tris[:, k])[:, None, :]
-        ln = np.linalg.norm(t, axis=2, keepdims=True)
-        t = t / ln
-        n = np.stack([t[..., 1], -t[..., 0]], axis=-1)
-        rel = a - pts
-        d = (rel * n).sum(-1)
-        s_a = (rel * t).sum(-1)
-        s_b = s_a + ln[..., 0]
-        r_a = np.hypot(s_a, d)
-        r_b = np.hypot(s_b, d)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            num = np.where(s_b < 0, d * d / (r_b - s_b), s_b + r_b)
-            den = np.where(s_a < 0, d * d / (r_a - s_a), s_a + r_a)
-            term = d * np.log(num / den)
-        total += np.where(np.abs(d) < 1e-300, 0.0, np.nan_to_num(term))
+    total = np.zeros(px.shape)
+    rx, ry, d, s_a, s_b, r_a, r_b, num, tmp = (np.empty(px.shape)
+                                               for _ in range(9))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(3):
+            ax, ay, tx, ty, ln = (frames[:, k, j, None] for j in range(5))
+            np.subtract(ax, px, out=rx)
+            np.subtract(ay, py, out=ry)
+            # d = rel . n with the outward normal n = (ty, -tx)
+            np.multiply(rx, ty, out=d)
+            d -= np.multiply(ry, tx, out=tmp)
+            np.multiply(rx, tx, out=s_a)
+            s_a += np.multiply(ry, ty, out=tmp)
+            np.add(s_a, ln, out=s_b)
+            np.hypot(s_a, d, out=r_a)
+            np.hypot(s_b, d, out=r_b)
+            dd = np.multiply(d, d, out=rx)
+            np.add(s_b, r_b, out=num)
+            neg = np.less(s_b, 0.0)
+            if neg.any():
+                np.divide(dd, np.subtract(r_b, s_b, out=tmp), out=num,
+                          where=neg)
+            den = np.add(s_a, r_a, out=ry)
+            neg = np.less(s_a, 0.0, out=neg)
+            if neg.any():
+                np.divide(dd, np.subtract(r_a, s_a, out=tmp), out=den,
+                          where=neg)
+            term = np.log(np.divide(num, den, out=num), out=num)
+            term *= d
+            if not np.isfinite(term).all():
+                np.nan_to_num(term, copy=False)
+            small = np.less(np.abs(d, out=tmp), 1e-300, out=neg)
+            if small.any():
+                term[small] = 0.0
+            total += term
     return total
 
 
@@ -285,25 +343,44 @@ def _gauss_duffy(p):
 def _robust_pairs(ta, tb, rtol=_ROBUST_RTOL, p=_ROBUST_ORDER,
                   max_depth=_ROBUST_MAX_DEPTH):
     """Adaptive outer quadrature over ta of the closed-form inner
-    potential of tb; handles arbitrarily anisotropic or close panels."""
+    potential of tb; handles arbitrarily anisotropic or close panels.
+
+    Raises NumericalError when the live cells of the subdivision exceed
+    _ROBUST_MAX_CELLS.
+    """
     ta = np.asarray(ta, float)
     tb = np.asarray(tb, float)
     nodes, wts = _gauss_duffy(p)
+    n0, n1 = nodes[:, 0], nodes[:, 1]
+    frames = _edge_frames(tb)
 
     def cell_values(cells, owner):
-        pts = _map_nodes(cells, nodes)
-        vals = _segment_potential(tb[owner], pts)
-        return _doubled_area(cells) * (vals * wts).sum(axis=1)
+        out = np.empty(len(cells))
+        for lo in range(0, len(cells), _ROBUST_BLOCK):
+            c = cells[lo:lo + _ROBUST_BLOCK]
+            # Duffy nodes mapped as v0 + n0 (v1 - v0) + n1 (v2 - v1)
+            px, py = ((c[:, 1, i] - c[:, 0, i])[:, None] * n0 + c[:, 0, i, None]
+                      + (c[:, 2, i] - c[:, 1, i])[:, None] * n1 for i in (0, 1))
+            vals = _segment_potential(frames[owner[lo:lo + _ROBUST_BLOCK]],
+                                      px, py)
+            vals *= wts
+            out[lo:lo + _ROBUST_BLOCK] = _doubled_area(c) * vals.sum(axis=1)
+        return out
 
     n_pairs = len(ta)
     settled = np.zeros(n_pairs)
     owner = np.arange(n_pairs)
     cells = ta.copy()
     parent = cell_values(cells, owner)
-    scale = np.abs(parent).copy()
+    scale = np.abs(parent)
     for depth in range(max_depth):
         if not len(owner):
             break
+        if 4 * len(owner) > _ROBUST_MAX_CELLS:
+            raise NumericalError(
+                f"robust panel quadrature did not settle: {4 * len(owner)} "
+                f"live cells at depth {depth + 1} exceed the cap of "
+                f"{_ROBUST_MAX_CELLS} (panels too anisotropic)")
         m01 = 0.5 * (cells[:, 0] + cells[:, 1])
         m12 = 0.5 * (cells[:, 1] + cells[:, 2])
         m20 = 0.5 * (cells[:, 2] + cells[:, 0])
@@ -368,34 +445,44 @@ def _aspect(tris):
     return lmax2 / _doubled_area(tris)
 
 
-def _segment_distances(p1, p2, q1, q2):
-    """Minimum distance between 2D segments, batched over leading dims."""
-    u = p2 - p1
-    v = q2 - q1
-    w0 = p1 - q1
-    a = (u * u).sum(-1)
-    b = (u * v).sum(-1)
-    c = (v * v).sum(-1)
-    d = (u * w0).sum(-1)
-    e = (v * w0).sum(-1)
-    den = a * c - b * b
-    s = np.where(den > 1e-30, (b * e - c * d) / np.where(den > 1e-30, den, 1.0), 0.0)
-    s = np.clip(s, 0.0, 1.0)
-    t = np.where(c > 1e-30, (b * s + e) / np.where(c > 1e-30, c, 1.0), 0.0)
-    t = np.clip(t, 0.0, 1.0)
-    s = np.where(a > 1e-30, np.clip((b * t - d) / np.where(a > 1e-30, a, 1.0), 0.0, 1.0), 0.0)
-    diff = (p1 + s[..., None] * u) - (q1 + t[..., None] * v)
-    return np.linalg.norm(diff, axis=-1)
-
-
 def _triangle_distances(ta, tb):
-    """Minimum distance between disjoint triangles, batched (P,3,2)."""
+    """Minimum distance between disjoint triangles, batched (P,3,2).
+
+    Per edge pair, the closest points p1 + s u and q1 + t v are found by
+    clamping the unconstrained minimizer s to [0, 1], then t given s, then
+    s given t.
+    """
     best = np.full(len(ta), np.inf)
-    for i in range(3):
-        for j in range(3):
-            d = _segment_distances(ta[:, i], ta[:, (i + 1) % 3],
-                                   tb[:, j], tb[:, (j + 1) % 3])
-            best = np.minimum(best, d)
+    for lo in range(0, len(ta), _DIST_BLOCK):
+        a = ta[lo:lo + _DIST_BLOCK]
+        b = tb[lo:lo + _DIST_BLOCK]
+        ax, ay, bx, by = a[..., 0], a[..., 1], b[..., 0], b[..., 1]
+        ux, uy = ax[:, [1, 2, 0]] - ax, ay[:, [1, 2, 0]] - ay
+        vx, vy = bx[:, [1, 2, 0]] - bx, by[:, [1, 2, 0]] - by
+        uu = ux * ux + uy * uy
+        vv = vx * vx + vy * vy
+        out = best[lo:lo + _DIST_BLOCK]
+        for i in range(3):
+            for j in range(3):
+                wx = ax[:, i] - bx[:, j]
+                wy = ay[:, i] - by[:, j]
+                uv = ux[:, i] * vx[:, j] + uy[:, i] * vy[:, j]
+                uw = ux[:, i] * wx + uy[:, i] * wy
+                vw = vx[:, j] * wx + vy[:, j] * wy
+                den = uu[:, i] * vv[:, j] - uv * uv
+                s = np.zeros(len(a))
+                np.divide(uv * vw - vv[:, j] * uw, den, out=s,
+                          where=den > 1e-30)
+                np.clip(s, 0.0, 1.0, out=s)
+                t = np.zeros(len(a))
+                np.divide(uv * s + vw, vv[:, j], out=t, where=vv[:, j] > 1e-30)
+                np.clip(t, 0.0, 1.0, out=t)
+                s[:] = 0.0
+                np.divide(uv * t - uw, uu[:, i], out=s, where=uu[:, i] > 1e-30)
+                np.clip(s, 0.0, 1.0, out=s)
+                dx = (ax[:, i] + s * ux[:, i]) - (bx[:, j] + t * vx[:, j])
+                dy = (ay[:, i] + s * uy[:, i]) - (by[:, j] + t * vy[:, j])
+                np.minimum(out, np.sqrt(dx * dx + dy * dy), out=out)
     return best
 
 
@@ -853,10 +940,12 @@ def single_layer_field(source_coords, source_values, pts):
     """The single-layer potential of a piecewise-constant vector density,
     u(x) = (1/4pi) sum_S w_S int_S |x-y|^(-1) dy, evaluated at pts (...,2)."""
     shape = pts.shape
-    flat = pts.reshape(1, -1, 2)
-    u = np.zeros((flat.shape[1], 2))
+    px = pts[..., 0].reshape(1, -1)
+    py = pts[..., 1].reshape(1, -1)
+    frames = _edge_frames(np.asarray(source_coords, float))
+    u = np.zeros((px.shape[1], 2))
     for s in range(len(source_coords)):
-        pot = _segment_potential(source_coords[s][None], flat)[0]
+        pot = _segment_potential(frames[s:s + 1], px, py)[0]
         u += pot[:, None] * source_values[s]
     return u.reshape(shape[:-1] + (2,)) / FOUR_PI
 

@@ -44,8 +44,6 @@ def build_parser():
     run.add_argument("--out-svg", default=None, help="SVG plot output path")
     run.add_argument("--dump-meshes", default=None,
                      help="directory for per-level mesh files")
-    run.add_argument("--seed", type=int, default=0,
-                     help="reserved; presets are deterministic")
     run.add_argument("--quiet", action="store_true")
     return parser
 
@@ -64,7 +62,6 @@ def main(argv=None):
         out_csv=args.out_csv,
         out_svg=args.out_svg,
         dump_meshes=args.dump_meshes,
-        seed=args.seed,
     )
     try:
         config.validate()

@@ -22,10 +22,19 @@ from crbem import (
 )
 from crbem.spaces import PwConstVecField
 from crbem.assembly import (
+    RHO_CLOSE,
+    RHO_FAR,
+    SINGULAR_ASPECT_LIMIT,
     NumericalError,
+    _adjacent_pairs,
     _apply_rule_pairs,
+    _aspect,
+    _near_candidates,
     _power_moments_element,
+    _robust_pairs,
     _self_entry_closed_form,
+    _triangle_distances,
+    single_layer_field,
 )
 
 from oracle import pair_value
@@ -114,6 +123,202 @@ class TestRuleKernel:
                             lambda rule, ta, tb: np.full(len(ta), np.nan))
         with pytest.raises(NumericalError):
             assemble_energy_form(initial_mesh, 5)
+
+
+# -- pre-split reference copies of the robust path and the distances ----------
+# The split-component kernels must reproduce these bit for bit: the robust
+# path's stopping test and the band edges compare against thresholds, so a
+# change of rounding can flip a decision and move a table entry.
+
+
+def _ref_doubled_area(tris):
+    d1 = tris[..., 1, :] - tris[..., 0, :]
+    d2 = tris[..., 2, :] - tris[..., 0, :]
+    return np.abs(d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0])
+
+
+def _ref_segment_potential(tris, pts):
+    total = np.zeros(pts.shape[:2])
+    for k in range(3):
+        a = tris[:, k][:, None, :]
+        t = (tris[:, (k + 1) % 3] - tris[:, k])[:, None, :]
+        ln = np.linalg.norm(t, axis=2, keepdims=True)
+        t = t / ln
+        n = np.stack([t[..., 1], -t[..., 0]], axis=-1)
+        rel = a - pts
+        d = (rel * n).sum(-1)
+        s_a = (rel * t).sum(-1)
+        s_b = s_a + ln[..., 0]
+        r_a = np.hypot(s_a, d)
+        r_b = np.hypot(s_b, d)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            num = np.where(s_b < 0, d * d / (r_b - s_b), s_b + r_b)
+            den = np.where(s_a < 0, d * d / (r_a - s_a), s_a + r_a)
+            term = d * np.log(num / den)
+        total += np.where(np.abs(d) < 1e-300, 0.0, np.nan_to_num(term))
+    return total
+
+
+def _ref_robust_pairs(ta, tb, rtol=1e-6, p=5, max_depth=24):
+    g, w = np.polynomial.legendre.leggauss(p)
+    g, w = 0.5 * (g + 1.0), 0.5 * w
+    a, b = np.meshgrid(g, g, indexing="ij")
+    wa, wb = np.meshgrid(w, w, indexing="ij")
+    nodes = np.stack([a.ravel(), (a * b).ravel()], axis=1)
+    wts = (wa * wb * a).ravel()
+
+    def cell_values(cells, owner):
+        e1 = cells[:, None, 1, :] - cells[:, None, 0, :]
+        e2 = cells[:, None, 2, :] - cells[:, None, 1, :]
+        pts = (cells[:, None, 0, :] + nodes[..., 0, None] * e1
+               + nodes[..., 1, None] * e2)
+        vals = _ref_segment_potential(tb[owner], pts)
+        return _ref_doubled_area(cells) * (vals * wts).sum(axis=1)
+
+    settled = np.zeros(len(ta))
+    owner = np.arange(len(ta))
+    cells = ta.copy()
+    parent = cell_values(cells, owner)
+    scale = np.abs(parent).copy()
+    for depth in range(max_depth):
+        if not len(owner):
+            break
+        m01 = 0.5 * (cells[:, 0] + cells[:, 1])
+        m12 = 0.5 * (cells[:, 1] + cells[:, 2])
+        m20 = 0.5 * (cells[:, 2] + cells[:, 0])
+        kids = np.stack([np.stack([cells[:, 0], m01, m20], 1),
+                         np.stack([m01, cells[:, 1], m12], 1),
+                         np.stack([m20, m12, cells[:, 2]], 1),
+                         np.stack([m01, m12, m20], 1)], axis=1)
+        kv = cell_values(kids.reshape(-1, 3, 2),
+                         np.repeat(owner, 4)).reshape(-1, 4)
+        ksum = kv.sum(axis=1)
+        done = np.abs(ksum - parent) <= rtol * np.maximum(scale[owner], 1e-300)
+        if depth == max_depth - 1:
+            done = np.ones_like(done)
+        np.add.at(settled, owner[done], ksum[done])
+        keep = ~done
+        owner = np.repeat(owner[keep], 4)
+        cells = kids[keep].reshape(-1, 3, 2)
+        parent = kv[keep].ravel()
+        running = settled.copy()
+        np.add.at(running, owner, np.abs(parent))
+        scale = np.maximum(scale, np.abs(running))
+    return settled / (4.0 * np.pi)
+
+
+def _ref_segment_distances(p1, p2, q1, q2):
+    u = p2 - p1
+    v = q2 - q1
+    w0 = p1 - q1
+    a = (u * u).sum(-1)
+    b = (u * v).sum(-1)
+    c = (v * v).sum(-1)
+    d = (u * w0).sum(-1)
+    e = (v * w0).sum(-1)
+    den = a * c - b * b
+    s = np.where(den > 1e-30, (b * e - c * d) / np.where(den > 1e-30, den, 1.0), 0.0)
+    s = np.clip(s, 0.0, 1.0)
+    t = np.where(c > 1e-30, (b * s + e) / np.where(c > 1e-30, c, 1.0), 0.0)
+    t = np.clip(t, 0.0, 1.0)
+    s = np.where(a > 1e-30, np.clip((b * t - d) / np.where(a > 1e-30, a, 1.0), 0.0, 1.0), 0.0)
+    diff = (p1 + s[..., None] * u) - (q1 + t[..., None] * v)
+    return np.linalg.norm(diff, axis=-1)
+
+
+def _ref_triangle_distances(ta, tb):
+    best = np.full(len(ta), np.inf)
+    for i in range(3):
+        for j in range(3):
+            d = _ref_segment_distances(ta[:, i], ta[:, (i + 1) % 3],
+                                       tb[:, j], tb[:, (j + 1) % 3])
+            best = np.minimum(best, d)
+    return best
+
+
+def _ref_single_layer_field(source_coords, source_values, pts):
+    flat = pts.reshape(1, -1, 2)
+    u = np.zeros((flat.shape[1], 2))
+    for s in range(len(source_coords)):
+        pot = _ref_segment_potential(source_coords[s][None], flat)[0]
+        u += pot[:, None] * source_values[s]
+    return u.reshape(pts.shape[:-1] + (2,)) / (4.0 * np.pi)
+
+
+@pytest.fixture(scope="module")
+def graded_robust_case():
+    """Robust-path pairs and near candidates of the refined graded mesh
+    (512 panels, beta = 2), classified as assemble_energy_form does."""
+    mesh = uniform_refine(graded_square_mesh(8, 2.0))[0]
+    coords = mesh.triangle_coords()
+    aniso = _aspect(coords) > SINGULAR_ASPECT_LIMIT
+    (ti, tj, _), (vi, vj, _, _) = _adjacent_pairs(mesh)
+    diam = np.sqrt(((coords[:, [1, 2, 0]] - coords) ** 2).sum(-1)).max(-1)
+    radius = np.linalg.norm(coords - mesh.centroids[:, None, :],
+                            axis=2).max(axis=1)
+    ci, cj = _near_candidates(mesh.centroids, radius, diam, RHO_FAR)
+    shares = (mesh.triangles[ci][:, :, None]
+              == mesh.triangles[cj][:, None, :]).any(axis=(1, 2))
+    ci, cj = ci[~shares], cj[~shares]
+    rho = _ref_triangle_distances(coords[ci], coords[cj]) / np.maximum(
+        diam[ci], diam[cj])
+    close = rho < RHO_CLOSE
+    ri = np.concatenate([ti, vi, ci[close]])
+    rj = np.concatenate([tj, vj, cj[close]])
+    keep = aniso[ri] | aniso[rj] | (np.arange(len(ri)) >= len(ti) + len(vi))
+    return coords, (ci, cj), (ri[keep], rj[keep])
+
+
+class TestSplitKernels:
+    def test_robust_pairs_bitwise_on_graded_mesh(self, graded_robust_case):
+        coords, _, (ri, rj) = graded_robust_case
+        assert len(ri) > 100
+        ref = _ref_robust_pairs(coords[ri], coords[rj])
+        assert np.array_equal(_robust_pairs(coords[ri], coords[rj]), ref)
+
+    def test_triangle_distances_bitwise_on_graded_mesh(self,
+                                                       graded_robust_case):
+        coords, (ci, cj), _ = graded_robust_case
+        ref = _ref_triangle_distances(coords[ci], coords[cj])
+        assert np.array_equal(_triangle_distances(coords[ci], coords[cj]),
+                              ref)
+
+    def test_distances_off_block_size(self):
+        # 4096 + 37 random pairs, including touching and crossing ones
+        rng = np.random.default_rng(3)
+        ta = rng.uniform(0.0, 1.0, (4133, 3, 2))
+        tb = rng.uniform(0.0, 1.0, (4133, 3, 2))
+        tb[::7] = ta[::7, [1, 2, 0]]
+        tb[1::7, 0] = ta[1::7, 2]
+        assert np.array_equal(_triangle_distances(ta, tb),
+                              _ref_triangle_distances(ta, tb))
+
+    @pytest.mark.parametrize("block", [3, 1024])
+    def test_robust_pairs_off_block_size(self, monkeypatch, block):
+        # 1031 shape-regular close pairs: neither the pair count nor the
+        # child counts are multiples of the block size
+        monkeypatch.setattr("crbem.assembly._ROBUST_BLOCK", block)
+        rng = np.random.default_rng(5)
+        n = 1031 if block == 1024 else 61
+        ta = UNIT_RIGHT + rng.uniform(-0.05, 0.05, (n, 3, 2))
+        tb = ta + [1.0 + rng.uniform(0.05, 0.3), 0.0]
+        assert np.array_equal(_robust_pairs(ta, tb),
+                              _ref_robust_pairs(ta, tb))
+
+    def test_single_layer_field_bitwise(self, refined_once):
+        # random points plus points on the source edges and at vertices,
+        # where the per-edge terms hit the d = 0 and 0/0 branches
+        _, mesh, _ = refined_once
+        coords = mesh.triangle_coords()
+        rng = np.random.default_rng(11)
+        values = rng.standard_normal((mesh.num_triangles, 2))
+        s = rng.uniform(0.0, 1.0, 60)[:, None]
+        on_edges = np.concatenate([(1 - s) * coords[k, 0] + s * coords[k, 1]
+                                   for k in range(3)])
+        pts = np.concatenate([rng.uniform(-0.2, 1.2, (240, 2)), on_edges,
+                              mesh.vertices])
+        assert np.array_equal(single_layer_field(coords, values, pts),
+                              _ref_single_layer_field(coords, values, pts))
 
 
 class TestPanelIntegral:

@@ -66,6 +66,17 @@ def test_degenerate_grading_is_a_numerical_failure(tmp_path, capsys):
     assert "degenerate" in capsys.readouterr().err
 
 
+@pytest.mark.slow
+def test_runaway_robust_path_is_a_numerical_failure(tmp_path, capsys):
+    # beta = 50 slivers never settle; the live-cell cap stops the run
+    code = main([
+        "run", "--experiment", "graded-smooth", "--beta", "50",
+        "--levels", "4", "--out-csv", str(tmp_path / "x.csv"),
+    ])
+    assert code == 3
+    assert "robust panel quadrature did not settle" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("order", ["2", "10"])
 def test_quad_order_out_of_range(tmp_path, capsys, order):
     code = main([
