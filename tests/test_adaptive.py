@@ -1,5 +1,8 @@
 import csv
 import io
+import json
+import os
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 
 from crbem.adaptive import (
     CSV_COLUMNS,
+    EXPERIMENTS,
     ConvergenceHistory,
     ExperimentConfig,
     LevelRecord,
@@ -224,3 +228,72 @@ class TestConfigValidation:
     def test_bad_beta(self):
         with pytest.raises(ValueError, match="beta"):
             ExperimentConfig(experiment="graded-smooth", beta=0.5).validate()
+
+
+# History fence: the CSV of every preset at small caps, plus the edge
+# cases of the level and DOF limits, recorded from crbem.cli.main by
+# running this file as a script (``PYTHONPATH=src python
+# tests/test_adaptive.py``), which rewrites FENCE_PATH.
+FENCE_PATH = os.path.join(os.path.dirname(__file__), "data",
+                          "history_fence.json")
+FENCE_CASES = {
+    **{f"{name}@300": ["--experiment", name, "--max-fine-dofs", "300",
+                       "--levels", "30"] for name in EXPERIMENTS},
+    "uniform-smooth@0": ["--experiment", "uniform-smooth",
+                         "--max-fine-dofs", "0"],
+    "adaptive-smooth@0": ["--experiment", "adaptive-smooth",
+                          "--max-fine-dofs", "0"],
+    "graded-smooth@0": ["--experiment", "graded-smooth",
+                        "--max-fine-dofs", "0"],
+    **{f"{name}@300/levels{n}": ["--experiment", name, "--max-fine-dofs",
+                                 "300", "--levels", str(n)]
+       for name in ("uniform-smooth", "adaptive-singular") for n in (1, 2)},
+    "graded-smooth/levels2": ["--experiment", "graded-smooth",
+                              "--levels", "2"],
+}
+FENCE_EXACT = ("level", "N_coarse", "N_fine")
+
+
+def run_fence_case(args, out_csv):
+    """Exit code, header and rows (without wall_ms) of one CLI run."""
+    from crbem.cli import main
+    if os.path.exists(out_csv):
+        os.remove(out_csv)
+    code = main(["run", *args, "--quiet", "--out-csv", str(out_csv)])
+    if code != 0:
+        return {"exit_code": code, "header": None, "rows": []}
+    with open(out_csv, newline="") as f:
+        rows = list(csv.reader(f))
+    keep = [i for i, col in enumerate(rows[0]) if col != "wall_ms"]
+    return {"exit_code": code,
+            "header": [rows[0][i] for i in keep],
+            "rows": [[row[i] for i in keep] for row in rows[1:]]}
+
+
+@pytest.mark.parametrize("case", list(FENCE_CASES))
+def test_history_fence(case, tmp_path, capsys):
+    with open(FENCE_PATH) as f:
+        want = json.load(f)[case]
+    got = run_fence_case(FENCE_CASES[case], tmp_path / "out.csv")
+    assert got["exit_code"] == want["exit_code"]
+    assert got["header"] == want["header"]
+    assert len(got["rows"]) == len(want["rows"])
+    for row, ref in zip(got["rows"], want["rows"]):
+        for col, a, b in zip(want["header"], row, ref):
+            if col in FENCE_EXACT or a == "" or b == "":
+                assert a == b, (row[0], col)
+            else:
+                assert abs(float(a) - float(b)) <= 1e-12 * abs(float(b)), (
+                    row[0], col, a, b)
+
+
+if __name__ == "__main__":
+    import tempfile
+    with tempfile.TemporaryDirectory() as tmp:
+        fence = {case: run_fence_case(args, os.path.join(tmp, "out.csv"))
+                 for case, args in FENCE_CASES.items()}
+    os.makedirs(os.path.dirname(FENCE_PATH), exist_ok=True)
+    with open(FENCE_PATH, "w") as f:
+        json.dump(fence, f, indent=1)
+        f.write("\n")
+    sys.exit(0)
