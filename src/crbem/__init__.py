@@ -50,6 +50,7 @@ from .assembly import (
 )
 from .estimators import (
     NumericalError,
+    Level,
     SolvePair,
     EstimatorReport,
     solve_spd,
@@ -69,7 +70,6 @@ from .adaptive import (
     LevelRecord,
     ConvergenceHistory,
     doerfler_mark,
-    adaptive_loop,
     run_experiment,
     fit_rate,
     emit_csv,

@@ -1,15 +1,19 @@
-"""Marking, the adaptive refinement loop, experiment presets, and output.
+"""Marking, the experiment loop, rate fitting, and output.
 
-The adaptive loop follows the estimate-mark-refine pattern: solve on the
-current mesh and its uniform refinement, build per-element indicators,
-select a minimal-cardinality set capturing a theta fraction of the total,
-bisect it, repeat.
+Every preset runs one loop: solve the pair of the current coarse level
+and its uniform refinement, record the two-level estimators, and make the
+next coarse level.  Presets differ only in that last step: uniform
+presets take the fine level of the pair just solved, adaptive presets
+bisect the elements that Doerfler marking selects from the per-element
+indicators, and graded presets build the graded mesh with twice the
+subdivisions.  A Level computes its form, spaces and solutions once, so
+reusing the fine level assembles and solves each uniform mesh once.
 
-Uniform presets exploit that the refinement of level l is the mesh of
-level l+1, so each mesh is assembled and solved once; the final mesh of
-the chain is reported coarse-only (its own uniform refinement would
-exceed the fine-DOF cap), which extends the history of the quantities
-that need no fine solve.
+Uniform presets report their last level coarse-only, with the quantities
+that need no fine solve: the level whose own uniform refinement would
+exceed the fine-DOF cap or that reaches the level limit.  If the cap
+admits no refinement at all, that is the initial mesh alone.  Adaptive
+and graded presets report only levels whose fine solve fits the cap.
 """
 
 from __future__ import annotations
@@ -24,31 +28,18 @@ import numpy as np
 
 from .mesh import (
     build_initial_square_mesh,
-    uniform_refine,
     refine_nvb,
     graded_square_mesh,
     mesh_io_write,
 )
-from .spaces import (
-    CoefVec,
-    PwConstVecField,
-    cr_space,
-    conforming_space,
-    curl_field,
-)
-from .assembly import (
-    assemble_energy_form,
-    assemble_stiffness,
-    energy_inner,
-)
+from .spaces import CoefVec, conforming_space, curl_field
 from .estimators import (
+    Level,
     NumericalError,
-    SolvePair,
     solve_pair,
-    solve_spd,
     estimator_report,
     jump_term,
-    _make_rhs,
+    conf_gap,
 )
 
 __all__ = [
@@ -57,7 +48,6 @@ __all__ = [
     "ConvergenceHistory",
     "EXPERIMENTS",
     "doerfler_mark",
-    "adaptive_loop",
     "run_experiment",
     "fit_rate",
     "emit_csv",
@@ -80,6 +70,8 @@ SINGULAR_POWER = -0.6
 # rule sizes grow as p^4 (the edge-adjacent rule has 16 p^4 nodes), so
 # the order is capped where the largest rule stays near 10^5 nodes
 MAX_QUAD_ORDER = 9
+# trailing levels over which fit_rate fits its slope
+RATE_WINDOW = 4
 
 
 @dataclass
@@ -93,9 +85,6 @@ class ExperimentConfig:
     out_csv: str | None = None
     out_svg: str | None = None
     dump_meshes: str | None = None
-    rate_window: int = 4
-    include_boundary_jumps: bool = True
-    jump_full_h1: bool = False
 
     def validate(self):
         if self.experiment not in EXPERIMENTS:
@@ -122,16 +111,15 @@ class LevelRecord:
 
     level: int
     n_coarse: int
-    n_fine: int | None
-    eta2: float | None
-    eta_tilde2: float | None
-    mu2: float | None
-    mu_tilde2: float | None
     rho2: float
-    rho_hat2: float | None
     conf_gap2: float
-    wall_ms: float
-    n_conf: int = 0
+    n_fine: int | None = None
+    eta2: float | None = None
+    eta_tilde2: float | None = None
+    mu2: float | None = None
+    mu_tilde2: float | None = None
+    rho_hat2: float | None = None
+    wall_ms: float = 0.0
     marked: int | None = None
 
 
@@ -140,14 +128,13 @@ class ConvergenceHistory:
     config: ExperimentConfig
     records: list = field(default_factory=list)
 
-    def values(self, quantity, x_axis="coarse"):
+    def values(self, quantity):
         """(N, value, level) triples of levels where the quantity exists."""
         xs, ys, ls = [], [], []
         for rec in self.records:
             v = getattr(rec, quantity)
-            x = rec.n_conf if x_axis == "conf" else rec.n_coarse
             if v is not None:
-                xs.append(x)
+                xs.append(rec.n_coarse)
                 ys.append(v)
                 ls.append(rec.level)
         return (np.asarray(xs, float), np.asarray(ys, float),
@@ -176,52 +163,50 @@ def doerfler_mark(indicators, theta):
     return np.sort(order[:k]), False
 
 
-def _recipe_for(config):
+def _graded_mesh(n, beta):
+    try:
+        return graded_square_mesh(n, beta)
+    except ValueError as exc:
+        # beta is validated and n is a power of two, so what fails here
+        # is a grading map that underflows to degenerate triangles
+        raise NumericalError(f"graded mesh n={n}, beta={beta}: "
+                             f"{exc}") from exc
+
+
+def _first_level(config):
     name = config.experiment
+    if name.startswith("graded"):
+        return Level(_graded_mesh(2, config.beta), ("constant",),
+                     config.quad_order)
+    mesh = build_initial_square_mesh()
     if name == "uniform-exact":
-        mesh0 = build_initial_square_mesh()
-        space0 = conforming_space(mesh0)
-        phi = CoefVec(space0, np.ones(space0.dof_count))
-        source = (mesh0.triangle_coords(), curl_field(phi).values)
-        return ("manufactured", phi, source), mesh0
-    if name.endswith("singular"):
-        return ("power", SINGULAR_POWER), build_initial_square_mesh()
-    return ("constant",), build_initial_square_mesh()
+        # the exact solution is the center hat of the initial mesh
+        space = conforming_space(mesh)
+        phi = CoefVec(space, np.ones(space.dof_count))
+        data = ("manufactured", phi,
+                (mesh.triangle_coords(), curl_field(phi).values))
+    elif name.endswith("singular"):
+        data = ("power", SINGULAR_POWER)
+    else:
+        data = ("constant",)
+    return Level(mesh, data, config.quad_order)
+
+
+def _next_coarse(config, level, pair, marked):
+    """The coarse level that follows the solve pair of ``level``."""
+    name = config.experiment
+    if name.startswith("uniform"):
+        return pair.fine
+    if name.startswith("adaptive"):
+        return pair.coarse.refined(*refine_nvb(pair.coarse.mesh, marked))
+    return Level(_graded_mesh(2 ** (level + 2), config.beta),
+                 pair.coarse.data, config.quad_order)
 
 
 def _fine_dof_prediction(mesh):
     # uniform refinement doubles boundary edges and quadruples elements
     n_boundary = int(mesh.edge_boundary.sum())
     return 6 * mesh.num_triangles - n_boundary
-
-
-def _pair_for_mesh(mesh, recipe, config, root_curl=None, root_of=None):
-    if recipe[0] == "manufactured" and root_of is not None:
-        carried = PwConstVecField(mesh, root_curl[root_of])
-        return solve_pair(mesh, ("manufactured", carried, recipe[2]),
-                          order=config.quad_order)
-    return solve_pair(mesh, recipe, order=config.quad_order)
-
-
-def _record_from_pair(level, pair, config, wall_ms, marked=None):
-    rep = estimator_report(pair,
-                           include_boundary=config.include_boundary_jumps,
-                           full_h1=config.jump_full_h1)
-    return LevelRecord(
-        level=level,
-        n_coarse=rep.n_coarse,
-        n_fine=rep.n_fine,
-        eta2=rep.eta2,
-        eta_tilde2=rep.eta_tilde2,
-        mu2=rep.mu2,
-        mu_tilde2=rep.mu_tilde2,
-        rho2=rep.rho2,
-        rho_hat2=rep.rho_hat2,
-        conf_gap2=rep.conf_gap2,
-        wall_ms=wall_ms,
-        n_conf=rep.n_conf_coarse,
-        marked=marked,
-    ), rep
 
 
 def _maybe_dump(config, level, mesh):
@@ -231,155 +216,57 @@ def _maybe_dump(config, level, mesh):
                                          f"level_{level:02d}.mesh"))
 
 
-def adaptive_loop(config):
-    """Estimate-mark-refine loop driven by the per-element indicators."""
-    config.validate()
-    recipe, mesh = _recipe_for(config)
-    root_curl = None
-    root_of = None
-    if recipe[0] == "manufactured":
-        root_curl = curl_field(recipe[1]).values
-        root_of = np.arange(mesh.num_triangles)
-    history = ConvergenceHistory(config=config)
-    for level in range(config.max_levels):
-        if _fine_dof_prediction(mesh) > config.max_fine_dofs:
-            break
-        t0 = time.perf_counter()
-        pair = _pair_for_mesh(mesh, recipe, config, root_curl, root_of)
-        rec, rep = _record_from_pair(level, pair, config,
-                                     wall_ms=0.0)
-        marked, converged = doerfler_mark(rep.indicators, config.theta)
-        rec.marked = len(marked)
-        _maybe_dump(config, level, mesh)
-        if converged:
-            rec.wall_ms = 1e3 * (time.perf_counter() - t0)
-            history.records.append(rec)
-            break
-        mesh, rmap = refine_nvb(mesh, marked)
-        if root_of is not None:
-            root_of = root_of[rmap.child_to_parent]
-        rec.wall_ms = 1e3 * (time.perf_counter() - t0)
-        history.records.append(rec)
-    return history
-
-
-def _run_uniform(config):
-    """Uniform chain with solve reuse plus a coarse-only tail level."""
-    recipe, mesh = _recipe_for(config)
-    root_curl = None
-    root_of = None
-    if recipe[0] == "manufactured":
-        root_curl = curl_field(recipe[1]).values
-        root_of = np.arange(mesh.num_triangles)
-
-    history = ConvergenceHistory(config=config)
-    level = 0
-    prev = None  # per-mesh bundle of the previous chain entry
-    while level < config.max_levels:
-        t0 = time.perf_counter()
-        bundle = _solve_single(mesh, recipe, config, root_curl, root_of)
-        if prev is not None:
-            pair = SolvePair(
-                prev["mesh"], mesh, prev["rmap_to_next"],
-                prev["form"], bundle["form"],
-                prev["cr"], bundle["cr"], prev["conf"], bundle["conf"],
-                prev["phi"], bundle["phi"], prev["phi0"], bundle["phi0"])
-            rec, _ = _record_from_pair(level - 1, pair, config,
-                                       wall_ms=1e3 * (time.perf_counter() - t0))
-            history.records.append(rec)
-        _maybe_dump(config, level, mesh)
-        grown = level + 1 < config.max_levels
-        if grown:
-            fine, rmap = uniform_refine(mesh)
-            if cr_space(fine).dof_count > config.max_fine_dofs:
-                grown = False
-        if not grown:
-            # tail level: only the quantities that need no fine solve
-            t1 = time.perf_counter()
-            rho2, _ = jump_term(mesh, bundle["phi"],
-                                include_boundary=config.include_boundary_jumps,
-                                full_h1=config.jump_full_h1)
-            w_cr = curl_field(bundle["phi"])
-            w_cf = curl_field(bundle["phi0"])
-            d = PwConstVecField(mesh, w_cr.values - w_cf.values)
-            gap = float(max(energy_inner(bundle["form"], d, d), 0.0))
-            history.records.append(LevelRecord(
-                level=level, n_coarse=bundle["cr"].dof_count, n_fine=None,
-                eta2=None, eta_tilde2=None, mu2=None, mu_tilde2=None,
-                rho2=rho2, rho_hat2=None, conf_gap2=gap,
-                wall_ms=1e3 * (time.perf_counter() - t1),
-                n_conf=bundle["conf"].dof_count))
-            break
-        bundle["rmap_to_next"] = rmap
-        prev = bundle
-        if root_of is not None:
-            root_of = root_of[rmap.child_to_parent]
-        mesh = fine
-        level += 1
-    return history
-
-
-def _solve_single(mesh, recipe, config, root_curl, root_of):
-    form = assemble_energy_form(mesh, config.quad_order)
-    cr = cr_space(mesh)
-    conf = conforming_space(mesh)
-    use = recipe
-    if recipe[0] == "manufactured":
-        use = ("manufactured", PwConstVecField(mesh, root_curl[root_of]),
-               recipe[2])
-    b_cr = _make_rhs(form, cr, use)
-    b_cf = _make_rhs(form, conf, use)
-    phi = CoefVec(cr, solve_spd(assemble_stiffness(form, cr), b_cr))
-    phi0 = CoefVec(conf, solve_spd(assemble_stiffness(form, conf), b_cf))
-    return {"mesh": mesh, "form": form, "cr": cr, "conf": conf,
-            "phi": phi, "phi0": phi0}
-
-
-def _run_graded(config):
-    """Graded meshes rebuilt per level with doubled subdivision count."""
-    recipe, _ = _recipe_for(config)
-    history = ConvergenceHistory(config=config)
-    n = 2
-    for level in range(config.max_levels):
-        try:
-            mesh = graded_square_mesh(n, config.beta)
-        except ValueError as exc:
-            # beta is validated and n is a power of two, so what fails
-            # here is a grading map that underflows to degenerate triangles
-            raise NumericalError(f"graded mesh n={n}, beta={config.beta}: "
-                                 f"{exc}") from exc
-        if _fine_dof_prediction(mesh) > config.max_fine_dofs:
-            break
-        t0 = time.perf_counter()
-        pair = solve_pair(mesh, recipe, order=config.quad_order)
-        rec, _ = _record_from_pair(level, pair, config,
-                                   wall_ms=1e3 * (time.perf_counter() - t0))
-        history.records.append(rec)
-        _maybe_dump(config, level, mesh)
-        n *= 2
-    return history
-
-
 def run_experiment(config):
     """Run one of the experiment presets and return its history."""
     config.validate()
-    if config.experiment.startswith("uniform"):
-        return _run_uniform(config)
-    if config.experiment.startswith("graded"):
-        return _run_graded(config)
-    return adaptive_loop(config)
+    uniform = config.experiment.startswith("uniform")
+    adaptive = config.experiment.startswith("adaptive")
+    history = ConvergenceHistory(config=config)
+    coarse = _first_level(config)
+    for level in range(config.max_levels):
+        t0 = time.perf_counter()
+        last = level + 1 == config.max_levels
+        if _fine_dof_prediction(coarse.mesh) > config.max_fine_dofs:
+            if not uniform:
+                break
+            last = True
+        _maybe_dump(config, level, coarse.mesh)
+        if uniform and last:
+            rec = LevelRecord(level=level, n_coarse=coarse.cr.dof_count,
+                              rho2=jump_term(coarse.mesh, coarse.phi)[0],
+                              conf_gap2=conf_gap(coarse))
+        else:
+            pair = solve_pair(coarse)
+            rep = estimator_report(pair)
+            rec = LevelRecord(
+                level=level, n_coarse=rep.n_coarse, rho2=rep.rho2,
+                conf_gap2=rep.conf_gap2, n_fine=rep.n_fine, eta2=rep.eta2,
+                eta_tilde2=rep.eta_tilde2, mu2=rep.mu2,
+                mu_tilde2=rep.mu_tilde2, rho_hat2=rep.rho_hat2)
+            marked = None
+            if adaptive:
+                marked, converged = doerfler_mark(rep.indicators,
+                                                  config.theta)
+                rec.marked = len(marked)
+                last = last or converged
+            if not last:
+                coarse = _next_coarse(config, level, pair, marked)
+        rec.wall_ms = 1e3 * (time.perf_counter() - t0)
+        history.records.append(rec)
+        if last:
+            break
+    return history
 
 
-def fit_rate(history, quantity, window=None, x_axis="coarse"):
+def fit_rate(history, quantity):
     """Least-squares slope of log(quantity) against log(N) over the
-    trailing window of levels where the quantity is available."""
-    window = window if window is not None else history.config.rate_window
-    xs, ys, levels = history.values(quantity, x_axis=x_axis)
+    trailing RATE_WINDOW levels where the quantity is available."""
+    xs, ys, levels = history.values(quantity)
     if len(xs) < 2:
         raise ValueError(f"need at least 2 levels to fit {quantity}")
-    xs = xs[-window:]
-    ys = ys[-window:]
-    levels = levels[-window:]
+    xs = xs[-RATE_WINDOW:]
+    ys = ys[-RATE_WINDOW:]
+    levels = levels[-RATE_WINDOW:]
     bad = np.flatnonzero(ys <= 0.0)
     if len(bad):
         raise ValueError(

@@ -1,8 +1,12 @@
 """Galerkin solves on coarse/fine mesh pairs and the error estimators.
 
-A SolvePair holds everything the two-level estimators need: the coarse
-mesh, its uniform refinement, both energy forms, and the four Galerkin
-solutions (nonconforming and conforming on both meshes, same data).
+A Level holds one mesh with its energy form, its Crouzeix-Raviart and
+conforming spaces, their load vectors and Galerkin solutions, each
+computed on first use.  A SolvePair is a coarse Level, the Level of its
+uniform refinement, and the refinement map.  The two-level estimators
+read the coarse and fine CR solutions; the conformity gap reads the
+coarse CR and conforming solutions.  No estimator reads a conforming
+solution on the fine mesh, so none is computed.
 
 Estimator conventions: the energy norm is realized as sqrt(a(.,.)); edge
 jump terms are weighted per edge by the edge length; every interior edge
@@ -12,12 +16,13 @@ per-element indicators sum exactly to the global quantities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
 
-from .mesh import uniform_refine
+from .mesh import Mesh, RefinementMap, uniform_refine
 from .spaces import (
     CoefVec,
     cr_space,
@@ -41,6 +46,7 @@ from .assembly import (
 
 __all__ = [
     "NumericalError",
+    "Level",
     "SolvePair",
     "EstimatorReport",
     "solve_spd",
@@ -79,95 +85,105 @@ def solve_spd(a, b):
     return x
 
 
-@dataclass
-class SolvePair:
-    """Coarse/fine solves of the same data on a mesh and its refinement."""
-
-    coarse_mesh: object
-    fine_mesh: object
-    rmap: object
-    form_coarse: object
-    form_fine: object
-    cr_coarse: object
-    cr_fine: object
-    conf_coarse: object
-    conf_fine: object
-    phi: CoefVec          # coarse CR solution
-    phi_hat: CoefVec      # fine CR solution
-    phi0: CoefVec         # coarse conforming solution
-    phi0_hat: CoefVec     # fine conforming solution
-    rhs: dict = field(default_factory=dict)
-    _cache: dict = field(default_factory=dict)
-
-    def fine_curl_diff(self):
-        """curl of (fine solution - coarse solution) on the fine mesh."""
-        if "d" not in self._cache:
-            fine = curl_field(self.phi_hat)
-            coarse = embed_coarse_in_fine(self.phi, self.rmap, self.fine_mesh)
-            self._cache["d"] = PwConstVecField(
-                self.fine_mesh, fine.values - coarse.values)
-        return self._cache["d"]
-
-    def fine_curl(self):
-        if "curl_hat" not in self._cache:
-            self._cache["curl_hat"] = curl_field(self.phi_hat)
-        return self._cache["curl_hat"]
-
-
-def _make_rhs(form, space, recipe):
-    kind = recipe[0]
+def _make_rhs(form, space, data):
+    kind = data[0]
     if kind == "constant":
         return assemble_rhs_constant(space)
     if kind == "power":
-        return assemble_rhs_power(space, recipe[1])
+        return assemble_rhs_power(space, data[1])
     if kind == "manufactured":
-        source = recipe[2] if len(recipe) > 2 else None
-        return assemble_rhs_manufactured(form, space, recipe[1], source)
-    raise ValueError(f"unknown data recipe {recipe!r}")
+        return assemble_rhs_manufactured(form, space, data[1], data[2])
+    raise ValueError(f"unknown data recipe {data!r}")
 
 
-def solve_pair(coarse_mesh, recipe, order=5):
-    """Solve the CR and conforming problems on a mesh and its uniform
-    refinement with the same data.
+@dataclass(eq=False)
+class Level:
+    """One mesh and its Galerkin problems, each part computed on first use.
 
-    ``recipe`` is ('constant',), ('power', alpha), or
-    ('manufactured', phi[, source]) with phi the data on the coarse mesh
-    and source = (panel coords, curl values) the curl density on its
-    coarsest mesh (shared by both levels so the data agree exactly).
+    ``data`` is ('constant',), ('power', alpha), or
+    ('manufactured', phi, source): phi is the data on this mesh (a
+    conforming coefficient vector or a piecewise-constant curl field) and
+    source = (panel coords, curl values) its curl density on the coarsest
+    mesh, shared by every refinement so that the data agree exactly.
     """
-    fine_mesh, rmap = uniform_refine(coarse_mesh)
-    form_c = assemble_energy_form(coarse_mesh, order)
-    form_f = assemble_energy_form(fine_mesh, order)
-    cr_c = cr_space(coarse_mesh)
-    cr_f = cr_space(fine_mesh)
-    cf_c = conforming_space(coarse_mesh)
-    cf_f = conforming_space(fine_mesh)
 
-    recipe_f = recipe
-    if recipe[0] == "manufactured":
-        phi = recipe[1]
-        w = phi if isinstance(phi, PwConstVecField) else curl_field(phi)
-        source = (recipe[2] if len(recipe) > 2
-                  else (coarse_mesh.triangle_coords(), w.values))
-        recipe = ("manufactured", phi, source)
-        fine_data = PwConstVecField(fine_mesh, w.values[rmap.child_to_parent])
-        recipe_f = ("manufactured", fine_data, source)
+    mesh: Mesh
+    data: tuple
+    order: int = 5
 
-    b_cr_c = _make_rhs(form_c, cr_c, recipe)
-    b_cf_c = _make_rhs(form_c, cf_c, recipe)
-    b_cr_f = _make_rhs(form_f, cr_f, recipe_f)
-    b_cf_f = _make_rhs(form_f, cf_f, recipe_f)
+    @cached_property
+    def form(self):
+        return assemble_energy_form(self.mesh, self.order)
 
-    phi = CoefVec(cr_c, solve_spd(assemble_stiffness(form_c, cr_c), b_cr_c))
-    phi0 = CoefVec(cf_c, solve_spd(assemble_stiffness(form_c, cf_c), b_cf_c))
-    phi_hat = CoefVec(cr_f, solve_spd(assemble_stiffness(form_f, cr_f), b_cr_f))
-    phi0_hat = CoefVec(cf_f, solve_spd(assemble_stiffness(form_f, cf_f), b_cf_f))
+    @cached_property
+    def cr(self):
+        return cr_space(self.mesh)
 
-    return SolvePair(
-        coarse_mesh, fine_mesh, rmap, form_c, form_f,
-        cr_c, cr_f, cf_c, cf_f, phi, phi_hat, phi0, phi0_hat,
-        rhs={"cr_coarse": b_cr_c, "conf_coarse": b_cf_c,
-             "cr_fine": b_cr_f, "conf_fine": b_cf_f})
+    @cached_property
+    def conf(self):
+        return conforming_space(self.mesh)
+
+    @cached_property
+    def load_cr(self):
+        return _make_rhs(self.form, self.cr, self.data)
+
+    @cached_property
+    def load_conf(self):
+        return _make_rhs(self.form, self.conf, self.data)
+
+    @cached_property
+    def phi(self):
+        """Crouzeix-Raviart solution."""
+        a = assemble_stiffness(self.form, self.cr)
+        return CoefVec(self.cr, solve_spd(a, self.load_cr))
+
+    @cached_property
+    def phi0(self):
+        """Conforming solution."""
+        a = assemble_stiffness(self.form, self.conf)
+        return CoefVec(self.conf, solve_spd(a, self.load_conf))
+
+    def refined(self, mesh, rmap):
+        """The Level of a refinement of this mesh, with the data carried
+        to each child from its parent."""
+        data = self.data
+        if data[0] == "manufactured":
+            w = data[1]
+            if not isinstance(w, PwConstVecField):
+                w = curl_field(w)
+            data = ("manufactured",
+                    PwConstVecField(mesh, w.values[rmap.child_to_parent]),
+                    data[2])
+        return Level(mesh, data, self.order)
+
+
+@dataclass(eq=False)
+class SolvePair:
+    """A coarse Level, the Level of its uniform refinement, and the map
+    from fine to coarse elements."""
+
+    coarse: Level
+    fine: Level
+    rmap: RefinementMap
+
+    @cached_property
+    def fine_curl(self):
+        return curl_field(self.fine.phi)
+
+    @cached_property
+    def fine_curl_diff(self):
+        """curl of (fine solution - coarse solution) on the fine mesh."""
+        coarse = embed_coarse_in_fine(self.coarse.phi, self.rmap,
+                                      self.fine.mesh)
+        return PwConstVecField(self.fine.mesh,
+                               self.fine_curl.values - coarse.values)
+
+
+def solve_pair(coarse):
+    """The solve pair of a Level and its uniform refinement, with the
+    same data; the solutions are computed when an estimator reads them."""
+    fine_mesh, rmap = uniform_refine(coarse.mesh)
+    return SolvePair(coarse, coarse.refined(fine_mesh, rmap), rmap)
 
 
 def conforming_component(phi, form, conf_space):
@@ -185,27 +201,27 @@ def conforming_component(phi, form, conf_space):
 
 def estimator_eta(pair):
     """Two-level estimator: energy norm of (fine - coarse) solution."""
-    d = pair.fine_curl_diff()
-    return float(np.sqrt(max(energy_inner(pair.form_fine, d, d), 0.0)))
+    d = pair.fine_curl_diff
+    return float(np.sqrt(max(energy_inner(pair.fine.form, d, d), 0.0)))
 
 
 def estimator_eta_tilde(pair):
     """Energy norm of the fine solution minus its quasi-interpolant in
     the coarse conforming space."""
-    interp = clement_interpolate(pair.phi_hat, pair.coarse_mesh, pair.rmap)
-    coarse = embed_coarse_in_fine(interp, pair.rmap, pair.fine_mesh)
-    e = PwConstVecField(pair.fine_mesh,
-                        pair.fine_curl().values - coarse.values)
-    return float(np.sqrt(max(energy_inner(pair.form_fine, e, e), 0.0)))
+    fine_mesh = pair.fine.mesh
+    interp = clement_interpolate(pair.fine.phi, pair.coarse.mesh, pair.rmap)
+    coarse = embed_coarse_in_fine(interp, pair.rmap, fine_mesh)
+    e = PwConstVecField(fine_mesh, pair.fine_curl.values - coarse.values)
+    return float(np.sqrt(max(energy_inner(pair.fine.form, e, e), 0.0)))
 
 
 def _weighted_l2_parts(pair, fine_field):
     """h-weighted elementwise L2 norms: parts[T] = h(T) * sum over the
     children of |c| |field|^2, summing to the squared global norm."""
-    h = np.sqrt(pair.coarse_mesh.areas)
-    fine_areas = pair.fine_mesh.areas
-    sq = (fine_field.values ** 2).sum(axis=1) * fine_areas
-    parts = np.zeros(pair.coarse_mesh.num_triangles)
+    coarse_mesh = pair.coarse.mesh
+    h = np.sqrt(coarse_mesh.areas)
+    sq = (fine_field.values ** 2).sum(axis=1) * pair.fine.mesh.areas
+    parts = np.zeros(coarse_mesh.num_triangles)
     np.add.at(parts, pair.rmap.child_to_parent, sq)
     parts *= h
     return parts
@@ -213,41 +229,34 @@ def _weighted_l2_parts(pair, fine_field):
 
 def estimator_mu(pair):
     """Localized estimator: h-weighted L2 norm of the curl difference."""
-    parts = _weighted_l2_parts(pair, pair.fine_curl_diff())
+    parts = _weighted_l2_parts(pair, pair.fine_curl_diff)
     return float(np.sqrt(parts.sum())), parts
 
 
 def estimator_mu_tilde(pair):
     """Localized estimator with the piecewise-constant projection: the
     h-weighted L2 norm of (1 - Pi) applied to the fine curl."""
-    fine = pair.fine_curl()
-    coarse = project_pwconst(fine, pair.rmap, pair.coarse_mesh)
+    fine = pair.fine_curl
+    coarse = project_pwconst(fine, pair.rmap, pair.coarse.mesh)
     resid = PwConstVecField(
-        pair.fine_mesh,
+        pair.fine.mesh,
         fine.values - coarse.values[pair.rmap.child_to_parent])
     parts = _weighted_l2_parts(pair, resid)
     return float(np.sqrt(parts.sum())), parts
 
 
-def jump_term(mesh, coeffs, weight_mode="length", include_boundary=True,
-              full_h1=False):
+def jump_term(mesh, coeffs, include_boundary=True, full_h1=False):
     """Squared jump functional and its per-element halves.
 
-    Each edge contributes w(e)^2 |e| (jump')^2 with w(e) = |e| (or 1 for
-    ``weight_mode='none'``); ``full_h1`` adds the L2 part of the jump.
-    Interior edges are assigned half to each adjacent element; the parts
-    therefore sum exactly to the total.
+    Each edge contributes |e|^2 |e| (jump')^2; ``full_h1`` adds the L2
+    part of the jump.  Interior edges are assigned half to each adjacent
+    element; the parts therefore sum exactly to the total.
     """
     if coeffs.space.mesh is not mesh:
         raise ValueError("coefficients do not live on this mesh")
     jumps = jump_field(coeffs)
     ln = mesh.edge_lengths
-    if weight_mode == "length":
-        w2 = ln ** 2
-    elif weight_mode == "none":
-        w2 = np.ones_like(ln)
-    else:
-        raise ValueError(f"unknown weight mode {weight_mode!r}")
+    w2 = ln ** 2
     per_edge = w2 * ln * jumps.jump_deriv ** 2
     if full_h1:
         j0, j1 = jumps.jump_lo, jumps.jump_hi
@@ -263,33 +272,18 @@ def jump_term(mesh, coeffs, weight_mode="length", include_boundary=True,
     return float(per_edge.sum()), parts
 
 
-def local_indicators(pair, include_boundary=True, full_h1=False):
-    """Per-element refinement indicators.
-
-    indicator(T)^2 = the mu-tilde part of T, plus the coarse jump part
-    over the edges of T, plus the fine jump part over the fine edges
-    inside T; shared edges count half per side, so the indicators sum to
-    mu_tilde^2 + rho^2 + rho_hat^2 exactly.
-    """
-    _, mu_parts = estimator_mu_tilde(pair)
-    _, rho_parts = jump_term(pair.coarse_mesh, pair.phi,
-                             include_boundary=include_boundary,
-                             full_h1=full_h1)
-    _, rho_hat_fine = jump_term(pair.fine_mesh, pair.phi_hat,
-                                include_boundary=include_boundary,
-                                full_h1=full_h1)
-    rho_hat_parts = np.zeros(pair.coarse_mesh.num_triangles)
-    np.add.at(rho_hat_parts, pair.rmap.child_to_parent, rho_hat_fine)
-    return mu_parts + rho_parts + rho_hat_parts
+def local_indicators(pair):
+    """Per-element refinement indicators (see ``estimator_report``)."""
+    return estimator_report(pair).indicators
 
 
-def conf_gap(pair):
-    """Squared energy distance from the CR solution to its conforming
-    component: a(phi - phi0, phi - phi0) on the coarse mesh."""
-    w_cr = curl_field(pair.phi)
-    w_cf = curl_field(pair.phi0)
-    d = PwConstVecField(pair.coarse_mesh, w_cr.values - w_cf.values)
-    return float(max(energy_inner(pair.form_coarse, d, d), 0.0))
+def conf_gap(level):
+    """Squared energy distance from the CR solution to the conforming
+    one: a(phi - phi0, phi - phi0) on the level's mesh."""
+    w_cr = curl_field(level.phi)
+    w_cf = curl_field(level.phi0)
+    d = PwConstVecField(level.mesh, w_cr.values - w_cf.values)
+    return float(max(energy_inner(level.form, d, d), 0.0))
 
 
 @dataclass
@@ -306,24 +300,25 @@ class EstimatorReport:
     indicators: np.ndarray
     n_coarse: int
     n_fine: int
-    n_conf_coarse: int = 0
 
 
-def estimator_report(pair, include_boundary=True, full_h1=False):
-    """Evaluate every estimator of a solve pair."""
+def estimator_report(pair):
+    """Evaluate every estimator of a solve pair.
+
+    The refinement indicators: indicator(T)^2 = the mu-tilde part of T,
+    plus the coarse jump part over the edges of T, plus the fine jump
+    part over the fine edges inside T; shared edges count half per side,
+    so the indicators sum to mu_tilde^2 + rho^2 + rho_hat^2 exactly.
+    """
+    coarse, fine = pair.coarse, pair.fine
     eta = estimator_eta(pair)
     eta_t = estimator_eta_tilde(pair)
     mu, _ = estimator_mu(pair)
     mu_t, mu_parts = estimator_mu_tilde(pair)
-    rho2, rho_parts = jump_term(pair.coarse_mesh, pair.phi,
-                                include_boundary=include_boundary,
-                                full_h1=full_h1)
-    rho_hat2, rho_hat_fine = jump_term(pair.fine_mesh, pair.phi_hat,
-                                       include_boundary=include_boundary,
-                                       full_h1=full_h1)
-    rho_hat_parts = np.zeros(pair.coarse_mesh.num_triangles)
+    rho2, rho_parts = jump_term(coarse.mesh, coarse.phi)
+    rho_hat2, rho_hat_fine = jump_term(fine.mesh, fine.phi)
+    rho_hat_parts = np.zeros(coarse.mesh.num_triangles)
     np.add.at(rho_hat_parts, pair.rmap.child_to_parent, rho_hat_fine)
-    indicators = mu_parts + rho_parts + rho_hat_parts
     return EstimatorReport(
         eta2=eta ** 2,
         eta_tilde2=eta_t ** 2,
@@ -331,9 +326,8 @@ def estimator_report(pair, include_boundary=True, full_h1=False):
         mu_tilde2=mu_t ** 2,
         rho2=rho2,
         rho_hat2=rho_hat2,
-        conf_gap2=conf_gap(pair),
-        indicators=indicators,
-        n_coarse=pair.phi.space.dof_count,
-        n_fine=pair.phi_hat.space.dof_count,
-        n_conf_coarse=pair.phi0.space.dof_count,
+        conf_gap2=conf_gap(coarse),
+        indicators=mu_parts + rho_parts + rho_hat_parts,
+        n_coarse=coarse.cr.dof_count,
+        n_fine=fine.cr.dof_count,
     )

@@ -9,7 +9,7 @@ from crbem import (
     CoefVec,
 )
 from crbem.spaces import curl_field
-from crbem.estimators import solve_pair
+from crbem.estimators import Level, solve_pair
 
 
 @pytest.fixture
@@ -35,21 +35,21 @@ def center_hat_recipe():
 @pytest.fixture(scope="session")
 def pair_manufactured(center_hat_recipe):
     recipe, mesh0 = center_hat_recipe
-    return solve_pair(mesh0, recipe)
+    return solve_pair(Level(mesh0, recipe))
 
 
 @pytest.fixture(scope="session")
 def pair_constant():
     mesh0 = build_initial_square_mesh()
     mesh1, _ = uniform_refine(mesh0)
-    return solve_pair(mesh1, ("constant",))
+    return solve_pair(Level(mesh1, ("constant",)))
 
 
 @pytest.fixture(scope="session")
 def pair_power():
     mesh0 = build_initial_square_mesh()
     mesh, _ = refine_nvb(mesh0, [0])
-    return solve_pair(mesh, ("power", -0.6))
+    return solve_pair(Level(mesh, ("power", -0.6)))
 
 
 @pytest.fixture(scope="session")

@@ -2,7 +2,6 @@ import csv
 import io
 import json
 import os
-import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -16,13 +15,13 @@ from crbem.adaptive import (
     ConvergenceHistory,
     ExperimentConfig,
     LevelRecord,
-    adaptive_loop,
     doerfler_mark,
     emit_csv,
     emit_svg_plot,
     fit_rate,
     run_experiment,
 )
+from crbem.cli import main
 
 
 class TestDoerflerMark:
@@ -170,7 +169,7 @@ class TestAdaptiveLoop:
     def test_theta_near_one_reproduces_uniform(self):
         cfg_a = ExperimentConfig(experiment="adaptive-smooth", theta=0.999999,
                                  max_levels=2, max_fine_dofs=2000)
-        hist_a = adaptive_loop(cfg_a)
+        hist_a = run_experiment(cfg_a)
         cfg_u = ExperimentConfig(experiment="uniform-smooth",
                                  max_levels=3, max_fine_dofs=2000)
         hist_u = run_experiment(cfg_u)
@@ -181,7 +180,7 @@ class TestAdaptiveLoop:
     def test_adaptive_ncoarse_nondecreasing(self):
         cfg = ExperimentConfig(experiment="adaptive-smooth", theta=0.5,
                                max_levels=6, max_fine_dofs=1500)
-        hist = adaptive_loop(cfg)
+        hist = run_experiment(cfg)
         ns = [r.n_coarse for r in hist.records]
         assert all(b >= a for a, b in zip(ns, ns[1:]))
         assert len(hist.records) >= 3
@@ -202,18 +201,18 @@ class TestAdaptiveLoop:
 
     def test_indicator_identity_along_loop(self):
         from crbem.estimators import solve_pair, estimator_report
-        from crbem.adaptive import _recipe_for
+        from crbem.adaptive import _first_level
         cfg = ExperimentConfig(experiment="adaptive-smooth", theta=0.5,
                                max_levels=3, max_fine_dofs=1500)
-        recipe, mesh = _recipe_for(cfg)
+        level = _first_level(cfg)
         for _ in range(3):
-            pair = solve_pair(mesh, recipe)
+            pair = solve_pair(level)
             rep = estimator_report(pair)
             total = rep.mu_tilde2 + rep.rho2 + rep.rho_hat2
             assert rep.indicators.sum() == pytest.approx(total, rel=1e-10)
             marked, _ = doerfler_mark(rep.indicators, 0.5)
             from crbem import refine_nvb
-            mesh, _ = refine_nvb(mesh, marked)
+            level = level.refined(*refine_nvb(level.mesh, marked))
 
 
 class TestConfigValidation:
@@ -256,9 +255,6 @@ FENCE_EXACT = ("level", "N_coarse", "N_fine")
 
 def run_fence_case(args, out_csv):
     """Exit code, header and rows (without wall_ms) of one CLI run."""
-    from crbem.cli import main
-    if os.path.exists(out_csv):
-        os.remove(out_csv)
     code = main(["run", *args, "--quiet", "--out-csv", str(out_csv)])
     if code != 0:
         return {"exit_code": code, "header": None, "rows": []}
@@ -271,7 +267,7 @@ def run_fence_case(args, out_csv):
 
 
 @pytest.mark.parametrize("case", list(FENCE_CASES))
-def test_history_fence(case, tmp_path, capsys):
+def test_history_fence(case, tmp_path):
     with open(FENCE_PATH) as f:
         want = json.load(f)[case]
     got = run_fence_case(FENCE_CASES[case], tmp_path / "out.csv")
@@ -296,4 +292,3 @@ if __name__ == "__main__":
     with open(FENCE_PATH, "w") as f:
         json.dump(fence, f, indent=1)
         f.write("\n")
-    sys.exit(0)

@@ -1,11 +1,14 @@
 import csv
 import os
+import tempfile
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crbem.cli import main
-from crbem.adaptive import CSV_COLUMNS
+from crbem.adaptive import CSV_COLUMNS, EXPERIMENTS
 
 
 @pytest.mark.slow
@@ -85,3 +88,26 @@ def test_quad_order_out_of_range(tmp_path, capsys, order):
     ])
     assert code == 2
     assert "quadrature order" in capsys.readouterr().err
+
+
+# beta stays at most 8: stronger grading makes the robust path slow (about
+# 20 s at beta = 20 on a 32-panel mesh); beta = 50 and 400 have own tests
+@settings(max_examples=25, deadline=None)
+@given(experiment=st.sampled_from(EXPERIMENTS),
+       theta=st.floats(0.0, 1.2), beta=st.floats(0.5, 8.0),
+       levels=st.integers(0, 3), max_fine_dofs=st.integers(0, 300),
+       quad_order=st.integers(1, 11))
+def test_cli_contract(experiment, theta, beta, levels, max_fine_dofs,
+                      quad_order):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["run", "--experiment", experiment, "--theta", repr(theta),
+                "--beta", repr(beta), "--levels", str(levels),
+                "--max-fine-dofs", str(max_fine_dofs),
+                "--quad-order", str(quad_order), "--quiet",
+                "--out-csv", os.path.join(tmp, "x.csv")]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the arguments
+            assert exc.code == 2
+        else:
+            assert code in (0, 2, 3)

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -53,61 +55,57 @@ class TestSolveSpd:
 
 class TestSolvePair:
     def test_manufactured_coarse_conforming_is_exact(self, pair_manufactured):
-        assert pair_manufactured.phi0.values == pytest.approx([1.0], abs=1e-10)
+        assert pair_manufactured.coarse.phi0.values == pytest.approx(
+            [1.0], abs=1e-10)
 
     def test_partial_orthogonality(self, fixture_pairs):
         for name, pair in fixture_pairs.items():
-            a_phi = energy_inner(pair.form_coarse, curl_field(pair.phi),
-                                 curl_field(pair.phi))
-            what = curl_field(pair.phi_hat)
-            wphi = curl_field(pair.phi)
-            conf = pair.conf_coarse
+            wphi = curl_field(pair.coarse.phi)
+            a_phi = energy_inner(pair.coarse.form, wphi, wphi)
+            what = curl_field(pair.fine.phi)
+            conf = pair.coarse.conf
             for i in range(conf.dof_count):
                 psi = CoefVec(conf, np.eye(conf.dof_count)[i])
-                psi_fine = prolong_conforming(psi, pair.fine_mesh, pair.rmap)
-                lhs = energy_inner(pair.form_fine, what, curl_field(psi_fine))
-                rhs = energy_inner(pair.form_coarse, wphi, curl_field(psi))
-                f_psi = pair.rhs["conf_coarse"][i]
+                psi_fine = prolong_conforming(psi, pair.fine.mesh, pair.rmap)
+                lhs = energy_inner(pair.fine.form, what, curl_field(psi_fine))
+                rhs = energy_inner(pair.coarse.form, wphi, curl_field(psi))
+                f_psi = pair.coarse.load_conf[i]
                 assert abs(lhs - rhs) <= 1e-8 * (a_phi + abs(f_psi)), name
 
     def test_conforming_component_equals_direct_solve(self, fixture_pairs):
         for name, pair in fixture_pairs.items():
-            proj = conforming_component(pair.phi, pair.form_coarse,
-                                        pair.conf_coarse)
-            scale = np.abs(pair.phi0.values).max() + 1e-30
-            assert np.abs(proj.values - pair.phi0.values).max() < 1e-9 * max(
-                scale, 1.0), name
+            proj = conforming_component(pair.coarse.phi, pair.coarse.form,
+                                        pair.coarse.conf)
+            scale = np.abs(pair.coarse.phi0.values).max() + 1e-30
+            assert np.abs(proj.values - pair.coarse.phi0.values).max() < (
+                1e-9 * max(scale, 1.0)), name
 
     def test_conforming_component_projection_identity(self, pair_constant):
         pair = pair_constant
-        conf = pair.conf_coarse
+        conf = pair.coarse.conf
         rng = np.random.default_rng(1)
         psi = CoefVec(conf, rng.standard_normal(conf.dof_count))
         as_cr = conforming_to_cr(psi)
-        proj = conforming_component(as_cr, pair.form_coarse, conf)
+        proj = conforming_component(as_cr, pair.coarse.form, conf)
         assert np.abs(proj.values - psi.values).max() < 1e-10
 
     def test_conforming_component_orthogonality(self, pair_constant):
         pair = pair_constant
-        w_cr = curl_field(pair.phi)
-        w_cf = curl_field(pair.phi0)
-        d = PwConstVecField(pair.coarse_mesh, w_cr.values - w_cf.values)
-        cross = energy_inner(pair.form_coarse, d, w_cf)
-        a_phi = energy_inner(pair.form_coarse, w_cr, w_cr)
+        w_cr = curl_field(pair.coarse.phi)
+        w_cf = curl_field(pair.coarse.phi0)
+        d = PwConstVecField(pair.coarse.mesh, w_cr.values - w_cf.values)
+        cross = energy_inner(pair.coarse.form, d, w_cf)
+        a_phi = energy_inner(pair.coarse.form, w_cr, w_cr)
         assert abs(cross) <= 1e-9 * a_phi
 
 
 class TestEstimators:
     def test_eta_zero_for_prolongated_solution(self, pair_constant):
         pair = pair_constant
-        base = curl_field(pair.phi)
-        fake = SolvePair(
-            pair.coarse_mesh, pair.fine_mesh, pair.rmap,
-            pair.form_coarse, pair.form_fine,
-            pair.cr_coarse, pair.cr_fine, pair.conf_coarse, pair.conf_fine,
-            pair.phi, pair.phi_hat, pair.phi0, pair.phi0_hat)
-        fake._cache["d"] = PwConstVecField(
-            pair.fine_mesh, np.zeros((pair.fine_mesh.num_triangles, 2)))
+        base = curl_field(pair.coarse.phi)
+        fake = SolvePair(pair.coarse, pair.fine, pair.rmap)
+        fake.fine_curl_diff = PwConstVecField(
+            pair.fine.mesh, np.zeros((pair.fine.mesh.num_triangles, 2)))
         assert estimator_eta(fake) == 0.0
 
     def test_eta_positive(self, fixture_pairs):
@@ -116,32 +114,26 @@ class TestEstimators:
 
     def test_eta_tilde_zero_for_coarse_conforming(self, pair_constant):
         pair = pair_constant
-        conf = pair.conf_coarse
+        conf = pair.coarse.conf
         rng = np.random.default_rng(2)
         psi = CoefVec(conf, rng.standard_normal(conf.dof_count))
         psi_fine_cr = conforming_to_cr(
-            prolong_conforming(psi, pair.fine_mesh, pair.rmap))
-        fake = SolvePair(
-            pair.coarse_mesh, pair.fine_mesh, pair.rmap,
-            pair.form_coarse, pair.form_fine,
-            pair.cr_coarse, pair.cr_fine, pair.conf_coarse, pair.conf_fine,
-            pair.phi, psi_fine_cr, pair.phi0, pair.phi0_hat)
+            prolong_conforming(psi, pair.fine.mesh, pair.rmap))
+        fine = copy.copy(pair.fine)
+        fine.phi = psi_fine_cr
+        fake = SolvePair(pair.coarse, fine, pair.rmap)
         val = estimator_eta_tilde(fake)
-        scale = np.sqrt(energy_inner(pair.form_fine, curl_field(psi_fine_cr),
+        scale = np.sqrt(energy_inner(pair.fine.form, curl_field(psi_fine_cr),
                                      curl_field(psi_fine_cr)))
         assert val <= 1e-6 * max(scale, 1.0)
 
     def test_mu_single_element_formula(self, pair_constant):
         pair = pair_constant
-        mesh = pair.coarse_mesh
+        mesh = pair.coarse.mesh
         ones = PwConstVecField(
-            pair.fine_mesh, np.tile([1.0, 0.0], (pair.fine_mesh.num_triangles, 1)))
-        fake = SolvePair(
-            pair.coarse_mesh, pair.fine_mesh, pair.rmap,
-            pair.form_coarse, pair.form_fine,
-            pair.cr_coarse, pair.cr_fine, pair.conf_coarse, pair.conf_fine,
-            pair.phi, pair.phi_hat, pair.phi0, pair.phi0_hat)
-        fake._cache["d"] = ones
+            pair.fine.mesh, np.tile([1.0, 0.0], (pair.fine.mesh.num_triangles, 1)))
+        fake = SolvePair(pair.coarse, pair.fine, pair.rmap)
+        fake.fine_curl_diff = ones
         total, parts = estimator_mu(fake)
         h = np.sqrt(mesh.areas)
         assert np.allclose(parts, h * mesh.areas)
@@ -162,14 +154,10 @@ class TestEstimators:
     def test_mu_tilde_zero_for_parentwise_constant_curl(self, pair_constant):
         pair = pair_constant
         rng = np.random.default_rng(3)
-        coarse_vals = rng.standard_normal((pair.coarse_mesh.num_triangles, 2))
-        fake = SolvePair(
-            pair.coarse_mesh, pair.fine_mesh, pair.rmap,
-            pair.form_coarse, pair.form_fine,
-            pair.cr_coarse, pair.cr_fine, pair.conf_coarse, pair.conf_fine,
-            pair.phi, pair.phi_hat, pair.phi0, pair.phi0_hat)
-        fake._cache["curl_hat"] = PwConstVecField(
-            pair.fine_mesh, coarse_vals[pair.rmap.child_to_parent])
+        coarse_vals = rng.standard_normal((pair.coarse.mesh.num_triangles, 2))
+        fake = SolvePair(pair.coarse, pair.fine, pair.rmap)
+        fake.fine_curl = PwConstVecField(
+            pair.fine.mesh, coarse_vals[pair.rmap.child_to_parent])
         total, _ = estimator_mu_tilde(fake)
         assert total < 1e-12
 
@@ -185,8 +173,8 @@ class TestEstimators:
 
 class TestJumpTerm:
     def test_conforming_zero(self, pair_constant):
-        mesh = pair_constant.coarse_mesh
-        conf = pair_constant.conf_coarse
+        mesh = pair_constant.coarse.mesh
+        conf = pair_constant.coarse.conf
         rng = np.random.default_rng(4)
         psi = conforming_to_cr(CoefVec(conf, rng.standard_normal(conf.dof_count)))
         total, parts = jump_term(mesh, psi)
@@ -210,9 +198,9 @@ class TestJumpTerm:
         assert parts.sum() == pytest.approx(total, rel=1e-12)
 
     def test_full_h1_variant_larger(self, pair_power):
-        mesh = pair_power.coarse_mesh
-        semi, _ = jump_term(mesh, pair_power.phi, full_h1=False)
-        full, _ = jump_term(mesh, pair_power.phi, full_h1=True)
+        mesh = pair_power.coarse.mesh
+        semi, _ = jump_term(mesh, pair_power.coarse.phi, full_h1=False)
+        full, _ = jump_term(mesh, pair_power.coarse.phi, full_h1=True)
         assert full >= semi
 
 
@@ -233,7 +221,7 @@ class TestIndicators:
         # f = 1 on the uniformly refined mesh: the square's symmetry group
         # maps elements to elements; indicator values must match on orbits
         pair = pair_constant
-        mesh = pair.coarse_mesh
+        mesh = pair.coarse.mesh
         ind = local_indicators(pair)
         cent = mesh.centroids
 
@@ -256,11 +244,11 @@ class TestIndicators:
 
     def test_conf_gap_orthogonality_expansion(self, fixture_pairs):
         for name, pair in fixture_pairs.items():
-            gap = conf_gap(pair)
-            w_cr = curl_field(pair.phi)
-            w_cf = curl_field(pair.phi0)
-            a_phi = energy_inner(pair.form_coarse, w_cr, w_cr)
-            a_phi0 = energy_inner(pair.form_coarse, w_cf, w_cf)
+            gap = conf_gap(pair.coarse)
+            w_cr = curl_field(pair.coarse.phi)
+            w_cf = curl_field(pair.coarse.phi0)
+            a_phi = energy_inner(pair.coarse.form, w_cr, w_cr)
+            a_phi0 = energy_inner(pair.coarse.form, w_cf, w_cf)
             assert gap == pytest.approx(a_phi - a_phi0,
                                         rel=1e-9, abs=1e-12 * a_phi), name
 
