@@ -11,6 +11,13 @@ disjoint) followed by tensor Gauss rules.  Rule nodes live on the
 all transformation Jacobians are folded into the weights, so the weights
 are positive and sum to vol(tau x tau) = 1/4.
 
+The cases are told apart in one place, _pair_values, by the number of
+vertex indices a pair shares (3, 2, 1, 0); disjoint pairs are then binned
+by separation.  assemble_energy_form fills the whole table with the
+far-field rule and calls _pair_values once, on the diagonal and the near
+candidates.  panel_integral assembles the table of a one- or two-panel
+mesh, so single pairs take exactly the table's path.
+
 Every rule-based pair (the three singular cases and the near and close
 disjoint bands) is evaluated by one kernel.  A node pair (x1, x2),
 (y1, y2) maps to x - y = d + x1 e1a + x2 e2a - y1 e1b - y2 e2b with
@@ -38,8 +45,9 @@ same order: subdivision stops where four children agree with their parent
 to _ROBUST_RTOL and the bands compare distance ratios with RHO_CLOSE and
 RHO_NEAR, so a change of rounding could flip a decision and move a table
 entry by up to about 1e-6 relative.  The tests keep the earlier kernels
-and check bit equality.  A call whose live cells pass _ROBUST_MAX_CELLS
-raises NumericalError instead of running out of memory.
+and check bit equality.  A table makes one robust-path call; once its
+live cells pass _ROBUST_MAX_CELLS it raises NumericalError instead of
+running out of memory.
 """
 
 from __future__ import annotations
@@ -51,6 +59,7 @@ import numpy as np
 import scipy.sparse as sp
 from numpy.polynomial.legendre import leggauss
 
+from .mesh import Mesh
 from .spaces import PwConstVecField, CoefVec, barycentric_gradients, curl_field
 
 __all__ = [
@@ -87,15 +96,20 @@ _ROBUST_MAX_DEPTH = 24
 # 2048-panel beta=2 graded mesh: 2.2 s at 1024 cells, 2.6 s at 4096, about
 # flat from 256 to 1024.
 _ROBUST_BLOCK = 1024
-# live cells of one robust-path call before it gives up with NumericalError,
-# 11 times the peak of the beta=2 graded preset (93,440 cells at 2048
-# panels).  beta=20 reaches 859k cells on a 32-panel mesh; without a cap,
-# beta=50 runs out of memory.
+# live cells of one robust-path call before it gives up with NumericalError.
+# One call serves a whole table: the beta=2 graded preset peaks at 140,480
+# cells (2048 panels), 7.5 times below the cap; beta=20 reaches exactly
+# 2^20 cells on its 32-panel mesh and still settles, because only a count
+# above the cap fails.  Without a cap, beta=50 runs out of memory.
 _ROBUST_MAX_CELLS = 1 << 20
 # panel pairs per block of _triangle_distances.  Single-thread time for the
 # 639k near candidates of the same mesh: 0.45 s at 4096 pairs, 0.76 s at
 # 1024, 0.55 s at 16384 and 1.05 s unblocked.
 _DIST_BLOCK = 4096
+# panels per row and column block of _far_table, and rows per block of
+# _near_candidates
+_FAR_BLOCK = 384
+_NEAR_BLOCK = 1024
 
 
 class NumericalError(RuntimeError):
@@ -130,11 +144,13 @@ def _gauss01_composite(p, nsplit):
             np.concatenate([w / nsplit] * nsplit))
 
 
-def _tensor4(p, split_dims=(), nsplit=2):
+def _tensor4(p, split_dims=()):
+    """Tensor Gauss rule on [0, 1]^4; the split directions are composite
+    over two panels."""
     axes = []
     for d in range(4):
         if d in split_dims:
-            axes.append(_gauss01_composite(p, nsplit))
+            axes.append(_gauss01_composite(p, 2))
         else:
             axes.append(_gauss01(p))
     pts = np.stack(np.meshgrid(*[a[0] for a in axes], indexing="ij"),
@@ -340,8 +356,7 @@ def _gauss_duffy(p):
     return nodes, (wa * wb * a).ravel()
 
 
-def _robust_pairs(ta, tb, rtol=_ROBUST_RTOL, p=_ROBUST_ORDER,
-                  max_depth=_ROBUST_MAX_DEPTH):
+def _robust_pairs(ta, tb):
     """Adaptive outer quadrature over ta of the closed-form inner
     potential of tb; handles arbitrarily anisotropic or close panels.
 
@@ -350,7 +365,7 @@ def _robust_pairs(ta, tb, rtol=_ROBUST_RTOL, p=_ROBUST_ORDER,
     """
     ta = np.asarray(ta, float)
     tb = np.asarray(tb, float)
-    nodes, wts = _gauss_duffy(p)
+    nodes, wts = _gauss_duffy(_ROBUST_ORDER)
     n0, n1 = nodes[:, 0], nodes[:, 1]
     frames = _edge_frames(tb)
 
@@ -373,7 +388,7 @@ def _robust_pairs(ta, tb, rtol=_ROBUST_RTOL, p=_ROBUST_ORDER,
     cells = ta.copy()
     parent = cell_values(cells, owner)
     scale = np.abs(parent)
-    for depth in range(max_depth):
+    for depth in range(_ROBUST_MAX_DEPTH):
         if not len(owner):
             break
         if 4 * len(owner) > _ROBUST_MAX_CELLS:
@@ -391,8 +406,9 @@ def _robust_pairs(ta, tb, rtol=_ROBUST_RTOL, p=_ROBUST_ORDER,
         kv = cell_values(kids.reshape(-1, 3, 2),
                          np.repeat(owner, 4)).reshape(-1, 4)
         ksum = kv.sum(axis=1)
-        done = (np.abs(ksum - parent) <= rtol * np.maximum(scale[owner], 1e-300))
-        if depth == max_depth - 1:
+        done = (np.abs(ksum - parent)
+                <= _ROBUST_RTOL * np.maximum(scale[owner], 1e-300))
+        if depth == _ROBUST_MAX_DEPTH - 1:
             done = np.ones_like(done)
         np.add.at(settled, owner[done], ksum[done])
         keep = ~done
@@ -410,6 +426,8 @@ def _self_entry_closed_form(tris):
 
     After radial and parallel reductions the self integral reduces to
     three 1D integrals of 1/|u + eta*v| with closed-form antiderivatives.
+    Slivers of aspect near 1e15 can give log(0) and then inf - inf; the
+    NaN is left for the table check to report.
     """
     tris = np.asarray(tris, float)
     squeeze = tris.ndim == 2
@@ -430,7 +448,8 @@ def _self_entry_closed_form(tris):
 
         return anti(1.0) - anti(0.0)
 
-    total = seg(c1, c2) + seg(c2, c1) + seg(-c1, c1 + c2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        total = seg(c1, c2) + seg(c2, c1) + seg(-c1, c1 + c2)
     area2 = _doubled_area(tris)
     out = area2 ** 2 / 3.0 * total / FOUR_PI
     return out[0] if squeeze else out
@@ -498,6 +517,69 @@ def _reorder(tris, first, second=None):
     return np.take_along_axis(tris, idx[:, :, None], axis=1)
 
 
+def _pair_values(coords, tris, aspect, diam, i, j, order):
+    """Table entries of the panel pairs (i[k], j[k]), i <= j, of one mesh.
+
+    A pair is classified by how many vertex indices its panels share: 3
+    identical, 2 edge-adjacent, 1 vertex-adjacent, 0 disjoint.  Singular
+    pairs of two shape-regular panels get their case's rule; identical
+    anisotropic panels get the closed-form self entry and the other
+    singular pairs with an anisotropic panel the robust path.  Disjoint
+    pairs are binned by rho = dist / max(diam): the disjoint rule of order
+    p - 1 (rho >= RHO_NEAR) or p (rho >= RHO_CLOSE), else the robust path.
+
+    The kernel's GEMM rounds a row differently depending on its position
+    in the block, so rows keep a fixed order: edge pairs sorted by their
+    shared edge (lo, hi), which both panels traverse lo -> hi, and every
+    other class in the order given.  The robust path takes (coords[i],
+    coords[j]) as they are.
+    """
+    shared = tris[i][:, :, None] == tris[j][:, None, :]
+    count = shared.sum(axis=(1, 2))
+    iso = ((aspect[i] <= SINGULAR_ASPECT_LIMIT)
+           & (aspect[j] <= SINGULAR_ASPECT_LIMIT))
+    out = np.full(len(i), np.nan)
+    robust = (count > 0) & (count < 3) & ~iso
+
+    def apply_rule(case, p, k, ta, tb):
+        if len(k):
+            out[k] = _apply_rule_pairs(quadrature_rule(case, p), ta, tb)
+
+    k = np.flatnonzero((count == 3) & iso)
+    apply_rule("identical", order, k, coords[i[k]], coords[j[k]])
+    k = np.flatnonzero((count == 3) & ~iso)
+    out[k] = _self_entry_closed_form(coords[i[k]])
+
+    k = np.flatnonzero((count == 2) & iso)
+    ends = np.sort(tris[i[k]][shared[k].any(axis=2)].reshape(-1, 2), axis=1)
+    by_edge = np.lexsort((ends[:, 1], ends[:, 0]))
+    k, ends = k[by_edge], ends[by_edge]
+
+    def along_edge(t):
+        lo, hi = (np.argmax(tris[t] == v[:, None], axis=1) for v in ends.T)
+        return _reorder(coords[t], lo, hi)
+
+    apply_rule("edge-adjacent", order, k, along_edge(i[k]), along_edge(j[k]))
+
+    # the shared vertex leads on both panels
+    k = np.flatnonzero((count == 1) & iso)
+    ta = _reorder(coords[i[k]], np.argmax(shared[k].any(axis=2), axis=1))
+    tb = _reorder(coords[j[k]], np.argmax(shared[k].any(axis=1), axis=1))
+    apply_rule("vertex-adjacent", order, k, ta, tb)
+
+    k = np.flatnonzero(count == 0)
+    rho = (_triangle_distances(coords[i[k]], coords[j[k]])
+           / np.maximum(diam[i[k]], diam[j[k]]))
+    for band, p in ((k[rho >= RHO_NEAR], max(order - 1, 1)),
+                    (k[(rho >= RHO_CLOSE) & (rho < RHO_NEAR)], order)):
+        apply_rule("disjoint", p, band, coords[i[band]], coords[j[band]])
+    robust[k[rho < RHO_CLOSE]] = True
+
+    k = np.flatnonzero(robust)
+    out[k] = _robust_pairs(coords[i[k]], coords[j[k]])
+    return out
+
+
 # -- public operations ----------------------------------------------------------
 
 
@@ -517,60 +599,24 @@ class EnergyForm:
 def panel_integral(ta, tb, order=DEFAULT_ORDER):
     """(1/4pi) int_ta int_tb |x-y|^(-1) for two flat panels.
 
-    The adjacency case is detected by coordinate matching (tolerance
-    1e-14) and the matching regularized rule applied; pairs outside the
-    rules' anisotropy or proximity envelope fall back to the robust
-    semi-analytic path.
+    Both panels are oriented counterclockwise and vertices with exactly
+    equal coordinates are merged.  The value is the off-diagonal entry of
+    the energy table of that two-panel mesh (a one-panel mesh if the
+    vertex sets are equal), so the pair gets the rule or robust path its
+    table entry would get.
     """
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
-    ta = np.asarray(ta, float).reshape(3, 2)
-    tb = np.asarray(tb, float).reshape(3, 2)
-    for t in (ta, tb):
-        if _doubled_area(t[None])[0] <= 1e-300:
-            raise ValueError("degenerate panel")
-
-    tol = 1e-14 * max(1.0, np.abs(ta).max(), np.abs(tb).max())
-    match = np.linalg.norm(ta[:, None, :] - tb[None, :, :], axis=2) <= tol
-    shared_a, shared_b = np.nonzero(match)
-    aspect = max(_aspect(ta[None])[0], _aspect(tb[None])[0])
-
-    if len(shared_a) == 3:
-        if aspect > SINGULAR_ASPECT_LIMIT:
-            return float(_self_entry_closed_form(ta))
-        rule = quadrature_rule("identical", order)
-        return float(_apply_rule_pairs(rule, ta[None], ta[None])[0])
-
-    if len(shared_a) == 2:
-        if aspect > SINGULAR_ASPECT_LIMIT:
-            return float(_robust_pairs(ta[None], tb[None])[0])
-        # both panels traverse the shared edge from the same endpoint
-        pa = _reorder(ta[None], [shared_a[0]], [shared_a[1]])
-        pb = _reorder(tb[None], [shared_b[0]], [shared_b[1]])
-        rule = quadrature_rule("edge-adjacent", order)
-        return float(_apply_rule_pairs(rule, pa, pb)[0])
-
-    if len(shared_a) == 1:
-        if aspect > SINGULAR_ASPECT_LIMIT:
-            return float(_robust_pairs(ta[None], tb[None])[0])
-        pa = _reorder(ta[None], shared_a)
-        pb = _reorder(tb[None], shared_b)
-        rule = quadrature_rule("vertex-adjacent", order)
-        return float(_apply_rule_pairs(rule, pa, pb)[0])
-
-    dist = _triangle_distances(ta[None], tb[None])[0]
-    edges_a = np.linalg.norm(ta[[1, 2, 0]] - ta, axis=1).max()
-    edges_b = np.linalg.norm(tb[[1, 2, 0]] - tb, axis=1).max()
-    rho = dist / max(edges_a, edges_b)
-    if rho >= RHO_FAR:
-        rule = quadrature_rule("disjoint", max(order - 2, 1))
-    elif rho >= RHO_NEAR:
-        rule = quadrature_rule("disjoint", max(order - 1, 1))
-    elif rho >= RHO_CLOSE:
-        rule = quadrature_rule("disjoint", order)
-    else:
-        return float(_robust_pairs(ta[None], tb[None])[0])
-    return float(_apply_rule_pairs(rule, ta[None], tb[None])[0])
+    pair = np.array([ta, tb], dtype=float).reshape(2, 3, 2)
+    d1 = pair[:, 1] - pair[:, 0]
+    d2 = pair[:, 2] - pair[:, 0]
+    cw = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0] < 0.0
+    pair[cw] = pair[cw, ::-1]
+    same = (pair[1][:, None] == pair[0][None]).all(axis=2)
+    new = ~same.any(axis=1)
+    tri_b = np.where(new, 2 + np.cumsum(new), same.argmax(axis=1))
+    tris = [[0, 1, 2]] if set(tri_b) == {0, 1, 2} else [[0, 1, 2], tri_b]
+    mesh = Mesh(np.vstack([pair[0], pair[1][new]]), tris,
+                np.zeros(len(tris), dtype=np.int64))
+    return float(assemble_energy_form(mesh, order).table[0, -1])
 
 
 def _point_clouds(coords, area2, p):
@@ -579,7 +625,7 @@ def _point_clouds(coords, area2, p):
     return pts, wts[None, :] * area2[:, None]
 
 
-def _far_table(coords, area2, p, block=384):
+def _far_table(coords, area2, p):
     """Full pair table with the tensorized disjoint rule of order p.
 
     Entries for close or adjacent pairs are overwritten afterwards; the
@@ -594,13 +640,13 @@ def _far_table(coords, area2, p, block=384):
     flat = pts.reshape(-1, 2)
     sq = (flat ** 2).sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for i0 in range(0, nt, block):
-            i1 = min(nt, i0 + block)
+        for i0 in range(0, nt, _FAR_BLOCK):
+            i1 = min(nt, i0 + _FAR_BLOCK)
             pa = pts[i0:i1].reshape(-1, 2)
             wa = wts[i0:i1].reshape(-1)
             sa = sq[i0 * k:i1 * k]
-            for j0 in range(i0, nt, block):
-                j1 = min(nt, j0 + block)
+            for j0 in range(i0, nt, _FAR_BLOCK):
+                j1 = min(nt, j0 + _FAR_BLOCK)
                 pb = pts[j0:j1].reshape(-1, 2)
                 wb = wts[j0:j1].reshape(-1)
                 r = pa @ pb.T
@@ -623,140 +669,25 @@ def _far_table(coords, area2, p, block=384):
     return G
 
 
-def _adjacent_pairs(mesh):
-    """Edge-adjacent pairs (with the shared edge) and vertex-only pairs."""
-    interior = mesh.interior_edges()
-    et = mesh.edge_tris[interior]
-    edge_pairs = (et[:, 0], et[:, 1], interior)
-
-    tri = mesh.triangles
-    nt = len(tri)
-    # candidate pairs sharing at least one vertex, via vertex incidence
-    order = np.argsort(tri.ravel(), kind="stable")
-    owner = np.repeat(np.arange(nt), 3)[order]
-    verts = tri.ravel()[order]
-    starts = np.searchsorted(verts, np.arange(mesh.num_vertices))
-    ends = np.searchsorted(verts, np.arange(mesh.num_vertices) + 1)
-    pi, pj = [], []
-    for v in range(mesh.num_vertices):
-        members = owner[starts[v]:ends[v]]
-        if len(members) > 1:
-            a, b = np.meshgrid(members, members, indexing="ij")
-            m = a < b
-            pi.append(a[m])
-            pj.append(b[m])
-    if pi:
-        cand = np.unique(np.stack([np.concatenate(pi), np.concatenate(pj)], 1),
-                         axis=0)
-    else:
-        cand = np.empty((0, 2), dtype=np.int64)
-    shared = (tri[cand[:, 0]][:, :, None] == tri[cand[:, 1]][:, None, :])
-    vtx_mask = shared.any(axis=2).sum(axis=1) == 1
-    vtx_pairs = cand[vtx_mask]
-    la = np.argmax(shared[vtx_mask].any(axis=2), axis=1)
-    lb = np.argmax(shared[vtx_mask].any(axis=1), axis=1)
-    return edge_pairs, (vtx_pairs[:, 0], vtx_pairs[:, 1], la, lb)
-
-
 def assemble_energy_form(mesh, order=DEFAULT_ORDER):
     """Element-pair single-layer table for all panel pairs of a mesh.
 
-    Adjacency is detected through shared vertex indices; disjoint pairs
-    are binned by separation relative to the panel diameters.
+    Every pair starts from the far-field rule; the near candidates, the
+    diagonal included, are then evaluated by _pair_values.
     """
-    nt = mesh.num_triangles
+    if order < 1:
+        raise ValueError(f"order must be >= 1, got {order}")
     coords = mesh.triangle_coords()
-    area2 = 2.0 * mesh.areas
     aspect = _aspect(coords)
     diam = np.sqrt(((coords[:, [1, 2, 0], :] - coords) ** 2).sum(-1)).max(-1)
-    cent = mesh.centroids
-    radius = np.linalg.norm(coords - cent[:, None, :], axis=2).max(axis=1)
+    radius = np.linalg.norm(coords - mesh.centroids[:, None, :],
+                            axis=2).max(axis=1)
 
-    G = _far_table(coords, area2, max(order - 2, 1))
-
-    edge_pairs, vtx_pairs = _adjacent_pairs(mesh)
-
-    # -- singular cases --------------------------------------------------------
-    # identical
-    iso = aspect <= SINGULAR_ASPECT_LIMIT
-    diag = np.empty(nt)
-    if iso.any():
-        rule = quadrature_rule("identical", order)
-        idx = np.flatnonzero(iso)
-        diag[idx] = _apply_rule_pairs(rule, coords[idx], coords[idx])
-    if (~iso).any():
-        idx = np.flatnonzero(~iso)
-        diag[idx] = _self_entry_closed_form(coords[idx])
-    G[np.arange(nt), np.arange(nt)] = diag
-
-    # edge-adjacent: both panels traverse the shared edge lo -> hi
-    ti, tj, eids = edge_pairs
-    if len(eids):
-        lo = mesh.edge_vertices[eids, 0]
-        hi = mesh.edge_vertices[eids, 1]
-        la0 = np.argmax(mesh.triangles[ti] == lo[:, None], axis=1)
-        la1 = np.argmax(mesh.triangles[ti] == hi[:, None], axis=1)
-        lb0 = np.argmax(mesh.triangles[tj] == lo[:, None], axis=1)
-        lb1 = np.argmax(mesh.triangles[tj] == hi[:, None], axis=1)
-        pa = _reorder(coords[ti], la0, la1)
-        pb = _reorder(coords[tj], lb0, lb1)
-        pairs_iso = ((aspect[ti] <= SINGULAR_ASPECT_LIMIT)
-                     & (aspect[tj] <= SINGULAR_ASPECT_LIMIT))
-        vals = np.empty(len(eids))
-        if pairs_iso.any():
-            rule = quadrature_rule("edge-adjacent", order)
-            m = pairs_iso
-            vals[m] = _apply_rule_pairs(rule, pa[m], pb[m])
-        if (~pairs_iso).any():
-            m = ~pairs_iso
-            vals[m] = _robust_pairs(coords[ti][m], coords[tj][m])
-        G[ti, tj] = vals
-        G[tj, ti] = vals
-
-    # vertex-adjacent
-    vi, vj, la, lb = vtx_pairs
-    if len(vi):
-        pa = _reorder(coords[vi], la)
-        pb = _reorder(coords[vj], lb)
-        pairs_iso = (aspect[vi] <= SINGULAR_ASPECT_LIMIT) & (aspect[vj] <= SINGULAR_ASPECT_LIMIT)
-        vals = np.empty(len(vi))
-        if pairs_iso.any():
-            rule = quadrature_rule("vertex-adjacent", order)
-            m = pairs_iso
-            vals[m] = _apply_rule_pairs(rule, pa[m], pb[m])
-        if (~pairs_iso).any():
-            m = ~pairs_iso
-            vals[m] = _robust_pairs(coords[vi][m], coords[vj][m])
-        G[vi, vj] = vals
-        G[vj, vi] = vals
-
-    # -- near-field disjoint bands ---------------------------------------------
-    cand_i, cand_j = _near_candidates(cent, radius, diam, RHO_FAR)
-    if len(cand_i):
-        # drop pairs sharing a vertex (already handled above)
-        key = cand_i * nt + cand_j
-        adj_key = np.concatenate([
-            np.minimum(ti, tj) * nt + np.maximum(ti, tj) if len(eids) else np.empty(0, np.int64),
-            vi * nt + vj if len(vi) else np.empty(0, np.int64)])
-        keep = ~np.isin(key, adj_key)
-        cand_i, cand_j = cand_i[keep], cand_j[keep]
-    if len(cand_i):
-        dist = _triangle_distances(coords[cand_i], coords[cand_j])
-        rho = dist / np.maximum(diam[cand_i], diam[cand_j])
-        bands = [(rho >= RHO_NEAR, max(order - 1, 1)),
-                 ((rho >= RHO_CLOSE) & (rho < RHO_NEAR), order)]
-        for mask, p in bands:
-            if mask.any():
-                rule = quadrature_rule("disjoint", p)
-                vals = _apply_rule_pairs(rule, coords[cand_i[mask]],
-                                         coords[cand_j[mask]])
-                G[cand_i[mask], cand_j[mask]] = vals
-                G[cand_j[mask], cand_i[mask]] = vals
-        close = rho < RHO_CLOSE
-        if close.any():
-            vals = _robust_pairs(coords[cand_i[close]], coords[cand_j[close]])
-            G[cand_i[close], cand_j[close]] = vals
-            G[cand_j[close], cand_i[close]] = vals
+    G = _far_table(coords, 2.0 * mesh.areas, max(order - 2, 1))
+    i, j = _near_candidates(mesh.centroids, radius, diam)
+    vals = _pair_values(coords, mesh.triangles, aspect, diam, i, j, order)
+    G[i, j] = vals
+    G[j, i] = vals
 
     if not (np.isfinite(G).all() and (G == G.T).all() and G.min() > 0.0):
         raise NumericalError("energy table is not finite, symmetric and "
@@ -765,18 +696,20 @@ def assemble_energy_form(mesh, order=DEFAULT_ORDER):
     return EnergyForm(mesh, G)
 
 
-def _near_candidates(cent, radius, diam, rho_far, block=1024):
-    """Upper-triangle pairs possibly closer than rho_far diameters."""
+def _near_candidates(cent, radius, diam):
+    """Pairs i <= j possibly closer than RHO_FAR diameters, in (i, j)
+    order.  The diagonal and every pair that shares a vertex are among
+    them: their centroid distance is at most the sum of the two radii."""
     nt = len(cent)
     out_i, out_j = [], []
-    for i0 in range(0, nt, block):
-        i1 = min(nt, i0 + block)
+    for i0 in range(0, nt, _NEAR_BLOCK):
+        i1 = min(nt, i0 + _NEAR_BLOCK)
         dc = np.linalg.norm(cent[i0:i1, None, :] - cent[None, :, :], axis=2)
         bound = dc - radius[i0:i1, None] - radius[None, :]
-        thresh = rho_far * np.maximum(diam[i0:i1, None], diam[None, :])
+        thresh = RHO_FAR * np.maximum(diam[i0:i1, None], diam[None, :])
         ii, jj = np.nonzero(bound < thresh)
         ii = ii + i0
-        m = ii < jj
+        m = ii <= jj
         out_i.append(ii[m])
         out_j.append(jj[m])
     return np.concatenate(out_i), np.concatenate(out_j)
@@ -950,7 +883,7 @@ def single_layer_field(source_coords, source_values, pts):
     return u.reshape(shape[:-1] + (2,)) / FOUR_PI
 
 
-def _consistency_correction(space, field_fn, p=10, panels=3):
+def _consistency_correction(space, field_fn):
     """Inter-element part of the manufactured data functional.
 
     Pairing the hypersingular data with a discontinuous test function
@@ -963,7 +896,8 @@ def _consistency_correction(space, field_fn, p=10, panels=3):
     if space.kind != "cr":
         return np.zeros(space.dof_count)
     mesh = space.mesh
-    s_nodes, s_wts = _gauss01_composite(p, panels)
+    # 10-point Gauss on three panels per edge
+    s_nodes, s_wts = _gauss01_composite(10, 3)
     coords = mesh.triangle_coords()
     c = np.zeros(space.dof_count)
     # edge k of every triangle runs counterclockwise from local vertex

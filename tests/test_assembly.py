@@ -23,10 +23,8 @@ from crbem import (
 from crbem.spaces import PwConstVecField
 from crbem.assembly import (
     RHO_CLOSE,
-    RHO_FAR,
     SINGULAR_ASPECT_LIMIT,
     NumericalError,
-    _adjacent_pairs,
     _apply_rule_pairs,
     _aspect,
     _near_candidates,
@@ -245,28 +243,39 @@ def _ref_single_layer_field(source_coords, source_values, pts):
     return u.reshape(pts.shape[:-1] + (2,)) / (4.0 * np.pi)
 
 
+def _diameters(coords):
+    return np.sqrt(((coords[:, [1, 2, 0]] - coords) ** 2).sum(-1)).max(-1)
+
+
+def _near_pairs(mesh):
+    """Near candidates (i <= j, the diagonal included) of a mesh, as
+    assemble_energy_form finds them, and the number of vertex indices each
+    pair shares."""
+    coords = mesh.triangle_coords()
+    radius = np.linalg.norm(coords - mesh.centroids[:, None, :],
+                            axis=2).max(axis=1)
+    ci, cj = _near_candidates(mesh.centroids, radius, _diameters(coords))
+    shared = (mesh.triangles[ci][:, :, None]
+              == mesh.triangles[cj][:, None, :]).sum(axis=(1, 2))
+    return ci, cj, shared
+
+
 @pytest.fixture(scope="module")
 def graded_robust_case():
-    """Robust-path pairs and near candidates of the refined graded mesh
-    (512 panels, beta = 2), classified as assemble_energy_form does."""
+    """Robust-path pairs and disjoint near candidates of the refined graded
+    mesh (512 panels, beta = 2), classified as assemble_energy_form does."""
     mesh = uniform_refine(graded_square_mesh(8, 2.0))[0]
     coords = mesh.triangle_coords()
     aniso = _aspect(coords) > SINGULAR_ASPECT_LIMIT
-    (ti, tj, _), (vi, vj, _, _) = _adjacent_pairs(mesh)
-    diam = np.sqrt(((coords[:, [1, 2, 0]] - coords) ** 2).sum(-1)).max(-1)
-    radius = np.linalg.norm(coords - mesh.centroids[:, None, :],
-                            axis=2).max(axis=1)
-    ci, cj = _near_candidates(mesh.centroids, radius, diam, RHO_FAR)
-    shares = (mesh.triangles[ci][:, :, None]
-              == mesh.triangles[cj][:, None, :]).any(axis=(1, 2))
-    ci, cj = ci[~shares], cj[~shares]
-    rho = _ref_triangle_distances(coords[ci], coords[cj]) / np.maximum(
-        diam[ci], diam[cj])
-    close = rho < RHO_CLOSE
-    ri = np.concatenate([ti, vi, ci[close]])
-    rj = np.concatenate([tj, vj, cj[close]])
-    keep = aniso[ri] | aniso[rj] | (np.arange(len(ri)) >= len(ti) + len(vi))
-    return coords, (ci, cj), (ri[keep], rj[keep])
+    diam = _diameters(coords)
+    ci, cj, shared = _near_pairs(mesh)
+    disjoint = shared == 0
+    di, dj = ci[disjoint], cj[disjoint]
+    rho = _ref_triangle_distances(coords[di], coords[dj]) / np.maximum(
+        diam[di], diam[dj])
+    robust = (shared < 3) & (aniso[ci] | aniso[cj])
+    robust[disjoint] = rho < RHO_CLOSE
+    return coords, (di, dj), (ci[robust], cj[robust])
 
 
 class TestSplitKernels:
@@ -398,6 +407,34 @@ class TestPanelIntegral:
         assert got == pytest.approx(float(_self_entry_closed_form(sliver)),
                                     rel=1e-12)
 
+    @pytest.mark.parametrize("ta, tb", [
+        # edge-adjacent slivers, a close pair (robust path), a far pair
+        ([[0.0, 0.0], [2e-3, 0.0], [2e-3, 0.5]],
+         [[0.0, 0.0], [2e-3, 0.5], [0.0, 0.5]]),
+        (UNIT_RIGHT, UNIT_RIGHT + [1.2, 0.0]),
+        (UNIT_RIGHT, UNIT_RIGHT + [2.5, 0.7]),
+    ], ids=["edge-sliver", "close", "far"])
+    def test_vertex_order_reversal_invariant(self, ta, tb):
+        ta, tb = np.array(ta), np.array(tb)
+        value = panel_integral(ta, tb, order=5)
+        assert value > 0.0
+        assert panel_integral(ta[::-1], tb, order=5) == value
+        assert panel_integral(ta, tb[::-1], order=5) == value
+
+    def test_tiny_sliver_self_entry_uses_closed_form(self):
+        # edges shorter than any absolute coordinate tolerance (aspect
+        # about 1e15); vertices are identified exactly, as in the table
+        t = graded_square_mesh(4, 50.0).triangle_coords()[3]
+        got = panel_integral(t, t, order=5)
+        ref = float(_self_entry_closed_form(t))
+        assert abs(got - ref) <= 1e-12 * ref  # ref is about 1.8e-31
+
+    @pytest.mark.parametrize("element", [0, 4, 7])
+    def test_non_finite_self_entry_raises(self, element):
+        t = graded_square_mesh(4, 50.0).triangle_coords()[element]
+        with pytest.raises(NumericalError):
+            panel_integral(t, t, order=5)
+
     def test_anisotropic_adjacent_pair(self):
         a = np.array([[0.0, 0.0], [2e-3, 0.0], [2e-3, 0.5]])
         b = np.array([[0.0, 0.0], [2e-3, 0.5], [0.0, 0.5]])
@@ -432,11 +469,16 @@ class TestEnergyForm:
         assert np.ptp(diag) < 1e-10 * diag[0]  # congruent elements
 
     def test_table_matches_panel_integral(self, initial_mesh):
-        form = assemble_energy_form(initial_mesh, 5)
-        coords = initial_mesh.triangle_coords()
-        for i, j in [(0, 0), (0, 1), (0, 3), (0, 4), (2, 6)]:
-            expected = panel_integral(coords[i], coords[j], 5)
-            assert form.table[i, j] == pytest.approx(expected, rel=5e-7)
+        # the diagonal and every near candidate; edge pairs may be
+        # traversed in opposite directions by the two
+        for mesh in (initial_mesh, graded_square_mesh(4, 2.0),
+                     refine_nvb(initial_mesh, [0, 3])[0]):
+            form = assemble_energy_form(mesh, 5)
+            coords = mesh.triangle_coords()
+            ci, cj, _ = _near_pairs(mesh)
+            for i, j in zip(ci, cj):
+                expected = panel_integral(coords[i], coords[j], 5)
+                assert form.table[i, j] == pytest.approx(expected, rel=5e-7)
 
     def test_graded_mesh_table_spd(self):
         mesh = graded_square_mesh(8, 3.0)
