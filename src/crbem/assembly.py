@@ -18,6 +18,23 @@ far-field rule and calls _pair_values once, on the diagonal and the near
 candidates.  panel_integral assembles the table of a one- or two-panel
 mesh, so single pairs take exactly the table's path.
 
+The far table is one sweep of row strips of _FAR_STRIP panels against
+column tiles of _FAR_TILE panels, j >= i, the strip's own square first.
+Squared distances of the rule points come from per-component
+differences, written into two tile buffers allocated once, so no
+cancellation on absolute coordinates enters.  The far rule's weights
+factor as w_k w_l area2_i area2_j: a tile reduces by a GEMV with w and
+then w @, and the area product is applied per tile.  The diagonal tile
+is averaged with its transpose, so the table is bitwise symmetric.  The
+same strip loop collects the near candidates, the pairs i <= j possibly
+closer than RHO_FAR diameters, in (i, j) order.  Near pairs are not
+skipped: they are 7-65% of all pairs and do not form whole tiles.
+
+Memory: the table G (nt x nt) and a Galerkin matrix A (n x n) are the
+only arrays of that size.  The tile buffers take 2 x 663 KB at the
+default order, and assemble_stiffness fills A by blocks of _STIFF_BLOCK
+DOF rows, each symmetrized in place against the rows above it.
+
 Every rule-based pair (the three singular cases and the near and close
 disjoint bands) is evaluated by one kernel.  A node pair (x1, x2),
 (y1, y2) maps to x - y = d + x1 e1a + x2 e2a - y1 e1b - y2 e2b with
@@ -106,10 +123,19 @@ _ROBUST_MAX_CELLS = 1 << 20
 # 639k near candidates of the same mesh: 0.45 s at 4096 pairs, 0.76 s at
 # 1024, 0.55 s at 16384 and 1.05 s unblocked.
 _DIST_BLOCK = 4096
-# panels per row and column block of _far_table, and rows per block of
-# _near_candidates
-_FAR_BLOCK = 384
-_NEAR_BLOCK = 1024
+# panels per row strip and per column tile of _far_table: two 663 KB tile
+# buffers at the default order.  Single-thread time of the far sweep with
+# its near candidates on the 2048-panel beta=2 graded mesh (best to median
+# of 5, over three runs): 1.0-1.4 s at 2 x 512 and 1 x 1024, 1.2-1.7 s at
+# 16 x 64, 1.4-1.9 s at 4 x 256 and 1.8-2.0 s at 2 x 128.  Numpy's
+# broadcast subtraction is about four times faster per element on tile
+# rows of 4608 points than on rows of 576.
+_FAR_STRIP = 2
+_FAR_TILE = 512
+# DOF rows per block of assemble_stiffness.  Single-thread time for the
+# 3008 CR DOFs of the same mesh: 0.21-0.26 s at 16 or 32 rows, 0.22-0.33 s
+# at 64, 0.39-0.50 s at 256 and 0.60-0.77 s at 1024.
+_STIFF_BLOCK = 32
 
 
 class NumericalError(RuntimeError):
@@ -619,54 +645,67 @@ def panel_integral(ta, tb, order=DEFAULT_ORDER):
     return float(assemble_energy_form(mesh, order).table[0, -1])
 
 
-def _point_clouds(coords, area2, p):
-    nodes, wts = _gauss_duffy(p)
-    pts = _map_nodes(coords, nodes)
-    return pts, wts[None, :] * area2[:, None]
+def _far_table(coords, cent, diam, p):
+    """Far-field table and near candidates of a mesh, in one sweep.
 
+    Every entry G[i, j] gets the tensorized disjoint rule of order p; the
+    diagonal comes out non-finite (coincident points) and the entries of
+    the near candidates are overwritten afterwards.  Row strips of
+    _FAR_STRIP panels run against column tiles of _FAR_TILE panels, j >=
+    i, the strip's own square first (see the module notes).
 
-def _far_table(coords, area2, p):
-    """Full pair table with the tensorized disjoint rule of order p.
-
-    Entries for close or adjacent pairs are overwritten afterwards; the
-    diagonal comes out non-finite (coincident points) by construction.
-    Squared point distances come from a rank-2 update so the inner
-    product runs in BLAS.
+    The near candidates are the pairs i <= j possibly closer than RHO_FAR
+    diameters, in (i, j) order.  The diagonal and every pair that shares a
+    vertex are among them: their centroid distance is at most the sum of
+    the two radii.
     """
     nt = len(coords)
-    pts, wts = _point_clouds(coords, area2, p)
-    k = pts.shape[1]
+    nodes, w = _gauss_duffy(p)
+    k = len(w)
+    pts = _map_nodes(coords, nodes)
+    px = np.ascontiguousarray(pts[..., 0])
+    py = np.ascontiguousarray(pts[..., 1])
+    area2 = _doubled_area(coords)
+    radius = np.linalg.norm(coords - cent[:, None, :], axis=2).max(axis=1)
     G = np.empty((nt, nt))
-    flat = pts.reshape(-1, 2)
-    sq = (flat ** 2).sum(axis=1)
+    size = _FAR_STRIP * max(_FAR_STRIP, _FAR_TILE) * k * k
+    dx, dy = np.empty(size), np.empty(size)
+    near_i, near_j = [], []
     with np.errstate(divide="ignore", invalid="ignore"):
-        for i0 in range(0, nt, _FAR_BLOCK):
-            i1 = min(nt, i0 + _FAR_BLOCK)
-            pa = pts[i0:i1].reshape(-1, 2)
-            wa = wts[i0:i1].reshape(-1)
-            sa = sq[i0 * k:i1 * k]
-            for j0 in range(i0, nt, _FAR_BLOCK):
-                j1 = min(nt, j0 + _FAR_BLOCK)
-                pb = pts[j0:j1].reshape(-1, 2)
-                wb = wts[j0:j1].reshape(-1)
-                r = pa @ pb.T
-                r *= -2.0
-                r += sa[:, None]
-                r += sq[j0 * k:j1 * k][None, :]
+        for i0 in range(0, nt, _FAR_STRIP):
+            i1 = min(nt, i0 + _FAR_STRIP)
+            xa, ya = px[i0:i1].ravel(), py[i0:i1].ravel()
+            tiles = [(i0, i1)] + [(j0, min(nt, j0 + _FAR_TILE))
+                                  for j0 in range(i1, nt, _FAR_TILE)]
+            for j0, j1 in tiles:
+                shape = ((i1 - i0) * k, (j1 - j0) * k)
+                r = dx[:shape[0] * shape[1]].reshape(shape)
+                t = dy[:r.size].reshape(shape)
+                np.subtract.outer(xa, px[j0:j1].ravel(), out=r)
+                r *= r
+                np.subtract.outer(ya, py[j0:j1].ravel(), out=t)
+                t *= t
+                r += t
                 np.sqrt(r, out=r)
                 np.divide(1.0, r, out=r)
-                r *= wa[:, None]
-                r *= wb[None, :]
-                vals = r.reshape(i1 - i0, k, j1 - j0, k).sum(axis=(1, 3))
+                vals = w @ (r.reshape(-1, k) @ w).reshape(i1 - i0, k, j1 - j0)
+                vals *= area2[i0:i1, None]
+                vals *= area2[j0:j1]
                 if j0 == i0:
-                    # BLAS products of a block with itself are not bitwise
-                    # symmetric; the table must be
+                    # the two reduction orders of a pair differ in
+                    # rounding; the table must be bitwise symmetric
                     vals = 0.5 * (vals + vals.T)
                 G[i0:i1, j0:j1] = vals
-                if j0 > i0:
-                    G[j0:j1, i0:i1] = vals.T
+                G[j0:j1, i0:i1] = vals.T
+            dc = np.linalg.norm(cent[i0:i1, None, :] - cent[None, i0:, :],
+                                axis=2)
+            bound = dc - radius[i0:i1, None] - radius[None, i0:]
+            thresh = RHO_FAR * np.maximum(diam[i0:i1, None], diam[None, i0:])
+            ii, jj = np.nonzero(np.triu(bound < thresh))
+            near_i.append(ii + i0)
+            near_j.append(jj + i0)
     G /= FOUR_PI
-    return G
+    return G, np.concatenate(near_i), np.concatenate(near_j)
 
 
 def assemble_energy_form(mesh, order=DEFAULT_ORDER):
@@ -680,11 +719,7 @@ def assemble_energy_form(mesh, order=DEFAULT_ORDER):
     coords = mesh.triangle_coords()
     aspect = _aspect(coords)
     diam = np.sqrt(((coords[:, [1, 2, 0], :] - coords) ** 2).sum(-1)).max(-1)
-    radius = np.linalg.norm(coords - mesh.centroids[:, None, :],
-                            axis=2).max(axis=1)
-
-    G = _far_table(coords, 2.0 * mesh.areas, max(order - 2, 1))
-    i, j = _near_candidates(mesh.centroids, radius, diam)
+    G, i, j = _far_table(coords, mesh.centroids, diam, max(order - 2, 1))
     vals = _pair_values(coords, mesh.triangles, aspect, diam, i, j, order)
     G[i, j] = vals
     G[j, i] = vals
@@ -694,25 +729,6 @@ def assemble_energy_form(mesh, order=DEFAULT_ORDER):
                              "positive")
     G.setflags(write=False)
     return EnergyForm(mesh, G)
-
-
-def _near_candidates(cent, radius, diam):
-    """Pairs i <= j possibly closer than RHO_FAR diameters, in (i, j)
-    order.  The diagonal and every pair that shares a vertex are among
-    them: their centroid distance is at most the sum of the two radii."""
-    nt = len(cent)
-    out_i, out_j = [], []
-    for i0 in range(0, nt, _NEAR_BLOCK):
-        i1 = min(nt, i0 + _NEAR_BLOCK)
-        dc = np.linalg.norm(cent[i0:i1, None, :] - cent[None, :, :], axis=2)
-        bound = dc - radius[i0:i1, None] - radius[None, :]
-        thresh = RHO_FAR * np.maximum(diam[i0:i1, None], diam[None, :])
-        ii, jj = np.nonzero(bound < thresh)
-        ii = ii + i0
-        m = ii <= jj
-        out_i.append(ii[m])
-        out_j.append(jj[m])
-    return np.concatenate(out_i), np.concatenate(out_j)
 
 
 def energy_inner(form, u, v):
@@ -768,9 +784,19 @@ def assemble_stiffness(form, space):
         raise ValueError("space does not live on the form's mesh")
     cx, cy = _curl_matrices(space)
     G = form.table
-    a = cx @ (cx @ G).T + cy @ (cy @ G).T
-    a = np.asarray(a)
-    return 0.5 * (a + a.T)
+    n = space.dof_count
+    A = np.empty((n, n))
+    for r0 in range(0, n, _STIFF_BLOCK):
+        r1 = min(n, r0 + _STIFF_BLOCK)
+        rows = slice(r0, r1)
+        # rows of a.T for a = cx (cx G)^T + cy (cy G)^T; then the pairs of
+        # this block with the blocks above it become 0.5 (a + a^T)
+        A[rows] = (cx @ (cx[rows] @ G).T + cy @ (cy[rows] @ G).T).T
+        s = A[rows, :r1] + A[:r1, rows].T
+        s *= 0.5
+        A[rows, :r1] = s
+        A[:r1, rows] = s.T
+    return A
 
 
 def assemble_rhs_constant(space):

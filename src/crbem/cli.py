@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 invalid configuration, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .adaptive import (
@@ -48,6 +49,33 @@ def build_parser():
     return parser
 
 
+def _output_error(args):
+    """Why an output path cannot be written, or None.  It is checked
+    before the run, so a bad path costs no computation."""
+    for flag, path in (("--out-csv", args.out_csv),
+                       ("--out-svg", args.out_svg)):
+        if path is None:
+            continue
+        if os.path.isdir(path):
+            return f"{flag} {path} is a directory"
+        parent = os.path.dirname(os.path.abspath(path))
+        if not os.path.isdir(parent):
+            return f"{flag} {path}: directory {parent} does not exist"
+        if not os.access(parent, os.W_OK):
+            return f"{flag} {path}: directory {parent} is not writable"
+    if args.dump_meshes is not None:
+        # the run creates what is missing below the nearest existing path
+        existing = os.path.abspath(args.dump_meshes)
+        while not os.path.exists(existing):
+            existing = os.path.dirname(existing)
+        where = f"--dump-meshes {args.dump_meshes}: {existing}"
+        if not os.path.isdir(existing):
+            return f"{where} is not a directory"
+        if not os.access(existing, os.W_OK):
+            return f"{where} is not writable"
+    return None
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -67,6 +95,10 @@ def main(argv=None):
         config.validate()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_CONFIG
+    problem = _output_error(args)
+    if problem:
+        print(f"error: {problem}", file=sys.stderr)
         return EXIT_BAD_CONFIG
 
     try:

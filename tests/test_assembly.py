@@ -23,11 +23,13 @@ from crbem import (
 from crbem.spaces import PwConstVecField
 from crbem.assembly import (
     RHO_CLOSE,
+    RHO_FAR,
     SINGULAR_ASPECT_LIMIT,
     NumericalError,
     _apply_rule_pairs,
     _aspect,
-    _near_candidates,
+    _curl_matrices,
+    _far_table,
     _power_moments_element,
     _robust_pairs,
     _self_entry_closed_form,
@@ -247,14 +249,18 @@ def _diameters(coords):
     return np.sqrt(((coords[:, [1, 2, 0]] - coords) ** 2).sum(-1)).max(-1)
 
 
+def _far_sweep(mesh):
+    """Far table and near candidates of a mesh, as assemble_energy_form
+    gets them at order 5 (far rule of order 3)."""
+    coords = mesh.triangle_coords()
+    return _far_table(coords, mesh.centroids, _diameters(coords), 3)
+
+
 def _near_pairs(mesh):
     """Near candidates (i <= j, the diagonal included) of a mesh, as
     assemble_energy_form finds them, and the number of vertex indices each
     pair shares."""
-    coords = mesh.triangle_coords()
-    radius = np.linalg.norm(coords - mesh.centroids[:, None, :],
-                            axis=2).max(axis=1)
-    ci, cj = _near_candidates(mesh.centroids, radius, _diameters(coords))
+    _, ci, cj = _far_sweep(mesh)
     shared = (mesh.triangles[ci][:, :, None]
               == mesh.triangles[cj][:, None, :]).sum(axis=(1, 2))
     return ci, cj, shared
@@ -328,6 +334,102 @@ class TestSplitKernels:
                               mesh.vertices])
         assert np.array_equal(single_layer_field(coords, values, pts),
                               _ref_single_layer_field(coords, values, pts))
+
+
+def _ref_near_candidates(mesh):
+    """All pairs i <= j whose centroid distance minus both radii is below
+    RHO_FAR times the larger diameter, in (i, j) order, from one dense
+    nt x nt comparison."""
+    coords = mesh.triangle_coords()
+    cent = mesh.centroids
+    off = coords - cent[:, None, :]
+    radius = np.sqrt(off[..., 0] * off[..., 0]
+                     + off[..., 1] * off[..., 1]).max(axis=1)
+    diam = _diameters(coords)
+    dx = cent[:, None, 0] - cent[None, :, 0]
+    dy = cent[:, None, 1] - cent[None, :, 1]
+    bound = np.sqrt(dx * dx + dy * dy) - radius[:, None] - radius[None, :]
+    near = bound < RHO_FAR * np.maximum(diam[:, None], diam[None, :])
+    return np.nonzero(np.triu(near))
+
+
+def _sweep_mesh(kind):
+    """A mesh of 512 to about 1100 panels: three uniform refinements, random
+    NVB marking or beta = 2 grading."""
+    if kind == "graded":
+        return uniform_refine(graded_square_mesh(8, 2.0))[0]
+    mesh = build_initial_square_mesh()
+    rng = np.random.default_rng(7)
+    while mesh.num_triangles < (512 if kind == "uniform" else 600):
+        if kind == "uniform":
+            mesh = uniform_refine(mesh)[0]
+        else:
+            marked = rng.choice(mesh.num_triangles,
+                                max(1, mesh.num_triangles // 6),
+                                replace=False)
+            mesh = refine_nvb(mesh, marked)[0]
+    return mesh
+
+
+def _far_mask(nt, *candidates):
+    """True where (i, j) is no near candidate of any of the lists."""
+    far = np.ones((nt, nt), dtype=bool)
+    for ci, cj in candidates:
+        far[ci, cj] = far[cj, ci] = False
+    return far
+
+
+class TestFarTable:
+    @pytest.fixture(scope="class", params=["uniform", "nvb", "graded"])
+    def swept(self, request):
+        mesh = _sweep_mesh(request.param)
+        return mesh, _far_sweep(mesh)
+
+    def test_near_candidates_match_dense_reference(self, swept):
+        mesh, (_, ci, cj) = swept
+        ri, rj = _ref_near_candidates(mesh)
+        assert np.array_equal(ci, ri) and np.array_equal(cj, rj)
+
+    def test_table_bitwise_symmetric(self, swept):
+        _, (G, _, _) = swept
+        assert np.array_equal(G, G.T, equal_nan=True)
+
+    def test_odd_strip_and_tile_sizes(self, swept, monkeypatch):
+        # strips of 3 and tiles of 5 panels divide none of the panel counts
+        mesh, (G, ci, cj) = swept
+        assert mesh.num_triangles % 3 and mesh.num_triangles % 5
+        monkeypatch.setattr("crbem.assembly._FAR_STRIP", 3)
+        monkeypatch.setattr("crbem.assembly._FAR_TILE", 5)
+        H, hi, hj = _far_sweep(mesh)
+        assert np.array_equal(hi, ci) and np.array_equal(hj, cj)
+        assert np.array_equal(H, H.T, equal_nan=True)
+        far = _far_mask(mesh.num_triangles, (ci, cj))
+        assert far.any()
+        assert (np.abs(H[far] - G[far]) / G[far]).max() <= 1e-15
+
+    def test_far_entries_match_direct_sum(self, swept):
+        # every far entry of a few rows, summed pair by pair
+        mesh, (G, ci, cj) = swept
+        rule = quadrature_rule("disjoint", 3)
+        coords = mesh.triangle_coords()
+        far = _far_mask(mesh.num_triangles, (ci, cj))
+        for i in (0, mesh.num_triangles // 2, mesh.num_triangles - 1):
+            for j in np.flatnonzero(far[i]):
+                ref = _direct_rule_value(rule, coords[i], coords[j])
+                assert abs(G[i, j] - ref) <= 1e-14 * ref
+
+    def test_translation_robust(self):
+        # a shift that is not a power of two rounds every coordinate; the
+        # far entries must not lose more than that rounding
+        mesh = _sweep_mesh("graded")
+        assert mesh.num_triangles == 512
+        moved = Mesh(mesh.vertices + [1000.3, -999.7], mesh.triangles,
+                     mesh.ref_edge)
+        G, ci, cj = _far_sweep(mesh)
+        H, hi, hj = _far_sweep(moved)
+        far = _far_mask(mesh.num_triangles, (ci, cj), (hi, hj))
+        assert far.sum() > 0.3 * far.size
+        assert (np.abs(H[far] - G[far]) / G[far]).max() <= 1e-12
 
 
 class TestPanelIntegral:
@@ -531,6 +633,11 @@ class TestEnergyInner:
             energy_inner(form, w, w)
 
 
+@pytest.fixture(scope="module")
+def graded_form():
+    return assemble_energy_form(_sweep_mesh("graded"), 5)
+
+
 class TestStiffness:
     def test_conforming_initial(self, initial_mesh):
         form = assemble_energy_form(initial_mesh, 5)
@@ -552,6 +659,19 @@ class TestStiffness:
             for space in (cr_space(mesh), conforming_space(mesh)):
                 a = assemble_stiffness(form, space)
                 np.linalg.cholesky(a)  # raises if not SPD
+
+    @pytest.mark.parametrize("kind", ["cr", "conforming"])
+    def test_blocked_stiffness_bitwise(self, graded_form, monkeypatch, kind):
+        # 7-row blocks divide neither 736 (cr) nor 225 (conforming) DOFs
+        monkeypatch.setattr("crbem.assembly._STIFF_BLOCK", 7)
+        form = graded_form
+        space = (cr_space if kind == "cr" else conforming_space)(form.mesh)
+        assert space.dof_count % 7
+        cx, cy = _curl_matrices(space)
+        G = form.table
+        a = cx @ (cx @ G).T + cy @ (cy @ G).T
+        assert np.array_equal(assemble_stiffness(form, space),
+                              0.5 * (a + a.T))
 
 
 class TestRhs:

@@ -60,6 +60,41 @@ def test_empty_history_is_a_config_error(tmp_path, capsys):
     assert "max-fine-dofs" in capsys.readouterr().err
 
 
+def _no_run(config):
+    raise AssertionError("the experiment ran despite a bad output path")
+
+
+@pytest.mark.parametrize("flag", ["--out-csv", "--out-svg"])
+def test_output_in_missing_directory_is_a_config_error(tmp_path, capsys,
+                                                        monkeypatch, flag):
+    monkeypatch.setattr("crbem.cli.run_experiment", _no_run)
+    paths = {"--out-csv": str(tmp_path / "x.csv"),
+             "--out-svg": str(tmp_path / "x.svg")}
+    paths[flag] = str(tmp_path / "missing" / "x.out")
+    code = main(["run", "--experiment", "uniform-smooth",
+                 "--out-csv", paths["--out-csv"],
+                 "--out-svg", paths["--out-svg"]])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert flag in err and "does not exist" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_dump_meshes_onto_a_file_is_a_config_error(tmp_path, capsys,
+                                                    monkeypatch):
+    monkeypatch.setattr("crbem.cli.run_experiment", _no_run)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code = main(["run", "--experiment", "uniform-smooth",
+                 "--out-csv", str(tmp_path / "x.csv"),
+                 "--dump-meshes", str(taken)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--dump-meshes" in err and "not a directory" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_degenerate_grading_is_a_numerical_failure(tmp_path, capsys):
     code = main([
         "run", "--experiment", "graded-smooth", "--beta", "400",
