@@ -10,13 +10,10 @@ from .mesh import (
     RefinementMap,
     MeshFormatError,
     build_initial_square_mesh,
-    mesh_width,
     refine_nvb,
     uniform_refine,
     graded_square_mesh,
     node_patch,
-    edge_patch,
-    element_patch,
     mesh_io_write,
     mesh_io_read,
 )
@@ -27,14 +24,11 @@ from .spaces import (
     EdgeJumpField,
     cr_space,
     conforming_space,
-    basis_gradient,
     curl_field,
     embed_coarse_in_fine,
     jump_field,
     clement_interpolate,
     project_pwconst,
-    prolong_conforming,
-    conforming_to_cr,
 )
 from .assembly import (
     EnergyForm,
@@ -55,13 +49,11 @@ from .estimators import (
     EstimatorReport,
     solve_spd,
     solve_pair,
-    conforming_component,
     estimator_eta,
     estimator_eta_tilde,
     estimator_mu,
     estimator_mu_tilde,
     jump_term,
-    local_indicators,
     conf_gap,
     estimator_report,
 )

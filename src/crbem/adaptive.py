@@ -82,8 +82,6 @@ class ExperimentConfig:
     max_levels: int = 12
     max_fine_dofs: int = 8000
     quad_order: int = 5
-    out_csv: str | None = None
-    out_svg: str | None = None
     dump_meshes: str | None = None
 
     def validate(self):
@@ -94,8 +92,8 @@ class ExperimentConfig:
             raise ValueError(f"theta must lie in (0, 1), got {self.theta}")
         if self.max_levels < 1:
             raise ValueError("max_levels must be at least 1")
-        if self.beta < 1.0:
-            raise ValueError(f"beta must be >= 1, got {self.beta}")
+        if not (np.isfinite(self.beta) and self.beta >= 1.0):
+            raise ValueError(f"beta must be finite and >= 1, got {self.beta}")
         if not 3 <= self.quad_order <= MAX_QUAD_ORDER:
             raise ValueError(f"quadrature order must lie in "
                              f"[3, {MAX_QUAD_ORDER}], got {self.quad_order}")
@@ -310,12 +308,12 @@ _SVG_SERIES = (
 )
 
 
-def emit_svg_plot(history, sink, width=720, height=540):
+def emit_svg_plot(history, sink):
     """Self-contained log-log SVG of the squared quantities against the
     number of coarse DOFs, with an N^(-1/2) guide line."""
     if not history.records:
         raise ValueError("history is empty")
-    margin = 60
+    width, height, margin = 720, 540, 60
     series = []
     for name, color in _SVG_SERIES:
         xs, ys, _ = history.values(name)

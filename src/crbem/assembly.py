@@ -448,17 +448,14 @@ def _robust_pairs(ta, tb):
 
 
 def _self_entry_closed_form(tris):
-    """Exact identical-panel value for the flat kernel.
+    """Exact identical-panel values of the panels tris, (n, 3, 2), for
+    the flat kernel.
 
     After radial and parallel reductions the self integral reduces to
     three 1D integrals of 1/|u + eta*v| with closed-form antiderivatives.
     Slivers of aspect near 1e15 can give log(0) and then inf - inf; the
     NaN is left for the table check to report.
     """
-    tris = np.asarray(tris, float)
-    squeeze = tris.ndim == 2
-    if squeeze:
-        tris = tris[None]
     c1 = tris[:, 1] - tris[:, 0]
     c2 = tris[:, 2] - tris[:, 1]
 
@@ -477,8 +474,7 @@ def _self_entry_closed_form(tris):
     with np.errstate(divide="ignore", invalid="ignore"):
         total = seg(c1, c2) + seg(c2, c1) + seg(-c1, c1 + c2)
     area2 = _doubled_area(tris)
-    out = area2 ** 2 / 3.0 * total / FOUR_PI
-    return out[0] if squeeze else out
+    return area2 ** 2 / 3.0 * total / FOUR_PI
 
 
 # -- pair classification helpers -----------------------------------------------
@@ -802,15 +798,11 @@ def assemble_stiffness(form, space):
 def assemble_rhs_constant(space):
     """Load vector of f = 1: every supported basis integrates to |T|/3."""
     mesh = space.mesh
+    entities = mesh.tri_edges if space.kind == "cr" else mesh.triangles
+    dof = space.entity_to_dof[entities]
+    t_idx, loc = np.nonzero(dof >= 0)
     b = np.zeros(space.dof_count)
-    if space.kind == "cr":
-        dof = space.entity_to_dof[mesh.tri_edges]
-        t_idx, loc = np.nonzero(dof >= 0)
-        np.add.at(b, dof[t_idx, loc], mesh.areas[t_idx] / 3.0)
-    else:
-        dof = space.entity_to_dof[mesh.triangles]
-        t_idx, loc = np.nonzero(dof >= 0)
-        np.add.at(b, dof[t_idx, loc], mesh.areas[t_idx] / 3.0)
+    np.add.at(b, dof[t_idx, loc], mesh.areas[t_idx] / 3.0)
     return b
 
 
@@ -916,11 +908,9 @@ def _consistency_correction(space, field_fn):
     elementwise leaves boundary terms: sum_T int_{dT} psi (u . t) ds with
     u = field_fn (the single-layer field of the manufactured curl
     density) and t the counterclockwise tangent.  For continuous test
-    functions vanishing on the screen boundary these cancel, so
-    conforming spaces skip this.
+    functions vanishing on the screen boundary these cancel, so only
+    the Crouzeix-Raviart space needs this.
     """
-    if space.kind != "cr":
-        return np.zeros(space.dof_count)
     mesh = space.mesh
     # 10-point Gauss on three panels per edge
     s_nodes, s_wts = _gauss01_composite(10, 3)
@@ -948,7 +938,7 @@ def _consistency_correction(space, field_fn):
     return c
 
 
-def assemble_rhs_manufactured(form, space, phi, source=None):
+def assemble_rhs_manufactured(form, space, phi, source):
     """Load vector of the manufactured data f = W(phi).
 
     ``phi`` is either a conforming coefficient vector on the form's mesh
@@ -957,7 +947,7 @@ def assemble_rhs_manufactured(form, space, phi, source=None):
     conforming test functions are a(phi, basis_i); nonconforming test
     functions additionally see the inter-element terms of the data,
     evaluated from ``source`` = (panel coords, curl values), the curl
-    density on its coarsest mesh (defaults to the form's mesh).
+    density on its coarsest mesh.
     """
     if isinstance(phi, CoefVec):
         if phi.space.mesh is not form.mesh:
@@ -975,8 +965,6 @@ def assemble_rhs_manufactured(form, space, phi, source=None):
     G = form.table
     b = cx @ (G @ w.values[:, 0]) + cy @ (G @ w.values[:, 1])
     if space.kind == "cr":
-        if source is None:
-            source = (form.mesh.triangle_coords(), w.values)
         coords, values = source
         b = b + _consistency_correction(
             space, lambda pts: single_layer_field(coords, values, pts))

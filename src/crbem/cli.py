@@ -87,8 +87,6 @@ def main(argv=None):
         max_levels=args.levels,
         max_fine_dofs=args.max_fine_dofs,
         quad_order=args.quad_order,
-        out_csv=args.out_csv,
-        out_svg=args.out_svg,
         dump_meshes=args.dump_meshes,
     )
     try:
@@ -111,9 +109,9 @@ def main(argv=None):
               f"{config.max_fine_dofs}", file=sys.stderr)
         return EXIT_BAD_CONFIG
 
-    emit_csv(history, config.out_csv)
-    if config.out_svg:
-        emit_svg_plot(history, config.out_svg)
+    emit_csv(history, args.out_csv)
+    if args.out_svg:
+        emit_svg_plot(history, args.out_svg)
 
     if not args.quiet:
         for rec in history.records:

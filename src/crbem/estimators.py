@@ -51,13 +51,11 @@ __all__ = [
     "EstimatorReport",
     "solve_spd",
     "solve_pair",
-    "conforming_component",
     "estimator_eta",
     "estimator_eta_tilde",
     "estimator_mu",
     "estimator_mu_tilde",
     "jump_term",
-    "local_indicators",
     "conf_gap",
     "estimator_report",
 ]
@@ -186,19 +184,6 @@ def solve_pair(coarse):
     return SolvePair(coarse, coarse.refined(fine_mesh, rmap), rmap)
 
 
-def conforming_component(phi, form, conf_space):
-    """a-orthogonal projection of a CR function onto the conforming space.
-
-    Solves a(phi0, psi) = a(phi, psi) for all conforming psi.
-    """
-    if phi.space.mesh is not form.mesh or conf_space.mesh is not form.mesh:
-        raise ValueError("inputs do not live on the form's mesh")
-    w = curl_field(phi)
-    b = assemble_rhs_manufactured(form, conf_space, w)
-    a = assemble_stiffness(form, conf_space)
-    return CoefVec(conf_space, solve_spd(a, b))
-
-
 def estimator_eta(pair):
     """Two-level estimator: energy norm of (fine - coarse) solution."""
     d = pair.fine_curl_diff
@@ -245,24 +230,18 @@ def estimator_mu_tilde(pair):
     return float(np.sqrt(parts.sum())), parts
 
 
-def jump_term(mesh, coeffs, include_boundary=True, full_h1=False):
+def jump_term(mesh, coeffs):
     """Squared jump functional and its per-element halves.
 
-    Each edge contributes |e|^2 |e| (jump')^2; ``full_h1`` adds the L2
-    part of the jump.  Interior edges are assigned half to each adjacent
-    element; the parts therefore sum exactly to the total.
+    Each edge contributes |e|^2 |e| (jump')^2.  Interior edges are
+    assigned half to each adjacent element; the parts therefore sum
+    exactly to the total.
     """
     if coeffs.space.mesh is not mesh:
         raise ValueError("coefficients do not live on this mesh")
     jumps = jump_field(coeffs)
     ln = mesh.edge_lengths
-    w2 = ln ** 2
-    per_edge = w2 * ln * jumps.jump_deriv ** 2
-    if full_h1:
-        j0, j1 = jumps.jump_lo, jumps.jump_hi
-        per_edge = per_edge + w2 * ln * (j0 * j0 + j0 * j1 + j1 * j1) / 3.0
-    if not include_boundary:
-        per_edge = np.where(mesh.edge_boundary, 0.0, per_edge)
+    per_edge = ln ** 2 * ln * jumps.jump_deriv ** 2
     parts = np.zeros(mesh.num_triangles)
     t0 = mesh.edge_tris[:, 0]
     t1 = mesh.edge_tris[:, 1]
@@ -270,11 +249,6 @@ def jump_term(mesh, coeffs, include_boundary=True, full_h1=False):
     np.add.at(parts, t0, np.where(interior, 0.5 * per_edge, per_edge))
     np.add.at(parts, t1[interior], 0.5 * per_edge[interior])
     return float(per_edge.sum()), parts
-
-
-def local_indicators(pair):
-    """Per-element refinement indicators (see ``estimator_report``)."""
-    return estimator_report(pair).indicators
 
 
 def conf_gap(level):

@@ -9,6 +9,7 @@ construction; refinement returns a new mesh plus a RefinementMap.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,13 +19,10 @@ __all__ = [
     "RefinementMap",
     "MeshFormatError",
     "build_initial_square_mesh",
-    "mesh_width",
     "refine_nvb",
     "uniform_refine",
     "graded_square_mesh",
     "node_patch",
-    "edge_patch",
-    "element_patch",
     "mesh_io_write",
     "mesh_io_read",
 ]
@@ -38,27 +36,10 @@ class MeshFormatError(ValueError):
 
 @dataclass
 class RefinementMap:
-    """Parent/child links between a mesh and its refinement.
-
-    ``midpoint_edges`` lists, per vertex appended by the refinement, the
-    coarse edge whose midpoint it is (new vertices follow the coarse
-    vertices in the fine mesh's vertex numbering).
-    """
+    """Parent links from the triangles of a refinement to its mesh."""
 
     child_to_parent: np.ndarray  # (nt_fine,) coarse triangle index per child
     parent_count: int
-    midpoint_edges: np.ndarray = None
-
-    def __post_init__(self):
-        if self.midpoint_edges is None:
-            self.midpoint_edges = np.empty(0, dtype=np.int64)
-
-    def parent_to_children(self):
-        """List of child-index arrays, one entry per coarse triangle."""
-        order = np.argsort(self.child_to_parent, kind="stable")
-        bounds = np.searchsorted(self.child_to_parent[order],
-                                 np.arange(self.parent_count + 1))
-        return [order[bounds[i]:bounds[i + 1]] for i in range(self.parent_count)]
 
 
 class Mesh:
@@ -70,23 +51,20 @@ class Mesh:
     triangles : (nt, 3) int array, counterclockwise vertex indices
     ref_edge : (nt,) int array, local index of the NVB reference edge
     parent : (nt,) int array, triangle index in the previous mesh (-1 if none)
-    level : (nt,) int array, bisection generation counted from the initial mesh
     """
 
-    def __init__(self, vertices, triangles, ref_edge, parent=None, level=None):
+    def __init__(self, vertices, triangles, ref_edge, parent=None):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
         self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
         self.ref_edge = np.ascontiguousarray(ref_edge, dtype=np.int64)
         nt = len(self.triangles)
         self.parent = (np.full(nt, -1, dtype=np.int64) if parent is None
                        else np.ascontiguousarray(parent, dtype=np.int64))
-        self.level = (np.zeros(nt, dtype=np.int64) if level is None
-                      else np.ascontiguousarray(level, dtype=np.int64))
         self._validate_basic()
         self._build_geometry()
         self._build_edge_table()
         for arr in (self.vertices, self.triangles, self.ref_edge, self.parent,
-                    self.level, self.areas, self.centroids, self.edge_vertices,
+                    self.areas, self.centroids, self.edge_vertices,
                     self.edge_tris, self.edge_boundary, self.edge_midpoints,
                     self.edge_lengths, self.tri_edges, self.boundary_vertex):
             arr.setflags(write=False)
@@ -176,15 +154,12 @@ class Mesh:
     def interior_edges(self):
         return np.flatnonzero(~self.edge_boundary)
 
-    def interior_vertices(self):
-        return np.flatnonzero(~self.boundary_vertex)
-
-    def validate_conforming(self, total_area=1.0):
+    def validate_conforming(self):
         """Check the no-hanging-node invariant and the area tiling.
 
         Every edge must bound one or two triangles; an edge with a single
         adjacent triangle must lie on the boundary of the screen, and the
-        element areas must tile the screen.
+        element areas must tile the unit square.
         """
         xy = self.edge_midpoints[self.edge_boundary]
         on_rim = (np.isclose(xy, 0.0, atol=1e-12) | np.isclose(xy, 1.0, atol=1e-12)).any(axis=1)
@@ -195,9 +170,8 @@ class Mesh:
                 f"but its midpoint {self.edge_midpoints[bad]} is interior "
                 "(hanging node)")
         total = float(self.areas.sum())
-        if abs(total - total_area) > _AREA_TOL * max(1.0, total_area):
-            raise ValueError(
-                f"element areas sum to {total!r}, expected {total_area!r}")
+        if abs(total - 1.0) > _AREA_TOL:
+            raise ValueError(f"element areas sum to {total!r}, expected 1.0")
 
 
 def build_initial_square_mesh():
@@ -228,13 +202,7 @@ def build_initial_square_mesh():
     return Mesh(verts, tris, ref)
 
 
-def mesh_width(mesh):
-    """Local mesh width h(T) = |T|^(1/2) per element."""
-    return np.sqrt(mesh.areas)
-
-
-def _split_element(verts_of_tri, ref, midpoint_of, out_tris, out_ref,
-                   out_level, base_level):
+def _split_element(verts_of_tri, ref, midpoint_of, out_tris, out_ref):
     """Recursively bisect one triangle against the marked-edge midpoints.
 
     ``midpoint_of`` maps a sorted original-edge vertex pair to the index of
@@ -247,15 +215,12 @@ def _split_element(verts_of_tri, ref, midpoint_of, out_tris, out_ref,
     if mid is None:
         out_tris.append(list(v))
         out_ref.append(ref)
-        out_level.append(base_level)
         return
     vr = v[ref]
     # children keep counterclockwise order; new reference edges sit
     # opposite the newest vertex
-    _split_element([vr, a, mid], 2, midpoint_of, out_tris, out_ref,
-                   out_level, base_level + 1)
-    _split_element([vr, mid, b], 1, midpoint_of, out_tris, out_ref,
-                   out_level, base_level + 1)
+    _split_element([vr, a, mid], 2, midpoint_of, out_tris, out_ref)
+    _split_element([vr, mid, b], 1, midpoint_of, out_tris, out_ref)
 
 
 def refine_nvb(mesh, marked_elements):
@@ -274,11 +239,6 @@ def refine_nvb(mesh, marked_elements):
     if len(marked_elements) and (marked_elements[0] < 0
                                  or marked_elements[-1] >= nt):
         raise IndexError("marked element index out of range")
-    if len(marked_elements) == 0:
-        clone = Mesh(mesh.vertices.copy(), mesh.triangles.copy(),
-                     mesh.ref_edge.copy(),
-                     parent=np.arange(nt), level=mesh.level.copy())
-        return clone, RefinementMap(np.arange(nt), nt)
 
     edge_marked = np.zeros(mesh.num_edges, dtype=bool)
     edge_marked[mesh.tri_edges[marked_elements].ravel()] = True
@@ -299,18 +259,16 @@ def refine_nvb(mesh, marked_elements):
         a, b = mesh.edge_vertices[e]
         midpoint_of[(int(a), int(b))] = mesh.num_vertices + k
 
-    out_tris, out_ref, out_level, out_parent = [], [], [], []
+    out_tris, out_ref, out_parent = [], [], []
     for t in range(nt):
         n_before = len(out_tris)
         _split_element([int(v) for v in mesh.triangles[t]],
-                       int(mesh.ref_edge[t]), midpoint_of,
-                       out_tris, out_ref, out_level, int(mesh.level[t]))
+                       int(mesh.ref_edge[t]), midpoint_of, out_tris, out_ref)
         out_parent.extend([t] * (len(out_tris) - n_before))
 
     refined = Mesh(vertices, np.array(out_tris), np.array(out_ref),
-                   parent=np.array(out_parent), level=np.array(out_level))
-    return refined, RefinementMap(np.array(out_parent, dtype=np.int64), nt,
-                                  midpoint_edges=marked_edge_ids)
+                   parent=np.array(out_parent))
+    return refined, RefinementMap(np.array(out_parent, dtype=np.int64), nt)
 
 
 def uniform_refine(mesh):
@@ -347,7 +305,7 @@ def graded_square_mesh(n, beta):
         return mesh
     mapped = _grading_map(mesh.vertices, beta)
     return Mesh(mapped, mesh.triangles.copy(), mesh.ref_edge.copy(),
-                parent=mesh.parent.copy(), level=mesh.level.copy())
+                parent=mesh.parent.copy())
 
 
 def node_patch(mesh, node):
@@ -357,26 +315,9 @@ def node_patch(mesh, node):
     return np.flatnonzero((mesh.triangles == node).any(axis=1))
 
 
-def edge_patch(mesh, edge):
-    """The one or two elements sharing the given edge."""
-    if not 0 <= edge < mesh.num_edges:
-        raise IndexError(f"edge {edge} out of range")
-    tris = mesh.edge_tris[edge]
-    return tris[tris >= 0]
-
-
-def element_patch(mesh, element):
-    """All elements sharing at least one node with the given element."""
-    if not 0 <= element < mesh.num_triangles:
-        raise IndexError(f"element {element} out of range")
-    nodes = mesh.triangles[element]
-    mask = np.isin(mesh.triangles, nodes).any(axis=1)
-    return np.flatnonzero(mask)
-
-
 def mesh_io_write(mesh, sink):
     """Write a mesh in the plain ASCII format (17 significant digits)."""
-    own = isinstance(sink, str)
+    own = isinstance(sink, (str, os.PathLike))
     f = open(sink, "w") if own else sink
     try:
         f.write(f"{mesh.num_vertices} {mesh.num_triangles}\n")
@@ -391,7 +332,7 @@ def mesh_io_write(mesh, sink):
 
 def mesh_io_read(source):
     """Read a mesh written by :func:`mesh_io_write` and validate it."""
-    own = isinstance(source, str)
+    own = isinstance(source, (str, os.PathLike))
     f = open(source) if own else source
     try:
         lines = f.read().splitlines()

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import Mesh, RefinementMap, node_patch
+from .mesh import Mesh, node_patch
 
 __all__ = [
     "DofSpace",
@@ -26,7 +26,6 @@ __all__ = [
     "EdgeJumpField",
     "cr_space",
     "conforming_space",
-    "basis_gradient",
     "barycentric_gradients",
     "element_vertex_values",
     "curl_field",
@@ -34,8 +33,6 @@ __all__ = [
     "jump_field",
     "clement_interpolate",
     "project_pwconst",
-    "prolong_conforming",
-    "conforming_to_cr",
 ]
 
 
@@ -52,9 +49,6 @@ class DofSpace:
     dof_count: int
     entity_to_dof: np.ndarray
     dof_to_entity: np.ndarray
-
-    def zeros(self):
-        return CoefVec(self, np.zeros(self.dof_count))
 
 
 @dataclass
@@ -102,9 +96,6 @@ class EdgeJumpField:
     jump_hi: np.ndarray
     jump_deriv: np.ndarray
 
-    def midpoint_values(self):
-        return 0.5 * (self.jump_lo + self.jump_hi)
-
 
 def cr_space(mesh):
     ne = mesh.num_edges
@@ -140,21 +131,6 @@ def barycentric_gradients(mesh):
     grads.setflags(write=False)
     mesh._bary_grads = grads
     return grads
-
-
-def basis_gradient(mesh, element, local_basis):
-    """Gradient of barycentric coordinate ``local_basis`` on one element.
-
-    The CR basis function of the edge opposite that vertex is
-    1 - 2*lambda, with gradient -2 times this value.
-    """
-    if not 0 <= element < mesh.num_triangles:
-        raise IndexError(f"element {element} out of range")
-    if local_basis not in (0, 1, 2):
-        raise ValueError(f"local basis index must be 0..2, got {local_basis}")
-    if mesh.areas[element] <= 0.0:
-        raise ValueError(f"element {element} is degenerate")
-    return barycentric_gradients(mesh)[element, local_basis].copy()
 
 
 def _gather(values, dof):
@@ -309,37 +285,3 @@ def project_pwconst(fine_field, rmap, coarse_mesh):
     den = np.zeros(rmap.parent_count)
     np.add.at(den, rmap.child_to_parent, fine_mesh.areas)
     return PwConstVecField(coarse_mesh, num / den[:, None])
-
-
-def prolong_conforming(conf_coeffs, fine_mesh, rmap):
-    """Conforming coefficients of a coarse conforming function on the
-    refined mesh.
-
-    Refinement keeps the coarse vertex numbering and appends edge
-    midpoints, so fine nodal values are the coarse nodal values plus
-    endpoint averages on the bisected edges.
-    """
-    if conf_coeffs.space.kind != "conforming":
-        raise ValueError("expected conforming coefficients")
-    coarse_mesh = conf_coeffs.space.mesh
-    nv_c = coarse_mesh.num_vertices
-    if fine_mesh.num_vertices != nv_c + len(rmap.midpoint_edges):
-        raise ValueError("refinement map does not match the fine mesh")
-    vals = np.zeros(nv_c)
-    vals[conf_coeffs.space.dof_to_entity] = conf_coeffs.values
-    ends = coarse_mesh.edge_vertices[rmap.midpoint_edges]
-    fine_vals = np.concatenate([vals, 0.5 * vals[ends].sum(axis=1)])
-    space = conforming_space(fine_mesh)
-    return CoefVec(space, fine_vals[space.dof_to_entity])
-
-
-def conforming_to_cr(conf_coeffs):
-    """CR coefficients of a conforming function (edge-midpoint values)."""
-    if conf_coeffs.space.kind != "conforming":
-        raise ValueError("expected conforming coefficients")
-    mesh = conf_coeffs.space.mesh
-    vals = _gather(conf_coeffs.values,
-                   conf_coeffs.space.entity_to_dof[mesh.edge_vertices])
-    mid = 0.5 * vals.sum(axis=1)
-    space = cr_space(mesh)
-    return CoefVec(space, mid[space.dof_to_entity])

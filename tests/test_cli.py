@@ -146,3 +146,15 @@ def test_cli_contract(experiment, theta, beta, levels, max_fine_dofs,
             assert exc.code == 2
         else:
             assert code in (0, 2, 3)
+
+
+@pytest.mark.parametrize("beta", ["nan", "inf"])
+def test_non_finite_beta_is_a_config_error(tmp_path, capsys, monkeypatch,
+                                           beta):
+    monkeypatch.setattr("crbem.cli.run_experiment", _no_run)
+    code = main(["run", "--experiment", "graded-smooth", "--beta", beta,
+                 "--out-csv", str(tmp_path / "x.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "beta" in err and "finite" in err
+    assert len(err.strip().splitlines()) == 1
