@@ -32,6 +32,7 @@ from .mesh import (
     graded_square_mesh,
     mesh_io_write,
 )
+from .assembly import DEFAULT_ORDER
 from .spaces import CoefVec, conforming_space, curl_field
 from .estimators import (
     Level,
@@ -81,7 +82,7 @@ class ExperimentConfig:
     beta: float = 2.0
     max_levels: int = 12
     max_fine_dofs: int = 8000
-    quad_order: int = 5
+    quad_order: int = DEFAULT_ORDER
     dump_meshes: str | None = None
 
     def validate(self):

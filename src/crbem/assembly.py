@@ -740,37 +740,14 @@ def _curl_matrices(space):
     """Sparse per-component maps from DOFs to elementwise basis curls."""
     mesh = space.mesh
     grads = barycentric_gradients(mesh)
-    rows, cols, gx, gy = [], [], [], []
-    if space.kind == "cr":
-        for slot in range(2):
-            t = mesh.edge_tris[space.dof_to_entity, slot]
-            valid = t >= 0
-            tt = t[valid]
-            eids = space.dof_to_entity[valid]
-            loc = np.argmax(mesh.tri_edges[tt] == eids[:, None], axis=1)
-            g = -2.0 * grads[tt, loc]
-            rows.append(np.flatnonzero(valid))
-            cols.append(tt)
-            gx.append(g[:, 0])
-            gy.append(g[:, 1])
-    elif space.kind == "conforming":
-        dof = space.entity_to_dof[mesh.triangles]  # (nt, 3)
-        t_idx, loc = np.nonzero(dof >= 0)
-        g = grads[t_idx, loc]
-        rows.append(dof[t_idx, loc])
-        cols.append(t_idx)
-        gx.append(g[:, 0])
-        gy.append(g[:, 1])
-    else:
-        raise ValueError(f"unknown space kind {space.kind!r}")
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    gx = np.concatenate(gx)
-    gy = np.concatenate(gy)
+    dof = space.element_dofs
+    t_idx, loc = np.nonzero(dof >= 0)
+    rows = dof[t_idx, loc]
+    g = space.basis[1] * grads[t_idx, loc]
     shape = (space.dof_count, mesh.num_triangles)
     # curl = (g_y, -g_x)
-    cx = sp.csr_matrix((gy, (rows, cols)), shape=shape)
-    cy = sp.csr_matrix((-gx, (rows, cols)), shape=shape)
+    cx = sp.csr_matrix((g[:, 1], (rows, t_idx)), shape=shape)
+    cy = sp.csr_matrix((-g[:, 0], (rows, t_idx)), shape=shape)
     return cx, cy
 
 
@@ -797,12 +774,10 @@ def assemble_stiffness(form, space):
 
 def assemble_rhs_constant(space):
     """Load vector of f = 1: every supported basis integrates to |T|/3."""
-    mesh = space.mesh
-    entities = mesh.tri_edges if space.kind == "cr" else mesh.triangles
-    dof = space.entity_to_dof[entities]
+    dof = space.element_dofs
     t_idx, loc = np.nonzero(dof >= 0)
     b = np.zeros(space.dof_count)
-    np.add.at(b, dof[t_idx, loc], mesh.areas[t_idx] / 3.0)
+    np.add.at(b, dof[t_idx, loc], space.mesh.areas[t_idx] / 3.0)
     return b
 
 
@@ -873,17 +848,14 @@ def assemble_rhs_power(space, alpha):
     moments = np.empty((mesh.num_triangles, 3))
     for t in range(mesh.num_triangles):
         moments[t] = _power_moments_element(coords[t], alpha)
+    # slot basis const + lin*lambda_k: const*(sum of moments) + lin*moment_k
+    const, lin = space.basis
+    total = moments.sum(axis=1)
+    dof = space.element_dofs
+    t_idx, loc = np.nonzero(dof >= 0)
     b = np.zeros(space.dof_count)
-    if space.kind == "cr":
-        # psi_e = 1 - 2 lambda_opp
-        total = moments.sum(axis=1)
-        dof = space.entity_to_dof[mesh.tri_edges]
-        t_idx, loc = np.nonzero(dof >= 0)
-        np.add.at(b, dof[t_idx, loc], total[t_idx] - 2.0 * moments[t_idx, loc])
-    else:
-        dof = space.entity_to_dof[mesh.triangles]
-        t_idx, loc = np.nonzero(dof >= 0)
-        np.add.at(b, dof[t_idx, loc], moments[t_idx, loc])
+    np.add.at(b, dof[t_idx, loc],
+              const * total[t_idx] + lin * moments[t_idx, loc])
     return b
 
 
@@ -931,7 +903,7 @@ def _consistency_correction(space, field_fn):
         lin = length * ((s_wts * (2.0 * s_nodes - 1.0))[None, :] * ut).sum(axis=1)
         for off, t_const, t_lin in ((0, 1.0, 0.0), (1, 0.0, 1.0),
                                     (2, 0.0, -1.0)):
-            dof = space.entity_to_dof[mesh.tri_edges[:, (k + off) % 3]]
+            dof = space.element_dofs[:, (k + off) % 3]
             valid = dof >= 0
             np.add.at(c, dof[valid],
                       t_const * base[valid] + t_lin * lin[valid])

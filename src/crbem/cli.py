@@ -31,15 +31,17 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="run an experiment preset")
     run.add_argument("--experiment", required=True, choices=EXPERIMENTS)
-    run.add_argument("--theta", type=float, default=0.5,
+    run.add_argument("--theta", type=float, default=ExperimentConfig.theta,
                      help="marking fraction in (0,1) for adaptive presets")
-    run.add_argument("--beta", type=float, default=2.0,
+    run.add_argument("--beta", type=float, default=ExperimentConfig.beta,
                      help="grading exponent for graded presets")
-    run.add_argument("--levels", type=int, default=12,
+    run.add_argument("--levels", type=int, default=ExperimentConfig.max_levels,
                      help="maximum number of refinement levels")
-    run.add_argument("--max-fine-dofs", type=int, default=8000,
+    run.add_argument("--max-fine-dofs", type=int,
+                     default=ExperimentConfig.max_fine_dofs,
                      help="stop before the refined mesh exceeds this many DOFs")
-    run.add_argument("--quad-order", type=int, default=5,
+    run.add_argument("--quad-order", type=int,
+                     default=ExperimentConfig.quad_order,
                      help="tensor quadrature order for singular panel pairs")
     run.add_argument("--out-csv", required=True, help="CSV output path")
     run.add_argument("--out-svg", default=None, help="SVG plot output path")

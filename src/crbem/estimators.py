@@ -35,6 +35,7 @@ from .spaces import (
     PwConstVecField,
 )
 from .assembly import (
+    DEFAULT_ORDER,
     NumericalError,
     assemble_energy_form,
     assemble_stiffness,
@@ -107,7 +108,7 @@ class Level:
 
     mesh: Mesh
     data: tuple
-    order: int = 5
+    order: int = DEFAULT_ORDER
 
     @cached_property
     def form(self):

@@ -352,6 +352,8 @@ def mesh_io_read(source):
         nv, nt = int(head[0]), int(head[1])
     except ValueError:
         fail(1, f"bad header {lines[0]!r}")
+    if nv < 0 or nt < 0:
+        fail(1, f"negative count in header {lines[0]!r}")
     if len(lines) < 1 + nv + nt:
         fail(len(lines) + 1, f"expected {1 + nv + nt} lines, file has {len(lines)}")
 

@@ -6,9 +6,12 @@ midpoints; one DOF per interior edge) and the conforming space
 (continuous piecewise linears vanishing on the boundary; one DOF per
 interior node).
 
-On a single element both are plain P1 functions, so most operators work
-through the per-element vertex-value table: a CR function with midpoint
-values c_0, c_1, c_2 has vertex values (c_0+c_1+c_2) - 2*c_j.
+On one element both spaces are P1, with one local basis function per
+slot k = 0, 1, 2, and they differ only in two fields of ``DofSpace``:
+``element_dofs[t, k]`` is the DOF of the edge opposite vertex k (CR) or
+of vertex k (conforming), and slot k's basis function is a + b*lambda_k
+with ``basis = (a, b)``, (1, -2) for CR and (0, 1) for conforming.  The
+operators read these fields instead of branching on the space.
 """
 
 from __future__ import annotations
@@ -38,10 +41,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DofSpace:
-    """Map between mesh entities and degrees of freedom.
+    """Degrees of freedom of one space and its local basis.
 
     kind 'cr': one DOF per interior edge; kind 'conforming': one DOF per
-    interior node.  ``entity_to_dof`` is -1 on boundary entities.
+    interior node.  ``entity_to_dof`` is -1 on boundary entities, and so
+    is ``element_dofs`` (nt, 3) on slots of boundary entities.  Slot k's
+    basis function is a + b*lambda_k with ``basis = (a, b)``.
     """
 
     kind: str
@@ -49,6 +54,8 @@ class DofSpace:
     dof_count: int
     entity_to_dof: np.ndarray
     dof_to_entity: np.ndarray
+    element_dofs: np.ndarray
+    basis: tuple
 
 
 @dataclass
@@ -97,20 +104,21 @@ class EdgeJumpField:
     jump_deriv: np.ndarray
 
 
+def _space(kind, mesh, boundary, slot_entities, basis):
+    interior = np.flatnonzero(~boundary)
+    to_dof = np.full(len(boundary), -1, dtype=np.int64)
+    to_dof[interior] = np.arange(len(interior))
+    return DofSpace(kind, mesh, len(interior), to_dof, interior,
+                    to_dof[slot_entities], basis)
+
+
 def cr_space(mesh):
-    ne = mesh.num_edges
-    interior = np.flatnonzero(~mesh.edge_boundary)
-    e2d = np.full(ne, -1, dtype=np.int64)
-    e2d[interior] = np.arange(len(interior))
-    return DofSpace("cr", mesh, len(interior), e2d, interior)
+    return _space("cr", mesh, mesh.edge_boundary, mesh.tri_edges, (1.0, -2.0))
 
 
 def conforming_space(mesh):
-    nv = mesh.num_vertices
-    interior = np.flatnonzero(~mesh.boundary_vertex)
-    v2d = np.full(nv, -1, dtype=np.int64)
-    v2d[interior] = np.arange(len(interior))
-    return DofSpace("conforming", mesh, len(interior), v2d, interior)
+    return _space("conforming", mesh, mesh.boundary_vertex, mesh.triangles,
+                  (0.0, 1.0))
 
 
 def barycentric_gradients(mesh):
@@ -141,14 +149,9 @@ def _gather(values, dof):
 
 def element_vertex_values(coeffs):
     """Per-element values of the function at the three vertices, (nt, 3)."""
-    space = coeffs.space
-    mesh = space.mesh
-    if space.kind == "cr":
-        c = _gather(coeffs.values, space.entity_to_dof[mesh.tri_edges])
-        return c.sum(axis=1, keepdims=True) - 2.0 * c
-    if space.kind == "conforming":
-        return _gather(coeffs.values, space.entity_to_dof[mesh.triangles])
-    raise ValueError(f"unknown space kind {space.kind!r}")
+    a, b = coeffs.space.basis
+    c = _gather(coeffs.values, coeffs.space.element_dofs)
+    return a * c.sum(axis=1, keepdims=True) + b * c
 
 
 def curl_field(coeffs):
@@ -240,8 +243,7 @@ def clement_interpolate(fine_coeffs, coarse_mesh, rmap):
     _check_uniform_map(rmap, coarse_mesh, fine_mesh)
 
     # fine function values at the fine edge midpoints are the CR DOFs
-    v_mid = _gather(fine_coeffs.values,
-                    fine_coeffs.space.entity_to_dof[fine_mesh.tri_edges])
+    v_mid = _gather(fine_coeffs.values, fine_coeffs.space.element_dofs)
     mids = fine_mesh.edge_midpoints[fine_mesh.tri_edges]  # (nt_f, 3, 2)
     parents = np.repeat(rmap.child_to_parent, 3)
     lam = _barycentric_in_parent(coarse_mesh, parents, mids.reshape(-1, 2))

@@ -283,6 +283,21 @@ def test_history_fence(case, tmp_path):
                     row[0], col, a, b)
 
 
+def test_graded_beta_one_equals_uniform(tmp_path):
+    # beta = 1 moves no vertex, so the graded branch of the loop must build
+    # the meshes the uniform branch reuses and report the same numbers
+    args = ["--max-fine-dofs", "1200", "--levels", "30"]
+    uniform = run_fence_case(["--experiment", "uniform-smooth", *args],
+                             tmp_path / "u.csv")
+    graded = run_fence_case(["--experiment", "graded-smooth", "--beta", "1",
+                             *args], tmp_path / "g.csv")
+    assert uniform["exit_code"] == graded["exit_code"] == 0
+    assert graded["header"] == uniform["header"]
+    # uniform adds its coarse-only tail level
+    assert len(graded["rows"]) == 3 and len(uniform["rows"]) == 4
+    assert graded["rows"] == uniform["rows"][:3]
+
+
 if __name__ == "__main__":
     import tempfile
     with tempfile.TemporaryDirectory() as tmp:

@@ -7,8 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crbem import build_initial_square_mesh
 from crbem.cli import main
-from crbem.adaptive import CSV_COLUMNS, EXPERIMENTS
+from crbem.adaptive import CSV_COLUMNS, EXPERIMENTS, ExperimentConfig
+from crbem.assembly import DEFAULT_ORDER
+from crbem.estimators import Level
 
 
 @pytest.mark.slow
@@ -158,3 +161,23 @@ def test_non_finite_beta_is_a_config_error(tmp_path, capsys, monkeypatch,
     err = capsys.readouterr().err
     assert "beta" in err and "finite" in err
     assert len(err.strip().splitlines()) == 1
+
+
+class _Captured(Exception):
+    pass
+
+
+def test_minimal_run_uses_the_config_defaults(tmp_path, monkeypatch):
+    def capture(config):
+        raise _Captured(config)
+
+    monkeypatch.setattr("crbem.cli.run_experiment", capture)
+    for experiment in EXPERIMENTS:
+        with pytest.raises(_Captured) as caught:
+            main(["run", "--experiment", experiment,
+                  "--out-csv", str(tmp_path / "x.csv")])
+        assert caught.value.args[0] == ExperimentConfig(experiment=experiment)
+    assert ExperimentConfig(experiment="uniform-smooth").quad_order \
+        == DEFAULT_ORDER
+    assert Level(build_initial_square_mesh(), ("constant",)).order \
+        == DEFAULT_ORDER

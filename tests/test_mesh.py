@@ -192,6 +192,12 @@ class TestMeshIO:
         with pytest.raises(MeshFormatError, match="line 1"):
             mesh_io_read(io.StringIO(""))
 
+    @pytest.mark.parametrize("text", ["-1 1\n",
+                                      "3 -1\n0 0 1\n1 0 1\n0 1 1\n"])
+    def test_negative_header_count(self, text):
+        with pytest.raises(MeshFormatError, match="line 1: negative"):
+            mesh_io_read(io.StringIO(text))
+
     def test_malformed_vertex_line(self):
         text = "3 1\n0 0 1\n1 0 1\nbad line here\n0 1 2 0 -1\n"
         with pytest.raises(MeshFormatError, match="line 4"):
