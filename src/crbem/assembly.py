@@ -31,9 +31,14 @@ closer than RHO_FAR diameters, in (i, j) order.  Near pairs are not
 skipped: they are 7-65% of all pairs and do not form whole tiles.
 
 Memory: the table G (nt x nt) and a Galerkin matrix A (n x n) are the
-only arrays of that size.  The tile buffers take 2 x 663 KB at the
-default order, and assemble_stiffness fills A by blocks of _STIFF_BLOCK
-DOF rows, each symmetrized in place against the rows above it.
+only quadratic arrays of a run; estimators.solve_spd factors A in place.
+The tile buffers take 2 x 663 KB at the default order, and
+assemble_stiffness fills A by blocks of _STIFF_BLOCK DOF rows, each
+symmetrized in place against the rows above it.  The near-field pass
+works in blocks too: _pair_values classifies the near candidates in
+blocks of _PAIR_BLOCK rows into a one-byte class code and keeps per
+class only the indices of its pairs, and the rule kernel and the
+triangle distances gather panel coordinates block by block from them.
 
 Every rule-based pair (the three singular cases and the near and close
 disjoint bands) is evaluated by one kernel.  A node pair (x1, x2),
@@ -119,10 +124,12 @@ _ROBUST_BLOCK = 1024
 # 2^20 cells on its 32-panel mesh and still settles, because only a count
 # above the cap fails.  Without a cap, beta=50 runs out of memory.
 _ROBUST_MAX_CELLS = 1 << 20
-# panel pairs per block of _triangle_distances.  Single-thread time for the
-# 639k near candidates of the same mesh: 0.45 s at 4096 pairs, 0.76 s at
-# 1024, 0.55 s at 16384 and 1.05 s unblocked.
-_DIST_BLOCK = 4096
+# panel pairs per block of _triangle_distances, of the classification in
+# _pair_values and of the panel gathers of _apply_rule_pairs.
+# Single-thread time of the distances for the 639k near candidates of the
+# same mesh: 0.45 s at 4096 pairs, 0.76 s at 1024, 0.55 s at 16384 and
+# 1.05 s unblocked.
+_PAIR_BLOCK = 4096
 # panels per row strip and per column tile of _far_table: two 663 KB tile
 # buffers at the default order.  Single-thread time of the far sweep with
 # its near candidates on the 2048-panel beta=2 graded mesh (best to median
@@ -290,27 +297,42 @@ def _rule_monomials(case, order):
     return mono
 
 
-def _apply_rule_pairs(rule, ta, tb):
-    """Rule evaluation for panel pairs ta, tb of shape (P, 3, 2).
+def _apply_rule_pairs(rule, coords, ia, ib, slots=None):
+    """Rule evaluation for the panel pairs (coords[ia[p]], coords[ib[p]]).
 
-    The edge vectors are e1 = v1 - v0 and e2 = v2 - v1, as in _map_nodes;
-    r^2 = gram @ monomials is one GEMM per block (see the module notes).
+    ``slots``, if given, is a pair of (P, 3) vertex orders: panel a of pair
+    p is coords[ia[p]] with its vertices taken in the order slots[0][p],
+    panel b likewise.  The edge vectors are e1 = v1 - v0 and e2 = v2 - v1,
+    as in _map_nodes; r^2 = gram @ monomials is one GEMM per block (see
+    the module notes).  Panels are gathered in chunks of whole blocks,
+    about _PAIR_BLOCK pairs, so that rules whose blocks hold only 13-17
+    pairs do not pay a gather per block.
     """
     mono = _rule_monomials(rule.case, rule.order)
-    out = np.empty(len(ta))
+    out = np.empty(len(ia))
     step = max(1, _RULE_CHUNK // mono.shape[1])
-    for lo in range(0, len(ta), step):
-        a = ta[lo:lo + step]
-        b = tb[lo:lo + step]
+    chunk = step * max(1, _PAIR_BLOCK // step)
+    for c0 in range(0, len(ia), chunk):
+        rows = slice(c0, c0 + chunk)
+        if slots is None:
+            a, b = coords[ia[rows]], coords[ib[rows]]
+        else:
+            a = coords[ia[rows, None], slots[0][rows]]
+            b = coords[ib[rows, None], slots[1][rows]]
         vecs = np.stack([a[:, 0] - b[:, 0], a[:, 1] - a[:, 0],
                          a[:, 2] - a[:, 1], b[:, 0] - b[:, 1],
                          b[:, 1] - b[:, 2]], axis=1)
-        gram = np.einsum("pkc,pkc->pk", vecs[:, _GRAM_I], vecs[:, _GRAM_J])
-        r = gram @ mono
-        np.sqrt(r, out=r)
-        np.divide(1.0, r, out=r)
-        out[lo:lo + step] = r @ rule.weights
-    return out * _doubled_area(ta) * _doubled_area(tb) / FOUR_PI
+        area_a, area_b = _doubled_area(a), _doubled_area(b)
+        for lo in range(0, len(vecs), step):
+            v = vecs[lo:lo + step]
+            gram = np.einsum("pkc,pkc->pk", v[:, _GRAM_I], v[:, _GRAM_J])
+            r = gram @ mono
+            np.sqrt(r, out=r)
+            np.divide(1.0, r, out=r)
+            out[c0 + lo:c0 + lo + step] = ((r @ rule.weights)
+                                           * area_a[lo:lo + step]
+                                           * area_b[lo:lo + step])
+    return out / FOUR_PI
 
 
 # -- robust semi-analytic path -------------------------------------------------
@@ -486,23 +508,24 @@ def _aspect(tris):
     return lmax2 / _doubled_area(tris)
 
 
-def _triangle_distances(ta, tb):
-    """Minimum distance between disjoint triangles, batched (P,3,2).
+def _triangle_distances(coords, ia, ib):
+    """Minimum distance between the disjoint panels coords[ia[p]] and
+    coords[ib[p]], gathered block by block.
 
     Per edge pair, the closest points p1 + s u and q1 + t v are found by
     clamping the unconstrained minimizer s to [0, 1], then t given s, then
     s given t.
     """
-    best = np.full(len(ta), np.inf)
-    for lo in range(0, len(ta), _DIST_BLOCK):
-        a = ta[lo:lo + _DIST_BLOCK]
-        b = tb[lo:lo + _DIST_BLOCK]
+    best = np.full(len(ia), np.inf)
+    for lo in range(0, len(ia), _PAIR_BLOCK):
+        a = coords[ia[lo:lo + _PAIR_BLOCK]]
+        b = coords[ib[lo:lo + _PAIR_BLOCK]]
         ax, ay, bx, by = a[..., 0], a[..., 1], b[..., 0], b[..., 1]
         ux, uy = ax[:, [1, 2, 0]] - ax, ay[:, [1, 2, 0]] - ay
         vx, vy = bx[:, [1, 2, 0]] - bx, by[:, [1, 2, 0]] - by
         uu = ux * ux + uy * uy
         vv = vx * vx + vy * vy
-        out = best[lo:lo + _DIST_BLOCK]
+        out = best[lo:lo + _PAIR_BLOCK]
         for i in range(3):
             for j in range(3):
                 wx = ax[:, i] - bx[:, j]
@@ -527,16 +550,12 @@ def _triangle_distances(ta, tb):
     return best
 
 
-def _reorder(tris, first, second=None):
-    """Reindex panel vertices so ``first`` (and optionally ``second``)
-    lead; the remaining vertex fills the last slot."""
-    first = np.asarray(first, dtype=np.int64)
+def _slot_order(first, second=None):
+    """Vertex orders (P, 3) in which slot ``first`` (and optionally
+    ``second``) leads; the remaining slot fills the last place."""
     if second is None:
-        idx = np.stack([first, (first + 1) % 3, (first + 2) % 3], axis=1)
-    else:
-        second = np.asarray(second, dtype=np.int64)
-        idx = np.stack([first, second, 3 - first - second], axis=1)
-    return np.take_along_axis(tris, idx[:, :, None], axis=1)
+        return np.stack([first, (first + 1) % 3, (first + 2) % 3], axis=1)
+    return np.stack([first, second, 3 - first - second], axis=1)
 
 
 def _pair_values(coords, tris, aspect, diam, i, j, order):
@@ -550,51 +569,66 @@ def _pair_values(coords, tris, aspect, diam, i, j, order):
     pairs are binned by rho = dist / max(diam): the disjoint rule of order
     p - 1 (rho >= RHO_NEAR) or p (rho >= RHO_CLOSE), else the robust path.
 
+    The pairs are classified in blocks of _PAIR_BLOCK rows into a one-byte
+    class code.  Each class keeps only the indices of its pairs, from
+    which the rule kernel and the distances gather panel coordinates block
+    by block.  Besides per-block work arrays, the pass holds at most 64
+    bytes per pair: values, codes and robust flags, and for the disjoint
+    pairs their indices, distances and the panel indices of one band.
+
     The kernel's GEMM rounds a row differently depending on its position
     in the block, so rows keep a fixed order: edge pairs sorted by their
     shared edge (lo, hi), which both panels traverse lo -> hi, and every
     other class in the order given.  The robust path takes (coords[i],
     coords[j]) as they are.
     """
-    shared = tris[i][:, :, None] == tris[j][:, None, :]
-    count = shared.sum(axis=(1, 2))
-    iso = ((aspect[i] <= SINGULAR_ASPECT_LIMIT)
-           & (aspect[j] <= SINGULAR_ASPECT_LIMIT))
+    # class code: shared vertex count, plus 4 unless both panels are
+    # shape-regular
+    code = np.empty(len(i), np.int8)
+    for lo in range(0, len(i), _PAIR_BLOCK):
+        a, b = i[lo:lo + _PAIR_BLOCK], j[lo:lo + _PAIR_BLOCK]
+        count = (tris[a][:, :, None] == tris[b][:, None, :]).sum(axis=(1, 2))
+        iso = ((aspect[a] <= SINGULAR_ASPECT_LIMIT)
+               & (aspect[b] <= SINGULAR_ASPECT_LIMIT))
+        code[lo:lo + _PAIR_BLOCK] = count + 4 * ~iso
     out = np.full(len(i), np.nan)
-    robust = (count > 0) & (count < 3) & ~iso
+    robust = (code == 5) | (code == 6)
 
-    def apply_rule(case, p, k, ta, tb):
+    def apply_rule(case, p, k, slots=None):
         if len(k):
-            out[k] = _apply_rule_pairs(quadrature_rule(case, p), ta, tb)
+            out[k] = _apply_rule_pairs(quadrature_rule(case, p), coords,
+                                       i[k], j[k], slots)
 
-    k = np.flatnonzero((count == 3) & iso)
-    apply_rule("identical", order, k, coords[i[k]], coords[j[k]])
-    k = np.flatnonzero((count == 3) & ~iso)
+    apply_rule("identical", order, np.flatnonzero(code == 3))
+    k = np.flatnonzero(code == 7)
     out[k] = _self_entry_closed_form(coords[i[k]])
 
-    k = np.flatnonzero((count == 2) & iso)
-    ends = np.sort(tris[i[k]][shared[k].any(axis=2)].reshape(-1, 2), axis=1)
+    k = np.flatnonzero(code == 2)
+    ti = tris[i[k]]
+    shared = ti[:, :, None] == tris[j[k]][:, None, :]
+    ends = np.sort(ti[shared.any(axis=2)].reshape(-1, 2), axis=1)
     by_edge = np.lexsort((ends[:, 1], ends[:, 0]))
     k, ends = k[by_edge], ends[by_edge]
 
     def along_edge(t):
-        lo, hi = (np.argmax(tris[t] == v[:, None], axis=1) for v in ends.T)
-        return _reorder(coords[t], lo, hi)
+        return _slot_order(*(np.argmax(tris[t] == v[:, None], axis=1)
+                             for v in ends.T))
 
-    apply_rule("edge-adjacent", order, k, along_edge(i[k]), along_edge(j[k]))
+    apply_rule("edge-adjacent", order, k, (along_edge(i[k]), along_edge(j[k])))
 
     # the shared vertex leads on both panels
-    k = np.flatnonzero((count == 1) & iso)
-    ta = _reorder(coords[i[k]], np.argmax(shared[k].any(axis=2), axis=1))
-    tb = _reorder(coords[j[k]], np.argmax(shared[k].any(axis=1), axis=1))
-    apply_rule("vertex-adjacent", order, k, ta, tb)
+    k = np.flatnonzero(code == 1)
+    shared = tris[i[k]][:, :, None] == tris[j[k]][:, None, :]
+    apply_rule("vertex-adjacent", order, k,
+               (_slot_order(np.argmax(shared.any(axis=2), axis=1)),
+                _slot_order(np.argmax(shared.any(axis=1), axis=1))))
 
-    k = np.flatnonzero(count == 0)
-    rho = (_triangle_distances(coords[i[k]], coords[j[k]])
-           / np.maximum(diam[i[k]], diam[j[k]]))
+    k = np.flatnonzero(code % 4 == 0)
+    rho = _triangle_distances(coords, i[k], j[k])
+    rho /= np.maximum(diam[i[k]], diam[j[k]])
     for band, p in ((k[rho >= RHO_NEAR], max(order - 1, 1)),
                     (k[(rho >= RHO_CLOSE) & (rho < RHO_NEAR)], order)):
-        apply_rule("disjoint", p, band, coords[i[band]], coords[j[band]])
+        apply_rule("disjoint", p, band)
     robust[k[rho < RHO_CLOSE]] = True
 
     k = np.flatnonzero(robust)

@@ -1,6 +1,7 @@
 """Command-line interface: run one experiment preset, write CSV and SVG.
 
-Exit codes: 0 success, 2 invalid configuration, 3 numerical failure.
+Exit codes: 0 success, 2 invalid configuration, 3 numerical failure
+(running out of memory included).
 """
 
 from __future__ import annotations
@@ -105,6 +106,10 @@ def main(argv=None):
         history = run_experiment(config)
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except MemoryError as exc:
+        # a dense table or matrix of the next level that does not fit
+        print(f"numerical failure: out of memory: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     if not history.records:
         print(f"error: no level fits within --max-fine-dofs "

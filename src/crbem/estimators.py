@@ -65,19 +65,35 @@ _RESIDUAL_TOL = 1e-10
 
 
 def solve_spd(a, b):
-    """Solve an SPD system by Cholesky and verify the residual."""
+    """Solve a symmetric positive definite system by Cholesky and verify
+    the residual.
+
+    ``a`` must be symmetric, and it is overwritten by its Cholesky
+    factor: only its strict upper triangle is left as it was.  The
+    factorization reads the lower triangle of ``a`` and the residual check
+    the strict upper one plus a saved copy of the diagonal, so no second
+    n x n array is made.
+    """
     a = np.asarray(a, float)
     b = np.asarray(b, float)
     if a.shape[0] != a.shape[1] or a.shape[0] != b.shape[0]:
         raise ValueError("matrix/vector shapes do not match")
+    diag = a.diagonal().copy()
     try:
-        factor = sla.cho_factor(a, check_finite=False)
+        # potrf('U') on the column-major view a.T reads and overwrites
+        # the lower triangle of a: for a symmetric a, the same
+        # factorization as on a copy of a
+        factor = sla.cho_factor(a.T, lower=False, overwrite_a=True,
+                                check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"Cholesky factorization failed: {exc}") from exc
     x = sla.cho_solve(factor, b, check_finite=False)
     scale = np.linalg.norm(b)
     if scale > 0.0:
-        resid = np.linalg.norm(a @ x - b) / scale
+        np.fill_diagonal(a, diag)
+        # the lower triangle of a.T is the untouched upper triangle of a
+        resid = np.linalg.norm(
+            sla.blas.dsymv(1.0, a.T, x, beta=-1.0, y=b, lower=1)) / scale
         if resid > _RESIDUAL_TOL:
             raise NumericalError(
                 f"solver residual {resid:.3e} exceeds {_RESIDUAL_TOL}")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,7 @@ from crbem.assembly import (
     _aspect,
     _curl_matrices,
     _far_table,
+    _pair_values,
     _power_moments_element,
     _robust_pairs,
     _self_entry_closed_form,
@@ -104,11 +107,20 @@ class TestRuleKernel:
     def test_matches_direct_evaluation(self, case, order):
         rule = quadrature_rule(case, order)
         pairs = _kernel_pairs(case)
-        got = _apply_rule_pairs(rule, np.array([a for a, _ in pairs]),
-                                np.array([b for _, b in pairs]))
+        n = len(pairs)
+        coords = np.array([a for a, _ in pairs] + [b for _, b in pairs])
+        ia, ib = np.arange(n), np.arange(n, 2 * n)
+        got = _apply_rule_pairs(rule, coords, ia, ib)
         for value, (ta, tb) in zip(got, pairs):
             ref = _direct_rule_value(rule, ta, tb)
             assert abs(value - ref) / ref < 1e-13
+        # panels stored in another vertex order, put back by slot orders
+        turn = np.array([[1, 2, 0], [2, 0, 1]] * n)
+        stored = np.take_along_axis(coords, turn[:, :, None], axis=1)
+        back = np.argsort(turn, axis=1)
+        assert np.array_equal(
+            _apply_rule_pairs(rule, stored, ia, ib, (back[ia], back[ib])),
+            got)
 
     def test_table_invariant_under_dyadic_translation(self, refined_once):
         _, mesh, _ = refined_once
@@ -119,8 +131,9 @@ class TestRuleKernel:
         assert np.abs(H - G).max() <= 1e-14 * np.abs(G).max()
 
     def test_non_finite_table_raises(self, initial_mesh, monkeypatch):
-        monkeypatch.setattr("crbem.assembly._apply_rule_pairs",
-                            lambda rule, ta, tb: np.full(len(ta), np.nan))
+        monkeypatch.setattr(
+            "crbem.assembly._apply_rule_pairs",
+            lambda rule, coords, ia, ib, slots=None: np.full(len(ia), np.nan))
         with pytest.raises(NumericalError):
             assemble_energy_form(initial_mesh, 5)
 
@@ -295,8 +308,7 @@ class TestSplitKernels:
                                                        graded_robust_case):
         coords, (ci, cj), _ = graded_robust_case
         ref = _ref_triangle_distances(coords[ci], coords[cj])
-        assert np.array_equal(_triangle_distances(coords[ci], coords[cj]),
-                              ref)
+        assert np.array_equal(_triangle_distances(coords, ci, cj), ref)
 
     def test_distances_off_block_size(self):
         # 4096 + 37 random pairs, including touching and crossing ones
@@ -305,8 +317,11 @@ class TestSplitKernels:
         tb = rng.uniform(0.0, 1.0, (4133, 3, 2))
         tb[::7] = ta[::7, [1, 2, 0]]
         tb[1::7, 0] = ta[1::7, 2]
-        assert np.array_equal(_triangle_distances(ta, tb),
-                              _ref_triangle_distances(ta, tb))
+        pairs = np.arange(len(ta))
+        assert np.array_equal(
+            _triangle_distances(np.concatenate([ta, tb]), pairs,
+                                pairs + len(ta)),
+            _ref_triangle_distances(ta, tb))
 
     @pytest.mark.parametrize("block", [3, 1024])
     def test_robust_pairs_off_block_size(self, monkeypatch, block):
@@ -334,6 +349,38 @@ class TestSplitKernels:
                               mesh.vertices])
         assert np.array_equal(single_layer_field(coords, values, pts),
                               _ref_single_layer_field(coords, values, pts))
+
+
+def _traced_peak(fn, *args):
+    """Bytes that fn(*args) allocates at its peak above its start."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_pair_values_memory_is_blocked(graded_robust_case):
+    # Per near candidate the pass holds at most 64 bytes: its value, class
+    # code and robust flag, and for a disjoint pair its index, distance,
+    # band index and the two panel indices gathered for one call.  The
+    # per-block work arrays stay under 4 MiB: the rule kernel's r^2 block
+    # of _RULE_CHUNK doubles (1 MiB), and its panel chunks and the
+    # distance and classification arrays of _PAIR_BLOCK rows.  The robust
+    # path's own peak grows with its live cells and is measured on the same
+    # pairs.  Gathering the (P, 3, 2) coordinates of both panels of every
+    # disjoint pair alone takes 96 bytes a candidate.
+    coords, _, (ri, rj) = graded_robust_case
+    mesh = uniform_refine(graded_square_mesh(8, 2.0))[0]
+    _, ci, cj = _far_sweep(mesh)
+    args = (coords, mesh.triangles, _aspect(coords), _diameters(coords),
+            ci, cj, 5)
+    _pair_values(*args)  # builds the cached quadrature rules
+    robust = _traced_peak(_robust_pairs, coords[ri], coords[rj])
+    assert _traced_peak(_pair_values, *args) < (robust + 64 * len(ci)
+                                                 + (4 << 20))
 
 
 def _ref_near_candidates(mesh):

@@ -118,6 +118,25 @@ def test_runaway_robust_path_is_a_numerical_failure(tmp_path, capsys):
     assert "robust panel quadrature did not settle" in capsys.readouterr().err
 
 
+def test_out_of_memory_is_a_numerical_failure(tmp_path, capsys,
+                                              monkeypatch):
+    # as the next uniform level's 32768 x 32768 table would fail, without
+    # allocating it
+    def out_of_memory(config):
+        raise MemoryError("Unable to allocate 8.00 GiB for an array with "
+                          "shape (32768, 32768) and data type float64")
+
+    monkeypatch.setattr("crbem.cli.run_experiment", out_of_memory)
+    code = main(["run", "--experiment", "uniform-singular",
+                 "--out-csv", str(tmp_path / "x.csv")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: out of memory: Unable to "
+                          "allocate 8.00 GiB")
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "x.csv").exists()
+
+
 @pytest.mark.parametrize("order", ["2", "10"])
 def test_quad_order_out_of_range(tmp_path, capsys, order):
     code = main([

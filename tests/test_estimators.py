@@ -1,7 +1,9 @@
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from crbem import (
     CoefVec,
@@ -17,11 +19,13 @@ from crbem import (
     estimator_mu,
     estimator_mu_tilde,
     estimator_report,
+    graded_square_mesh,
     jump_term,
     solve_spd,
+    uniform_refine,
 )
 from crbem.spaces import PwConstVecField, jump_field
-from crbem.estimators import SolvePair
+from crbem.estimators import Level, SolvePair
 
 from conforming import conforming_to_cr, prolong_conforming
 
@@ -34,6 +38,15 @@ def conforming_component(phi, form, conf_space):
     b = assemble_rhs_manufactured(form, conf_space, w, source)
     a = assemble_stiffness(form, conf_space)
     return CoefVec(conf_space, solve_spd(a, b))
+
+
+@pytest.fixture(scope="module")
+def graded_stiffness():
+    """CR stiffness matrix and load vector of the refined graded mesh (512
+    panels, beta = 2)."""
+    level = Level(uniform_refine(graded_square_mesh(8, 2.0))[0],
+                  ("power", -0.6))
+    return assemble_stiffness(level.form, level.cr), level.load_cr
 
 
 class TestSolveSpd:
@@ -55,6 +68,27 @@ class TestSolveSpd:
         a = np.array([[1.0, 2.0], [2.0, 1.0]])  # indefinite
         with pytest.raises(NumericalError):
             solve_spd(a, np.ones(2))
+
+    def test_bad_residual_rejected(self):
+        # factors, but the solution has a relative residual near 2e-9
+        with pytest.raises(NumericalError, match="solver residual"):
+            solve_spd(sla.hilbert(12), np.ones(12))
+
+    def test_factors_in_place(self, graded_stiffness):
+        # the in-place factorization is the one of a copy, bit for bit,
+        # and no second n x n array is allocated
+        a, b = graded_stiffness
+        want = sla.cho_solve(sla.cho_factor(a.copy()), b)
+        a = a.copy()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            x = solve_spd(a, b)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(x, want)
+        assert peak < a.nbytes / 4
 
 
 class TestSolvePair:
