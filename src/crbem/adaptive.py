@@ -18,6 +18,7 @@ and graded presets report only levels whose fine solve fits the cap.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import os
@@ -283,9 +284,9 @@ def _format_value(v):
 
 def emit_csv(history, sink):
     """Write the convergence history with the fixed column schema."""
-    own = isinstance(sink, (str, os.PathLike))
-    f = open(sink, "w", newline="") if own else sink
-    try:
+    path = isinstance(sink, (str, os.PathLike))
+    with (open(sink, "w", newline="") if path
+          else contextlib.nullcontext(sink)) as f:
         writer = csv.writer(f)
         writer.writerow(CSV_COLUMNS)
         for rec in history.records:
@@ -293,9 +294,6 @@ def emit_csv(history, sink):
                 rec.level, rec.n_coarse, rec.n_fine, rec.eta2,
                 rec.eta_tilde2, rec.mu2, rec.mu_tilde2, rec.rho2,
                 rec.rho_hat2, rec.conf_gap2, rec.wall_ms)])
-    finally:
-        if own:
-            f.close()
 
 
 _SVG_SERIES = (
@@ -375,10 +373,6 @@ def emit_svg_plot(history, sink):
               f'text-anchor="middle">degrees of freedom</text>\n')
     out.write("</svg>\n")
 
-    own = isinstance(sink, (str, os.PathLike))
-    f = open(sink, "w") if own else sink
-    try:
+    path = isinstance(sink, (str, os.PathLike))
+    with open(sink, "w") if path else contextlib.nullcontext(sink) as f:
         f.write(out.getvalue())
-    finally:
-        if own:
-            f.close()

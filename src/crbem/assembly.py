@@ -36,9 +36,10 @@ The tile buffers take 2 x 663 KB at the default order, and
 assemble_stiffness fills A by blocks of _STIFF_BLOCK DOF rows, each
 symmetrized in place against the rows above it.  The near-field pass
 works in blocks too: _pair_values classifies the near candidates in
-blocks of _PAIR_BLOCK rows into a one-byte class code and keeps per
-class only the indices of its pairs, and the rule kernel and the
-triangle distances gather panel coordinates block by block from them.
+blocks of _PAIR_BLOCK rows into a one-byte class code, keeps per class
+only the indices of its pairs, and in one loop gathers the panels of a
+block of pairs, in the vertex order of their case, for a kernel that
+sees only that block.
 
 Every rule-based pair (the three singular cases and the near and close
 disjoint bands) is evaluated by one kernel.  A node pair (x1, x2),
@@ -61,15 +62,15 @@ The robust path computes the edge frames of the inner panels (start
 vertex, unit tangent, length) once per call and evaluates the closed form
 in place on split x and y coordinate arrays, in blocks of _ROBUST_BLOCK
 cells times the 25 Duffy points.  The triangle distances that pick the
-disjoint bands are split and blocked the same way.  Both kernels keep the
+disjoint bands are split the same way.  Both kernels keep the
 floating-point operations of the earlier (M, K, 2) formulation, in the
 same order: subdivision stops where four children agree with their parent
 to _ROBUST_RTOL and the bands compare distance ratios with RHO_CLOSE and
 RHO_NEAR, so a change of rounding could flip a decision and move a table
 entry by up to about 1e-6 relative.  The tests keep the earlier kernels
-and check bit equality.  A table makes one robust-path call; once its
-live cells pass _ROBUST_MAX_CELLS it raises NumericalError instead of
-running out of memory.
+and check bit equality.  The robust path runs once per block of pairs;
+its stop test reads only sums per pair, so blocking changes no bit.  Past
+_ROBUST_MAX_CELLS live cells in a block it raises NumericalError.
 """
 
 from __future__ import annotations
@@ -118,17 +119,16 @@ _ROBUST_MAX_DEPTH = 24
 # 2048-panel beta=2 graded mesh: 2.2 s at 1024 cells, 2.6 s at 4096, about
 # flat from 256 to 1024.
 _ROBUST_BLOCK = 1024
-# live cells of one robust-path call before it gives up with NumericalError.
-# One call serves a whole table: the beta=2 graded preset peaks at 140,480
-# cells (2048 panels), 7.5 times below the cap; beta=20 reaches exactly
-# 2^20 cells on its 32-panel mesh and still settles, because only a count
-# above the cap fails.  Without a cap, beta=50 runs out of memory.
+# live cells of one robust-path call, one block of at most _PAIR_BLOCK
+# pairs, before it gives up with NumericalError: the beta=2 graded preset
+# peaks at 67,600 (2048 panels), 15 times below; beta=20 reaches exactly
+# 2^20 on its 32-panel mesh and settles, because only a count above the
+# cap fails.  Without a cap, beta=50 runs out of memory.
 _ROBUST_MAX_CELLS = 1 << 20
-# panel pairs per block of _triangle_distances, of the classification in
-# _pair_values and of the panel gathers of _apply_rule_pairs.
-# Single-thread time of the distances for the 639k near candidates of the
-# same mesh: 0.45 s at 4096 pairs, 0.76 s at 1024, 0.55 s at 16384 and
-# 1.05 s unblocked.
+# panel pairs per block of the near-field pass: of the classification in
+# _pair_values and of each gather that feeds a kernel.  Single-thread time
+# of the distances for the 639k near candidates of the same mesh: 0.45 s
+# at 4096 pairs, 0.76 s at 1024, 0.55 s at 16384 and 1.05 s unblocked.
 _PAIR_BLOCK = 4096
 # panels per row strip and per column tile of _far_table: two 663 KB tile
 # buffers at the default order.  Single-thread time of the far sweep with
@@ -297,41 +297,30 @@ def _rule_monomials(case, order):
     return mono
 
 
-def _apply_rule_pairs(rule, coords, ia, ib, slots=None):
-    """Rule evaluation for the panel pairs (coords[ia[p]], coords[ib[p]]).
+def _rule_step(rule):
+    """Pairs per GEMM of the rule kernel: _RULE_CHUNK r^2 entries."""
+    return max(1, _RULE_CHUNK // len(rule.weights))
 
-    ``slots``, if given, is a pair of (P, 3) vertex orders: panel a of pair
-    p is coords[ia[p]] with its vertices taken in the order slots[0][p],
-    panel b likewise.  The edge vectors are e1 = v1 - v0 and e2 = v2 - v1,
-    as in _map_nodes; r^2 = gram @ monomials is one GEMM per block (see
-    the module notes).  Panels are gathered in chunks of whole blocks,
-    about _PAIR_BLOCK pairs, so that rules whose blocks hold only 13-17
-    pairs do not pay a gather per block.
-    """
+
+def _apply_rule_pairs(rule, a, b):
+    """Rule values of the panel pairs (a[p], b[p]), (P, 3, 2) each, in the
+    rule's vertex order; e1 = v1 - v0 and e2 = v2 - v1 as in _map_nodes,
+    and r^2 = gram @ monomials is one GEMM per _rule_step(rule) pairs."""
     mono = _rule_monomials(rule.case, rule.order)
-    out = np.empty(len(ia))
-    step = max(1, _RULE_CHUNK // mono.shape[1])
-    chunk = step * max(1, _PAIR_BLOCK // step)
-    for c0 in range(0, len(ia), chunk):
-        rows = slice(c0, c0 + chunk)
-        if slots is None:
-            a, b = coords[ia[rows]], coords[ib[rows]]
-        else:
-            a = coords[ia[rows, None], slots[0][rows]]
-            b = coords[ib[rows, None], slots[1][rows]]
-        vecs = np.stack([a[:, 0] - b[:, 0], a[:, 1] - a[:, 0],
-                         a[:, 2] - a[:, 1], b[:, 0] - b[:, 1],
-                         b[:, 1] - b[:, 2]], axis=1)
-        area_a, area_b = _doubled_area(a), _doubled_area(b)
-        for lo in range(0, len(vecs), step):
-            v = vecs[lo:lo + step]
-            gram = np.einsum("pkc,pkc->pk", v[:, _GRAM_I], v[:, _GRAM_J])
-            r = gram @ mono
-            np.sqrt(r, out=r)
-            np.divide(1.0, r, out=r)
-            out[c0 + lo:c0 + lo + step] = ((r @ rule.weights)
-                                           * area_a[lo:lo + step]
-                                           * area_b[lo:lo + step])
+    step = _rule_step(rule)
+    vecs = np.stack([a[:, 0] - b[:, 0], a[:, 1] - a[:, 0],
+                     a[:, 2] - a[:, 1], b[:, 0] - b[:, 1],
+                     b[:, 1] - b[:, 2]], axis=1)
+    area_a, area_b = _doubled_area(a), _doubled_area(b)
+    out = np.empty(len(a))
+    for lo in range(0, len(a), step):
+        v = vecs[lo:lo + step]
+        gram = np.einsum("pkc,pkc->pk", v[:, _GRAM_I], v[:, _GRAM_J])
+        r = gram @ mono
+        np.sqrt(r, out=r)
+        np.divide(1.0, r, out=r)
+        out[lo:lo + step] = ((r @ rule.weights) * area_a[lo:lo + step]
+                             * area_b[lo:lo + step])
     return out / FOUR_PI
 
 
@@ -384,13 +373,13 @@ def _segment_potential(frames, px, py):
             if neg.any():
                 np.divide(dd, np.subtract(r_a, s_a, out=tmp), out=den,
                           where=neg)
+            # the term's limit 0 where d * d is not normal and num / den
+            # would overflow or be 0 / 0
+            small = np.less(np.abs(d, out=tmp), 1e-150, out=neg)
+            if small.any():
+                num[small] = den[small] = 1.0
             term = np.log(np.divide(num, den, out=num), out=num)
             term *= d
-            if not np.isfinite(term).all():
-                np.nan_to_num(term, copy=False)
-            small = np.less(np.abs(d, out=tmp), 1e-300, out=neg)
-            if small.any():
-                term[small] = 0.0
             total += term
     return total
 
@@ -411,8 +400,6 @@ def _robust_pairs(ta, tb):
     Raises NumericalError when the live cells of the subdivision exceed
     _ROBUST_MAX_CELLS.
     """
-    ta = np.asarray(ta, float)
-    tb = np.asarray(tb, float)
     nodes, wts = _gauss_duffy(_ROBUST_ORDER)
     n0, n1 = nodes[:, 0], nodes[:, 1]
     frames = _edge_frames(tb)
@@ -508,45 +495,39 @@ def _aspect(tris):
     return lmax2 / _doubled_area(tris)
 
 
-def _triangle_distances(coords, ia, ib):
-    """Minimum distance between the disjoint panels coords[ia[p]] and
-    coords[ib[p]], gathered block by block.
+def _triangle_distances(a, b):
+    """Minimum distances of the disjoint panels a[p], b[p], (P, 3, 2) each.
 
     Per edge pair, the closest points p1 + s u and q1 + t v are found by
     clamping the unconstrained minimizer s to [0, 1], then t given s, then
     s given t.
     """
-    best = np.full(len(ia), np.inf)
-    for lo in range(0, len(ia), _PAIR_BLOCK):
-        a = coords[ia[lo:lo + _PAIR_BLOCK]]
-        b = coords[ib[lo:lo + _PAIR_BLOCK]]
-        ax, ay, bx, by = a[..., 0], a[..., 1], b[..., 0], b[..., 1]
-        ux, uy = ax[:, [1, 2, 0]] - ax, ay[:, [1, 2, 0]] - ay
-        vx, vy = bx[:, [1, 2, 0]] - bx, by[:, [1, 2, 0]] - by
-        uu = ux * ux + uy * uy
-        vv = vx * vx + vy * vy
-        out = best[lo:lo + _PAIR_BLOCK]
-        for i in range(3):
-            for j in range(3):
-                wx = ax[:, i] - bx[:, j]
-                wy = ay[:, i] - by[:, j]
-                uv = ux[:, i] * vx[:, j] + uy[:, i] * vy[:, j]
-                uw = ux[:, i] * wx + uy[:, i] * wy
-                vw = vx[:, j] * wx + vy[:, j] * wy
-                den = uu[:, i] * vv[:, j] - uv * uv
-                s = np.zeros(len(a))
-                np.divide(uv * vw - vv[:, j] * uw, den, out=s,
-                          where=den > 1e-30)
-                np.clip(s, 0.0, 1.0, out=s)
-                t = np.zeros(len(a))
-                np.divide(uv * s + vw, vv[:, j], out=t, where=vv[:, j] > 1e-30)
-                np.clip(t, 0.0, 1.0, out=t)
-                s[:] = 0.0
-                np.divide(uv * t - uw, uu[:, i], out=s, where=uu[:, i] > 1e-30)
-                np.clip(s, 0.0, 1.0, out=s)
-                dx = (ax[:, i] + s * ux[:, i]) - (bx[:, j] + t * vx[:, j])
-                dy = (ay[:, i] + s * uy[:, i]) - (by[:, j] + t * vy[:, j])
-                np.minimum(out, np.sqrt(dx * dx + dy * dy), out=out)
+    ax, ay, bx, by = a[..., 0], a[..., 1], b[..., 0], b[..., 1]
+    ux, uy = ax[:, [1, 2, 0]] - ax, ay[:, [1, 2, 0]] - ay
+    vx, vy = bx[:, [1, 2, 0]] - bx, by[:, [1, 2, 0]] - by
+    uu = ux * ux + uy * uy
+    vv = vx * vx + vy * vy
+    best = np.full(len(a), np.inf)
+    for i in range(3):
+        for j in range(3):
+            wx = ax[:, i] - bx[:, j]
+            wy = ay[:, i] - by[:, j]
+            uv = ux[:, i] * vx[:, j] + uy[:, i] * vy[:, j]
+            uw = ux[:, i] * wx + uy[:, i] * wy
+            vw = vx[:, j] * wx + vy[:, j] * wy
+            den = uu[:, i] * vv[:, j] - uv * uv
+            s = np.zeros(len(a))
+            np.divide(uv * vw - vv[:, j] * uw, den, out=s, where=den > 1e-30)
+            np.clip(s, 0.0, 1.0, out=s)
+            t = np.zeros(len(a))
+            np.divide(uv * s + vw, vv[:, j], out=t, where=vv[:, j] > 1e-30)
+            np.clip(t, 0.0, 1.0, out=t)
+            s[:] = 0.0
+            np.divide(uv * t - uw, uu[:, i], out=s, where=uu[:, i] > 1e-30)
+            np.clip(s, 0.0, 1.0, out=s)
+            dx = (ax[:, i] + s * ux[:, i]) - (bx[:, j] + t * vx[:, j])
+            dy = (ay[:, i] + s * uy[:, i]) - (by[:, j] + t * vy[:, j])
+            np.minimum(best, np.sqrt(dx * dx + dy * dy), out=best)
     return best
 
 
@@ -570,11 +551,11 @@ def _pair_values(coords, tris, aspect, diam, i, j, order):
     p - 1 (rho >= RHO_NEAR) or p (rho >= RHO_CLOSE), else the robust path.
 
     The pairs are classified in blocks of _PAIR_BLOCK rows into a one-byte
-    class code.  Each class keeps only the indices of its pairs, from
-    which the rule kernel and the distances gather panel coordinates block
-    by block.  Besides per-block work arrays, the pass holds at most 64
-    bytes per pair: values, codes and robust flags, and for the disjoint
-    pairs their indices, distances and the panel indices of one band.
+    class code.  Each class keeps only the indices of its pairs, and one
+    loop, gathered(), hands every kernel the panels of one block of them.
+    Besides per-block work arrays, the pass holds at most 64 bytes per
+    pair: values, codes and robust flags, and for the disjoint pairs their
+    indices, distances and the panel indices of one band.
 
     The kernel's GEMM rounds a row differently depending on its position
     in the block, so rows keep a fixed order: edge pairs sorted by their
@@ -594,14 +575,30 @@ def _pair_values(coords, tris, aspect, diam, i, j, order):
     out = np.full(len(i), np.nan)
     robust = (code == 5) | (code == 6)
 
+    def gathered(kernel, k, slots=None, block=_PAIR_BLOCK):
+        # kernel(a, b) over the pairs k; slots, if given, is a pair of
+        # (len(k), 3) vertex orders in which panels i[k] and j[k] are taken
+        vals = np.empty(len(k))
+        for lo in range(0, len(k), block):
+            rows = slice(lo, lo + block)
+            if slots is None:
+                a, b = coords[i[k[rows]]], coords[j[k[rows]]]
+            else:
+                a = coords[i[k[rows], None], slots[0][rows]]
+                b = coords[j[k[rows], None], slots[1][rows]]
+            vals[rows] = kernel(a, b)
+        return vals
+
     def apply_rule(case, p, k, slots=None):
-        if len(k):
-            out[k] = _apply_rule_pairs(quadrature_rule(case, p), coords,
-                                       i[k], j[k], slots)
+        rule = quadrature_rule(case, p)
+        step = _rule_step(rule)
+        # whole GEMM steps: each GEMM sees the same rows at any _PAIR_BLOCK
+        out[k] = gathered(lambda a, b: _apply_rule_pairs(rule, a, b), k,
+                          slots, step * max(1, _PAIR_BLOCK // step))
 
     apply_rule("identical", order, np.flatnonzero(code == 3))
     k = np.flatnonzero(code == 7)
-    out[k] = _self_entry_closed_form(coords[i[k]])
+    out[k] = gathered(lambda a, b: _self_entry_closed_form(a), k)
 
     k = np.flatnonzero(code == 2)
     ti = tris[i[k]]
@@ -624,15 +621,14 @@ def _pair_values(coords, tris, aspect, diam, i, j, order):
                 _slot_order(np.argmax(shared.any(axis=1), axis=1))))
 
     k = np.flatnonzero(code % 4 == 0)
-    rho = _triangle_distances(coords, i[k], j[k])
+    rho = gathered(_triangle_distances, k)
     rho /= np.maximum(diam[i[k]], diam[j[k]])
     for band, p in ((k[rho >= RHO_NEAR], max(order - 1, 1)),
                     (k[(rho >= RHO_CLOSE) & (rho < RHO_NEAR)], order)):
         apply_rule("disjoint", p, band)
     robust[k[rho < RHO_CLOSE]] = True
 
-    k = np.flatnonzero(robust)
-    out[k] = _robust_pairs(coords[i[k]], coords[j[k]])
+    out[robust] = gathered(_robust_pairs, np.flatnonzero(robust))
     return out
 
 
@@ -816,11 +812,14 @@ def assemble_rhs_constant(space):
 
 
 def _power_moments_element(tri, alpha):
-    """Exact int_T x^alpha * lambda_j for one triangle, j = 0, 1, 2.
+    """int_T x^alpha * lambda_j for one triangle, j = 0, 1, 2.
 
     The triangle is cut into x-monotone strips; the inner y-integral of
     an affine function over an interval with affine bounds is a quadratic
-    in x, and int x^(alpha+k) has a closed form for alpha > -1.
+    in x, and int x^(alpha+k) has a closed form for alpha > -1.  The
+    closed form is exact, its floating-point value is not: for x^-0.6 it
+    is off by up to 3.0e-10 relative on the 8192-panel uniform mesh and
+    1.9e-7 on a 46,239-panel random NVB mesh, against 50-digit arithmetic.
     """
     x = tri[:, 0]
     y = tri[:, 1]
@@ -874,7 +873,7 @@ def _power_moments_element(tri, alpha):
 
 
 def assemble_rhs_power(space, alpha):
-    """Load vector of f = x^alpha for -1 < alpha < 0, exact per element."""
+    """Load vector of f = x^alpha for -1 < alpha < 0, by strip moments."""
     if not -1.0 < alpha:
         raise ValueError(f"power {alpha} gives a divergent load integral")
     mesh = space.mesh

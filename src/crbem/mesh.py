@@ -9,6 +9,7 @@ construction; refinement returns a new mesh plus a RefinementMap.
 
 from __future__ import annotations
 
+import contextlib
 import os
 from dataclasses import dataclass
 
@@ -193,13 +194,7 @@ def build_initial_square_mesh():
         [2, 6, 8], [6, 3, 8],
         [3, 7, 8], [7, 0, 8],
     ])
-    ref = np.empty(8, dtype=np.int64)
-    for k, (a, b, c) in enumerate(tris):
-        corner = a if a < 4 else b
-        locs = [a, b, c]
-        opp = [v for v in locs if v not in (corner, 8)][0]
-        ref[k] = locs.index(opp)
-    return Mesh(verts, tris, ref)
+    return Mesh(verts, tris, [1, 0, 1, 0, 1, 0, 1, 0])
 
 
 def _split_element(verts_of_tri, ref, midpoint_of, out_tris, out_ref):
@@ -317,28 +312,20 @@ def node_patch(mesh, node):
 
 def mesh_io_write(mesh, sink):
     """Write a mesh in the plain ASCII format (17 significant digits)."""
-    own = isinstance(sink, (str, os.PathLike))
-    f = open(sink, "w") if own else sink
-    try:
+    path = isinstance(sink, (str, os.PathLike))
+    with open(sink, "w") if path else contextlib.nullcontext(sink) as f:
         f.write(f"{mesh.num_vertices} {mesh.num_triangles}\n")
         for (x, y), b in zip(mesh.vertices, mesh.boundary_vertex):
             f.write(f"{x:.17g} {y:.17g} {int(b)}\n")
         for tri, ref, par in zip(mesh.triangles, mesh.ref_edge, mesh.parent):
             f.write(f"{tri[0]} {tri[1]} {tri[2]} {ref} {par}\n")
-    finally:
-        if own:
-            f.close()
 
 
 def mesh_io_read(source):
     """Read a mesh written by :func:`mesh_io_write` and validate it."""
-    own = isinstance(source, (str, os.PathLike))
-    f = open(source) if own else source
-    try:
+    path = isinstance(source, (str, os.PathLike))
+    with open(source) if path else contextlib.nullcontext(source) as f:
         lines = f.read().splitlines()
-    finally:
-        if own:
-            f.close()
 
     def fail(lineno, msg):
         raise MeshFormatError(f"line {lineno}: {msg}")

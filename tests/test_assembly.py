@@ -31,10 +31,12 @@ from crbem.assembly import (
     _apply_rule_pairs,
     _aspect,
     _curl_matrices,
+    _edge_frames,
     _far_table,
     _pair_values,
     _power_moments_element,
     _robust_pairs,
+    _segment_potential,
     _self_entry_closed_form,
     _triangle_distances,
     single_layer_field,
@@ -107,20 +109,31 @@ class TestRuleKernel:
     def test_matches_direct_evaluation(self, case, order):
         rule = quadrature_rule(case, order)
         pairs = _kernel_pairs(case)
-        n = len(pairs)
-        coords = np.array([a for a, _ in pairs] + [b for _, b in pairs])
-        ia, ib = np.arange(n), np.arange(n, 2 * n)
-        got = _apply_rule_pairs(rule, coords, ia, ib)
+        got = _apply_rule_pairs(rule, np.array([a for a, _ in pairs]),
+                                np.array([b for _, b in pairs]))
         for value, (ta, tb) in zip(got, pairs):
             ref = _direct_rule_value(rule, ta, tb)
             assert abs(value - ref) / ref < 1e-13
-        # panels stored in another vertex order, put back by slot orders
-        turn = np.array([[1, 2, 0], [2, 0, 1]] * n)
-        stored = np.take_along_axis(coords, turn[:, :, None], axis=1)
-        back = np.argsort(turn, axis=1)
-        assert np.array_equal(
-            _apply_rule_pairs(rule, stored, ia, ib, (back[ia], back[ib])),
-            got)
+
+    def test_gather_puts_stored_vertex_orders_back(self, refined_once):
+        # every other panel stored with its vertices turned; the gather in
+        # _pair_values hands the edge- and vertex-adjacent pairs to the
+        # rule kernel in their rule's vertex order all the same
+        _, mesh, _ = refined_once
+        _, ci, cj = _far_sweep(mesh)
+        turn = np.array([[0, 1, 2], [1, 2, 0], [0, 1, 2], [2, 0, 1]]
+                        * (mesh.num_triangles // 4))
+        values = []
+        for tris in (mesh.triangles,
+                     np.take_along_axis(mesh.triangles, turn, axis=1)):
+            coords = mesh.vertices[tris]
+            values.append(_pair_values(coords, tris, _aspect(coords),
+                                       _diameters(coords), ci, cj, 5))
+        shared = (mesh.triangles[ci][:, :, None]
+                  == mesh.triangles[cj][:, None, :]).sum(axis=(1, 2))
+        adjacent = (shared == 1) | (shared == 2)
+        assert adjacent.sum() > 50
+        assert np.array_equal(values[1][adjacent], values[0][adjacent])
 
     def test_table_invariant_under_dyadic_translation(self, refined_once):
         _, mesh, _ = refined_once
@@ -133,7 +146,7 @@ class TestRuleKernel:
     def test_non_finite_table_raises(self, initial_mesh, monkeypatch):
         monkeypatch.setattr(
             "crbem.assembly._apply_rule_pairs",
-            lambda rule, coords, ia, ib, slots=None: np.full(len(ia), np.nan))
+            lambda rule, a, b: np.full(len(a), np.nan))
         with pytest.raises(NumericalError):
             assemble_energy_form(initial_mesh, 5)
 
@@ -307,21 +320,30 @@ class TestSplitKernels:
     def test_triangle_distances_bitwise_on_graded_mesh(self,
                                                        graded_robust_case):
         coords, (ci, cj), _ = graded_robust_case
-        ref = _ref_triangle_distances(coords[ci], coords[cj])
-        assert np.array_equal(_triangle_distances(coords, ci, cj), ref)
-
-    def test_distances_off_block_size(self):
-        # 4096 + 37 random pairs, including touching and crossing ones
+        ta, tb = coords[ci], coords[cj]
+        assert np.array_equal(_triangle_distances(ta, tb),
+                              _ref_triangle_distances(ta, tb))
+        # random pairs, including touching and crossing ones
         rng = np.random.default_rng(3)
         ta = rng.uniform(0.0, 1.0, (4133, 3, 2))
         tb = rng.uniform(0.0, 1.0, (4133, 3, 2))
         tb[::7] = ta[::7, [1, 2, 0]]
         tb[1::7, 0] = ta[1::7, 2]
-        pairs = np.arange(len(ta))
-        assert np.array_equal(
-            _triangle_distances(np.concatenate([ta, tb]), pairs,
-                                pairs + len(ta)),
-            _ref_triangle_distances(ta, tb))
+        assert np.array_equal(_triangle_distances(ta, tb),
+                              _ref_triangle_distances(ta, tb))
+
+    def test_pair_values_off_block_size(self, monkeypatch):
+        # the near-field pass gathers, classifies and runs every kernel,
+        # the robust path included, block by block
+        mesh = graded_square_mesh(16, 2.0)
+        coords = mesh.triangle_coords()
+        _, ci, cj = _far_sweep(mesh)
+        args = (coords, mesh.triangles, _aspect(coords), _diameters(coords),
+                ci, cj, 5)
+        ref = _pair_values(*args)
+        for block in (37, 256):
+            monkeypatch.setattr("crbem.assembly._PAIR_BLOCK", block)
+            assert np.array_equal(_pair_values(*args), ref)
 
     @pytest.mark.parametrize("block", [3, 1024])
     def test_robust_pairs_off_block_size(self, monkeypatch, block):
@@ -334,6 +356,15 @@ class TestSplitKernels:
         tb = ta + [1.0 + rng.uniform(0.05, 0.3), 0.0]
         assert np.array_equal(_robust_pairs(ta, tb),
                               _ref_robust_pairs(ta, tb))
+
+    def test_segment_potential_near_edge_line(self):
+        # (0.3, -d) approaches an edge line of the panel from outside; the
+        # edge's term d log(num/den) tends to 0, also where d * d underflows
+        frames = _edge_frames(UNIT_RIGHT[None])
+        d = np.array([[0.0, 1e-290, 1e-200, 1e-160, 1e-100]])
+        got = _segment_potential(frames, np.full(d.shape, 0.3), -d)
+        assert np.isfinite(got).all()
+        assert (got == got[0, 0]).all()
 
     def test_single_layer_field_bitwise(self, refined_once):
         # random points plus points on the source edges and at vertices,
@@ -636,6 +667,15 @@ class TestEnergyForm:
         a = assemble_stiffness(form, space)
         eigvals = np.linalg.eigvalsh(a)
         assert eigvals.min() > 0
+
+    def test_robust_cell_cap_holds_per_block(self, monkeypatch):
+        # 1800 robust pairs whose subdivision peaks at 32,064 live cells
+        # over the whole table, but at most 4,752 in a block of 256 pairs
+        mesh = graded_square_mesh(16, 2.0)
+        G = assemble_energy_form(mesh, 5).table
+        monkeypatch.setattr("crbem.assembly._PAIR_BLOCK", 256)
+        monkeypatch.setattr("crbem.assembly._ROBUST_MAX_CELLS", 16384)
+        assert np.array_equal(assemble_energy_form(mesh, 5).table, G)
 
     def test_graded_entries_match_oracle(self):
         mesh = graded_square_mesh(8, 3.0)
