@@ -71,12 +71,25 @@ entry by up to about 1e-6 relative.  The tests keep the earlier kernels
 and check bit equality.  The robust path runs once per block of pairs;
 its stop test reads only sums per pair, so blocking changes no bit.  Past
 _ROBUST_MAX_CELLS live cells in a block it raises NumericalError.
+
+Threads: the blocks of cells of one robust-path call run on a thread
+pool (_block_pool), one thread per core the process may use.  Each block
+writes only its own slice of the cell values, so the table has the same
+bits on any number of threads.  The subdivision, the stop test and the
+cell cap stay on the caller's thread, which also allocates the work
+arrays of every thread.  This is the only thread pool of the package:
+the far sweep and the near-field gathers run on the caller's thread, as
+pooling them cost 3-6 MB of peak RSS on the smallest runs.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
+from queue import SimpleQueue
 
 import numpy as np
 import scipy.sparse as sp
@@ -114,10 +127,12 @@ SINGULAR_ASPECT_LIMIT = 3.0
 _ROBUST_RTOL = 1e-6
 _ROBUST_ORDER = 5
 _ROBUST_MAX_DEPTH = 24
-# cells per block of the robust-path kernel: its ten (1024, 25) work arrays
-# stay in L2.  Single-thread time for the 5480 robust pairs of the
-# 2048-panel beta=2 graded mesh: 2.2 s at 1024 cells, 2.6 s at 4096, about
-# flat from 256 to 1024.
+# cells per block of the robust-path kernel: a thread's twelve (1024, 25)
+# work arrays take 2.4 MB, about one core's L2 (2 MiB on a 2-core Xeon).
+# Time of the 8514 robust pairs of uniform_refine(graded_square_mesh(16,
+# 2.0)), median of 5 on that machine: one worker 2.8 s at 1024 cells,
+# 3.3 s at 4096, 2.7 s at 256; two workers 1.7 s at 1024, 1.8 s at 4096,
+# 3.1 s at 256.
 _ROBUST_BLOCK = 1024
 # live cells of one robust-path call, one block of at most _PAIR_BLOCK
 # pairs, before it gives up with NumericalError: the beta=2 graded preset
@@ -337,18 +352,18 @@ def _edge_frames(tris):
                      t[..., 1] / ln, ln], axis=-1)
 
 
-def _segment_potential(frames, px, py):
+def _segment_potential(frames, px, py, work):
     """int_tri 1/|x-y| dy in closed form, batched.
 
     frames: (M, 3, 5) edge frames of counterclockwise panels (see
-    _edge_frames); px, py: (M, K) point coordinates in the same plane.
+    _edge_frames); px, py: (M, K) point coordinates in the same plane;
+    work: ten (M, K) scratch arrays, of which the first is returned.
     Each edge adds d log(num/den), with d the signed distance of the point
     to the edge line and num, den from the tangential offsets s_b, s_a of
     the edge's end points; the rationalized form is used where s < 0.
     """
-    total = np.zeros(px.shape)
-    rx, ry, d, s_a, s_b, r_a, r_b, num, tmp = (np.empty(px.shape)
-                                               for _ in range(9))
+    total, rx, ry, d, s_a, s_b, r_a, r_b, num, tmp = work
+    total[...] = 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         for k in range(3):
             ax, ay, tx, ty, ln = (frames[:, k, j, None] for j in range(5))
@@ -393,66 +408,124 @@ def _gauss_duffy(p):
     return nodes, (wa * wb * a).ravel()
 
 
+@contextmanager
+def _block_pool():
+    """Yield (map_blocks, workers), workers = len(os.sched_getaffinity(0)).
+
+    map_blocks(fn, starts) calls fn(lo, slot) for every block start lo
+    and returns when all are done: on min(workers, len(starts)) threads
+    of one pool that serves the whole with statement, or on the caller's
+    thread when that number is 1.  A slot in range(workers) is held by
+    one thread at a time, so a block may use per-slot work arrays.  Each
+    fn must write only its own block's slice, so the result does not
+    depend on the number of threads; numpy's ufuncs release the GIL.
+    np.errstate is per thread: fn enters its own.  On an error, blocks
+    not yet started are cancelled.
+    """
+    workers = len(os.sched_getaffinity(0))
+    pool = ThreadPoolExecutor(workers)
+    free = SimpleQueue()
+    for slot in range(workers):
+        free.put(slot)
+
+    def run(fn, lo):
+        slot = free.get()
+        try:
+            fn(lo, slot)
+        finally:
+            free.put(slot)
+
+    def map_blocks(fn, starts):
+        if min(workers, len(starts)) == 1:
+            for lo in starts:
+                fn(lo, 0)
+            return
+        for future in [pool.submit(run, fn, lo) for lo in starts]:
+            future.result()
+
+    try:
+        yield map_blocks, workers
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def _robust_pairs(ta, tb):
     """Adaptive outer quadrature over ta of the closed-form inner
     potential of tb; handles arbitrarily anisotropic or close panels.
 
+    The blocks of _ROBUST_BLOCK cells run on _block_pool's threads; the
+    subdivision, the stop test and the cell cap stay on the caller's.
     Raises NumericalError when the live cells of the subdivision exceed
     _ROBUST_MAX_CELLS.
     """
     nodes, wts = _gauss_duffy(_ROBUST_ORDER)
     n0, n1 = nodes[:, 0], nodes[:, 1]
     frames = _edge_frames(tb)
-
-    def cell_values(cells, owner):
-        out = np.empty(len(cells))
-        for lo in range(0, len(cells), _ROBUST_BLOCK):
-            c = cells[lo:lo + _ROBUST_BLOCK]
-            # Duffy nodes mapped as v0 + n0 (v1 - v0) + n1 (v2 - v1)
-            px, py = ((c[:, 1, i] - c[:, 0, i])[:, None] * n0 + c[:, 0, i, None]
-                      + (c[:, 2, i] - c[:, 1, i])[:, None] * n1 for i in (0, 1))
-            vals = _segment_potential(frames[owner[lo:lo + _ROBUST_BLOCK]],
-                                      px, py)
-            vals *= wts
-            out[lo:lo + _ROBUST_BLOCK] = _doubled_area(c) * vals.sum(axis=1)
-        return out
-
     n_pairs = len(ta)
     settled = np.zeros(n_pairs)
     owner = np.arange(n_pairs)
     cells = ta.copy()
-    parent = cell_values(cells, owner)
-    scale = np.abs(parent)
-    for depth in range(_ROBUST_MAX_DEPTH):
-        if not len(owner):
-            break
-        if 4 * len(owner) > _ROBUST_MAX_CELLS:
-            raise NumericalError(
-                f"robust panel quadrature did not settle: {4 * len(owner)} "
-                f"live cells at depth {depth + 1} exceed the cap of "
-                f"{_ROBUST_MAX_CELLS} (panels too anisotropic)")
-        m01 = 0.5 * (cells[:, 0] + cells[:, 1])
-        m12 = 0.5 * (cells[:, 1] + cells[:, 2])
-        m20 = 0.5 * (cells[:, 2] + cells[:, 0])
-        kids = np.stack([np.stack([cells[:, 0], m01, m20], 1),
-                         np.stack([m01, cells[:, 1], m12], 1),
-                         np.stack([m20, m12, cells[:, 2]], 1),
-                         np.stack([m01, m12, m20], 1)], axis=1)
-        kv = cell_values(kids.reshape(-1, 3, 2),
-                         np.repeat(owner, 4)).reshape(-1, 4)
-        ksum = kv.sum(axis=1)
-        done = (np.abs(ksum - parent)
-                <= _ROBUST_RTOL * np.maximum(scale[owner], 1e-300))
-        if depth == _ROBUST_MAX_DEPTH - 1:
-            done = np.ones_like(done)
-        np.add.at(settled, owner[done], ksum[done])
-        keep = ~done
-        owner = np.repeat(owner[keep], 4)
-        cells = kids[keep].reshape(-1, 3, 2)
-        parent = kv[keep].ravel()
-        running = settled.copy()
-        np.add.at(running, owner, np.abs(parent))
-        scale = np.maximum(scale, np.abs(running))
+    with _block_pool() as (map_blocks, workers):
+        # work arrays per slot: px, py and _segment_potential's ten.  They
+        # come from the caller's thread, as what a pool thread allocates
+        # stays resident in its own malloc arena after it is freed.
+        work = np.empty((workers, 12, _ROBUST_BLOCK, len(wts)))
+
+        def cell_values(cells, owner):
+            out = np.empty(len(cells))
+
+            def block(lo, slot):
+                hi = lo + _ROBUST_BLOCK
+                c = cells[lo:hi]
+                px, py, *scratch = work[slot, :, :len(c)]
+                # Duffy nodes mapped as v0 + n0 (v1 - v0) + n1 (v2 - v1)
+                for i, p in ((0, px), (1, py)):
+                    np.multiply((c[:, 1, i] - c[:, 0, i])[:, None], n0,
+                                out=p)
+                    p += c[:, 0, i, None]
+                    p += np.multiply((c[:, 2, i] - c[:, 1, i])[:, None], n1,
+                                     out=scratch[0])
+                vals = _segment_potential(frames[owner[lo:hi]], px, py,
+                                          scratch)
+                vals *= wts
+                out[lo:hi] = _doubled_area(c) * vals.sum(axis=1)
+
+            map_blocks(block, range(0, len(cells), _ROBUST_BLOCK))
+            return out
+
+        parent = cell_values(cells, owner)
+        scale = np.abs(parent)
+        for depth in range(_ROBUST_MAX_DEPTH):
+            if not len(owner):
+                break
+            if 4 * len(owner) > _ROBUST_MAX_CELLS:
+                raise NumericalError(
+                    f"robust panel quadrature did not settle: "
+                    f"{4 * len(owner)} live cells at depth {depth + 1} "
+                    f"exceed the cap of {_ROBUST_MAX_CELLS} (panels too "
+                    f"anisotropic)")
+            m01 = 0.5 * (cells[:, 0] + cells[:, 1])
+            m12 = 0.5 * (cells[:, 1] + cells[:, 2])
+            m20 = 0.5 * (cells[:, 2] + cells[:, 0])
+            kids = np.stack([np.stack([cells[:, 0], m01, m20], 1),
+                             np.stack([m01, cells[:, 1], m12], 1),
+                             np.stack([m20, m12, cells[:, 2]], 1),
+                             np.stack([m01, m12, m20], 1)], axis=1)
+            kv = cell_values(kids.reshape(-1, 3, 2),
+                             np.repeat(owner, 4)).reshape(-1, 4)
+            ksum = kv.sum(axis=1)
+            done = (np.abs(ksum - parent)
+                    <= _ROBUST_RTOL * np.maximum(scale[owner], 1e-300))
+            if depth == _ROBUST_MAX_DEPTH - 1:
+                done = np.ones_like(done)
+            np.add.at(settled, owner[done], ksum[done])
+            keep = ~done
+            owner = np.repeat(owner[keep], 4)
+            cells = kids[keep].reshape(-1, 3, 2)
+            parent = kv[keep].ravel()
+            running = settled.copy()
+            np.add.at(running, owner, np.abs(parent))
+            scale = np.maximum(scale, np.abs(running))
     return settled / FOUR_PI
 
 
@@ -900,8 +973,9 @@ def single_layer_field(source_coords, source_values, pts):
     py = pts[..., 1].reshape(1, -1)
     frames = _edge_frames(np.asarray(source_coords, float))
     u = np.zeros((px.shape[1], 2))
+    work = np.empty((10,) + px.shape)
     for s in range(len(source_coords)):
-        pot = _segment_potential(frames[s:s + 1], px, py)[0]
+        pot = _segment_potential(frames[s:s + 1], px, py, work)[0]
         u += pot[:, None] * source_values[s]
     return u.reshape(shape[:-1] + (2,)) / FOUR_PI
 

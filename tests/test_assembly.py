@@ -1,3 +1,6 @@
+import itertools
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -362,7 +365,8 @@ class TestSplitKernels:
         # edge's term d log(num/den) tends to 0, also where d * d underflows
         frames = _edge_frames(UNIT_RIGHT[None])
         d = np.array([[0.0, 1e-290, 1e-200, 1e-160, 1e-100]])
-        got = _segment_potential(frames, np.full(d.shape, 0.3), -d)
+        got = _segment_potential(frames, np.full(d.shape, 0.3), -d,
+                                 np.empty((10,) + d.shape))
         assert np.isfinite(got).all()
         assert (got == got[0, 0]).all()
 
@@ -676,6 +680,41 @@ class TestEnergyForm:
         monkeypatch.setattr("crbem.assembly._PAIR_BLOCK", 256)
         monkeypatch.setattr("crbem.assembly._ROBUST_MAX_CELLS", 16384)
         assert np.array_equal(assemble_energy_form(mesh, 5).table, G)
+
+    def test_robust_path_same_bits_on_one_and_two_workers(self,
+                                                           monkeypatch):
+        # 1800 robust pairs: two blocks of cells at the first call, more
+        # below it
+        mesh = graded_square_mesh(16, 2.0)
+        tables = []
+        for cpus in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+            tables.append(assemble_energy_form(mesh, 5).table)
+        assert np.array_equal(tables[0], tables[1])
+
+    def test_robust_worker_error_reaches_caller(self, monkeypatch):
+        # 1031 pairs: the first call's two blocks go to two pool threads,
+        # and the second block to reach the kernel fails
+        class KernelFailure(Exception):
+            pass
+
+        calls = itertools.count()
+        real = _segment_potential
+
+        def failing(*args):
+            if next(calls) == 1:
+                raise KernelFailure
+            return real(*args)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr("crbem.assembly._segment_potential", failing)
+        rng = np.random.default_rng(5)
+        ta = UNIT_RIGHT + rng.uniform(-0.05, 0.05, (1031, 3, 2))
+        threads = threading.active_count()
+        with pytest.raises(KernelFailure):
+            _robust_pairs(ta, ta + [1.2, 0.0])
+        assert next(calls) >= 2
+        assert threading.active_count() == threads
 
     def test_graded_entries_match_oracle(self):
         mesh = graded_square_mesh(8, 3.0)
