@@ -13,7 +13,6 @@ from .mesh import (
     refine_nvb,
     uniform_refine,
     graded_square_mesh,
-    node_patch,
     mesh_io_write,
     mesh_io_read,
 )

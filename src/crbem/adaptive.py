@@ -182,9 +182,8 @@ def _first_level(config):
     if name == "uniform-exact":
         # the exact solution is the center hat of the initial mesh
         space = conforming_space(mesh)
-        phi = CoefVec(space, np.ones(space.dof_count))
-        data = ("manufactured", phi,
-                (mesh.triangle_coords(), curl_field(phi).values))
+        w = curl_field(CoefVec(space, np.ones(space.dof_count)))
+        data = ("manufactured", w, (mesh.triangle_coords(), w.values))
     elif name.endswith("singular"):
         data = ("power", SINGULAR_POWER)
     else:

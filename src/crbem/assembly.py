@@ -72,12 +72,13 @@ and check bit equality.  The robust path runs once per block of pairs;
 its stop test reads only sums per pair, so blocking changes no bit.  Past
 _ROBUST_MAX_CELLS live cells in a block it raises NumericalError.
 
-Threads: the blocks of cells of one robust-path call run on a thread
-pool (_block_pool), one thread per core the process may use.  Each block
-writes only its own slice of the cell values, so the table has the same
-bits on any number of threads.  The subdivision, the stop test and the
-cell cap stay on the caller's thread, which also allocates the work
-arrays of every thread.  This is the only thread pool of the package:
+Threads: one robust-path call opens a ThreadPoolExecutor with one thread
+per core the process may use, and each set of cells is split statically:
+thread s evaluates every workers-th block from the s-th on, in its own
+work arrays, which the caller's thread allocates.  Each block writes only
+its own slice of the cell values, so the table has the same bits on any
+number of threads.  The subdivision, the stop test and the cell cap stay
+on the caller's thread.  This is the only thread pool of the package:
 the far sweep and the near-field gathers run on the caller's thread, as
 pooling them cost 3-6 MB of peak RSS on the smallest runs.
 """
@@ -86,17 +87,15 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
-from queue import SimpleQueue
 
 import numpy as np
 import scipy.sparse as sp
 from numpy.polynomial.legendre import leggauss
 
 from .mesh import Mesh
-from .spaces import PwConstVecField, CoefVec, barycentric_gradients, curl_field
+from .spaces import barycentric_gradients
 
 __all__ = [
     "EnergyForm",
@@ -130,9 +129,10 @@ _ROBUST_MAX_DEPTH = 24
 # cells per block of the robust-path kernel: a thread's twelve (1024, 25)
 # work arrays take 2.4 MB, about one core's L2 (2 MiB on a 2-core Xeon).
 # Time of the 8514 robust pairs of uniform_refine(graded_square_mesh(16,
-# 2.0)), median of 5 on that machine: one worker 2.8 s at 1024 cells,
-# 3.3 s at 4096, 2.7 s at 256; two workers 1.7 s at 1024, 1.8 s at 4096,
-# 3.1 s at 256.
+# 2.0)) on that machine, median of 5 runs: at 1024 cells one worker 2.9 s
+# and two workers 1.8 s (medians over 5 processes).  Measured with blocks
+# handed out one at a time rather than split statically: one worker 3.3 s
+# at 4096 and 2.7 s at 256, two workers 1.8 s at 4096 and 3.1 s at 256.
 _ROBUST_BLOCK = 1024
 # live cells of one robust-path call, one block of at most _PAIR_BLOCK
 # pairs, before it gives up with NumericalError: the beta=2 graded preset
@@ -408,55 +408,15 @@ def _gauss_duffy(p):
     return nodes, (wa * wb * a).ravel()
 
 
-@contextmanager
-def _block_pool():
-    """Yield (map_blocks, workers), workers = len(os.sched_getaffinity(0)).
-
-    map_blocks(fn, starts) calls fn(lo, slot) for every block start lo
-    and returns when all are done: on min(workers, len(starts)) threads
-    of one pool that serves the whole with statement, or on the caller's
-    thread when that number is 1.  A slot in range(workers) is held by
-    one thread at a time, so a block may use per-slot work arrays.  Each
-    fn must write only its own block's slice, so the result does not
-    depend on the number of threads; numpy's ufuncs release the GIL.
-    np.errstate is per thread: fn enters its own.  On an error, blocks
-    not yet started are cancelled.
-    """
-    workers = len(os.sched_getaffinity(0))
-    pool = ThreadPoolExecutor(workers)
-    free = SimpleQueue()
-    for slot in range(workers):
-        free.put(slot)
-
-    def run(fn, lo):
-        slot = free.get()
-        try:
-            fn(lo, slot)
-        finally:
-            free.put(slot)
-
-    def map_blocks(fn, starts):
-        if min(workers, len(starts)) == 1:
-            for lo in starts:
-                fn(lo, 0)
-            return
-        for future in [pool.submit(run, fn, lo) for lo in starts]:
-            future.result()
-
-    try:
-        yield map_blocks, workers
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
 def _robust_pairs(ta, tb):
     """Adaptive outer quadrature over ta of the closed-form inner
     potential of tb; handles arbitrarily anisotropic or close panels.
 
-    The blocks of _ROBUST_BLOCK cells run on _block_pool's threads; the
-    subdivision, the stop test and the cell cap stay on the caller's.
-    Raises NumericalError when the live cells of the subdivision exceed
-    _ROBUST_MAX_CELLS.
+    The blocks of _ROBUST_BLOCK cells run on one thread per core the
+    process may use: thread s takes every workers-th block from the s-th
+    on, with work arrays of its own.  The subdivision, the stop test and
+    the cell cap stay on the caller's thread.  Raises NumericalError when
+    the live cells of the subdivision exceed _ROBUST_MAX_CELLS.
     """
     nodes, wts = _gauss_duffy(_ROBUST_ORDER)
     n0, n1 = nodes[:, 0], nodes[:, 1]
@@ -465,32 +425,35 @@ def _robust_pairs(ta, tb):
     settled = np.zeros(n_pairs)
     owner = np.arange(n_pairs)
     cells = ta.copy()
-    with _block_pool() as (map_blocks, workers):
-        # work arrays per slot: px, py and _segment_potential's ten.  They
-        # come from the caller's thread, as what a pool thread allocates
-        # stays resident in its own malloc arena after it is freed.
-        work = np.empty((workers, 12, _ROBUST_BLOCK, len(wts)))
+    workers = len(os.sched_getaffinity(0))
+    # work arrays per thread: px, py and _segment_potential's ten.  They
+    # come from the caller's thread, as what a pool thread allocates stays
+    # resident in its own malloc arena after it is freed.
+    work = np.empty((workers, 12, _ROBUST_BLOCK, len(wts)))
+    with ThreadPoolExecutor(workers) as pool:
 
         def cell_values(cells, owner):
             out = np.empty(len(cells))
+            starts = range(0, len(cells), _ROBUST_BLOCK)
 
-            def block(lo, slot):
-                hi = lo + _ROBUST_BLOCK
-                c = cells[lo:hi]
-                px, py, *scratch = work[slot, :, :len(c)]
-                # Duffy nodes mapped as v0 + n0 (v1 - v0) + n1 (v2 - v1)
-                for i, p in ((0, px), (1, py)):
-                    np.multiply((c[:, 1, i] - c[:, 0, i])[:, None], n0,
-                                out=p)
-                    p += c[:, 0, i, None]
-                    p += np.multiply((c[:, 2, i] - c[:, 1, i])[:, None], n1,
-                                     out=scratch[0])
-                vals = _segment_potential(frames[owner[lo:hi]], px, py,
-                                          scratch)
-                vals *= wts
-                out[lo:hi] = _doubled_area(c) * vals.sum(axis=1)
+            def run(s):
+                for lo in starts[s::workers]:
+                    hi = lo + _ROBUST_BLOCK
+                    c = cells[lo:hi]
+                    px, py, *scratch = work[s, :, :len(c)]
+                    # Duffy nodes mapped as v0 + n0 (v1 - v0) + n1 (v2 - v1)
+                    for i, p in ((0, px), (1, py)):
+                        np.multiply((c[:, 1, i] - c[:, 0, i])[:, None], n0,
+                                    out=p)
+                        p += c[:, 0, i, None]
+                        p += np.multiply((c[:, 2, i] - c[:, 1, i])[:, None],
+                                         n1, out=scratch[0])
+                    vals = _segment_potential(frames[owner[lo:hi]], px, py,
+                                              scratch)
+                    vals *= wts
+                    out[lo:hi] = _doubled_area(c) * vals.sum(axis=1)
 
-            map_blocks(block, range(0, len(cells), _ROBUST_BLOCK))
+            list(pool.map(run, range(min(workers, len(starts)))))
             return out
 
         parent = cell_values(cells, owner)
@@ -1017,27 +980,18 @@ def _consistency_correction(space, field_fn):
     return c
 
 
-def assemble_rhs_manufactured(form, space, phi, source):
+def assemble_rhs_manufactured(form, space, w, source):
     """Load vector of the manufactured data f = W(phi).
 
-    ``phi`` is either a conforming coefficient vector on the form's mesh
-    or a piecewise-constant curl field on that mesh (the curl of a
-    coarse-mesh function carried to this mesh).  Entries against
-    conforming test functions are a(phi, basis_i); nonconforming test
-    functions additionally see the inter-element terms of the data,
+    ``w`` is the curl of phi, a PwConstVecField on the form's mesh (the
+    curl of a coarse-mesh function carried to this mesh).  Entries
+    against conforming test functions are a(phi, basis_i); nonconforming
+    test functions additionally see the inter-element terms of the data,
     evaluated from ``source`` = (panel coords, curl values), the curl
     density on its coarsest mesh.
     """
-    if isinstance(phi, CoefVec):
-        if phi.space.mesh is not form.mesh:
-            raise ValueError("phi does not live on the form's mesh")
-        w = curl_field(phi)
-    elif isinstance(phi, PwConstVecField):
-        if phi.mesh is not form.mesh:
-            raise ValueError("phi does not live on the form's mesh")
-        w = phi
-    else:
-        raise TypeError("phi must be a CoefVec or PwConstVecField")
+    if w.mesh is not form.mesh:
+        raise ValueError("w does not live on the form's mesh")
     if space.mesh is not form.mesh:
         raise ValueError("space does not live on the form's mesh")
     cx, cy = _curl_matrices(space)

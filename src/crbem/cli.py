@@ -61,11 +61,15 @@ def _output_error(args):
             continue
         if os.path.isdir(path):
             return f"{flag} {path} is a directory"
+        if not os.path.basename(path):
+            return f"{flag} {path!r} does not name a file"
         parent = os.path.dirname(os.path.abspath(path))
         if not os.path.isdir(parent):
             return f"{flag} {path}: directory {parent} does not exist"
         if not os.access(parent, os.W_OK):
             return f"{flag} {path}: directory {parent} is not writable"
+    if args.dump_meshes == "":
+        return "--dump-meshes '' does not name a directory"
     if args.dump_meshes is not None:
         # the run creates what is missing below the nearest existing path
         existing = os.path.abspath(args.dump_meshes)

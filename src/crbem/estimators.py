@@ -116,10 +116,10 @@ class Level:
     """One mesh and its Galerkin problems, each part computed on first use.
 
     ``data`` is ('constant',), ('power', alpha), or
-    ('manufactured', phi, source): phi is the data on this mesh (a
-    conforming coefficient vector or a piecewise-constant curl field) and
-    source = (panel coords, curl values) its curl density on the coarsest
-    mesh, shared by every refinement so that the data agree exactly.
+    ('manufactured', w, source): w is the curl of the data on this mesh,
+    a PwConstVecField, and source = (panel coords, curl values) the curl
+    density on the coarsest mesh, shared by every refinement so that the
+    data agree exactly.
     """
 
     mesh: Mesh
@@ -163,12 +163,8 @@ class Level:
         to each child from its parent."""
         data = self.data
         if data[0] == "manufactured":
-            w = data[1]
-            if not isinstance(w, PwConstVecField):
-                w = curl_field(w)
-            data = ("manufactured",
-                    PwConstVecField(mesh, w.values[rmap.child_to_parent]),
-                    data[2])
+            w = data[1].values[rmap.child_to_parent]
+            data = ("manufactured", PwConstVecField(mesh, w), data[2])
         return Level(mesh, data, self.order)
 
 

@@ -23,7 +23,6 @@ __all__ = [
     "refine_nvb",
     "uniform_refine",
     "graded_square_mesh",
-    "node_patch",
     "mesh_io_write",
     "mesh_io_read",
 ]
@@ -301,13 +300,6 @@ def graded_square_mesh(n, beta):
     mapped = _grading_map(mesh.vertices, beta)
     return Mesh(mapped, mesh.triangles.copy(), mesh.ref_edge.copy(),
                 parent=mesh.parent.copy())
-
-
-def node_patch(mesh, node):
-    """Indices of all elements containing the given node."""
-    if not 0 <= node < mesh.num_vertices:
-        raise IndexError(f"node {node} out of range")
-    return np.flatnonzero((mesh.triangles == node).any(axis=1))
 
 
 def mesh_io_write(mesh, sink):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import Mesh, node_patch
+from .mesh import Mesh
 
 __all__ = [
     "DofSpace",
@@ -258,8 +258,12 @@ def clement_interpolate(fine_coeffs, coarse_mesh, rmap):
     tris = coarse_mesh.triangles
     areas = coarse_mesh.areas
     mass_ref = (np.ones((3, 3)) + np.eye(3)) / 12.0
+    # the elements of node z's patch, ascending: order[start[z]:start[z + 1]]
+    order = np.argsort(tris.ravel(), kind="stable")
+    start = np.searchsorted(tris.ravel()[order],
+                            np.arange(coarse_mesh.num_vertices + 1))
     for z in out_space.dof_to_entity:
-        patch = node_patch(coarse_mesh, z)
+        patch = order[start[z]:start[z + 1]] // 3
         local_nodes, local_tris = np.unique(tris[patch], return_inverse=True)
         local_tris = local_tris.reshape(-1, 3)
         n = len(local_nodes)

@@ -27,9 +27,9 @@ def refined_once(initial_mesh):
 def center_hat_recipe():
     mesh0 = build_initial_square_mesh()
     space0 = conforming_space(mesh0)
-    phi = CoefVec(space0, np.ones(space0.dof_count))
-    source = (mesh0.triangle_coords(), curl_field(phi).values)
-    return ("manufactured", phi, source), mesh0
+    w = curl_field(CoefVec(space0, np.ones(space0.dof_count)))
+    source = (mesh0.triangle_coords(), w.values)
+    return ("manufactured", w, source), mesh0
 
 
 @pytest.fixture(scope="session")

@@ -351,7 +351,9 @@ class TestSplitKernels:
     @pytest.mark.parametrize("block", [3, 1024])
     def test_robust_pairs_off_block_size(self, monkeypatch, block):
         # 1031 shape-regular close pairs: neither the pair count nor the
-        # child counts are multiples of the block size
+        # child counts are multiples of the block size.  On two threads
+        # the 61 pairs' 21 blocks of 3 at the first call split 11 to 10.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setattr("crbem.assembly._ROBUST_BLOCK", block)
         rng = np.random.default_rng(5)
         n = 1031 if block == 1024 else 61
@@ -693,8 +695,9 @@ class TestEnergyForm:
         assert np.array_equal(tables[0], tables[1])
 
     def test_robust_worker_error_reaches_caller(self, monkeypatch):
-        # 1031 pairs: the first call's two blocks go to two pool threads,
-        # and the second block to reach the kernel fails
+        # 1031 pairs: at the first call thread 0 takes the block at 0 and
+        # thread 1 the block at 1024, and the second to reach the kernel
+        # fails
         class KernelFailure(Exception):
             pass
 
@@ -868,15 +871,16 @@ class TestRhs:
         form = assemble_energy_form(initial_mesh, 5)
         space = conforming_space(initial_mesh)
         phi = CoefVec(space, np.zeros(1))
-        b = assemble_rhs_manufactured(form, space, phi, own_source(phi))
+        b = assemble_rhs_manufactured(form, space, curl_field(phi),
+                                      own_source(phi))
         assert np.allclose(b, 0.0)
 
     def test_manufactured_cr_nonzero(self, initial_mesh):
         form = assemble_energy_form(initial_mesh, 5)
         conf = conforming_space(initial_mesh)
         phi = CoefVec(conf, np.ones(1))
-        b = assemble_rhs_manufactured(form, cr_space(initial_mesh), phi,
-                                      own_source(phi))
+        b = assemble_rhs_manufactured(form, cr_space(initial_mesh),
+                                      curl_field(phi), own_source(phi))
         assert np.abs(b).max() > 0
 
     def test_manufactured_conforming_galerkin_reproduces_data(self, refined_once):
@@ -885,7 +889,8 @@ class TestRhs:
         space = conforming_space(fine)
         rng = np.random.default_rng(8)
         phi = CoefVec(space, rng.standard_normal(space.dof_count))
-        b = assemble_rhs_manufactured(form, space, phi, own_source(phi))
+        b = assemble_rhs_manufactured(form, space, curl_field(phi),
+                                      own_source(phi))
         a = assemble_stiffness(form, space)
         x = np.linalg.solve(a, b)
         assert np.abs(x - phi.values).max() < 1e-10

@@ -83,6 +83,25 @@ def test_output_in_missing_directory_is_a_config_error(tmp_path, capsys,
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("flag, path", [
+    ("--out-csv", ""), ("--out-csv", "newdir/"), ("--out-svg", ""),
+    ("--out-svg", "newdir/"), ("--dump-meshes", "")])
+def test_output_path_naming_nothing_is_a_config_error(tmp_path, capsys,
+                                                      monkeypatch, flag, path):
+    # an empty path, or a file path that ends in a separator, would pass
+    # the directory checks and fail only after the run
+    monkeypatch.setattr("crbem.cli.run_experiment", _no_run)
+    monkeypatch.chdir(tmp_path)
+    args = {"--out-csv": "x.csv", flag: path}
+    code = main(["run", "--experiment", "uniform-smooth"]
+                + [s for item in args.items() for s in item])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} ")
+    assert len(err.strip().splitlines()) == 1
+    assert os.listdir(tmp_path) == []
+
+
 def test_dump_meshes_onto_a_file_is_a_config_error(tmp_path, capsys,
                                                     monkeypatch):
     monkeypatch.setattr("crbem.cli.run_experiment", _no_run)

@@ -10,7 +10,6 @@ from crbem import (
     refine_nvb,
     uniform_refine,
     graded_square_mesh,
-    node_patch,
     mesh_io_write,
     mesh_io_read,
 )
@@ -52,9 +51,6 @@ class TestInitialMesh:
             assert np.allclose(sorted([abs(a - 0.5).sum(), abs(b - 0.5).sum()]),
                                [0.0, 1.0])
 
-    def test_center_node_patch_is_everything(self, initial_mesh):
-        assert set(node_patch(initial_mesh, 8)) == set(range(8))
-
     def test_boundary_edge_patch(self, initial_mesh):
         tris = initial_mesh.edge_tris[initial_mesh.edge_boundary]
         assert np.all(tris[:, 0] >= 0) and np.all(tris[:, 1] == -1)
@@ -62,10 +58,6 @@ class TestInitialMesh:
     def test_interior_edge_patch(self, initial_mesh):
         tris = initial_mesh.edge_tris[initial_mesh.interior_edges()]
         assert np.all(tris >= 0) and np.all(tris[:, 0] < tris[:, 1])
-
-    def test_invalid_indices_raise(self, initial_mesh):
-        with pytest.raises(IndexError):
-            node_patch(initial_mesh, 99)
 
 
 class TestRefinement:
