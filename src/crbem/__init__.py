@@ -45,7 +45,7 @@ from .estimators import (
     NumericalError,
     Level,
     SolvePair,
-    EstimatorReport,
+    LevelRecord,
     solve_spd,
     solve_pair,
     estimator_eta,
@@ -58,7 +58,6 @@ from .estimators import (
 )
 from .adaptive import (
     ExperimentConfig,
-    LevelRecord,
     ConvergenceHistory,
     doerfler_mark,
     run_experiment,

@@ -33,10 +33,10 @@ from .mesh import (
     graded_square_mesh,
     mesh_io_write,
 )
-from .assembly import DEFAULT_ORDER
 from .spaces import CoefVec, conforming_space, curl_field
 from .estimators import (
     Level,
+    LevelRecord,
     NumericalError,
     solve_pair,
     estimator_report,
@@ -69,9 +69,6 @@ CSV_COLUMNS = ("level", "N_coarse", "N_fine", "eta2", "eta_tilde2", "mu2",
                "mu_tilde2", "rho2", "rho_hat2", "conf_gap2", "wall_ms")
 
 SINGULAR_POWER = -0.6
-# rule sizes grow as p^4 (the edge-adjacent rule has 16 p^4 nodes), so
-# the order is capped where the largest rule stays near 10^5 nodes
-MAX_QUAD_ORDER = 9
 # trailing levels over which fit_rate fits its slope
 RATE_WINDOW = 4
 
@@ -83,7 +80,6 @@ class ExperimentConfig:
     beta: float = 2.0
     max_levels: int = 12
     max_fine_dofs: int = 8000
-    quad_order: int = DEFAULT_ORDER
     dump_meshes: str | None = None
 
     def validate(self):
@@ -96,31 +92,7 @@ class ExperimentConfig:
             raise ValueError("max_levels must be at least 1")
         if not (np.isfinite(self.beta) and self.beta >= 1.0):
             raise ValueError(f"beta must be finite and >= 1, got {self.beta}")
-        if not 3 <= self.quad_order <= MAX_QUAD_ORDER:
-            raise ValueError(f"quadrature order must lie in "
-                             f"[3, {MAX_QUAD_ORDER}], got {self.quad_order}")
         return self
-
-
-@dataclass
-class LevelRecord:
-    """One refinement level of a convergence history.
-
-    Fine-solve quantities are None on coarse-only tail levels.
-    """
-
-    level: int
-    n_coarse: int
-    rho2: float
-    conf_gap2: float
-    n_fine: int | None = None
-    eta2: float | None = None
-    eta_tilde2: float | None = None
-    mu2: float | None = None
-    mu_tilde2: float | None = None
-    rho_hat2: float | None = None
-    wall_ms: float = 0.0
-    marked: int | None = None
 
 
 @dataclass
@@ -176,8 +148,7 @@ def _graded_mesh(n, beta):
 def _first_level(config):
     name = config.experiment
     if name.startswith("graded"):
-        return Level(_graded_mesh(2, config.beta), ("constant",),
-                     config.quad_order)
+        return Level(_graded_mesh(2, config.beta), ("constant",))
     mesh = build_initial_square_mesh()
     if name == "uniform-exact":
         # the exact solution is the center hat of the initial mesh
@@ -188,7 +159,7 @@ def _first_level(config):
         data = ("power", SINGULAR_POWER)
     else:
         data = ("constant",)
-    return Level(mesh, data, config.quad_order)
+    return Level(mesh, data)
 
 
 def _next_coarse(config, level, pair, marked):
@@ -199,7 +170,7 @@ def _next_coarse(config, level, pair, marked):
     if name.startswith("adaptive"):
         return pair.coarse.refined(*refine_nvb(pair.coarse.mesh, marked))
     return Level(_graded_mesh(2 ** (level + 2), config.beta),
-                 pair.coarse.data, config.quad_order)
+                 pair.coarse.data)
 
 
 def _fine_dof_prediction(mesh):
@@ -231,25 +202,19 @@ def run_experiment(config):
             last = True
         _maybe_dump(config, level, coarse.mesh)
         if uniform and last:
-            rec = LevelRecord(level=level, n_coarse=coarse.cr.dof_count,
+            rec = LevelRecord(n_coarse=coarse.cr.dof_count,
                               rho2=jump_term(coarse.mesh, coarse.phi)[0],
                               conf_gap2=conf_gap(coarse))
         else:
             pair = solve_pair(coarse)
-            rep = estimator_report(pair)
-            rec = LevelRecord(
-                level=level, n_coarse=rep.n_coarse, rho2=rep.rho2,
-                conf_gap2=rep.conf_gap2, n_fine=rep.n_fine, eta2=rep.eta2,
-                eta_tilde2=rep.eta_tilde2, mu2=rep.mu2,
-                mu_tilde2=rep.mu_tilde2, rho_hat2=rep.rho_hat2)
+            rec, indicators = estimator_report(pair)
             marked = None
             if adaptive:
-                marked, converged = doerfler_mark(rep.indicators,
-                                                  config.theta)
-                rec.marked = len(marked)
+                marked, converged = doerfler_mark(indicators, config.theta)
                 last = last or converged
             if not last:
                 coarse = _next_coarse(config, level, pair, marked)
+        rec.level = level
         rec.wall_ms = 1e3 * (time.perf_counter() - t0)
         history.records.append(rec)
         if last:
@@ -289,10 +254,8 @@ def emit_csv(history, sink):
         writer = csv.writer(f)
         writer.writerow(CSV_COLUMNS)
         for rec in history.records:
-            writer.writerow([_format_value(v) for v in (
-                rec.level, rec.n_coarse, rec.n_fine, rec.eta2,
-                rec.eta_tilde2, rec.mu2, rec.mu_tilde2, rec.rho2,
-                rec.rho_hat2, rec.conf_gap2, rec.wall_ms)])
+            writer.writerow([_format_value(getattr(rec, column.lower()))
+                             for column in CSV_COLUMNS])
 
 
 _SVG_SERIES = (

@@ -32,9 +32,9 @@ skipped: they are 7-65% of all pairs and do not form whole tiles.
 
 Memory: the table G (nt x nt) and a Galerkin matrix A (n x n) are the
 only quadratic arrays of a run; estimators.solve_spd factors A in place.
-The tile buffers take 2 x 663 KB at the default order, and
-assemble_stiffness fills A by blocks of _STIFF_BLOCK DOF rows, each
-symmetrized in place against the rows above it.  The near-field pass
+The tile buffers take 2 x 663 KB, and assemble_stiffness fills A by
+blocks of _STIFF_BLOCK DOF rows, each symmetrized in place against the
+rows above it.  The near-field pass
 works in blocks too: _pair_values classifies the near candidates in
 blocks of _PAIR_BLOCK rows into a one-byte class code, keeps per class
 only the indices of its pairs, and in one loop gathers the panels of a
@@ -112,9 +112,10 @@ __all__ = [
 
 FOUR_PI = 4.0 * np.pi
 
-# adjacency-case tensor orders relative to the base order p:
-# identical/edge/vertex use p, near-field disjoint p-1, far-field p-2.
-DEFAULT_ORDER = 5
+# tensor order of the singular-case rules (identical, edge, vertex) and
+# of close disjoint pairs; near disjoint pairs take ORDER - 1, the far
+# table ORDER - 2
+ORDER = 5
 # dist/max(diam) band edges for disjoint pairs
 RHO_FAR = 6.0
 RHO_NEAR = 0.6
@@ -146,12 +147,12 @@ _ROBUST_MAX_CELLS = 1 << 20
 # at 4096 pairs, 0.76 s at 1024, 0.55 s at 16384 and 1.05 s unblocked.
 _PAIR_BLOCK = 4096
 # panels per row strip and per column tile of _far_table: two 663 KB tile
-# buffers at the default order.  Single-thread time of the far sweep with
-# its near candidates on the 2048-panel beta=2 graded mesh (best to median
-# of 5, over three runs): 1.0-1.4 s at 2 x 512 and 1 x 1024, 1.2-1.7 s at
-# 16 x 64, 1.4-1.9 s at 4 x 256 and 1.8-2.0 s at 2 x 128.  Numpy's
-# broadcast subtraction is about four times faster per element on tile
-# rows of 4608 points than on rows of 576.
+# buffers.  Single-thread time of the far sweep with its near candidates
+# on the 2048-panel beta=2 graded mesh (best to median of 5, over three
+# runs): 1.0-1.4 s at 2 x 512 and 1 x 1024, 1.2-1.7 s at 16 x 64,
+# 1.4-1.9 s at 4 x 256 and 1.8-2.0 s at 2 x 128.  Numpy's broadcast
+# subtraction is about four times faster per element on tile rows of 4608
+# points than on rows of 576.
 _FAR_STRIP = 2
 _FAR_TILE = 512
 # DOF rows per block of assemble_stiffness.  Single-thread time for the
@@ -575,7 +576,7 @@ def _slot_order(first, second=None):
     return np.stack([first, second, 3 - first - second], axis=1)
 
 
-def _pair_values(coords, tris, aspect, diam, i, j, order):
+def _pair_values(coords, tris, aspect, diam, i, j):
     """Table entries of the panel pairs (i[k], j[k]), i <= j, of one mesh.
 
     A pair is classified by how many vertex indices its panels share: 3
@@ -584,7 +585,8 @@ def _pair_values(coords, tris, aspect, diam, i, j, order):
     anisotropic panels get the closed-form self entry and the other
     singular pairs with an anisotropic panel the robust path.  Disjoint
     pairs are binned by rho = dist / max(diam): the disjoint rule of order
-    p - 1 (rho >= RHO_NEAR) or p (rho >= RHO_CLOSE), else the robust path.
+    ORDER - 1 (rho >= RHO_NEAR) or ORDER (rho >= RHO_CLOSE), else the
+    robust path.
 
     The pairs are classified in blocks of _PAIR_BLOCK rows into a one-byte
     class code.  Each class keeps only the indices of its pairs, and one
@@ -632,7 +634,7 @@ def _pair_values(coords, tris, aspect, diam, i, j, order):
         out[k] = gathered(lambda a, b: _apply_rule_pairs(rule, a, b), k,
                           slots, step * max(1, _PAIR_BLOCK // step))
 
-    apply_rule("identical", order, np.flatnonzero(code == 3))
+    apply_rule("identical", ORDER, np.flatnonzero(code == 3))
     k = np.flatnonzero(code == 7)
     out[k] = gathered(lambda a, b: _self_entry_closed_form(a), k)
 
@@ -647,20 +649,21 @@ def _pair_values(coords, tris, aspect, diam, i, j, order):
         return _slot_order(*(np.argmax(tris[t] == v[:, None], axis=1)
                              for v in ends.T))
 
-    apply_rule("edge-adjacent", order, k, (along_edge(i[k]), along_edge(j[k])))
+    apply_rule("edge-adjacent", ORDER, k,
+               (along_edge(i[k]), along_edge(j[k])))
 
     # the shared vertex leads on both panels
     k = np.flatnonzero(code == 1)
     shared = tris[i[k]][:, :, None] == tris[j[k]][:, None, :]
-    apply_rule("vertex-adjacent", order, k,
+    apply_rule("vertex-adjacent", ORDER, k,
                (_slot_order(np.argmax(shared.any(axis=2), axis=1)),
                 _slot_order(np.argmax(shared.any(axis=1), axis=1))))
 
     k = np.flatnonzero(code % 4 == 0)
     rho = gathered(_triangle_distances, k)
     rho /= np.maximum(diam[i[k]], diam[j[k]])
-    for band, p in ((k[rho >= RHO_NEAR], max(order - 1, 1)),
-                    (k[(rho >= RHO_CLOSE) & (rho < RHO_NEAR)], order)):
+    for band, p in ((k[rho >= RHO_NEAR], ORDER - 1),
+                    (k[(rho >= RHO_CLOSE) & (rho < RHO_NEAR)], ORDER)):
         apply_rule("disjoint", p, band)
     robust[k[rho < RHO_CLOSE]] = True
 
@@ -684,7 +687,7 @@ class EnergyForm:
             raise ValueError("energy table does not match the mesh")
 
 
-def panel_integral(ta, tb, order=DEFAULT_ORDER):
+def panel_integral(ta, tb):
     """(1/4pi) int_ta int_tb |x-y|^(-1) for two flat panels.
 
     Both panels are oriented counterclockwise and vertices with exactly
@@ -704,17 +707,17 @@ def panel_integral(ta, tb, order=DEFAULT_ORDER):
     tris = [[0, 1, 2]] if set(tri_b) == {0, 1, 2} else [[0, 1, 2], tri_b]
     mesh = Mesh(np.vstack([pair[0], pair[1][new]]), tris,
                 np.zeros(len(tris), dtype=np.int64))
-    return float(assemble_energy_form(mesh, order).table[0, -1])
+    return float(assemble_energy_form(mesh).table[0, -1])
 
 
-def _far_table(coords, cent, diam, p):
+def _far_table(coords, cent, diam):
     """Far-field table and near candidates of a mesh, in one sweep.
 
-    Every entry G[i, j] gets the tensorized disjoint rule of order p; the
-    diagonal comes out non-finite (coincident points) and the entries of
-    the near candidates are overwritten afterwards.  Row strips of
-    _FAR_STRIP panels run against column tiles of _FAR_TILE panels, j >=
-    i, the strip's own square first (see the module notes).
+    Every entry G[i, j] gets the tensorized disjoint rule of order
+    ORDER - 2; the diagonal comes out non-finite (coincident points) and
+    the entries of the near candidates are overwritten afterwards.  Row
+    strips of _FAR_STRIP panels run against column tiles of _FAR_TILE
+    panels, j >= i, the strip's own square first (see the module notes).
 
     The near candidates are the pairs i <= j possibly closer than RHO_FAR
     diameters, in (i, j) order.  The diagonal and every pair that shares a
@@ -722,7 +725,7 @@ def _far_table(coords, cent, diam, p):
     the two radii.
     """
     nt = len(coords)
-    nodes, w = _gauss_duffy(p)
+    nodes, w = _gauss_duffy(ORDER - 2)
     k = len(w)
     pts = _map_nodes(coords, nodes)
     px = np.ascontiguousarray(pts[..., 0])
@@ -770,19 +773,17 @@ def _far_table(coords, cent, diam, p):
     return G, np.concatenate(near_i), np.concatenate(near_j)
 
 
-def assemble_energy_form(mesh, order=DEFAULT_ORDER):
+def assemble_energy_form(mesh):
     """Element-pair single-layer table for all panel pairs of a mesh.
 
     Every pair starts from the far-field rule; the near candidates, the
     diagonal included, are then evaluated by _pair_values.
     """
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
     coords = mesh.triangle_coords()
     aspect = _aspect(coords)
     diam = np.sqrt(((coords[:, [1, 2, 0], :] - coords) ** 2).sum(-1)).max(-1)
-    G, i, j = _far_table(coords, mesh.centroids, diam, max(order - 2, 1))
-    vals = _pair_values(coords, mesh.triangles, aspect, diam, i, j, order)
+    G, i, j = _far_table(coords, mesh.centroids, diam)
+    vals = _pair_values(coords, mesh.triangles, aspect, diam, i, j)
     G[i, j] = vals
     G[j, i] = vals
 

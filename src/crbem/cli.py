@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 invalid configuration, 3 numerical failure
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 
@@ -41,9 +42,6 @@ def build_parser():
     run.add_argument("--max-fine-dofs", type=int,
                      default=ExperimentConfig.max_fine_dofs,
                      help="stop before the refined mesh exceeds this many DOFs")
-    run.add_argument("--quad-order", type=int,
-                     default=ExperimentConfig.quad_order,
-                     help="tensor quadrature order for singular panel pairs")
     run.add_argument("--out-csv", required=True, help="CSV output path")
     run.add_argument("--out-svg", default=None, help="SVG plot output path")
     run.add_argument("--dump-meshes", default=None,
@@ -55,6 +53,12 @@ def build_parser():
 def _output_error(args):
     """Why an output path cannot be written, or None.  It is checked
     before the run, so a bad path costs no computation."""
+    given = [(flag, os.path.realpath(path)) for flag, path in (
+        ("--out-csv", args.out_csv), ("--out-svg", args.out_svg),
+        ("--dump-meshes", args.dump_meshes)) if path]
+    for (flag, path), (other, other_path) in itertools.combinations(given, 2):
+        if path == other_path:
+            return f"{flag} and {other} name the same path {path}"
     for flag, path in (("--out-csv", args.out_csv),
                        ("--out-svg", args.out_svg)):
         if path is None:
@@ -93,7 +97,6 @@ def main(argv=None):
         beta=args.beta,
         max_levels=args.levels,
         max_fine_dofs=args.max_fine_dofs,
-        quad_order=args.quad_order,
         dump_meshes=args.dump_meshes,
     )
     try:

@@ -35,7 +35,6 @@ from .spaces import (
     PwConstVecField,
 )
 from .assembly import (
-    DEFAULT_ORDER,
     NumericalError,
     assemble_energy_form,
     assemble_stiffness,
@@ -49,7 +48,7 @@ __all__ = [
     "NumericalError",
     "Level",
     "SolvePair",
-    "EstimatorReport",
+    "LevelRecord",
     "solve_spd",
     "solve_pair",
     "estimator_eta",
@@ -124,11 +123,10 @@ class Level:
 
     mesh: Mesh
     data: tuple
-    order: int = DEFAULT_ORDER
 
     @cached_property
     def form(self):
-        return assemble_energy_form(self.mesh, self.order)
+        return assemble_energy_form(self.mesh)
 
     @cached_property
     def cr(self):
@@ -165,7 +163,7 @@ class Level:
         if data[0] == "manufactured":
             w = data[1].values[rmap.child_to_parent]
             data = ("manufactured", PwConstVecField(mesh, w), data[2])
-        return Level(mesh, data, self.order)
+        return Level(mesh, data)
 
 
 @dataclass(eq=False)
@@ -274,23 +272,28 @@ def conf_gap(level):
 
 
 @dataclass
-class EstimatorReport:
-    """All level quantities of one solve pair (squared energies)."""
+class LevelRecord:
+    """The quantities of one refinement level (squared energies).
 
-    eta2: float
-    eta_tilde2: float
-    mu2: float
-    mu_tilde2: float
-    rho2: float
-    rho_hat2: float
-    conf_gap2: float
-    indicators: np.ndarray
+    Fine-solve quantities are None on the coarse-only tail levels of
+    uniform presets.  The experiment loop sets ``level`` and ``wall_ms``.
+    """
+
     n_coarse: int
-    n_fine: int
+    rho2: float
+    conf_gap2: float
+    n_fine: int | None = None
+    eta2: float | None = None
+    eta_tilde2: float | None = None
+    mu2: float | None = None
+    mu_tilde2: float | None = None
+    rho_hat2: float | None = None
+    level: int = 0
+    wall_ms: float = 0.0
 
 
 def estimator_report(pair):
-    """Evaluate every estimator of a solve pair.
+    """The LevelRecord of a solve pair and its refinement indicators.
 
     The refinement indicators: indicator(T)^2 = the mu-tilde part of T,
     plus the coarse jump part over the edges of T, plus the fine jump
@@ -306,15 +309,15 @@ def estimator_report(pair):
     rho_hat2, rho_hat_fine = jump_term(fine.mesh, fine.phi)
     rho_hat_parts = np.zeros(coarse.mesh.num_triangles)
     np.add.at(rho_hat_parts, pair.rmap.child_to_parent, rho_hat_fine)
-    return EstimatorReport(
+    rec = LevelRecord(
+        n_coarse=coarse.cr.dof_count,
+        rho2=rho2,
+        conf_gap2=conf_gap(coarse),
+        n_fine=fine.cr.dof_count,
         eta2=eta ** 2,
         eta_tilde2=eta_t ** 2,
         mu2=mu ** 2,
         mu_tilde2=mu_t ** 2,
-        rho2=rho2,
         rho_hat2=rho_hat2,
-        conf_gap2=conf_gap(coarse),
-        indicators=mu_parts + rho_parts + rho_hat_parts,
-        n_coarse=coarse.cr.dof_count,
-        n_fine=fine.cr.dof_count,
     )
+    return rec, mu_parts + rho_parts + rho_hat_parts

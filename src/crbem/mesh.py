@@ -344,9 +344,12 @@ def mesh_io_read(source):
             fail(2 + i, "expected 'x y boundary_flag'")
         try:
             verts[i] = float(parts[0]), float(parts[1])
-            flags[i] = bool(int(parts[2]))
+            flag = int(parts[2])
         except ValueError:
             fail(2 + i, f"bad vertex line {lines[1 + i]!r}")
+        if flag not in (0, 1):
+            fail(2 + i, f"boundary flag must be 0 or 1 in {lines[1 + i]!r}")
+        flags[i] = flag
 
     tris = np.empty((nt, 3), dtype=np.int64)
     ref = np.empty(nt, dtype=np.int64)
@@ -359,7 +362,7 @@ def mesh_io_read(source):
             tris[i] = [int(p) for p in parts[:3]]
             ref[i] = int(parts[3])
             parent[i] = int(parts[4])
-        except ValueError:
+        except (ValueError, OverflowError):
             fail(2 + nv + i, f"bad triangle line {lines[1 + nv + i]!r}")
     if tris.size and (tris.min() < 0 or tris.max() >= nv):
         fail(2 + nv, "triangle vertex index out of range")

@@ -166,17 +166,20 @@ def curl_field(coeffs):
     return PwConstVecField(mesh, curl)
 
 
+def _check_map(rmap, coarse_mesh, fine_mesh):
+    if rmap.parent_count != coarse_mesh.num_triangles:
+        raise ValueError("refinement map does not match the coarse mesh")
+    if len(rmap.child_to_parent) != fine_mesh.num_triangles:
+        raise ValueError("refinement map does not match the fine mesh")
+
+
 def embed_coarse_in_fine(coeffs, rmap, fine_mesh):
     """Curl field of a coarse function represented on the refined mesh.
 
     A coarse piecewise linear restricted to any child is linear with the
     same gradient, so each child inherits its parent's curl vector.
     """
-    coarse_mesh = coeffs.space.mesh
-    if rmap.parent_count != coarse_mesh.num_triangles:
-        raise ValueError("refinement map does not belong to the coarse mesh")
-    if len(rmap.child_to_parent) != fine_mesh.num_triangles:
-        raise ValueError("refinement map does not belong to the fine mesh")
+    _check_map(rmap, coeffs.space.mesh, fine_mesh)
     coarse = curl_field(coeffs)
     return PwConstVecField(fine_mesh, coarse.values[rmap.child_to_parent])
 
@@ -204,17 +207,6 @@ def jump_field(coeffs):
     return EdgeJumpField(mesh, jump_lo, jump_hi, deriv)
 
 
-def _check_uniform_map(rmap, coarse_mesh, fine_mesh):
-    if rmap.parent_count != coarse_mesh.num_triangles:
-        raise ValueError("refinement map does not match the coarse mesh")
-    if len(rmap.child_to_parent) != fine_mesh.num_triangles:
-        raise ValueError("refinement map does not match the fine mesh")
-    counts = np.bincount(rmap.child_to_parent, minlength=rmap.parent_count)
-    if not np.all(counts == 4):
-        raise ValueError("fine mesh is not the uniform refinement of the "
-                         "coarse mesh")
-
-
 def _barycentric_in_parent(coarse_mesh, parents, points):
     """Barycentric coordinates of points w.r.t. their parent triangles."""
     p = coarse_mesh.triangle_coords()[parents]  # (n, 3, 2)
@@ -240,7 +232,11 @@ def clement_interpolate(fine_coeffs, coarse_mesh, rmap):
     if fine_coeffs.space.kind != "cr":
         raise ValueError("clement_interpolate expects CR input coefficients")
     fine_mesh = fine_coeffs.space.mesh
-    _check_uniform_map(rmap, coarse_mesh, fine_mesh)
+    _check_map(rmap, coarse_mesh, fine_mesh)
+    counts = np.bincount(rmap.child_to_parent, minlength=rmap.parent_count)
+    if not np.all(counts == 4):
+        raise ValueError("fine mesh is not the uniform refinement of the "
+                         "coarse mesh")
 
     # fine function values at the fine edge midpoints are the CR DOFs
     v_mid = _gather(fine_coeffs.values, fine_coeffs.space.element_dofs)
@@ -281,10 +277,7 @@ def project_pwconst(fine_field, rmap, coarse_mesh):
     """L2 projection of a fine piecewise-constant field onto the coarse
     elements: the area-weighted average of the children per parent."""
     fine_mesh = fine_field.mesh
-    if len(rmap.child_to_parent) != fine_mesh.num_triangles:
-        raise ValueError("refinement map does not match the fine mesh")
-    if rmap.parent_count != coarse_mesh.num_triangles:
-        raise ValueError("refinement map does not match the coarse mesh")
+    _check_map(rmap, coarse_mesh, fine_mesh)
     num = np.zeros((rmap.parent_count, 2))
     np.add.at(num, rmap.child_to_parent,
               fine_field.values * fine_mesh.areas[:, None])

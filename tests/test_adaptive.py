@@ -138,6 +138,25 @@ class TestOutputs:
             assert int(row[0]) == rec.level
             assert float(row[3]) == pytest.approx(rec.eta2, rel=1e-15)
 
+    def test_csv_columns_hold_their_own_fields(self):
+        # eleven distinct values, one per column, so that a column written
+        # from another field shows
+        cfg = ExperimentConfig(experiment="uniform-smooth")
+        hist = ConvergenceHistory(config=cfg)
+        hist.records.append(LevelRecord(
+            level=3, n_coarse=17, n_fine=71, eta2=0.25, eta_tilde2=0.375,
+            mu2=0.5, mu_tilde2=0.625, rho2=0.75, rho_hat2=0.875,
+            conf_gap2=1.125, wall_ms=12.5))
+        buf = io.StringIO()
+        emit_csv(hist, buf)
+        buf.seek(0)
+        rows = list(csv.reader(buf))
+        assert dict(zip(rows[0], rows[1])) == {
+            "level": "3", "N_coarse": "17", "N_fine": "71", "eta2": "0.25",
+            "eta_tilde2": "0.375", "mu2": "0.5", "mu_tilde2": "0.625",
+            "rho2": "0.75", "rho_hat2": "0.875", "conf_gap2": "1.125",
+            "wall_ms": "12.5"}
+
     def test_csv_empty_fields_for_missing(self):
         cfg = ExperimentConfig(experiment="uniform-smooth")
         hist = ConvergenceHistory(config=cfg)
@@ -207,10 +226,10 @@ class TestAdaptiveLoop:
         level = _first_level(cfg)
         for _ in range(3):
             pair = solve_pair(level)
-            rep = estimator_report(pair)
-            total = rep.mu_tilde2 + rep.rho2 + rep.rho_hat2
-            assert rep.indicators.sum() == pytest.approx(total, rel=1e-10)
-            marked, _ = doerfler_mark(rep.indicators, 0.5)
+            rec, indicators = estimator_report(pair)
+            total = rec.mu_tilde2 + rec.rho2 + rec.rho_hat2
+            assert indicators.sum() == pytest.approx(total, rel=1e-10)
+            marked, _ = doerfler_mark(indicators, 0.5)
             from crbem import refine_nvb
             level = level.refined(*refine_nvb(level.mesh, marked))
 

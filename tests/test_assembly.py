@@ -131,7 +131,7 @@ class TestRuleKernel:
                      np.take_along_axis(mesh.triangles, turn, axis=1)):
             coords = mesh.vertices[tris]
             values.append(_pair_values(coords, tris, _aspect(coords),
-                                       _diameters(coords), ci, cj, 5))
+                                       _diameters(coords), ci, cj))
         shared = (mesh.triangles[ci][:, :, None]
                   == mesh.triangles[cj][:, None, :]).sum(axis=(1, 2))
         adjacent = (shared == 1) | (shared == 2)
@@ -142,8 +142,8 @@ class TestRuleKernel:
         _, mesh, _ = refined_once
         moved = Mesh(mesh.vertices + [1024.0, -1024.0], mesh.triangles,
                      mesh.ref_edge)
-        G = assemble_energy_form(mesh, 5).table
-        H = assemble_energy_form(moved, 5).table
+        G = assemble_energy_form(mesh).table
+        H = assemble_energy_form(moved).table
         assert np.abs(H - G).max() <= 1e-14 * np.abs(G).max()
 
     def test_non_finite_table_raises(self, initial_mesh, monkeypatch):
@@ -151,7 +151,7 @@ class TestRuleKernel:
             "crbem.assembly._apply_rule_pairs",
             lambda rule, a, b: np.full(len(a), np.nan))
         with pytest.raises(NumericalError):
-            assemble_energy_form(initial_mesh, 5)
+            assemble_energy_form(initial_mesh)
 
 
 # -- pre-split reference copies of the robust path and the distances ----------
@@ -280,9 +280,9 @@ def _diameters(coords):
 
 def _far_sweep(mesh):
     """Far table and near candidates of a mesh, as assemble_energy_form
-    gets them at order 5 (far rule of order 3)."""
+    gets them."""
     coords = mesh.triangle_coords()
-    return _far_table(coords, mesh.centroids, _diameters(coords), 3)
+    return _far_table(coords, mesh.centroids, _diameters(coords))
 
 
 def _near_pairs(mesh):
@@ -342,7 +342,7 @@ class TestSplitKernels:
         coords = mesh.triangle_coords()
         _, ci, cj = _far_sweep(mesh)
         args = (coords, mesh.triangles, _aspect(coords), _diameters(coords),
-                ci, cj, 5)
+                ci, cj)
         ref = _pair_values(*args)
         for block in (37, 256):
             monkeypatch.setattr("crbem.assembly._PAIR_BLOCK", block)
@@ -413,7 +413,7 @@ def test_pair_values_memory_is_blocked(graded_robust_case):
     mesh = uniform_refine(graded_square_mesh(8, 2.0))[0]
     _, ci, cj = _far_sweep(mesh)
     args = (coords, mesh.triangles, _aspect(coords), _diameters(coords),
-            ci, cj, 5)
+            ci, cj)
     _pair_values(*args)  # builds the cached quadrature rules
     robust = _traced_peak(_robust_pairs, coords[ri], coords[rj])
     assert _traced_peak(_pair_values, *args) < (robust + 64 * len(ci)
@@ -520,25 +520,26 @@ class TestPanelIntegral:
     def test_self_entry_matches_oracle(self):
         oracle = pair_value(UNIT_RIGHT, UNIT_RIGHT, depth=6, order=14)
         assert oracle == pytest.approx(SELF_ENTRY_UNIT_RIGHT, rel=5e-9)
-        got = panel_integral(UNIT_RIGHT, UNIT_RIGHT, order=5)
+        got = panel_integral(UNIT_RIGHT, UNIT_RIGHT)
         assert abs(got - oracle) / oracle < 1e-6
 
     def test_order_escalation_identical(self):
-        v5 = panel_integral(UNIT_RIGHT, UNIT_RIGHT, order=5)
-        v7 = panel_integral(UNIT_RIGHT, UNIT_RIGHT, order=7)
+        a = UNIT_RIGHT[None]
+        v5, v7 = (_apply_rule_pairs(quadrature_rule("identical", p), a, a)[0]
+                  for p in (5, 7))
         assert abs(v7 - v5) / abs(v5) < 1e-6
 
     @pytest.mark.parametrize("s", [0.5, 2.0])
     def test_kernel_scaling(self, s):
-        base = panel_integral(UNIT_RIGHT, UNIT_RIGHT, order=5)
-        scaled = panel_integral(s * UNIT_RIGHT, s * UNIT_RIGHT, order=5)
+        base = panel_integral(UNIT_RIGHT, UNIT_RIGHT)
+        scaled = panel_integral(s * UNIT_RIGHT, s * UNIT_RIGHT)
         assert scaled == pytest.approx(s ** 3 * base, rel=1e-10)
 
     def test_kernel_scaling_disjoint(self):
         tb = UNIT_RIGHT + np.array([2.5, 0.7])
-        base = panel_integral(UNIT_RIGHT, tb, order=5)
+        base = panel_integral(UNIT_RIGHT, tb)
         for s in (0.5, 2.0):
-            scaled = panel_integral(s * UNIT_RIGHT, s * tb, order=5)
+            scaled = panel_integral(s * UNIT_RIGHT, s * tb)
             assert scaled == pytest.approx(s ** 3 * base, rel=1e-10)
 
     def test_far_field_limit(self):
@@ -547,7 +548,7 @@ class TestPanelIntegral:
         tb = ta + np.array([0.5, 0.3])
         d = np.linalg.norm(tb.mean(0) - ta.mean(0))
         expected = (s * s / 2) ** 2 / (4 * np.pi * d)
-        got = panel_integral(ta, tb, order=5)
+        got = panel_integral(ta, tb)
         assert abs(got - expected) / expected < 1e-3
 
     @pytest.mark.parametrize("shift", [
@@ -571,25 +572,25 @@ class TestPanelIntegral:
                         for i in range(3)])
         d0 = cdist(edges_a, eb).min()
         tb = tb - shift * (d0 - separation * diam)
-        got = panel_integral(UNIT_RIGHT, tb, order=5)
+        got = panel_integral(UNIT_RIGHT, tb)
         ref = pair_value(UNIT_RIGHT, tb, depth=3, order=16)
         assert abs(got - ref) / ref < 1e-8
 
     def test_edge_adjacent_matches_oracle(self):
         tb = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, -1.0]])
-        got = panel_integral(UNIT_RIGHT, tb, order=5)
+        got = panel_integral(UNIT_RIGHT, tb)
         ref = pair_value(tb, UNIT_RIGHT, depth=6, order=14)
         assert abs(got - ref) / abs(ref) < 1e-6
 
     def test_vertex_adjacent_matches_oracle(self):
         tb = np.array([[0.0, 0.0], [-1.0, 0.0], [-1.0, -1.0]])
-        got = panel_integral(UNIT_RIGHT, tb, order=5)
+        got = panel_integral(UNIT_RIGHT, tb)
         ref = pair_value(tb, UNIT_RIGHT, depth=6, order=14)
         assert abs(got - ref) / abs(ref) < 1e-6
 
     def test_anisotropic_self_entry_uses_closed_form(self):
         sliver = np.array([[0.0, 0.0], [1e-3, 0.0], [1e-3, 0.7]])
-        got = panel_integral(sliver, sliver, order=5)
+        got = panel_integral(sliver, sliver)
         assert got == pytest.approx(_self_entry_closed_form(sliver[None])[0],
                                     rel=1e-12)
 
@@ -602,16 +603,16 @@ class TestPanelIntegral:
     ], ids=["edge-sliver", "close", "far"])
     def test_vertex_order_reversal_invariant(self, ta, tb):
         ta, tb = np.array(ta), np.array(tb)
-        value = panel_integral(ta, tb, order=5)
+        value = panel_integral(ta, tb)
         assert value > 0.0
-        assert panel_integral(ta[::-1], tb, order=5) == value
-        assert panel_integral(ta, tb[::-1], order=5) == value
+        assert panel_integral(ta[::-1], tb) == value
+        assert panel_integral(ta, tb[::-1]) == value
 
     def test_tiny_sliver_self_entry_uses_closed_form(self):
         # edges shorter than any absolute coordinate tolerance (aspect
         # about 1e15); vertices are identified exactly, as in the table
         t = graded_square_mesh(4, 50.0).triangle_coords()[3]
-        got = panel_integral(t, t, order=5)
+        got = panel_integral(t, t)
         ref = _self_entry_closed_form(t[None])[0]
         assert abs(got - ref) <= 1e-12 * ref  # ref is about 1.8e-31
 
@@ -619,12 +620,12 @@ class TestPanelIntegral:
     def test_non_finite_self_entry_raises(self, element):
         t = graded_square_mesh(4, 50.0).triangle_coords()[element]
         with pytest.raises(NumericalError):
-            panel_integral(t, t, order=5)
+            panel_integral(t, t)
 
     def test_anisotropic_adjacent_pair(self):
         a = np.array([[0.0, 0.0], [2e-3, 0.0], [2e-3, 0.5]])
         b = np.array([[0.0, 0.0], [2e-3, 0.5], [0.0, 0.5]])
-        got = panel_integral(a, b, order=5)
+        got = panel_integral(a, b)
         ref = pair_value(a, b, depth=9, order=12)
         assert abs(got - ref) / abs(ref) < 1e-4
 
@@ -635,19 +636,19 @@ class TestPanelIntegral:
 
     def test_bad_order_rejected(self):
         with pytest.raises(ValueError):
-            panel_integral(UNIT_RIGHT, UNIT_RIGHT, order=0)
+            quadrature_rule("identical", 0)
 
 
 class TestEnergyForm:
     def test_single_element_table(self):
         mesh = Mesh(UNIT_RIGHT, np.array([[0, 1, 2]]), np.array([0]))
-        form = assemble_energy_form(mesh, 5)
-        expected = panel_integral(UNIT_RIGHT, UNIT_RIGHT, 5)
+        form = assemble_energy_form(mesh)
+        expected = panel_integral(UNIT_RIGHT, UNIT_RIGHT)
         assert form.table.shape == (1, 1)
         assert form.table[0, 0] == pytest.approx(expected, rel=1e-12)
 
     def test_initial_mesh_table(self, initial_mesh):
-        form = assemble_energy_form(initial_mesh, 5)
+        form = assemble_energy_form(initial_mesh)
         G = form.table
         assert np.abs(G - G.T).max() == 0.0
         assert (G > 0).all()
@@ -659,16 +660,16 @@ class TestEnergyForm:
         # traversed in opposite directions by the two
         for mesh in (initial_mesh, graded_square_mesh(4, 2.0),
                      refine_nvb(initial_mesh, [0, 3])[0]):
-            form = assemble_energy_form(mesh, 5)
+            form = assemble_energy_form(mesh)
             coords = mesh.triangle_coords()
             ci, cj, _ = _near_pairs(mesh)
             for i, j in zip(ci, cj):
-                expected = panel_integral(coords[i], coords[j], 5)
+                expected = panel_integral(coords[i], coords[j])
                 assert form.table[i, j] == pytest.approx(expected, rel=5e-7)
 
     def test_graded_mesh_table_spd(self):
         mesh = graded_square_mesh(8, 3.0)
-        form = assemble_energy_form(mesh, 5)
+        form = assemble_energy_form(mesh)
         space = cr_space(mesh)
         a = assemble_stiffness(form, space)
         eigvals = np.linalg.eigvalsh(a)
@@ -678,10 +679,10 @@ class TestEnergyForm:
         # 1800 robust pairs whose subdivision peaks at 32,064 live cells
         # over the whole table, but at most 4,752 in a block of 256 pairs
         mesh = graded_square_mesh(16, 2.0)
-        G = assemble_energy_form(mesh, 5).table
+        G = assemble_energy_form(mesh).table
         monkeypatch.setattr("crbem.assembly._PAIR_BLOCK", 256)
         monkeypatch.setattr("crbem.assembly._ROBUST_MAX_CELLS", 16384)
-        assert np.array_equal(assemble_energy_form(mesh, 5).table, G)
+        assert np.array_equal(assemble_energy_form(mesh).table, G)
 
     def test_robust_path_same_bits_on_one_and_two_workers(self,
                                                            monkeypatch):
@@ -691,7 +692,7 @@ class TestEnergyForm:
         tables = []
         for cpus in ({0}, {0, 1}):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
-            tables.append(assemble_energy_form(mesh, 5).table)
+            tables.append(assemble_energy_form(mesh).table)
         assert np.array_equal(tables[0], tables[1])
 
     def test_robust_worker_error_reaches_caller(self, monkeypatch):
@@ -721,7 +722,7 @@ class TestEnergyForm:
 
     def test_graded_entries_match_oracle(self):
         mesh = graded_square_mesh(8, 3.0)
-        form = assemble_energy_form(mesh, 5)
+        form = assemble_energy_form(mesh)
         coords = mesh.triangle_coords()
         areas = mesh.areas
         sliver = int(np.argmin(areas))
@@ -735,12 +736,12 @@ class TestEnergyForm:
 
 class TestEnergyInner:
     def test_zero_field(self, initial_mesh):
-        form = assemble_energy_form(initial_mesh, 5)
+        form = assemble_energy_form(initial_mesh)
         z = PwConstVecField(initial_mesh, np.zeros((8, 2)))
         assert energy_inner(form, z, z) == 0.0
 
     def test_symmetry(self, initial_mesh):
-        form = assemble_energy_form(initial_mesh, 5)
+        form = assemble_energy_form(initial_mesh)
         rng = np.random.default_rng(0)
         u = PwConstVecField(initial_mesh, rng.standard_normal((8, 2)))
         v = PwConstVecField(initial_mesh, rng.standard_normal((8, 2)))
@@ -750,12 +751,12 @@ class TestEnergyInner:
 
     def test_single_component(self):
         mesh = Mesh(UNIT_RIGHT, np.array([[0, 1, 2]]), np.array([0]))
-        form = assemble_energy_form(mesh, 5)
+        form = assemble_energy_form(mesh)
         u = PwConstVecField(mesh, np.array([[1.0, 0.0]]))
         assert energy_inner(form, u, u) == pytest.approx(form.table[0, 0])
 
     def test_mesh_mismatch(self, initial_mesh):
-        form = assemble_energy_form(initial_mesh, 5)
+        form = assemble_energy_form(initial_mesh)
         other, _ = uniform_refine(initial_mesh)
         w = PwConstVecField(other, np.zeros((32, 2)))
         with pytest.raises(ValueError):
@@ -764,18 +765,18 @@ class TestEnergyInner:
 
 @pytest.fixture(scope="module")
 def graded_form():
-    return assemble_energy_form(_sweep_mesh("graded"), 5)
+    return assemble_energy_form(_sweep_mesh("graded"))
 
 
 class TestStiffness:
     def test_conforming_initial(self, initial_mesh):
-        form = assemble_energy_form(initial_mesh, 5)
+        form = assemble_energy_form(initial_mesh)
         a = assemble_stiffness(form, conforming_space(initial_mesh))
         assert a.shape == (1, 1)
         assert a[0, 0] > 0
 
     def test_cr_initial_spd(self, initial_mesh):
-        form = assemble_energy_form(initial_mesh, 5)
+        form = assemble_energy_form(initial_mesh)
         a = assemble_stiffness(form, cr_space(initial_mesh))
         assert a.shape == (8, 8)
         assert np.allclose(a, a.T)
@@ -784,7 +785,7 @@ class TestStiffness:
     def test_spd_on_refined_and_nvb_meshes(self, initial_mesh):
         for mesh in (uniform_refine(initial_mesh)[0],
                      refine_nvb(initial_mesh, [0, 3])[0]):
-            form = assemble_energy_form(mesh, 5)
+            form = assemble_energy_form(mesh)
             for space in (cr_space(mesh), conforming_space(mesh)):
                 a = assemble_stiffness(form, space)
                 np.linalg.cholesky(a)  # raises if not SPD
@@ -868,7 +869,7 @@ class TestRhs:
             assemble_rhs_power(cr_space(initial_mesh), -1.0)
 
     def test_manufactured_zero(self, initial_mesh):
-        form = assemble_energy_form(initial_mesh, 5)
+        form = assemble_energy_form(initial_mesh)
         space = conforming_space(initial_mesh)
         phi = CoefVec(space, np.zeros(1))
         b = assemble_rhs_manufactured(form, space, curl_field(phi),
@@ -876,7 +877,7 @@ class TestRhs:
         assert np.allclose(b, 0.0)
 
     def test_manufactured_cr_nonzero(self, initial_mesh):
-        form = assemble_energy_form(initial_mesh, 5)
+        form = assemble_energy_form(initial_mesh)
         conf = conforming_space(initial_mesh)
         phi = CoefVec(conf, np.ones(1))
         b = assemble_rhs_manufactured(form, cr_space(initial_mesh),
@@ -885,7 +886,7 @@ class TestRhs:
 
     def test_manufactured_conforming_galerkin_reproduces_data(self, refined_once):
         _, fine, _ = refined_once
-        form = assemble_energy_form(fine, 5)
+        form = assemble_energy_form(fine)
         space = conforming_space(fine)
         rng = np.random.default_rng(8)
         phi = CoefVec(space, rng.standard_normal(space.dof_count))

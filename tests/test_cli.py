@@ -7,11 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crbem import build_initial_square_mesh
 from crbem.cli import main
 from crbem.adaptive import CSV_COLUMNS, EXPERIMENTS, ExperimentConfig
-from crbem.assembly import DEFAULT_ORDER
-from crbem.estimators import Level
 
 
 @pytest.mark.slow
@@ -117,6 +114,24 @@ def test_dump_meshes_onto_a_file_is_a_config_error(tmp_path, capsys,
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("flags", [
+    ("--out-csv", "out.csv", "--dump-meshes", "out.csv"),
+    ("--out-csv", "o.txt", "--out-svg", "o.txt"),
+], ids=["csv-is-dump-dir", "csv-is-svg"])
+def test_colliding_output_paths_are_a_config_error(tmp_path, capsys,
+                                                    monkeypatch, flags):
+    # either the CSV lands in a directory the run made, or the SVG
+    # overwrites it
+    monkeypatch.setattr("crbem.cli.run_experiment", _no_run)
+    monkeypatch.chdir(tmp_path)
+    code = main(["run", "--experiment", "uniform-exact", *flags])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flags[0]} and {flags[2]} name the same")
+    assert len(err.strip().splitlines()) == 1
+    assert os.listdir(tmp_path) == []
+
+
 def test_degenerate_grading_is_a_numerical_failure(tmp_path, capsys):
     code = main([
         "run", "--experiment", "graded-smooth", "--beta", "400",
@@ -156,30 +171,17 @@ def test_out_of_memory_is_a_numerical_failure(tmp_path, capsys,
     assert not (tmp_path / "x.csv").exists()
 
 
-@pytest.mark.parametrize("order", ["2", "10"])
-def test_quad_order_out_of_range(tmp_path, capsys, order):
-    code = main([
-        "run", "--experiment", "uniform-smooth", "--quad-order", order,
-        "--out-csv", str(tmp_path / "x.csv"),
-    ])
-    assert code == 2
-    assert "quadrature order" in capsys.readouterr().err
-
-
 # beta stays at most 8: stronger grading makes the robust path slow (about
 # 20 s at beta = 20 on a 32-panel mesh); beta = 50 and 400 have own tests
 @settings(max_examples=25, deadline=None)
 @given(experiment=st.sampled_from(EXPERIMENTS),
        theta=st.floats(0.0, 1.2), beta=st.floats(0.5, 8.0),
-       levels=st.integers(0, 3), max_fine_dofs=st.integers(0, 300),
-       quad_order=st.integers(1, 11))
-def test_cli_contract(experiment, theta, beta, levels, max_fine_dofs,
-                      quad_order):
+       levels=st.integers(0, 3), max_fine_dofs=st.integers(0, 300))
+def test_cli_contract(experiment, theta, beta, levels, max_fine_dofs):
     with tempfile.TemporaryDirectory() as tmp:
         argv = ["run", "--experiment", experiment, "--theta", repr(theta),
                 "--beta", repr(beta), "--levels", str(levels),
-                "--max-fine-dofs", str(max_fine_dofs),
-                "--quad-order", str(quad_order), "--quiet",
+                "--max-fine-dofs", str(max_fine_dofs), "--quiet",
                 "--out-csv", os.path.join(tmp, "x.csv")]
         try:
             code = main(argv)
@@ -215,7 +217,3 @@ def test_minimal_run_uses_the_config_defaults(tmp_path, monkeypatch):
             main(["run", "--experiment", experiment,
                   "--out-csv", str(tmp_path / "x.csv")])
         assert caught.value.args[0] == ExperimentConfig(experiment=experiment)
-    assert ExperimentConfig(experiment="uniform-smooth").quad_order \
-        == DEFAULT_ORDER
-    assert Level(build_initial_square_mesh(), ("constant",)).order \
-        == DEFAULT_ORDER

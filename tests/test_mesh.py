@@ -195,6 +195,24 @@ class TestMeshIO:
         with pytest.raises(MeshFormatError, match="line 4"):
             mesh_io_read(io.StringIO(text))
 
+    @pytest.mark.parametrize("line, field, value", [
+        (11, 0, "99999999999999999999999"),
+        (11, 3, "99999999999999999999999"),
+        (11, 4, "99999999999999999999999"),
+        (2, 2, "7"),
+    ], ids=["vertex-index", "ref-edge", "parent", "boundary-flag"])
+    def test_out_of_range_field_rejected(self, initial_mesh, line, field,
+                                         value):
+        # integers past int64 and boundary flags other than 0 and 1
+        buf = io.StringIO()
+        mesh_io_write(initial_mesh, buf)
+        lines = buf.getvalue().splitlines()
+        parts = lines[line - 1].split()
+        parts[field] = value
+        lines[line - 1] = " ".join(parts)
+        with pytest.raises(MeshFormatError, match=f"^line {line}: "):
+            mesh_io_read(io.StringIO("\n".join(lines) + "\n"))
+
     def test_hanging_node_rejected(self):
         # lower half splits the diagonal at its midpoint, upper half keeps
         # the full diagonal: vertex 4 hangs on edge (0, 2)
