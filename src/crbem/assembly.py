@@ -18,7 +18,7 @@ far-field rule and calls _pair_values once, on the diagonal and the near
 candidates.  panel_integral assembles the table of a one- or two-panel
 mesh, so single pairs take exactly the table's path.
 
-The far table is one sweep of row strips of _FAR_STRIP panels against
+The far table is a sweep of row strips of _FAR_STRIP panels against
 column tiles of _FAR_TILE panels, j >= i, the strip's own square first.
 Squared distances of the rule points come from per-component
 differences, written into two tile buffers allocated once, so no
@@ -26,9 +26,29 @@ cancellation on absolute coordinates enters.  The far rule's weights
 factor as w_k w_l area2_i area2_j: a tile reduces by a GEMV with w and
 then w @, and the area product is applied per tile.  The diagonal tile
 is averaged with its transpose, so the table is bitwise symmetric.  The
-same strip loop collects the near candidates, the pairs i <= j possibly
-closer than RHO_FAR diameters, in (i, j) order.  Near pairs are not
-skipped: they are 7-65% of all pairs and do not form whole tiles.
+near candidates, the pairs i <= j possibly closer than RHO_FAR diameters,
+come from a separate scan of every row, _near_candidates, which runs
+first: the candidate lists are built before the table is allocated.
+Near pairs are not skipped: they are 7-65% of all pairs and do not form
+whole tiles.
+
+The meshes of the uniform and graded runs map onto themselves under the
+quarter turn (x, y) -> (1 - y, x), panel by panel and vertex k onto vertex
+k.  _quarter_turn finds that panel map sigma from exact coordinates, with
+no tolerance.  The panels are then taken in the order P0, P1, P2, P3, with
+P0 one panel per orbit and Pa = sigma^a(P0).  The far rule sees a pair
+only through its geometry, so in that order the table is block-circulant
+up to rounding: block (a, b) is block (0, b - a mod 4).  The sweep runs
+the same tile loop over the rows of P0 only, against P0 and P2 (j >= i)
+and P1, an eighth of all pairs.  Each tile's transpose goes into the rows
+of P0 as well, as block 3 is block 1 transposed, and the strip's square
+of block 2 is averaged with its transpose like that of block 0.  Then
+every other row sigma^a(p) is row p with its columns permuted, copied in
+strips through the tile buffers.  A far entry so differs from the full
+sweep's by rounding only (8e-16 relative measured).  Where no sigma
+exists (NVB meshes, translated meshes, gradings whose coordinates do not
+turn exactly) the loop runs as one block over every row: the full sweep,
+with its bits.
 
 Memory: the table G (nt x nt) and a Galerkin matrix A (n x n) are the
 only quadratic arrays of a run; estimators.solve_spd factors A in place.
@@ -68,9 +88,13 @@ same order: subdivision stops where four children agree with their parent
 to _ROBUST_RTOL and the bands compare distance ratios with RHO_CLOSE and
 RHO_NEAR, so a change of rounding could flip a decision and move a table
 entry by up to about 1e-6 relative.  The tests keep the earlier kernels
-and check bit equality.  The robust path runs once per block of pairs;
-its stop test reads only sums per pair, so blocking changes no bit.  Past
-_ROBUST_MAX_CELLS live cells in a block it raises NumericalError.
+and check bit equality.  Most disjoint pairs need no distance: the
+centroid bound of the candidate scan, less a rounding margin, already puts
+91-95% of them on the uniform and graded meshes at rho >= RHO_NEAR, and
+only the rest get exact distances, with the same bands.  The robust path
+runs once per block of pairs; its stop test reads only sums per pair, so
+blocking changes no bit.  Past _ROBUST_MAX_CELLS live cells in a block it
+raises NumericalError.
 
 Threads: one robust-path call opens a ThreadPoolExecutor with one thread
 per core the process may use, and each set of cells is split statically:
@@ -155,6 +179,11 @@ _PAIR_BLOCK = 4096
 # points than on rows of 576.
 _FAR_STRIP = 2
 _FAR_TILE = 512
+# rows per strip of the scan of _near_candidates.  Single-thread
+# time on the same mesh, median of 5: 0.053 s at 16 rows, 0.058 s at 32,
+# 0.060 s at 8 and 0.082 s at 2; 0.41 s at 16 rows against 0.50 s at 2 on
+# a 6570-panel random NVB mesh.
+_SCAN_STRIP = 16
 # DOF rows per block of assemble_stiffness.  Single-thread time for the
 # 3008 CR DOFs of the same mesh: 0.21-0.26 s at 16 or 32 rows, 0.22-0.33 s
 # at 64, 0.39-0.50 s at 256 and 0.60-0.77 s at 1024.
@@ -532,6 +561,18 @@ def _aspect(tris):
     return lmax2 / _doubled_area(tris)
 
 
+def _diameters(tris):
+    """Longest edge of each panel (..., 3, 2)."""
+    return np.sqrt(((tris[..., [1, 2, 0], :] - tris) ** 2).sum(-1)).max(-1)
+
+
+def _bounding_circles(tris):
+    """Centroids and radii of panels (..., 3, 2): each panel lies in the
+    disc of its radius about its centroid."""
+    cent = tris.mean(axis=-2)
+    return cent, np.linalg.norm(tris - cent[..., None, :], axis=-1).max(-1)
+
+
 def _triangle_distances(a, b):
     """Minimum distances of the disjoint panels a[p], b[p], (P, 3, 2) each.
 
@@ -586,7 +627,8 @@ def _pair_values(coords, tris, aspect, diam, i, j):
     singular pairs with an anisotropic panel the robust path.  Disjoint
     pairs are binned by rho = dist / max(diam): the disjoint rule of order
     ORDER - 1 (rho >= RHO_NEAR) or ORDER (rho >= RHO_CLOSE), else the
-    robust path.
+    robust path.  Their distances are computed only where the centroid
+    bound leaves rho below RHO_NEAR possible.
 
     The pairs are classified in blocks of _PAIR_BLOCK rows into a one-byte
     class code.  Each class keeps only the indices of its pairs, and one
@@ -659,9 +701,32 @@ def _pair_values(coords, tris, aspect, diam, i, j):
                (_slot_order(np.argmax(shared.any(axis=2), axis=1)),
                 _slot_order(np.argmax(shared.any(axis=1), axis=1))))
 
+    # rho = dist / max(diam) of the disjoint pairs.  The centroid bound of
+    # _near_candidates is at most dist, as each disc holds its panel; exact
+    # distances are computed only where it leaves rho < RHO_NEAR.
+    # Rounding: as computed, the bound and the distance are each within
+    # 100 u S of their exact values, with u = 2^-53 and S the largest
+    # coordinate magnitude of the pair, which is at least d / 3 for the
+    # larger diameter d.  So where the bound less 1e-9 S, 10^5 times that
+    # error, gives rho >= RHO_NEAR, the computed distance gives it too, and
+    # every pair keeps its band.
     k = np.flatnonzero(code % 4 == 0)
-    rho = gathered(_triangle_distances, k)
-    rho /= np.maximum(diam[i[k]], diam[j[k]])
+    cent, radius = _bounding_circles(coords)
+    scale = np.abs(coords).max(axis=(1, 2))
+    rho = np.empty(len(k))
+    for lo in range(0, len(k), _PAIR_BLOCK):
+        a, b = i[k[lo:lo + _PAIR_BLOCK]], j[k[lo:lo + _PAIR_BLOCK]]
+        gap = cent[a] - cent[b]
+        bound = (np.hypot(gap[:, 0], gap[:, 1]) - radius[a] - radius[b]
+                 - 1e-9 * np.maximum(scale[a], scale[b]))
+        rho[lo:lo + _PAIR_BLOCK] = bound / np.maximum(diam[a], diam[b])
+
+    def distance_ratios(a, b):
+        return _triangle_distances(a, b) / np.maximum(_diameters(a),
+                                                      _diameters(b))
+
+    exact = np.flatnonzero(rho < RHO_NEAR)
+    rho[exact] = gathered(distance_ratios, k[exact])
     for band, p in ((k[rho >= RHO_NEAR], ORDER - 1),
                     (k[(rho >= RHO_CLOSE) & (rho < RHO_NEAR)], ORDER)):
         apply_rule("disjoint", p, band)
@@ -710,67 +775,148 @@ def panel_integral(ta, tb):
     return float(assemble_energy_form(mesh).table[0, -1])
 
 
-def _far_table(coords, cent, diam):
-    """Far-field table and near candidates of a mesh, in one sweep.
+def _quarter_turn(coords):
+    """Panel map sigma of the quarter turn (x, y) -> (1 - y, x), or None.
+
+    Vertex k of panel sigma[i] has exactly the coordinates of vertex k of
+    panel i turned, with no tolerance, and every orbit of sigma has four
+    panels.  None if some panel has no such image.
+    """
+    nt = len(coords)
+    turned = np.stack([1.0 - coords[..., 1], coords[..., 0]], axis=-1)
+    src, dst = (np.lexsort(c.reshape(nt, 6).T) for c in (turned, coords))
+    if not np.array_equal(turned[src], coords[dst]):
+        return None
+    sigma = np.empty(nt, np.intp)
+    sigma[src] = dst
+    twice, ident = sigma[sigma], np.arange(nt)
+    if (twice == ident).any() or not np.array_equal(twice[twice], ident):
+        return None
+    return sigma
+
+
+def _near_candidates(coords, diam):
+    """Pairs i <= j of a mesh possibly closer than RHO_FAR diameters, in
+    (i, j) order.
+
+    A pair is no candidate where its centroid distance less both radii
+    (see _bounding_circles) is at least RHO_FAR times the larger diameter.
+    The diagonal and every pair that shares a vertex are candidates: their
+    centroid distance is at most the sum of the two radii.  The scan runs
+    in strips of _SCAN_STRIP rows.
+    """
+    nt = len(coords)
+    cent, radius = _bounding_circles(coords)
+    cx, cy = cent[:, 0].copy(), cent[:, 1].copy()
+    near_i, near_j = [], []
+    for i0 in range(0, nt, _SCAN_STRIP):
+        i1 = min(nt, i0 + _SCAN_STRIP)
+        gx, gy = cx[i0:i1, None] - cx[i0:], cy[i0:i1, None] - cy[i0:]
+        bound = (np.sqrt(gx * gx + gy * gy) - radius[i0:i1, None]
+                 - radius[i0:])
+        thresh = RHO_FAR * np.maximum(diam[i0:i1, None], diam[i0:])
+        ii, jj = np.nonzero(np.triu(bound < thresh))
+        near_i.append(ii + i0)
+        near_j.append(jj + i0)
+    return np.concatenate(near_i), np.concatenate(near_j)
+
+
+def _far_table(coords):
+    """Far-field table of a mesh.
 
     Every entry G[i, j] gets the tensorized disjoint rule of order
     ORDER - 2; the diagonal comes out non-finite (coincident points) and
     the entries of the near candidates are overwritten afterwards.  Row
     strips of _FAR_STRIP panels run against column tiles of _FAR_TILE
-    panels, j >= i, the strip's own square first (see the module notes).
-
-    The near candidates are the pairs i <= j possibly closer than RHO_FAR
-    diameters, in (i, j) order.  The diagonal and every pair that shares a
-    vertex are among them: their centroid distance is at most the sum of
-    the two radii.
+    panels, j >= i, the strip's own square first.  With the quarter turn
+    sigma of _quarter_turn, the strips cover only the rows of one panel
+    per orbit and the other rows are permuted copies (see the module
+    notes); without it the same loop sweeps every row.
     """
     nt = len(coords)
     nodes, w = _gauss_duffy(ORDER - 2)
     k = len(w)
     pts = _map_nodes(coords, nodes)
+    area2 = _doubled_area(coords)
+    sigma = _quarter_turn(coords)
+    if sigma is None:
+        # one block, rows and columns in panel order
+        order, m, blocks = None, nt, 1
+    else:
+        # panels in the order P0, P1, P2, P3 with P0 the smallest index of
+        # each orbit and Pa = sigma^a(P0): block (a, b) of the table is
+        # block (0, b - a mod 4), blocks 0 and 2 are symmetric and block 3
+        # is block 1 transposed
+        powers = [np.arange(nt), sigma, sigma[sigma], sigma[sigma[sigma]]]
+        first = ((powers[0] < powers[1]) & (powers[0] < powers[2])
+                 & (powers[0] < powers[3]))
+        order = np.concatenate([s[first] for s in powers])
+        m, blocks = nt // 4, 3
+        pts, area2 = pts[order], area2[order]
     px = np.ascontiguousarray(pts[..., 0])
     py = np.ascontiguousarray(pts[..., 1])
-    area2 = _doubled_area(coords)
-    radius = np.linalg.norm(coords - cent[:, None, :], axis=2).max(axis=1)
+
+    def at(r0, r1, c0, c1):
+        # table entries of the rows r0:r1 and columns c0:c1 of that order
+        if order is None:
+            return slice(r0, r1), slice(c0, c1)
+        return np.ix_(order[r0:r1], order[c0:c1])
+
     G = np.empty((nt, nt))
-    size = _FAR_STRIP * max(_FAR_STRIP, _FAR_TILE) * k * k
+    size = max(_FAR_STRIP * max(_FAR_STRIP, _FAR_TILE) * k * k, nt)
     dx, dy = np.empty(size), np.empty(size)
-    near_i, near_j = [], []
     with np.errstate(divide="ignore", invalid="ignore"):
-        for i0 in range(0, nt, _FAR_STRIP):
-            i1 = min(nt, i0 + _FAR_STRIP)
+        for i0 in range(0, m, _FAR_STRIP):
+            i1 = min(m, i0 + _FAR_STRIP)
             xa, ya = px[i0:i1].ravel(), py[i0:i1].ravel()
-            tiles = [(i0, i1)] + [(j0, min(nt, j0 + _FAR_TILE))
-                                  for j0 in range(i1, nt, _FAR_TILE)]
-            for j0, j1 in tiles:
-                shape = ((i1 - i0) * k, (j1 - j0) * k)
-                r = dx[:shape[0] * shape[1]].reshape(shape)
-                t = dy[:r.size].reshape(shape)
-                np.subtract.outer(xa, px[j0:j1].ravel(), out=r)
-                r *= r
-                np.subtract.outer(ya, py[j0:j1].ravel(), out=t)
-                t *= t
-                r += t
-                np.sqrt(r, out=r)
-                np.divide(1.0, r, out=r)
-                vals = w @ (r.reshape(-1, k) @ w).reshape(i1 - i0, k, j1 - j0)
-                vals *= area2[i0:i1, None]
-                vals *= area2[j0:j1]
-                if j0 == i0:
-                    # the two reduction orders of a pair differ in
-                    # rounding; the table must be bitwise symmetric
-                    vals = 0.5 * (vals + vals.T)
-                G[i0:i1, j0:j1] = vals
-                G[j0:j1, i0:i1] = vals.T
-            dc = np.linalg.norm(cent[i0:i1, None, :] - cent[None, i0:, :],
-                                axis=2)
-            bound = dc - radius[i0:i1, None] - radius[None, i0:]
-            thresh = RHO_FAR * np.maximum(diam[i0:i1, None], diam[None, i0:])
-            ii, jj = np.nonzero(np.triu(bound < thresh))
-            near_i.append(ii + i0)
-            near_j.append(jj + i0)
+            for b in range(blocks):
+                lo, hi = b * m, (b + 1) * m
+                if b == 1:
+                    tiles, start = [], lo
+                else:
+                    # a symmetric block: j >= i, the strip's own square
+                    # first
+                    tiles, start = [(lo + i0, lo + i1)], lo + i1
+                tiles += [(j0, min(hi, j0 + _FAR_TILE))
+                          for j0 in range(start, hi, _FAR_TILE)]
+                for j0, j1 in tiles:
+                    shape = ((i1 - i0) * k, (j1 - j0) * k)
+                    r = dx[:shape[0] * shape[1]].reshape(shape)
+                    t = dy[:r.size].reshape(shape)
+                    np.subtract.outer(xa, px[j0:j1].ravel(), out=r)
+                    r *= r
+                    np.subtract.outer(ya, py[j0:j1].ravel(), out=t)
+                    t *= t
+                    r += t
+                    np.sqrt(r, out=r)
+                    np.divide(1.0, r, out=r)
+                    vals = w @ (r.reshape(-1, k) @ w).reshape(i1 - i0, k,
+                                                              j1 - j0)
+                    vals *= area2[i0:i1, None]
+                    vals *= area2[j0:j1]
+                    if b != 1 and j0 == lo + i0:
+                        # the two reduction orders of a pair differ in
+                        # rounding; the table must be bitwise symmetric
+                        vals = 0.5 * (vals + vals.T)
+                    G[at(i0, i1, j0, j1)] = vals
+                    # the transposed pairs, (Pb[j], P0[i]) as (P0[j],
+                    # P(-b)[i]) in the same rows
+                    mirror = (4 - b) % 4 * m
+                    G[at(j0 - lo, j1 - lo, mirror + i0, mirror + i1)] = vals.T
+    if order is not None:
+        # row sigma^a(p) is row p with its columns taken at sigma^-a,
+        # copied in strips through the tile buffers
+        rows = size // nt
+        for i0 in range(0, m, rows):
+            i1 = min(m, i0 + rows)
+            src = dx[:(i1 - i0) * nt].reshape(i1 - i0, nt)
+            dst = dy[:src.size].reshape(src.shape)
+            np.take(G, order[i0:i1], axis=0, out=src, mode="clip")
+            for a in (1, 2, 3):
+                np.take(src, powers[4 - a], axis=1, out=dst, mode="clip")
+                G[order[a * m + i0:a * m + i1]] = dst
     G /= FOUR_PI
-    return G, np.concatenate(near_i), np.concatenate(near_j)
+    return G
 
 
 def assemble_energy_form(mesh):
@@ -781,8 +927,9 @@ def assemble_energy_form(mesh):
     """
     coords = mesh.triangle_coords()
     aspect = _aspect(coords)
-    diam = np.sqrt(((coords[:, [1, 2, 0], :] - coords) ** 2).sum(-1)).max(-1)
-    G, i, j = _far_table(coords, mesh.centroids, diam)
+    diam = _diameters(coords)
+    i, j = _near_candidates(coords, diam)
+    G = _far_table(coords)
     vals = _pair_values(coords, mesh.triangles, aspect, diam, i, j)
     G[i, j] = vals
     G[j, i] = vals

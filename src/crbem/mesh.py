@@ -272,8 +272,11 @@ def uniform_refine(mesh):
 
 def _grading_map(t, beta):
     t = np.asarray(t, dtype=float)
-    lower = 0.5 * (2.0 * t) ** beta
-    upper = 1.0 - 0.5 * (2.0 * (1.0 - t)) ** beta
+    # each branch overflows on the other half for beta >= 1024; the check
+    # of the mapped panels reports what that degenerates
+    with np.errstate(over="ignore"):
+        lower = 0.5 * (2.0 * t) ** beta
+        upper = 1.0 - 0.5 * (2.0 * (1.0 - t)) ** beta
     return np.where(t <= 0.5, lower, upper)
 
 

@@ -36,8 +36,10 @@ from crbem.assembly import (
     _curl_matrices,
     _edge_frames,
     _far_table,
+    _near_candidates,
     _pair_values,
     _power_moments_element,
+    _quarter_turn,
     _robust_pairs,
     _segment_potential,
     _self_entry_closed_form,
@@ -282,7 +284,8 @@ def _far_sweep(mesh):
     """Far table and near candidates of a mesh, as assemble_energy_form
     gets them."""
     coords = mesh.triangle_coords()
-    return _far_table(coords, mesh.centroids, _diameters(coords))
+    ci, cj = _near_candidates(coords, _diameters(coords))
+    return _far_table(coords), ci, cj
 
 
 def _near_pairs(mesh):
@@ -347,6 +350,35 @@ class TestSplitKernels:
         for block in (37, 256):
             monkeypatch.setattr("crbem.assembly._PAIR_BLOCK", block)
             assert np.array_equal(_pair_values(*args), ref)
+
+    @pytest.mark.parametrize("kind", ["uniform", "nvb", "graded", "moved"])
+    def test_centroid_bound_keeps_bands(self, monkeypatch, kind):
+        # the same values as with every disjoint pair banded by its exact
+        # distance (infinite radii void the bound), from far fewer distances
+        mesh = _sweep_mesh("graded" if kind == "moved" else kind)
+        if kind == "moved":
+            mesh = Mesh(mesh.vertices + [1000.3, -999.7], mesh.triangles,
+                        mesh.ref_edge)
+        coords = mesh.triangle_coords()
+        ci, cj, shared = _near_pairs(mesh)
+        args = (coords, mesh.triangles, _aspect(coords), _diameters(coords),
+                ci, cj)
+        counted = []
+
+        def counting(a, b):
+            counted.append(len(a))
+            return _triangle_distances(a, b)
+
+        monkeypatch.setattr("crbem.assembly._triangle_distances", counting)
+        got = _pair_values(*args)
+        exact = sum(counted)
+        monkeypatch.setattr(
+            "crbem.assembly._bounding_circles",
+            lambda tris: (tris.mean(axis=-2), np.full(len(tris), np.inf)))
+        assert np.array_equal(_pair_values(*args), got)
+        disjoint = (shared == 0).sum()
+        assert sum(counted) - exact == disjoint
+        assert exact < 0.15 * disjoint
 
     @pytest.mark.parametrize("block", [3, 1024])
     def test_robust_pairs_off_block_size(self, monkeypatch, block):
@@ -420,6 +452,19 @@ def test_pair_values_memory_is_blocked(graded_robust_case):
                                                  + (4 << 20))
 
 
+def test_far_table_memory():
+    # The sweep holds no more than the table, the near candidates twice,
+    # as per-strip pieces and joined, and work arrays of at most 4 MiB:
+    # the scan's strips, two 663 KB tile buffers, through which the
+    # quarter turn's row copies go, and the rule points of every panel.
+    mesh = uniform_refine(graded_square_mesh(16, 2.0))[0]
+    assert _quarter_turn(mesh.triangle_coords()) is not None
+    G, ci, cj = _far_sweep(mesh)
+    limit = G.nbytes + 2 * (ci.nbytes + cj.nbytes) + (4 << 20)
+    del G
+    assert _traced_peak(_far_sweep, mesh) < limit
+
+
 def _ref_near_candidates(mesh):
     """All pairs i <= j whose centroid distance minus both radii is below
     RHO_FAR times the larger diameter, in (i, j) order, from one dense
@@ -479,11 +524,13 @@ class TestFarTable:
         assert np.array_equal(G, G.T, equal_nan=True)
 
     def test_odd_strip_and_tile_sizes(self, swept, monkeypatch):
-        # strips of 3 and tiles of 5 panels divide none of the panel counts
+        # strips of 3 and tiles of 5 panels, and scan strips of 7, divide
+        # none of the panel counts
         mesh, (G, ci, cj) = swept
-        assert mesh.num_triangles % 3 and mesh.num_triangles % 5
+        assert all(mesh.num_triangles % n for n in (3, 5, 7))
         monkeypatch.setattr("crbem.assembly._FAR_STRIP", 3)
         monkeypatch.setattr("crbem.assembly._FAR_TILE", 5)
+        monkeypatch.setattr("crbem.assembly._SCAN_STRIP", 7)
         H, hi, hj = _far_sweep(mesh)
         assert np.array_equal(hi, ci) and np.array_equal(hj, cj)
         assert np.array_equal(H, H.T, equal_nan=True)
@@ -501,6 +548,63 @@ class TestFarTable:
             for j in np.flatnonzero(far[i]):
                 ref = _direct_rule_value(rule, coords[i], coords[j])
                 assert abs(G[i, j] - ref) <= 1e-14 * ref
+
+    @pytest.mark.parametrize("kind", ["uniform", "graded1", "graded2",
+                                      "graded3", "refined"])
+    def test_quarter_turn_found(self, kind):
+        # vertex k of panel sigma[i] is vertex k of panel i turned, exactly
+        if kind == "uniform":
+            mesh = _sweep_mesh("uniform")
+        elif kind == "refined":
+            mesh = _sweep_mesh("graded")
+        else:
+            mesh = graded_square_mesh(16, float(kind[-1]))
+        coords = mesh.triangle_coords()
+        sigma = _quarter_turn(coords)
+        assert sigma is not None
+        assert np.array_equal(np.sort(sigma), np.arange(len(coords)))
+        assert np.array_equal(coords[sigma, :, 0], 1.0 - coords[..., 1])
+        assert np.array_equal(coords[sigma, :, 1], coords[..., 0])
+
+    @pytest.mark.parametrize("kind", ["nvb", "moved", "ulp"])
+    def test_no_quarter_turn(self, kind):
+        mesh = _sweep_mesh("nvb" if kind == "nvb" else "graded")
+        vertices = mesh.vertices.copy()
+        if kind == "moved":
+            vertices += [1000.3, -999.7]
+        elif kind == "ulp":
+            interior = np.flatnonzero(~mesh.boundary_vertex)[0]
+            vertices[interior, 0] = np.nextafter(vertices[interior, 0], 2.0)
+        moved = Mesh(vertices, mesh.triangles, mesh.ref_edge)
+        assert _quarter_turn(moved.triangle_coords()) is None
+
+    @pytest.mark.parametrize("kind", ["uniform", "graded"])
+    def test_turn_matches_full_sweep(self, monkeypatch, kind):
+        mesh = _sweep_mesh(kind)
+        G, ci, cj = _far_sweep(mesh)
+        monkeypatch.setattr("crbem.assembly._quarter_turn",
+                            lambda coords: None)
+        H, hi, hj = _far_sweep(mesh)
+        assert np.array_equal(ci, hi) and np.array_equal(cj, hj)
+        assert np.array_equal(G, G.T, equal_nan=True)
+        far = _far_mask(mesh.num_triangles, (ci, cj))
+        assert far.sum() > 0.3 * far.size
+        assert (np.abs(G[far] - H[far]) / H[far]).max() <= 2e-15
+
+    @pytest.mark.parametrize("levels", [0, 1, 2])
+    def test_small_tables_keep_their_bits(self, monkeypatch, levels):
+        # 8, 32 and 128 panels: every pair is a near candidate
+        mesh = build_initial_square_mesh()
+        for _ in range(levels):
+            mesh = uniform_refine(mesh)[0]
+        assert _quarter_turn(mesh.triangle_coords()) is not None
+        _, ci, _ = _far_sweep(mesh)
+        nt = mesh.num_triangles
+        assert len(ci) == nt * (nt + 1) // 2
+        G = assemble_energy_form(mesh).table
+        monkeypatch.setattr("crbem.assembly._quarter_turn",
+                            lambda coords: None)
+        assert np.array_equal(assemble_energy_form(mesh).table, G)
 
     def test_translation_robust(self):
         # a shift that is not a power of two rounds every coordinate; the

@@ -1,6 +1,7 @@
 import csv
 import os
 import tempfile
+import warnings
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -139,6 +140,21 @@ def test_degenerate_grading_is_a_numerical_failure(tmp_path, capsys):
     ])
     assert code == 3
     assert "degenerate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("beta", ["1024", "1e308"])
+def test_overflowing_grading_is_one_failure_line(tmp_path, capsys, beta):
+    # (2t)^beta overflows for t > 1/2 before np.where drops that branch
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([
+            "run", "--experiment", "graded-smooth", "--beta", beta,
+            "--levels", "3", "--out-csv", str(tmp_path / "x.csv"),
+        ])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: graded mesh")
+    assert len(err.strip().splitlines()) == 1
 
 
 @pytest.mark.slow
