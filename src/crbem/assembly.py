@@ -11,7 +11,7 @@ disjoint) followed by tensor Gauss rules.  Rule nodes live on the
 all transformation Jacobians are folded into the weights, so the weights
 are positive and sum to vol(tau x tau) = 1/4.
 
-The cases are told apart in one place, _pair_values, by the number of
+The cases are told apart in one place, _classify_pairs, by the number of
 vertex indices a pair shares (3, 2, 1, 0); disjoint pairs are then binned
 by separation.  assemble_energy_form fills the whole table with the
 far-field rule and calls _pair_values once, on the diagonal and the near
@@ -50,16 +50,30 @@ exists (NVB meshes, translated meshes, gradings whose coordinates do not
 turn exactly) the loop runs as one block over every row: the full sweep,
 with its bits.
 
+The near pass uses the same turn.  _orbit_representatives maps each near
+candidate to the candidate of smallest code among its images
+(sigma^a i, sigma^a j), before the table is allocated.  _pair_values
+classifies every candidate as without the turn; then each rule evaluates
+only the pairs that are their own representative, or whose representative
+is no candidate or has another label, and the others copy their
+representative's value: a quarter of the rule pairs.  A near entry so
+differs from the turn-less pass by rounding only (1.8e-15 relative on
+uniform meshes, 9e-16 on graded ones).  The closed-form self entries and
+the robust path evaluate every pair of theirs, as their rounding decides
+subdivision.  Tables of at most _SMALL_TABLE panels evaluate every near
+pair and keep their bits.
+
 Memory: the table G (nt x nt) and a Galerkin matrix A (n x n) are the
 only quadratic arrays of a run; estimators.solve_spd factors A in place.
 The tile buffers take 2 x 663 KB, and assemble_stiffness fills A by
 blocks of _STIFF_BLOCK DOF rows, each symmetrized in place against the
-rows above it.  The near-field pass
-works in blocks too: _pair_values classifies the near candidates in
-blocks of _PAIR_BLOCK rows into a one-byte class code, keeps per class
-only the indices of its pairs, and in one loop gathers the panels of a
-block of pairs, in the vertex order of their case, for a kernel that
-sees only that block.
+rows above it.  The near candidates are two int32 index lists, and the
+orbit map one more.  The near-field pass works in blocks too:
+_classify_pairs labels the near candidates in blocks of _PAIR_BLOCK rows
+with one byte each, _pair_values keeps per label only the indices of its
+pairs, and one loop, _gathered, gathers the panels of a block of pairs,
+in the vertex order of their case, for a kernel that sees only that
+block.
 
 Every rule-based pair (the three singular cases and the near and close
 disjoint bands) is evaluated by one kernel.  A node pair (x1, x2),
@@ -68,8 +82,8 @@ d = a0 - b0, so |x - y|^2 is a quadratic form in c = (1, x1, x2, y1, y2)
 with the Gram matrix of (d, e1a, e2a, -e1b, -e2b).  The 15 Gram entries
 per pair times a cached (15, K) monomial table per rule give r^2 for a
 block of pairs in one GEMM, followed by an in-place square root and
-reciprocal and a GEMV with the weights.  Only coordinate differences enter, so there is no cancellation
-on absolute coordinates.
+reciprocal and a GEMV with the weights.  Only coordinate differences
+enter, so there is no cancellation on absolute coordinates.
 
 The transformed rules converge geometrically for shape-regular panels but
 degrade on strongly anisotropic ones (boundary-graded meshes).  Pairs
@@ -184,6 +198,12 @@ _FAR_TILE = 512
 # 0.060 s at 8 and 0.082 s at 2; 0.41 s at 16 rows against 0.50 s at 2 on
 # a 6570-panel random NVB mesh.
 _SCAN_STRIP = 16
+# tables of at most this many panels evaluate every near pair, with or
+# without the quarter turn, and keep their bits: adaptive-smooth's 8- and
+# 32-panel meshes, on which rounding picks 4 of 8 tied indicators for
+# Doerfler marking.  This guard goes with the decision on that tie
+# (ROADMAP.md, item 3: marking that rounding cannot decide).
+_SMALL_TABLE = 128
 # DOF rows per block of assemble_stiffness.  Single-thread time for the
 # 3008 CR DOFs of the same mesh: 0.21-0.26 s at 16 or 32 rows, 0.22-0.33 s
 # at 64, 0.39-0.50 s at 256 and 0.60-0.77 s at 1024.
@@ -455,7 +475,9 @@ def _robust_pairs(ta, tb):
     settled = np.zeros(n_pairs)
     owner = np.arange(n_pairs)
     cells = ta.copy()
-    workers = len(os.sched_getaffinity(0))
+    # os.sched_getaffinity exists only on some platforms, Linux among them
+    workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
     # work arrays per thread: px, py and _segment_potential's ten.  They
     # come from the caller's thread, as what a pool thread allocates stays
     # resident in its own malloc arena after it is freed.
@@ -617,8 +639,44 @@ def _slot_order(first, second=None):
     return np.stack([first, second, 3 - first - second], axis=1)
 
 
-def _pair_values(coords, tris, aspect, diam, i, j):
-    """Table entries of the panel pairs (i[k], j[k]), i <= j, of one mesh.
+def _gathered(kernel, coords, i, j, k, slots=None, block=None):
+    """kernel(a, b) over the panel pairs (i[k], j[k]), in blocks of
+    ``block`` (default _PAIR_BLOCK) pairs of gathered panels; slots, if
+    given, is a pair of (len(k), 3) vertex orders in which the panels are
+    taken."""
+    block = block or _PAIR_BLOCK
+    vals = np.empty(len(k))
+    for lo in range(0, len(k), block):
+        rows = slice(lo, lo + block)
+        if slots is None:
+            a, b = coords[i[k[rows]]], coords[j[k[rows]]]
+        else:
+            a = coords[i[k[rows], None], slots[0][rows]]
+            b = coords[j[k[rows], None], slots[1][rows]]
+        vals[rows] = kernel(a, b)
+    return vals
+
+
+def _distance_ratios(a, b):
+    """rho = dist / max(diam) of the disjoint panels a[p], b[p]."""
+    return _triangle_distances(a, b) / np.maximum(_diameters(a),
+                                                  _diameters(b))
+
+
+# what evaluates a near pair, as _classify_pairs labels it: the rule of its
+# adjacency case, numbered by the vertices the pair shares (a disjoint pair
+# at rho >= RHO_NEAR takes order ORDER - 1), the disjoint rule of order
+# ORDER at RHO_CLOSE <= rho < RHO_NEAR, the closed-form self entry or the
+# robust path
+_DISJOINT, _VERTEX, _EDGE, _IDENTICAL, _CLOSE, _SELF, _ROBUST = range(7)
+# the label by shared vertex count plus 4 unless both panels are
+# shape-regular; disjoint pairs are banded afterwards
+_BY_COUNT = np.array([_DISJOINT, _VERTEX, _EDGE, _IDENTICAL,
+                      _DISJOINT, _ROBUST, _ROBUST, _SELF], np.int8)
+
+
+def _classify_pairs(coords, tris, aspect, diam, i, j):
+    """Label (int8) of each panel pair (i[k], j[k]): what evaluates it.
 
     A pair is classified by how many vertex indices its panels share: 3
     identical, 2 edge-adjacent, 1 vertex-adjacent, 0 disjoint.  Singular
@@ -627,112 +685,119 @@ def _pair_values(coords, tris, aspect, diam, i, j):
     singular pairs with an anisotropic panel the robust path.  Disjoint
     pairs are binned by rho = dist / max(diam): the disjoint rule of order
     ORDER - 1 (rho >= RHO_NEAR) or ORDER (rho >= RHO_CLOSE), else the
-    robust path.  Their distances are computed only where the centroid
-    bound leaves rho below RHO_NEAR possible.
+    robust path.  The pairs are counted in blocks of _PAIR_BLOCK, and
+    exact distances are computed only where the centroid bound leaves rho
+    below RHO_NEAR possible.
+    """
+    label = np.empty(len(i), np.int8)
+    cent, radius = _bounding_circles(coords)
+    scale = np.abs(coords).max(axis=(1, 2))
+    # shared vertices counted by nine comparisons of gathered index rows
+    cols = np.ascontiguousarray(tris.T)
+    unsure = []
+    for lo in range(0, len(i), _PAIR_BLOCK):
+        a, b = i[lo:lo + _PAIR_BLOCK], j[lo:lo + _PAIR_BLOCK]
+        ta, tb = cols[:, a], cols[:, b]
+        count = np.zeros(len(a), np.int8)
+        for p in range(3):
+            for q in range(3):
+                count += ta[p] == tb[q]
+        iso = ((aspect[a] <= SINGULAR_ASPECT_LIMIT)
+               & (aspect[b] <= SINGULAR_ASPECT_LIMIT))
+        label[lo:lo + _PAIR_BLOCK] = _BY_COUNT[count + 4 * ~iso]
+        # The centroid bound of _near_candidates is at most dist, as each
+        # disc holds its panel.  Rounding: as computed, the bound and the
+        # distance are each within 100 u S of their exact values, with
+        # u = 2^-53 and S the largest coordinate magnitude of the pair,
+        # which is at least d / 3 for the larger diameter d.  So where the
+        # bound less 1e-9 S, 10^5 times that error, gives rho >= RHO_NEAR,
+        # the computed distance gives it too, and every pair keeps its band.
+        d = np.flatnonzero(count == 0)
+        a, b = a[d], b[d]
+        gap = cent[a] - cent[b]
+        bound = (np.hypot(gap[:, 0], gap[:, 1]) - radius[a] - radius[b]
+                 - 1e-9 * np.maximum(scale[a], scale[b]))
+        unsure.append(lo + d[bound / np.maximum(diam[a], diam[b])
+                             < RHO_NEAR])
+    unsure = np.concatenate(unsure)
+    rho = _gathered(_distance_ratios, coords, i, j, unsure)
+    label[unsure[rho < RHO_NEAR]] = _CLOSE
+    label[unsure[rho < RHO_CLOSE]] = _ROBUST
+    return label
 
-    The pairs are classified in blocks of _PAIR_BLOCK rows into a one-byte
-    class code.  Each class keeps only the indices of its pairs, and one
-    loop, gathered(), hands every kernel the panels of one block of them.
+
+def _pair_values(coords, tris, aspect, diam, i, j, rep=None):
+    """Table entries of the panel pairs (i[k], j[k]), i <= j, of one mesh.
+
+    _classify_pairs labels each pair with what evaluates it, and one
+    loop, _gathered, hands every kernel the panels of one block of the
+    pairs of a label.  With rep, the index of each pair's representative
+    under the quarter turn (see _orbit_representatives), a rule evaluates
+    only the pairs that are their own representative or whose
+    representative has another label; the others take their
+    representative's value.  The closed-form self entries and the robust
+    path evaluate every pair of theirs.
+
     Besides per-block work arrays, the pass holds at most 64 bytes per
-    pair: values, codes and robust flags, and for the disjoint pairs their
-    indices, distances and the panel indices of one band.
+    pair: values, labels and rep, and for one label its pair indices, the
+    pairs copied and the panel indices of one block.
 
     The kernel's GEMM rounds a row differently depending on its position
     in the block, so rows keep a fixed order: edge pairs sorted by their
     shared edge (lo, hi), which both panels traverse lo -> hi, and every
-    other class in the order given.  The robust path takes (coords[i],
+    other label in the order given.  The robust path takes (coords[i],
     coords[j]) as they are.
     """
-    # class code: shared vertex count, plus 4 unless both panels are
-    # shape-regular
-    code = np.empty(len(i), np.int8)
-    for lo in range(0, len(i), _PAIR_BLOCK):
-        a, b = i[lo:lo + _PAIR_BLOCK], j[lo:lo + _PAIR_BLOCK]
-        count = (tris[a][:, :, None] == tris[b][:, None, :]).sum(axis=(1, 2))
-        iso = ((aspect[a] <= SINGULAR_ASPECT_LIMIT)
-               & (aspect[b] <= SINGULAR_ASPECT_LIMIT))
-        code[lo:lo + _PAIR_BLOCK] = count + 4 * ~iso
+    label = _classify_pairs(coords, tris, aspect, diam, i, j)
     out = np.full(len(i), np.nan)
-    robust = (code == 5) | (code == 6)
 
-    def gathered(kernel, k, slots=None, block=_PAIR_BLOCK):
-        # kernel(a, b) over the pairs k; slots, if given, is a pair of
-        # (len(k), 3) vertex orders in which panels i[k] and j[k] are taken
-        vals = np.empty(len(k))
-        for lo in range(0, len(k), block):
-            rows = slice(lo, lo + block)
-            if slots is None:
-                a, b = coords[i[k[rows]]], coords[j[k[rows]]]
-            else:
-                a = coords[i[k[rows], None], slots[0][rows]]
-                b = coords[j[k[rows], None], slots[1][rows]]
-            vals[rows] = kernel(a, b)
-        return vals
+    def along_shared_edge(k):
+        ti = tris[i[k]]
+        shared = ti[:, :, None] == tris[j[k]][:, None, :]
+        ends = np.sort(ti[shared.any(axis=2)].reshape(-1, 2), axis=1)
+        by_edge = np.lexsort((ends[:, 1], ends[:, 0]))
+        k, ends = k[by_edge], ends[by_edge]
 
-    def apply_rule(case, p, k, slots=None):
+        def along_edge(t):
+            return _slot_order(*(np.argmax(tris[t] == v[:, None], axis=1)
+                                 for v in ends.T))
+
+        return k, (along_edge(i[k]), along_edge(j[k]))
+
+    def at_shared_vertex(k):
+        # the shared vertex leads on both panels
+        shared = tris[i[k]][:, :, None] == tris[j[k]][:, None, :]
+        return k, (_slot_order(np.argmax(shared.any(axis=2), axis=1)),
+                   _slot_order(np.argmax(shared.any(axis=1), axis=1)))
+
+    def apply_rule(kind, case, p, ordered=None):
+        k = np.flatnonzero(label == kind)
+        if rep is not None:
+            r = rep[k]
+            own = (r == k) | (label[r] != kind)
+            copies, k = k[~own], k[own]
+        slots = None
+        if ordered is not None:
+            k, slots = ordered(k)
         rule = quadrature_rule(case, p)
         step = _rule_step(rule)
         # whole GEMM steps: each GEMM sees the same rows at any _PAIR_BLOCK
-        out[k] = gathered(lambda a, b: _apply_rule_pairs(rule, a, b), k,
-                          slots, step * max(1, _PAIR_BLOCK // step))
+        out[k] = _gathered(lambda a, b: _apply_rule_pairs(rule, a, b),
+                           coords, i, j, k, slots,
+                           step * max(1, _PAIR_BLOCK // step))
+        if rep is not None:
+            out[copies] = out[rep[copies]]
 
-    apply_rule("identical", ORDER, np.flatnonzero(code == 3))
-    k = np.flatnonzero(code == 7)
-    out[k] = gathered(lambda a, b: _self_entry_closed_form(a), k)
-
-    k = np.flatnonzero(code == 2)
-    ti = tris[i[k]]
-    shared = ti[:, :, None] == tris[j[k]][:, None, :]
-    ends = np.sort(ti[shared.any(axis=2)].reshape(-1, 2), axis=1)
-    by_edge = np.lexsort((ends[:, 1], ends[:, 0]))
-    k, ends = k[by_edge], ends[by_edge]
-
-    def along_edge(t):
-        return _slot_order(*(np.argmax(tris[t] == v[:, None], axis=1)
-                             for v in ends.T))
-
-    apply_rule("edge-adjacent", ORDER, k,
-               (along_edge(i[k]), along_edge(j[k])))
-
-    # the shared vertex leads on both panels
-    k = np.flatnonzero(code == 1)
-    shared = tris[i[k]][:, :, None] == tris[j[k]][:, None, :]
-    apply_rule("vertex-adjacent", ORDER, k,
-               (_slot_order(np.argmax(shared.any(axis=2), axis=1)),
-                _slot_order(np.argmax(shared.any(axis=1), axis=1))))
-
-    # rho = dist / max(diam) of the disjoint pairs.  The centroid bound of
-    # _near_candidates is at most dist, as each disc holds its panel; exact
-    # distances are computed only where it leaves rho < RHO_NEAR.
-    # Rounding: as computed, the bound and the distance are each within
-    # 100 u S of their exact values, with u = 2^-53 and S the largest
-    # coordinate magnitude of the pair, which is at least d / 3 for the
-    # larger diameter d.  So where the bound less 1e-9 S, 10^5 times that
-    # error, gives rho >= RHO_NEAR, the computed distance gives it too, and
-    # every pair keeps its band.
-    k = np.flatnonzero(code % 4 == 0)
-    cent, radius = _bounding_circles(coords)
-    scale = np.abs(coords).max(axis=(1, 2))
-    rho = np.empty(len(k))
-    for lo in range(0, len(k), _PAIR_BLOCK):
-        a, b = i[k[lo:lo + _PAIR_BLOCK]], j[k[lo:lo + _PAIR_BLOCK]]
-        gap = cent[a] - cent[b]
-        bound = (np.hypot(gap[:, 0], gap[:, 1]) - radius[a] - radius[b]
-                 - 1e-9 * np.maximum(scale[a], scale[b]))
-        rho[lo:lo + _PAIR_BLOCK] = bound / np.maximum(diam[a], diam[b])
-
-    def distance_ratios(a, b):
-        return _triangle_distances(a, b) / np.maximum(_diameters(a),
-                                                      _diameters(b))
-
-    exact = np.flatnonzero(rho < RHO_NEAR)
-    rho[exact] = gathered(distance_ratios, k[exact])
-    for band, p in ((k[rho >= RHO_NEAR], ORDER - 1),
-                    (k[(rho >= RHO_CLOSE) & (rho < RHO_NEAR)], ORDER)):
-        apply_rule("disjoint", p, band)
-    robust[k[rho < RHO_CLOSE]] = True
-
-    out[robust] = gathered(_robust_pairs, np.flatnonzero(robust))
+    apply_rule(_IDENTICAL, "identical", ORDER)
+    apply_rule(_EDGE, "edge-adjacent", ORDER, along_shared_edge)
+    apply_rule(_VERTEX, "vertex-adjacent", ORDER, at_shared_vertex)
+    apply_rule(_DISJOINT, "disjoint", ORDER - 1)
+    apply_rule(_CLOSE, "disjoint", ORDER)
+    k = np.flatnonzero(label == _SELF)
+    out[k] = _gathered(lambda a, b: _self_entry_closed_form(a), coords, i, j,
+                       k)
+    k = np.flatnonzero(label == _ROBUST)
+    out[k] = _gathered(_robust_pairs, coords, i, j, k)
     return out
 
 
@@ -797,7 +862,7 @@ def _quarter_turn(coords):
 
 def _near_candidates(coords, diam):
     """Pairs i <= j of a mesh possibly closer than RHO_FAR diameters, in
-    (i, j) order.
+    (i, j) order, as two int32 index lists.
 
     A pair is no candidate where its centroid distance less both radii
     (see _bounding_circles) is at least RHO_FAR times the larger diameter.
@@ -816,12 +881,43 @@ def _near_candidates(coords, diam):
                  - radius[i0:])
         thresh = RHO_FAR * np.maximum(diam[i0:i1, None], diam[i0:])
         ii, jj = np.nonzero(np.triu(bound < thresh))
-        near_i.append(ii + i0)
-        near_j.append(jj + i0)
+        near_i.append((ii + i0).astype(np.int32))
+        near_j.append((jj + i0).astype(np.int32))
     return np.concatenate(near_i), np.concatenate(near_j)
 
 
-def _far_table(coords):
+def _orbit_representatives(i, j, sigma):
+    """Index of each near candidate's representative under the quarter
+    turn sigma of _quarter_turn.
+
+    The orbit of a pair (i, j) is the pairs (sigma^a i, sigma^a j),
+    a = 0..3, each taken as (min, max), and its representative the one of
+    smallest code min nt + max.  A candidate whose representative is no
+    candidate is its own.  The candidates are in (i, j) order, so their
+    codes are sorted and searched, in blocks of _PAIR_BLOCK pairs.
+    """
+    nt = len(sigma)
+    # nt^2 - 1 fits int32 up to nt = 46340, a table of 17 GB
+    dtype = np.int32 if nt <= 46340 else np.int64
+    sigma = sigma.astype(dtype)
+    codes = i.astype(dtype)
+    codes *= nt
+    codes += j
+    rep = np.empty(len(i), dtype)
+    for lo in range(0, len(i), _PAIR_BLOCK):
+        a, b = i[lo:lo + _PAIR_BLOCK], j[lo:lo + _PAIR_BLOCK]
+        best = codes[lo:lo + _PAIR_BLOCK]
+        for _ in range(3):
+            a, b = sigma[a], sigma[b]
+            best = np.minimum(best, np.minimum(a, b) * nt + np.maximum(a, b))
+        # best is at most the pair's own code, so the search stays in range
+        at = np.searchsorted(codes, best)
+        rep[lo:lo + _PAIR_BLOCK] = np.where(
+            codes[at] == best, at, np.arange(lo, lo + len(at)))
+    return rep
+
+
+def _far_table(coords, sigma):
     """Far-field table of a mesh.
 
     Every entry G[i, j] gets the tensorized disjoint rule of order
@@ -831,14 +927,13 @@ def _far_table(coords):
     panels, j >= i, the strip's own square first.  With the quarter turn
     sigma of _quarter_turn, the strips cover only the rows of one panel
     per orbit and the other rows are permuted copies (see the module
-    notes); without it the same loop sweeps every row.
+    notes); with sigma None the same loop sweeps every row.
     """
     nt = len(coords)
     nodes, w = _gauss_duffy(ORDER - 2)
     k = len(w)
     pts = _map_nodes(coords, nodes)
     area2 = _doubled_area(coords)
-    sigma = _quarter_turn(coords)
     if sigma is None:
         # one block, rows and columns in panel order
         order, m, blocks = None, nt, 1
@@ -923,14 +1018,22 @@ def assemble_energy_form(mesh):
     """Element-pair single-layer table for all panel pairs of a mesh.
 
     Every pair starts from the far-field rule; the near candidates, the
-    diagonal included, are then evaluated by _pair_values.
+    diagonal included, are then evaluated by _pair_values.  Both take the
+    quarter turn, where the mesh has one; the near pass only on tables of
+    more than _SMALL_TABLE panels.
     """
     coords = mesh.triangle_coords()
     aspect = _aspect(coords)
     diam = _diameters(coords)
+    sigma = _quarter_turn(coords)
     i, j = _near_candidates(coords, diam)
-    G = _far_table(coords)
-    vals = _pair_values(coords, mesh.triangles, aspect, diam, i, j)
+    # the map, like the scan, runs before the table is allocated, which
+    # leaves less freed heap behind for the rest of the run
+    rep = None
+    if sigma is not None and len(coords) > _SMALL_TABLE:
+        rep = _orbit_representatives(i, j, sigma)
+    G = _far_table(coords, sigma)
+    vals = _pair_values(coords, mesh.triangles, aspect, diam, i, j, rep)
     G[i, j] = vals
     G[j, i] = vals
 

@@ -25,6 +25,7 @@ from crbem import (
     refine_nvb,
     uniform_refine,
 )
+from crbem import assembly
 from crbem.spaces import PwConstVecField
 from crbem.assembly import (
     RHO_CLOSE,
@@ -285,7 +286,7 @@ def _far_sweep(mesh):
     gets them."""
     coords = mesh.triangle_coords()
     ci, cj = _near_candidates(coords, _diameters(coords))
-    return _far_table(coords), ci, cj
+    return _far_table(coords, assembly._quarter_turn(coords)), ci, cj
 
 
 def _near_pairs(mesh):
@@ -465,6 +466,18 @@ def test_far_table_memory():
     assert _traced_peak(_far_sweep, mesh) < limit
 
 
+def test_near_turn_memory(monkeypatch):
+    # The orbit map takes 4 bytes a candidate, built before the table.
+    # Choosing the pairs of one label that a rule evaluates holds a few
+    # bytes more per pair of that label for a moment.
+    mesh = uniform_refine(graded_square_mesh(8, 2.0))[0]
+    ci, _, _ = _near_pairs(mesh)
+    assemble_energy_form(mesh)  # builds the cached quadrature rules
+    turned = _traced_peak(assemble_energy_form, mesh)
+    monkeypatch.setattr("crbem.assembly._quarter_turn", lambda coords: None)
+    assert turned <= _traced_peak(assemble_energy_form, mesh) + 16 * len(ci)
+
+
 def _ref_near_candidates(mesh):
     """All pairs i <= j whose centroid distance minus both radii is below
     RHO_FAR times the larger diameter, in (i, j) order, from one dense
@@ -618,6 +631,85 @@ class TestFarTable:
         far = _far_mask(mesh.num_triangles, (ci, cj), (hi, hj))
         assert far.sum() > 0.3 * far.size
         assert (np.abs(H[far] - G[far]) / G[far]).max() <= 1e-12
+
+
+class TestNearTurn:
+    @pytest.fixture(scope="class", params=["uniform", "graded", "fine"])
+    def turned(self, request):
+        # tables with and without the quarter turn, each with the labels of
+        # its near pass, its robust-path values and the number of rule pairs
+        # it evaluated
+        if request.param == "fine":
+            mesh = uniform_refine(graded_square_mesh(16, 2.0))[0]
+        else:
+            mesh = _sweep_mesh(request.param)
+        real = (assembly._classify_pairs, assembly._robust_pairs,
+                assembly._apply_rule_pairs)
+
+        def recorded(fn, out, measure=lambda result: result):
+            def wrapper(*args):
+                result = fn(*args)
+                out.append(measure(result))
+                return result
+            return wrapper
+
+        runs = []
+        with pytest.MonkeyPatch.context() as mp:
+            for turn in (True, False):
+                if not turn:
+                    mp.setattr(assembly, "_quarter_turn", lambda coords: None)
+                labels, robust, rows = [], [], []
+                mp.setattr(assembly, "_classify_pairs",
+                           recorded(real[0], labels))
+                mp.setattr(assembly, "_robust_pairs",
+                           recorded(real[1], robust))
+                mp.setattr(assembly, "_apply_rule_pairs",
+                           recorded(real[2], rows, len))
+                table = assemble_energy_form(mesh).table
+                runs.append((table, labels[0],
+                             np.concatenate(robust or [np.empty(0)]),
+                             sum(rows)))
+        ci, cj, _ = _near_pairs(mesh)
+        return (ci, cj), runs
+
+    def test_near_entries_agree(self, turned):
+        (ci, cj), ((G, *_), (H, *_)) = turned
+        assert (np.abs(G[ci, cj] - H[ci, cj]) / H[ci, cj]).max() <= 2e-15
+
+    def test_same_labels_and_robust_entries(self, turned):
+        (ci, cj), ((G, labels, robust, _), (H, ref_labels, ref_robust, _)) = (
+            turned)
+        assert np.array_equal(labels, ref_labels)
+        assert np.array_equal(robust, ref_robust)
+        k = np.flatnonzero(labels == assembly._ROBUST)
+        assert np.array_equal(G[ci[k], cj[k]], H[ci[k], cj[k]])
+
+    def test_tables_bitwise_symmetric(self, turned):
+        _, runs = turned
+        for table, *_ in runs:
+            assert np.array_equal(table, table.T)
+
+    def test_rule_pairs_evaluated_once_per_orbit(self, turned):
+        _, ((*_, rows), (*_, ref_rows)) = turned
+        assert rows < 0.26 * ref_rows
+
+    def test_representative_of_another_label_is_evaluated(self):
+        mesh = _sweep_mesh("graded")
+        coords = mesh.triangle_coords()
+        ci, cj, _ = _near_pairs(mesh)
+        args = (coords, mesh.triangles, _aspect(coords), _diameters(coords),
+                ci, cj)
+        labels = assembly._classify_pairs(*args)
+        ref = _pair_values(*args)
+        disjoint = np.flatnonzero(labels == assembly._DISJOINT)
+        k, m = disjoint[:2]
+        rep = np.arange(len(ci))
+        rep[k] = np.flatnonzero(labels == assembly._EDGE)[0]
+        assert np.array_equal(_pair_values(*args, rep), ref)
+        # a representative of the same label lends its value
+        rep[k] = m
+        got = _pair_values(*args, rep)
+        assert got[k] == got[m] and ref[k] != ref[m]
 
 
 class TestPanelIntegral:
@@ -798,6 +890,17 @@ class TestEnergyForm:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
             tables.append(assemble_energy_form(mesh).table)
         assert np.array_equal(tables[0], tables[1])
+
+    @pytest.mark.parametrize("cpus", [None, 2])
+    def test_robust_pairs_without_sched_getaffinity(self, monkeypatch, cpus):
+        # some platforms have no os.sched_getaffinity; the pool then takes
+        # os.cpu_count() threads, or one where that is unknown
+        rng = np.random.default_rng(5)
+        ta = UNIT_RIGHT + rng.uniform(-0.05, 0.05, (1031, 3, 2))
+        ref = _robust_pairs(ta, ta + [1.2, 0.0])
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert np.array_equal(_robust_pairs(ta, ta + [1.2, 0.0]), ref)
 
     def test_robust_worker_error_reaches_caller(self, monkeypatch):
         # 1031 pairs: at the first call thread 0 takes the block at 0 and
