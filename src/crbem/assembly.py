@@ -63,6 +63,25 @@ the robust path evaluate every pair of theirs, as their rounding decides
 subdivision.  Tables of at most _SMALL_TABLE panels evaluate every near
 pair and keep their bits.
 
+The identical, edge and vertex rules then evaluate one pair per class of
+equal kernel input (_key_classes).  The kernel sees a pair only through
+17 numbers, which _rule_inputs forms for the kernel and the keys alike:
+the 15 Gram entries below, each a two-term dot product, and the two
+doubled areas.  Quarter turns, reflections and exact translations of a
+pair leave them bitwise equal, and a scaling by 2^g multiplies them by
+exactly 4^g and the value by 8^g.  So a key is the 17 numbers times
+4^-f, with f from the largest diagonal entry; keys are hashed and
+compared exactly, and every pair takes the value of the first pair of
+its key times 8^(f - f_first).  Over the tables of adaptive-singular
+that leaves 12 of 968 identical, 27 of 1390 edge and 317 of 4468 vertex
+pairs.  A class value differs from the pair's own by the GEMM's
+row-position rounding, as with the turn.  The disjoint bands are not
+keyed: keying them too cut the order-4 disjoint evaluations of
+adaptive-singular from 153,461 to 81,739, yet ran slower than keying the
+singular labels alone, and its stored 96-byte keys raised the peak RSS
+from 77.3 to 81.9 MB.  Tables of at most _SMALL_TABLE panels form no
+classes.
+
 Memory: the table G (nt x nt) and a Galerkin matrix A (n x n) are the
 only quadratic arrays of a run; estimators.solve_spd factors A in place.
 The tile buffers take 2 x 663 KB, and assemble_stiffness fills A by
@@ -199,10 +218,11 @@ _FAR_TILE = 512
 # a 6570-panel random NVB mesh.
 _SCAN_STRIP = 16
 # tables of at most this many panels evaluate every near pair, with or
-# without the quarter turn, and keep their bits: adaptive-smooth's 8- and
-# 32-panel meshes, on which rounding picks 4 of 8 tied indicators for
-# Doerfler marking.  This guard goes with the decision on that tie
-# (ROADMAP.md, item 3: marking that rounding cannot decide).
+# without the quarter turn, form no key classes (_key_classes) and keep
+# their bits: adaptive-smooth's 8- and 32-panel meshes, on which rounding
+# picks 4 of 8 tied indicators for Doerfler marking.  This guard goes
+# with the decision on that tie (ROADMAP.md, item 3: marking that
+# rounding cannot decide).
 _SMALL_TABLE = 128
 # DOF rows per block of assemble_stiffness.  Single-thread time for the
 # 3008 CR DOFs of the same mesh: 0.21-0.26 s at 16 or 32 rows, 0.22-0.33 s
@@ -367,26 +387,109 @@ def _rule_step(rule):
     return max(1, _RULE_CHUNK // len(rule.weights))
 
 
+def _rule_inputs(a, b):
+    """All the rule kernel sees of the panel pairs (a[p], b[p]), (P, 3, 2)
+    each, in the rule's vertex order: the (P, 15) Gram entries of
+    (d, e1a, e2a, -e1b, -e2b) in _GRAM_I, _GRAM_J order, each the two-term
+    dot product x x' + y y', and the doubled areas of a and b."""
+    vx, vy = (np.stack([a[:, 0, c] - b[:, 0, c], a[:, 1, c] - a[:, 0, c],
+                        a[:, 2, c] - a[:, 1, c], b[:, 0, c] - b[:, 1, c],
+                        b[:, 1, c] - b[:, 2, c]], axis=1) for c in (0, 1))
+    gram = vx[:, _GRAM_I] * vx[:, _GRAM_J]
+    gram += vy[:, _GRAM_I] * vy[:, _GRAM_J]
+    return gram, _doubled_area(a), _doubled_area(b)
+
+
 def _apply_rule_pairs(rule, a, b):
     """Rule values of the panel pairs (a[p], b[p]), (P, 3, 2) each, in the
     rule's vertex order; e1 = v1 - v0 and e2 = v2 - v1 as in _map_nodes,
     and r^2 = gram @ monomials is one GEMM per _rule_step(rule) pairs."""
     mono = _rule_monomials(rule.case, rule.order)
     step = _rule_step(rule)
-    vecs = np.stack([a[:, 0] - b[:, 0], a[:, 1] - a[:, 0],
-                     a[:, 2] - a[:, 1], b[:, 0] - b[:, 1],
-                     b[:, 1] - b[:, 2]], axis=1)
-    area_a, area_b = _doubled_area(a), _doubled_area(b)
     out = np.empty(len(a))
     for lo in range(0, len(a), step):
-        v = vecs[lo:lo + step]
-        gram = np.einsum("pkc,pkc->pk", v[:, _GRAM_I], v[:, _GRAM_J])
+        gram, area_a, area_b = _rule_inputs(a[lo:lo + step], b[lo:lo + step])
         r = gram @ mono
         np.sqrt(r, out=r)
         np.divide(1.0, r, out=r)
-        out[lo:lo + step] = ((r @ rule.weights) * area_a[lo:lo + step]
-                             * area_b[lo:lo + step])
+        out[lo:lo + step] = (r @ rule.weights) * area_a * area_b
     return out / FOUR_PI
+
+
+# odd multiplier of _key_hash, 2^64 over the golden ratio
+_KEY_MIX = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _rule_keys(a, b):
+    """Kernel inputs (_rule_inputs) of the pairs (a[p], b[p]) normalised by
+    4^-f, with f half the binary exponent of the largest Gram diagonal
+    entry: the (P, 17) words as uint64, f, and whether the normalisation
+    round-trips exactly.  Panels scaled by 2^g give the same words and
+    f + g."""
+    gram, area_a, area_b = _rule_inputs(a, b)
+    words = np.column_stack([gram, area_a, area_b])
+    f = np.frexp(gram[:, _GRAM_I == _GRAM_J].max(axis=1))[1] >> 1
+    key = np.ldexp(words, -2 * f[:, None])
+    exact = (np.ldexp(key, 2 * f[:, None]) == words).all(axis=1)
+    # -0 as +0: the kernel's sums of products do not tell them apart
+    key += 0.0
+    return key.view(np.uint64), f, exact
+
+
+def _key_hash(key):
+    """A 64-bit hash of each row of words (P, 17), uint64."""
+    h = np.zeros(len(key), np.uint64)
+    for w in key.T:
+        h ^= w
+        h *= _KEY_MIX
+        h ^= h >> np.uint64(29)
+    return h
+
+
+def _key_classes(coords, i, j, k, slots):
+    """Classes of equal kernel input among the pairs (i[k], j[k]), taken in
+    the vertex orders slots as in _gathered: the position in k of each
+    pair's class representative, its first pair, and the exponent f of
+    each pair's key (_rule_keys).
+
+    A pair's kernel input is 4^(f - f_rep) times its representative's,
+    exactly, so its rule value is 8^(f - f_rep) times the representative's
+    up to the GEMM's row-position rounding.  Keys are hashed in blocks of
+    _PAIR_BLOCK pairs and compared with their candidate representative,
+    the first open pair of their hash, word by word; a key that differs
+    stays open for the next round, and a key whose normalisation does not
+    round-trip is its own class.  So the classes do not depend on the
+    hash.  Besides per-block work arrays, the pass keeps 21 bytes per
+    pair (representative, exponent, hash and a flag), and a round of
+    comparisons about 60 more per open pair for a moment.
+    """
+    n = len(k)
+
+    def keys(pos):
+        return _rule_keys(*_panels(coords, i, j, k, slots, pos))
+
+    rep = np.arange(n)
+    f = np.empty(n, np.int32)
+    h = np.empty(n, np.uint64)
+    exact = np.empty(n, bool)
+    for lo in range(0, n, _PAIR_BLOCK):
+        rows = slice(lo, lo + _PAIR_BLOCK)
+        key, f[rows], exact[rows] = keys(rows)
+        h[rows] = _key_hash(key)
+    todo = np.flatnonzero(exact)
+    while len(todo):
+        # the candidate of an open pair: the first open pair of its hash
+        _, first, group = np.unique(h[todo], return_index=True,
+                                    return_inverse=True)
+        cand = todo[first[group]]
+        same = np.empty(len(todo), bool)
+        for lo in range(0, len(todo), _PAIR_BLOCK):
+            rows = slice(lo, lo + _PAIR_BLOCK)
+            same[rows] = (keys(todo[rows])[0]
+                          == keys(cand[rows])[0]).all(axis=1)
+        rep[todo[same]] = cand[same]
+        todo = todo[~same]
+    return rep, f
 
 
 # -- robust semi-analytic path -------------------------------------------------
@@ -648,13 +751,18 @@ def _gathered(kernel, coords, i, j, k, slots=None, block=None):
     vals = np.empty(len(k))
     for lo in range(0, len(k), block):
         rows = slice(lo, lo + block)
-        if slots is None:
-            a, b = coords[i[k[rows]]], coords[j[k[rows]]]
-        else:
-            a = coords[i[k[rows], None], slots[0][rows]]
-            b = coords[j[k[rows], None], slots[1][rows]]
-        vals[rows] = kernel(a, b)
+        vals[rows] = kernel(*_panels(coords, i, j, k, slots, rows))
     return vals
+
+
+def _panels(coords, i, j, k, slots, rows):
+    """The panels of the pairs (i[k[rows]], j[k[rows]]), (P, 3, 2) each,
+    in the vertex orders slots[0][rows], slots[1][rows] if slots is given."""
+    k = k[rows]
+    if slots is None:
+        return coords[i[k]], coords[j[k]]
+    return (coords[i[k, None], slots[0][rows]],
+            coords[j[k, None], slots[1][rows]])
 
 
 def _distance_ratios(a, b):
@@ -691,19 +799,21 @@ def _classify_pairs(coords, tris, aspect, diam, i, j):
     """
     label = np.empty(len(i), np.int8)
     cent, radius = _bounding_circles(coords)
+    cx, cy = cent[:, 0].copy(), cent[:, 1].copy()
     scale = np.abs(coords).max(axis=(1, 2))
-    # shared vertices counted by nine comparisons of gathered index rows
+    # shared vertices counted by nine comparisons of gathered index rows;
+    # every gather is a take, several times faster than fancy indexing
     cols = np.ascontiguousarray(tris.T)
     unsure = []
     for lo in range(0, len(i), _PAIR_BLOCK):
         a, b = i[lo:lo + _PAIR_BLOCK], j[lo:lo + _PAIR_BLOCK]
-        ta, tb = cols[:, a], cols[:, b]
+        ta, tb = cols.take(a, axis=1), cols.take(b, axis=1)
         count = np.zeros(len(a), np.int8)
         for p in range(3):
             for q in range(3):
                 count += ta[p] == tb[q]
-        iso = ((aspect[a] <= SINGULAR_ASPECT_LIMIT)
-               & (aspect[b] <= SINGULAR_ASPECT_LIMIT))
+        iso = ((aspect.take(a) <= SINGULAR_ASPECT_LIMIT)
+               & (aspect.take(b) <= SINGULAR_ASPECT_LIMIT))
         label[lo:lo + _PAIR_BLOCK] = _BY_COUNT[count + 4 * ~iso]
         # The centroid bound of _near_candidates is at most dist, as each
         # disc holds its panel.  Rounding: as computed, the bound and the
@@ -713,11 +823,11 @@ def _classify_pairs(coords, tris, aspect, diam, i, j):
         # bound less 1e-9 S, 10^5 times that error, gives rho >= RHO_NEAR,
         # the computed distance gives it too, and every pair keeps its band.
         d = np.flatnonzero(count == 0)
-        a, b = a[d], b[d]
-        gap = cent[a] - cent[b]
-        bound = (np.hypot(gap[:, 0], gap[:, 1]) - radius[a] - radius[b]
-                 - 1e-9 * np.maximum(scale[a], scale[b]))
-        unsure.append(lo + d[bound / np.maximum(diam[a], diam[b])
+        a, b = a.take(d), b.take(d)
+        bound = (np.hypot(cx.take(a) - cx.take(b), cy.take(a) - cy.take(b))
+                 - radius.take(a) - radius.take(b)
+                 - 1e-9 * np.maximum(scale.take(a), scale.take(b)))
+        unsure.append(lo + d[bound / np.maximum(diam.take(a), diam.take(b))
                              < RHO_NEAR])
     unsure = np.concatenate(unsure)
     rho = _gathered(_distance_ratios, coords, i, j, unsure)
@@ -736,11 +846,17 @@ def _pair_values(coords, tris, aspect, diam, i, j, rep=None):
     only the pairs that are their own representative or whose
     representative has another label; the others take their
     representative's value.  The closed-form self entries and the robust
-    path evaluate every pair of theirs.
+    path evaluate every pair of theirs.  On tables of more than
+    _SMALL_TABLE panels the identical, edge and vertex rules then evaluate
+    one pair per class of _key_classes, the first in the rule's order,
+    and scale its value to the other pairs of the class.
 
     Besides per-block work arrays, the pass holds at most 64 bytes per
     pair: values, labels and rep, and for one label its pair indices, the
-    pairs copied and the panel indices of one block.
+    pairs copied and the panel indices of one block.  The classes of a
+    singular label add under 100 bytes per pair of that label while they
+    are formed (_key_classes), and then 20: representative, exponent and
+    class value.
 
     The kernel's GEMM rounds a row differently depending on its position
     in the block, so rows keep a fixed order: edge pairs sorted by their
@@ -781,10 +897,23 @@ def _pair_values(coords, tris, aspect, diam, i, j, rep=None):
             k, slots = ordered(k)
         rule = quadrature_rule(case, p)
         step = _rule_step(rule)
-        # whole GEMM steps: each GEMM sees the same rows at any _PAIR_BLOCK
-        out[k] = _gathered(lambda a, b: _apply_rule_pairs(rule, a, b),
-                           coords, i, j, k, slots,
-                           step * max(1, _PAIR_BLOCK // step))
+
+        def evaluate(k, slots):
+            # whole GEMM steps: each GEMM sees the same rows at any
+            # _PAIR_BLOCK
+            return _gathered(lambda a, b: _apply_rule_pairs(rule, a, b),
+                             coords, i, j, k, slots,
+                             step * max(1, _PAIR_BLOCK // step))
+
+        if kind in (_IDENTICAL, _EDGE, _VERTEX) and len(coords) > _SMALL_TABLE:
+            cls, f = _key_classes(coords, i, j, k, slots)
+            own = np.flatnonzero(cls == np.arange(len(k)))
+            vals = np.empty(len(k))
+            vals[own] = evaluate(k[own], None if slots is None
+                                 else (slots[0][own], slots[1][own]))
+            out[k] = np.ldexp(vals[cls], 3 * (f - f[cls]))
+        else:
+            out[k] = evaluate(k, slots)
         if rep is not None:
             out[copies] = out[rep[copies]]
 

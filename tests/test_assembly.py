@@ -42,6 +42,7 @@ from crbem.assembly import (
     _power_moments_element,
     _quarter_turn,
     _robust_pairs,
+    _rule_inputs,
     _segment_potential,
     _self_entry_closed_form,
     _triangle_distances,
@@ -500,16 +501,23 @@ def _sweep_mesh(kind):
     NVB marking or beta = 2 grading."""
     if kind == "graded":
         return uniform_refine(graded_square_mesh(8, 2.0))[0]
+    if kind == "nvb":
+        return _nvb_mesh(600)
+    mesh = build_initial_square_mesh()
+    while mesh.num_triangles < 512:
+        mesh = uniform_refine(mesh)[0]
+    return mesh
+
+
+def _nvb_mesh(panels):
+    """The initial mesh bisected by NVB, a random sixth of the panels at a
+    time, until it has at least ``panels`` panels."""
     mesh = build_initial_square_mesh()
     rng = np.random.default_rng(7)
-    while mesh.num_triangles < (512 if kind == "uniform" else 600):
-        if kind == "uniform":
-            mesh = uniform_refine(mesh)[0]
-        else:
-            marked = rng.choice(mesh.num_triangles,
-                                max(1, mesh.num_triangles // 6),
-                                replace=False)
-            mesh = refine_nvb(mesh, marked)[0]
+    while mesh.num_triangles < panels:
+        marked = rng.choice(mesh.num_triangles,
+                            max(1, mesh.num_triangles // 6), replace=False)
+        mesh = refine_nvb(mesh, marked)[0]
     return mesh
 
 
@@ -710,6 +718,158 @@ class TestNearTurn:
         rep[k] = m
         got = _pair_values(*args, rep)
         assert got[k] == got[m] and ref[k] != ref[m]
+
+
+def _ref_rule_inputs(a, b):
+    """The rule kernel's Gram entries and doubled areas as the einsum over
+    gathered (P, 15, 2) vector pairs formed them before _rule_inputs."""
+    gi, gj = np.triu_indices(5)
+    vecs = np.stack([a[:, 0] - b[:, 0], a[:, 1] - a[:, 0], a[:, 2] - a[:, 1],
+                     b[:, 0] - b[:, 1], b[:, 1] - b[:, 2]], axis=1)
+    gram = np.einsum("pkc,pkc->pk", vecs[:, gi], vecs[:, gj])
+    return gram, _ref_doubled_area(a), _ref_doubled_area(b)
+
+
+def _ref_rule_keys(a, b):
+    """The 17 kernel input words of the pairs (a[p], b[p]) times 4^-f, f
+    half the binary exponent of the largest Gram diagonal entry, -0 as +0."""
+    gram, area_a, area_b = _ref_rule_inputs(a, b)
+    words = np.column_stack([gram, area_a, area_b])
+    gi, gj = np.triu_indices(5)
+    f = np.frexp(gram[:, gi == gj].max(axis=1))[1] // 2
+    key = np.ldexp(words, -2 * f[:, None])
+    assert (np.ldexp(key, 2 * f[:, None]) == words).all()
+    return key + 0.0
+
+
+def test_rule_inputs_keep_the_earlier_bits():
+    # Two-term products on split components give the einsum's values
+    # (np.array_equal; a zero may differ in sign, which no sum of the
+    # kernel's GEMM tells apart)
+    rng = np.random.default_rng(13)
+    a, b = (rng.standard_normal((20000, 3, 2))
+            * 10.0 ** rng.uniform(-12.0, 3.0, (20000, 3, 2))
+            for _ in range(2))
+    pairs = [(a, b)]
+    mesh = uniform_refine(graded_square_mesh(16, 2.0))[0]
+    coords = mesh.triangle_coords()
+    ci, cj = _near_candidates(coords, _diameters(coords))
+    shared = (mesh.triangles[ci][:, :, None]
+              == mesh.triangles[cj][:, None, :]).any(axis=2).sum(axis=1)
+    singular = shared > 0
+    assert singular.sum() > 10000
+    pairs.append((coords[ci[singular]], coords[cj[singular]]))
+    for a, b in pairs:
+        for got, ref in zip(_rule_inputs(a, b), _ref_rule_inputs(a, b)):
+            assert np.array_equal(got, ref)
+
+
+def _own_classes(coords, i, j, k, slots):
+    return np.arange(len(k)), np.zeros(len(k), np.int32)
+
+
+class TestRuleClasses:
+    @pytest.fixture(scope="class", params=["uniform", "graded", "nvb"])
+    def classed(self, request):
+        # tables with the key classes, without them (every pair its own
+        # class) and with every key hash equal, each with the labels of its
+        # near pass, its robust-path values and the panel pairs its rule
+        # kernel saw per singular case
+        mesh = (_nvb_mesh(200) if request.param == "nvb"
+                else _sweep_mesh(request.param))
+        assert mesh.num_triangles > assembly._SMALL_TABLE
+        real = (assembly._classify_pairs, assembly._robust_pairs,
+                assembly._apply_rule_pairs)
+        runs = {}
+        with pytest.MonkeyPatch.context() as mp:
+            for run in ("classes", "none", "one hash"):
+                if run == "none":
+                    mp.setattr(assembly, "_key_classes", _own_classes)
+                elif run == "one hash":
+                    mp.undo()
+                    mp.setattr(assembly, "_key_hash",
+                               lambda key: np.zeros(len(key), np.uint64))
+                labels, robust, seen = [], [], {}
+
+                def classify(*args):
+                    labels.append(real[0](*args))
+                    return labels[-1]
+
+                def robust_pairs(ta, tb):
+                    robust.append(real[1](ta, tb))
+                    return robust[-1]
+
+                def kernel(rule, a, b):
+                    if rule.case != "disjoint":
+                        seen.setdefault(rule.case, []).append((a, b))
+                    return real[2](rule, a, b)
+
+                mp.setattr(assembly, "_classify_pairs", classify)
+                mp.setattr(assembly, "_robust_pairs", robust_pairs)
+                mp.setattr(assembly, "_apply_rule_pairs", kernel)
+                table = assemble_energy_form(mesh).table
+                runs[run] = (table, labels[0],
+                             np.concatenate(robust or [np.empty(0)]),
+                             {case: [np.concatenate(p) for p in zip(*calls)]
+                              for case, calls in seen.items()})
+        ci, cj, _ = _near_pairs(mesh)
+        return (ci, cj), runs
+
+    def test_near_entries_agree(self, classed):
+        (ci, cj), runs = classed
+        G, H = runs["classes"][0], runs["none"][0]
+        assert (np.abs(G[ci, cj] - H[ci, cj]) / H[ci, cj]).max() <= 2e-15
+
+    def test_same_labels_robust_and_self_entries(self, classed):
+        (ci, cj), runs = classed
+        G, labels, robust, _ = runs["classes"]
+        H, ref_labels, ref_robust, _ = runs["none"]
+        assert np.array_equal(labels, ref_labels)
+        assert np.array_equal(robust, ref_robust)
+        k = np.flatnonzero((labels == assembly._ROBUST)
+                           | (labels == assembly._SELF))
+        assert np.array_equal(G[ci[k], cj[k]], H[ci[k], cj[k]])
+
+    def test_tables_bitwise_symmetric(self, classed):
+        _, runs = classed
+        for table, *_ in runs.values():
+            assert np.array_equal(table, table.T)
+
+    def test_one_evaluation_per_key(self, classed):
+        # the kernel sees one pair per distinct normalised kernel input of
+        # the pairs it saw without the classes
+        _, runs = classed
+        ref, got = runs["none"][3], runs["classes"][3]
+        assert set(got) == set(ref) == {"identical", "edge-adjacent",
+                                        "vertex-adjacent"}
+        for case, (a, b) in ref.items():
+            distinct = len(np.unique(_ref_rule_keys(a, b), axis=0))
+            assert len(got[case][0]) == distinct < len(a)
+
+    def test_hash_decides_no_class(self, classed):
+        _, runs = classed
+        (G, *_, got), (H, *_, ref) = runs["one hash"], runs["classes"]
+        assert np.array_equal(G, H)
+        assert {case: len(a) for case, (a, _) in got.items()} == {
+            case: len(a) for case, (a, _) in ref.items()}
+
+
+def test_scaled_mesh_scales_keyed_entries_exactly():
+    # panels twice the size give exactly 8 times the rule values: classes
+    # join pairs whose kernel inputs differ by powers of 4
+    mesh = _nvb_mesh(200)
+    scaled = Mesh(2.0 * mesh.vertices, mesh.triangles, mesh.ref_edge)
+    ci, cj, _ = _near_pairs(mesh)
+    coords = mesh.triangle_coords()
+    labels = assembly._classify_pairs(coords, mesh.triangles, _aspect(coords),
+                                      _diameters(coords), ci, cj)
+    k = np.flatnonzero((labels == assembly._IDENTICAL)
+                       | (labels == assembly._EDGE)
+                       | (labels == assembly._VERTEX))
+    assert len(k) > 500
+    G = assemble_energy_form(mesh).table
+    H = assemble_energy_form(scaled).table
+    assert np.array_equal(H[ci[k], cj[k]], 8.0 * G[ci[k], cj[k]])
 
 
 class TestPanelIntegral:
