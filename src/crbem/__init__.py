@@ -8,13 +8,11 @@ adaptive newest-vertex-bisection refinement loop.
 from .mesh import (
     Mesh,
     RefinementMap,
-    MeshFormatError,
     build_initial_square_mesh,
     refine_nvb,
     uniform_refine,
     graded_square_mesh,
     mesh_io_write,
-    mesh_io_read,
 )
 from .spaces import (
     DofSpace,

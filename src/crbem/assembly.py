@@ -70,13 +70,13 @@ the 15 Gram entries below, each a two-term dot product, and the two
 doubled areas.  Quarter turns, reflections and exact translations of a
 pair leave them bitwise equal, and a scaling by 2^g multiplies them by
 exactly 4^g and the value by 8^g.  So a key is the 17 numbers times
-4^-f, with f from the largest diagonal entry; keys are hashed and
-compared exactly, and every pair takes the value of the first pair of
-its key times 8^(f - f_first).  Over the tables of adaptive-singular
-that leaves 12 of 968 identical, 27 of 1390 edge and 317 of 4468 vertex
-pairs.  A class value differs from the pair's own by the GEMM's
-row-position rounding, as with the turn.  The disjoint bands are not
-keyed: keying them too cut the order-4 disjoint evaluations of
+4^-f, with f from the largest diagonal entry; one stable sort of the
+keys finds the runs of equal keys, and every pair takes the value of the
+first pair of its key times 8^(f - f_first).  Over the tables of
+adaptive-singular that leaves 12 of 968 identical, 27 of 1390 edge and
+317 of 4468 vertex pairs.  A class value differs from the pair's own by
+the GEMM's row-position rounding, as with the turn.  The disjoint bands
+are not keyed: keying them too cut the order-4 disjoint evaluations of
 adaptive-singular from 153,461 to 81,739, yet ran slower than keying the
 singular labels alone, and its stored 96-byte keys raised the peak RSS
 from 77.3 to 81.9 MB.  Tables of at most _SMALL_TABLE panels form no
@@ -416,34 +416,17 @@ def _apply_rule_pairs(rule, a, b):
     return out / FOUR_PI
 
 
-# odd multiplier of _key_hash, 2^64 over the golden ratio
-_KEY_MIX = np.uint64(0x9E3779B97F4A7C15)
-
-
 def _rule_keys(a, b):
     """Kernel inputs (_rule_inputs) of the pairs (a[p], b[p]) normalised by
     4^-f, with f half the binary exponent of the largest Gram diagonal
-    entry: the (P, 17) words as uint64, f, and whether the normalisation
-    round-trips exactly.  Panels scaled by 2^g give the same words and
-    f + g."""
+    entry: the (P, 17) keys, f, and whether the normalisation round-trips
+    exactly.  Panels scaled by 2^g give the same keys and f + g."""
     gram, area_a, area_b = _rule_inputs(a, b)
     words = np.column_stack([gram, area_a, area_b])
     f = np.frexp(gram[:, _GRAM_I == _GRAM_J].max(axis=1))[1] >> 1
     key = np.ldexp(words, -2 * f[:, None])
     exact = (np.ldexp(key, 2 * f[:, None]) == words).all(axis=1)
-    # -0 as +0: the kernel's sums of products do not tell them apart
-    key += 0.0
-    return key.view(np.uint64), f, exact
-
-
-def _key_hash(key):
-    """A 64-bit hash of each row of words (P, 17), uint64."""
-    h = np.zeros(len(key), np.uint64)
-    for w in key.T:
-        h ^= w
-        h *= _KEY_MIX
-        h ^= h >> np.uint64(29)
-    return h
+    return key, f, exact
 
 
 def _key_classes(coords, i, j, k, slots):
@@ -454,41 +437,35 @@ def _key_classes(coords, i, j, k, slots):
 
     A pair's kernel input is 4^(f - f_rep) times its representative's,
     exactly, so its rule value is 8^(f - f_rep) times the representative's
-    up to the GEMM's row-position rounding.  Keys are hashed in blocks of
-    _PAIR_BLOCK pairs and compared with their candidate representative,
-    the first open pair of their hash, word by word; a key that differs
-    stays open for the next round, and a key whose normalisation does not
-    round-trip is its own class.  So the classes do not depend on the
-    hash.  Besides per-block work arrays, the pass keeps 21 bytes per
-    pair (representative, exponent, hash and a flag), and a round of
-    comparisons about 60 more per open pair for a moment.
+    up to the GEMM's row-position rounding.  The keys are formed in blocks
+    of _PAIR_BLOCK pairs and sorted by one stable lexsort, so each run of
+    equal keys starts at its first pair; a key whose normalisation does
+    not round-trip is its own class.  Float comparison takes -0 for +0, as
+    the kernel's sums of products do.  Besides the work arrays of one
+    block (2.7 MB), the pass keeps 141 bytes per pair (key, exponent and
+    flag), and the sort about 40 more: one call peaks at 5.8 MB
+    (tracemalloc) on the 21,628 vertex pairs of a 4368-panel NVB table.
     """
     n = len(k)
-
-    def keys(pos):
-        return _rule_keys(*_panels(coords, i, j, k, slots, pos))
-
-    rep = np.arange(n)
+    key = np.empty((n, 17))
     f = np.empty(n, np.int32)
-    h = np.empty(n, np.uint64)
     exact = np.empty(n, bool)
     for lo in range(0, n, _PAIR_BLOCK):
         rows = slice(lo, lo + _PAIR_BLOCK)
-        key, f[rows], exact[rows] = keys(rows)
-        h[rows] = _key_hash(key)
-    todo = np.flatnonzero(exact)
-    while len(todo):
-        # the candidate of an open pair: the first open pair of its hash
-        _, first, group = np.unique(h[todo], return_index=True,
-                                    return_inverse=True)
-        cand = todo[first[group]]
-        same = np.empty(len(todo), bool)
-        for lo in range(0, len(todo), _PAIR_BLOCK):
-            rows = slice(lo, lo + _PAIR_BLOCK)
-            same[rows] = (keys(todo[rows])[0]
-                          == keys(cand[rows])[0]).all(axis=1)
-        rep[todo[same]] = cand[same]
-        todo = todo[~same]
+        key[rows], f[rows], exact[rows] = _rule_keys(
+            *_panels(coords, i, j, k, slots, rows))
+    # NaN equals nothing, not even itself, so these keys start a run of
+    # their own
+    key[~exact] = np.nan
+    order = np.lexsort(key.T)
+    start = np.zeros(n, bool)
+    start[:1] = True
+    for word in key.T:
+        word = word[order]
+        start[1:] |= word[1:] != word[:-1]
+    first = np.maximum.accumulate(np.where(start, np.arange(n), 0))
+    rep = np.empty(n, np.intp)
+    rep[order] = order[first]
     return rep, f
 
 
@@ -854,9 +831,9 @@ def _pair_values(coords, tris, aspect, diam, i, j, rep=None):
     Besides per-block work arrays, the pass holds at most 64 bytes per
     pair: values, labels and rep, and for one label its pair indices, the
     pairs copied and the panel indices of one block.  The classes of a
-    singular label add under 100 bytes per pair of that label while they
-    are formed (_key_classes), and then 20: representative, exponent and
-    class value.
+    singular label add about 180 bytes per pair of that label and the
+    work arrays of one block while they are formed (_key_classes), and
+    then 20: representative, exponent and class value.
 
     The kernel's GEMM rounds a row differently depending on its position
     in the block, so rows keep a fixed order: edge pairs sorted by their

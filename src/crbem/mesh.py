@@ -18,21 +18,12 @@ import numpy as np
 __all__ = [
     "Mesh",
     "RefinementMap",
-    "MeshFormatError",
     "build_initial_square_mesh",
     "refine_nvb",
     "uniform_refine",
     "graded_square_mesh",
     "mesh_io_write",
-    "mesh_io_read",
 ]
-
-_AREA_TOL = 1e-12
-
-
-class MeshFormatError(ValueError):
-    """Raised when a mesh file cannot be parsed or violates conformity."""
-
 
 @dataclass
 class RefinementMap:
@@ -153,25 +144,6 @@ class Mesh:
 
     def interior_edges(self):
         return np.flatnonzero(~self.edge_boundary)
-
-    def validate_conforming(self):
-        """Check the no-hanging-node invariant and the area tiling.
-
-        Every edge must bound one or two triangles; an edge with a single
-        adjacent triangle must lie on the boundary of the screen, and the
-        element areas must tile the unit square.
-        """
-        xy = self.edge_midpoints[self.edge_boundary]
-        on_rim = (np.isclose(xy, 0.0, atol=1e-12) | np.isclose(xy, 1.0, atol=1e-12)).any(axis=1)
-        if not np.all(on_rim):
-            bad = np.flatnonzero(self.edge_boundary)[~on_rim][0]
-            raise ValueError(
-                f"conformity violation: edge {bad} bounds a single triangle "
-                f"but its midpoint {self.edge_midpoints[bad]} is interior "
-                "(hanging node)")
-        total = float(self.areas.sum())
-        if abs(total - 1.0) > _AREA_TOL:
-            raise ValueError(f"element areas sum to {total!r}, expected 1.0")
 
 
 def build_initial_square_mesh():
@@ -314,67 +286,3 @@ def mesh_io_write(mesh, sink):
             f.write(f"{x:.17g} {y:.17g} {int(b)}\n")
         for tri, ref, par in zip(mesh.triangles, mesh.ref_edge, mesh.parent):
             f.write(f"{tri[0]} {tri[1]} {tri[2]} {ref} {par}\n")
-
-
-def mesh_io_read(source):
-    """Read a mesh written by :func:`mesh_io_write` and validate it."""
-    path = isinstance(source, (str, os.PathLike))
-    with open(source) if path else contextlib.nullcontext(source) as f:
-        lines = f.read().splitlines()
-
-    def fail(lineno, msg):
-        raise MeshFormatError(f"line {lineno}: {msg}")
-
-    if not lines:
-        fail(1, "empty mesh file")
-    head = lines[0].split()
-    if len(head) != 2:
-        fail(1, "expected 'nv nt' header")
-    try:
-        nv, nt = int(head[0]), int(head[1])
-    except ValueError:
-        fail(1, f"bad header {lines[0]!r}")
-    if nv < 0 or nt < 0:
-        fail(1, f"negative count in header {lines[0]!r}")
-    if len(lines) < 1 + nv + nt:
-        fail(len(lines) + 1, f"expected {1 + nv + nt} lines, file has {len(lines)}")
-
-    verts = np.empty((nv, 2))
-    flags = np.zeros(nv, dtype=bool)
-    for i in range(nv):
-        parts = lines[1 + i].split()
-        if len(parts) != 3:
-            fail(2 + i, "expected 'x y boundary_flag'")
-        try:
-            verts[i] = float(parts[0]), float(parts[1])
-            flag = int(parts[2])
-        except ValueError:
-            fail(2 + i, f"bad vertex line {lines[1 + i]!r}")
-        if flag not in (0, 1):
-            fail(2 + i, f"boundary flag must be 0 or 1 in {lines[1 + i]!r}")
-        flags[i] = flag
-
-    tris = np.empty((nt, 3), dtype=np.int64)
-    ref = np.empty(nt, dtype=np.int64)
-    parent = np.empty(nt, dtype=np.int64)
-    for i in range(nt):
-        parts = lines[1 + nv + i].split()
-        if len(parts) != 5:
-            fail(2 + nv + i, "expected 'v0 v1 v2 ref_edge parent'")
-        try:
-            tris[i] = [int(p) for p in parts[:3]]
-            ref[i] = int(parts[3])
-            parent[i] = int(parts[4])
-        except (ValueError, OverflowError):
-            fail(2 + nv + i, f"bad triangle line {lines[1 + nv + i]!r}")
-    if tris.size and (tris.min() < 0 or tris.max() >= nv):
-        fail(2 + nv, "triangle vertex index out of range")
-
-    try:
-        mesh = Mesh(verts, tris, ref, parent=parent)
-        mesh.validate_conforming()
-    except ValueError as exc:
-        raise MeshFormatError(str(exc)) from exc
-    if not np.array_equal(mesh.boundary_vertex, flags):
-        raise MeshFormatError("stored boundary flags disagree with the edge table")
-    return mesh

@@ -771,10 +771,9 @@ def _own_classes(coords, i, j, k, slots):
 class TestRuleClasses:
     @pytest.fixture(scope="class", params=["uniform", "graded", "nvb"])
     def classed(self, request):
-        # tables with the key classes, without them (every pair its own
-        # class) and with every key hash equal, each with the labels of its
-        # near pass, its robust-path values and the panel pairs its rule
-        # kernel saw per singular case
+        # tables with the key classes and without them (every pair its own
+        # class), each with the labels of its near pass, its robust-path
+        # values and the panel pairs its rule kernel saw per singular case
         mesh = (_nvb_mesh(200) if request.param == "nvb"
                 else _sweep_mesh(request.param))
         assert mesh.num_triangles > assembly._SMALL_TABLE
@@ -782,13 +781,9 @@ class TestRuleClasses:
                 assembly._apply_rule_pairs)
         runs = {}
         with pytest.MonkeyPatch.context() as mp:
-            for run in ("classes", "none", "one hash"):
+            for run in ("classes", "none"):
                 if run == "none":
                     mp.setattr(assembly, "_key_classes", _own_classes)
-                elif run == "one hash":
-                    mp.undo()
-                    mp.setattr(assembly, "_key_hash",
-                               lambda key: np.zeros(len(key), np.uint64))
                 labels, robust, seen = [], [], {}
 
                 def classify(*args):
@@ -846,12 +841,55 @@ class TestRuleClasses:
             distinct = len(np.unique(_ref_rule_keys(a, b), axis=0))
             assert len(got[case][0]) == distinct < len(a)
 
-    def test_hash_decides_no_class(self, classed):
-        _, runs = classed
-        (G, *_, got), (H, *_, ref) = runs["one hash"], runs["classes"]
-        assert np.array_equal(G, H)
-        assert {case: len(a) for case, (a, _) in got.items()} == {
-            case: len(a) for case, (a, _) in ref.items()}
+
+def test_classes_start_at_the_first_equal_key():
+    # on the singular pairs of a table, in the vertex orders of their rule,
+    # each representative's key equals its pair's bitwise and is the
+    # first such key
+    calls = []
+    real = assembly._key_classes
+
+    def record(coords, i, j, k, slots):
+        calls.append((coords, i, j, k, slots, real(coords, i, j, k, slots)))
+        return calls[-1][-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(assembly, "_key_classes", record)
+        assemble_energy_form(_nvb_mesh(200))
+    assert len(calls) == 3
+    for coords, i, j, k, slots, (rep, _) in calls:
+        a, b = coords[i[k]], coords[j[k]]
+        if slots is not None:
+            a = np.take_along_axis(a, slots[0][:, :, None], axis=1)
+            b = np.take_along_axis(b, slots[1][:, :, None], axis=1)
+        key = _ref_rule_keys(a, b)
+        _, first, group = np.unique(key, axis=0, return_index=True,
+                                    return_inverse=True)
+        assert np.array_equal(rep, first[group])
+        assert np.array_equal(key[rep].view(np.uint64), key.view(np.uint64))
+        assert len(first) < len(k)
+
+
+def test_inexact_key_is_its_own_class():
+    # panels of size 1e150 and 1e-150 sharing a vertex: the small panel's
+    # area underflows in the normalised key, so two copies of that pair
+    # stay apart, while two copies of a unit pair form one class
+    unit = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    coords = np.stack([1e150 * unit, 1e-150 * unit, unit, unit[[0, 2, 1]]
+                       * np.array([-1.0, 1.0])])
+    i, j = np.array([0, 0, 2, 2]), np.array([1, 1, 3, 3])
+    assert np.array_equal(assembly._rule_keys(coords[i], coords[j])[2],
+                          [False, False, True, True])
+    rep, _ = assembly._key_classes(coords, i, j, np.arange(4), None)
+    assert np.array_equal(rep, [0, 1, 2, 2])
+
+
+def test_no_pairs_no_classes():
+    coords = build_initial_square_mesh().triangle_coords()
+    none = np.empty(0, np.int32)
+    rep, f = assembly._key_classes(coords, none, none, np.empty(0, np.intp),
+                                   None)
+    assert rep.shape == f.shape == (0,)
 
 
 def test_scaled_mesh_scales_keyed_entries_exactly():

@@ -30,7 +30,7 @@ def test_run_writes_csv_and_svg(tmp_path):
     ET.parse(out_svg)  # well-formed XML
     assert sorted(os.listdir(dump))[0] == "level_00.mesh"
 
-    from crbem import mesh_io_read
+    from meshfile import mesh_io_read
     mesh = mesh_io_read(str(dump / "level_00.mesh"))
     assert mesh.num_triangles == 8
 

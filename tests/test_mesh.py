@@ -5,14 +5,14 @@ import pytest
 
 from crbem import (
     Mesh,
-    MeshFormatError,
     build_initial_square_mesh,
     refine_nvb,
     uniform_refine,
     graded_square_mesh,
     mesh_io_write,
-    mesh_io_read,
 )
+
+from meshfile import MeshFormatError, mesh_io_read, validate_conforming
 
 
 def min_interior_angle(mesh):
@@ -100,7 +100,7 @@ class TestRefinement:
 
     def test_single_mark_closure(self, initial_mesh):
         fine, rmap = refine_nvb(initial_mesh, [0])
-        fine.validate_conforming()
+        validate_conforming(fine)
         assert 4 <= fine.num_triangles <= 32
         # recorded closure outcome for this mesh and marking
         assert fine.num_triangles == 15
@@ -122,7 +122,7 @@ class TestRefinement:
             k = max(1, mesh.num_triangles // 8)
             marked = rng.choice(mesh.num_triangles, size=k, replace=False)
             mesh, rmap = refine_nvb(mesh, marked)
-            mesh.validate_conforming()
+            validate_conforming(mesh)
             parent_areas = np.zeros(rmap.parent_count)
             np.add.at(parent_areas, rmap.child_to_parent, mesh.areas)
             angle = min_interior_angle(mesh)
@@ -153,7 +153,7 @@ class TestGradedMesh:
 
     def test_conforming_and_positive(self):
         g = graded_square_mesh(16, 3.0)
-        g.validate_conforming()
+        validate_conforming(g)
         assert g.areas.min() > 0
 
     def test_invalid_parameters(self):

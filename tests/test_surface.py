@@ -15,9 +15,6 @@ from crbem.cli import main
 UNREACHED_BY_DESIGN = {
     # the entry point of the panel-pair oracle tests: one pair, any shape
     "panel_integral",
-    # reads the files that --dump-meshes writes, which come back into
-    # the program from outside it and so are validated on the way in
-    "mesh_io_read",
 }
 
 
