@@ -16,7 +16,8 @@ vertex indices a pair shares (3, 2, 1, 0); disjoint pairs are then binned
 by separation.  assemble_energy_form fills the whole table with the
 far-field rule and calls _pair_values once, on the diagonal and the near
 candidates.  panel_integral assembles the table of a one- or two-panel
-mesh, so single pairs take exactly the table's path.
+mesh, so single pairs take exactly the table's path.  Timings and memory
+measurements of every design choice below are in CHANGES.md.
 
 The far table is a sweep of row strips of _FAR_STRIP panels against
 column tiles of _FAR_TILE panels, j >= i, the strip's own square first.
@@ -29,8 +30,7 @@ is averaged with its transpose, so the table is bitwise symmetric.  The
 near candidates, the pairs i <= j possibly closer than RHO_FAR diameters,
 come from a separate scan of every row, _near_candidates, which runs
 first: the candidate lists are built before the table is allocated.
-Near pairs are not skipped: they are 7-65% of all pairs and do not form
-whole tiles.
+Near pairs are not skipped, as they do not form whole tiles.
 
 The meshes of the uniform and graded runs map onto themselves under the
 quarter turn (x, y) -> (1 - y, x), panel by panel and vertex k onto vertex
@@ -45,10 +45,9 @@ of P0 as well, as block 3 is block 1 transposed, and the strip's square
 of block 2 is averaged with its transpose like that of block 0.  Then
 every other row sigma^a(p) is row p with its columns permuted, copied in
 strips through the tile buffers.  A far entry so differs from the full
-sweep's by rounding only (8e-16 relative measured).  Where no sigma
-exists (NVB meshes, translated meshes, gradings whose coordinates do not
-turn exactly) the loop runs as one block over every row: the full sweep,
-with its bits.
+sweep's by rounding only.  Where no sigma exists (NVB meshes, translated
+meshes, gradings whose coordinates do not turn exactly) the loop runs as
+one block over every row: the full sweep, with its bits.
 
 The near pass uses the same turn.  _orbit_representatives maps each near
 candidate to the candidate of smallest code among its images
@@ -57,52 +56,48 @@ classifies every candidate as without the turn; then each rule evaluates
 only the pairs that are their own representative, or whose representative
 is no candidate or has another label, and the others copy their
 representative's value: a quarter of the rule pairs.  A near entry so
-differs from the turn-less pass by rounding only (1.8e-15 relative on
-uniform meshes, 9e-16 on graded ones).  The closed-form self entries and
-the robust path evaluate every pair of theirs, as their rounding decides
-subdivision.  Tables of at most _SMALL_TABLE panels evaluate every near
-pair and keep their bits.
+differs from the turn-less pass by rounding only.  The closed-form self
+entries and the robust path evaluate every pair of theirs, as their
+rounding decides subdivision.  Tables of at most _SMALL_TABLE panels
+evaluate every near pair and keep their bits.
+
+Every rule-based pair (the three singular cases and the near and close
+disjoint bands) is evaluated by one kernel, which sees a pair only
+through 17 numbers, _rule_inputs.  A node pair (x1, x2), (y1, y2) maps
+to x - y = d + x1 e1a + x2 e2a - y1 e1b - y2 e2b with d = a0 - b0, so
+|x - y|^2 is a quadratic form in c = (1, x1, x2, y1, y2) with the Gram
+matrix of (d, e1a, e2a, -e1b, -e2b).  Its 15 entries, each a two-term dot
+product, and the two doubled areas are the inputs.  _rule_values takes
+(P, 17) rows of them: the Gram entries times a cached (15, K) monomial
+table per rule give r^2 in one GEMM, followed by an in-place square root
+and reciprocal and a GEMV with the weights.  Only coordinate differences
+enter, so there is no cancellation on absolute coordinates.  The GEMM
+rounds a row by its position in the block, so every GEMM takes
+_rule_step(rule) rows in a fixed order.
 
 The identical, edge and vertex rules then evaluate one pair per class of
-equal kernel input (_key_classes).  The kernel sees a pair only through
-17 numbers, which _rule_inputs forms for the kernel and the keys alike:
-the 15 Gram entries below, each a two-term dot product, and the two
-doubled areas.  Quarter turns, reflections and exact translations of a
-pair leave them bitwise equal, and a scaling by 2^g multiplies them by
-exactly 4^g and the value by 8^g.  So a key is the 17 numbers times
-4^-f, with f from the largest diagonal entry; one stable sort of the
-keys finds the runs of equal keys, and every pair takes the value of the
-first pair of its key times 8^(f - f_first).  Over the tables of
-adaptive-singular that leaves 12 of 968 identical, 27 of 1390 edge and
-317 of 4468 vertex pairs.  A class value differs from the pair's own by
-the GEMM's row-position rounding, as with the turn.  The disjoint bands
-are not keyed: keying them too cut the order-4 disjoint evaluations of
-adaptive-singular from 153,461 to 81,739, yet ran slower than keying the
-singular labels alone, and its stored 96-byte keys raised the peak RSS
-from 77.3 to 81.9 MB.  Tables of at most _SMALL_TABLE panels form no
-classes.
+equal kernel input.  _pair_values stores the inputs of such a label,
+_key_classes finds the classes on them, and the first row of each class
+is evaluated from the stored inputs.  Quarter turns, reflections and
+exact translations of a pair leave its inputs bitwise equal, and a
+scaling by 2^g multiplies them by exactly 4^g and the value by 8^g, so
+every pair of a class takes its class value times a power of 8.  A class
+value differs from the pair's own by the GEMM's row-position rounding,
+as with the turn.  The disjoint bands are not keyed, as that cost more
+time and peak memory than it saved.  Tables of at most _SMALL_TABLE
+panels form no classes.
 
 Memory: the table G (nt x nt) and a Galerkin matrix A (n x n) are the
 only quadratic arrays of a run; estimators.solve_spd factors A in place.
-The tile buffers take 2 x 663 KB, and assemble_stiffness fills A by
-blocks of _STIFF_BLOCK DOF rows, each symmetrized in place against the
+The far sweep works in two tile buffers, and assemble_stiffness fills A
+by blocks of _STIFF_BLOCK DOF rows, each symmetrized in place against the
 rows above it.  The near candidates are two int32 index lists, and the
 orbit map one more.  The near-field pass works in blocks too:
 _classify_pairs labels the near candidates in blocks of _PAIR_BLOCK rows
 with one byte each, _pair_values keeps per label only the indices of its
-pairs, and one loop, _gathered, gathers the panels of a block of pairs,
-in the vertex order of their case, for a kernel that sees only that
-block.
-
-Every rule-based pair (the three singular cases and the near and close
-disjoint bands) is evaluated by one kernel.  A node pair (x1, x2),
-(y1, y2) maps to x - y = d + x1 e1a + x2 e2a - y1 e1b - y2 e2b with
-d = a0 - b0, so |x - y|^2 is a quadratic form in c = (1, x1, x2, y1, y2)
-with the Gram matrix of (d, e1a, e2a, -e1b, -e2b).  The 15 Gram entries
-per pair times a cached (15, K) monomial table per rule give r^2 for a
-block of pairs in one GEMM, followed by an in-place square root and
-reciprocal and a GEMV with the weights.  Only coordinate differences
-enter, so there is no cancellation on absolute coordinates.
+pairs (and for a keyed label their kernel inputs), and one loop,
+_gathered, gathers the panels of a block of pairs, in the vertex order of
+their case, for a kernel that sees only that block.
 
 The transformed rules converge geometrically for shape-regular panels but
 degrade on strongly anisotropic ones (boundary-graded meshes).  Pairs
@@ -122,12 +117,12 @@ to _ROBUST_RTOL and the bands compare distance ratios with RHO_CLOSE and
 RHO_NEAR, so a change of rounding could flip a decision and move a table
 entry by up to about 1e-6 relative.  The tests keep the earlier kernels
 and check bit equality.  Most disjoint pairs need no distance: the
-centroid bound of the candidate scan, less a rounding margin, already puts
-91-95% of them on the uniform and graded meshes at rho >= RHO_NEAR, and
-only the rest get exact distances, with the same bands.  The robust path
-runs once per block of pairs; its stop test reads only sums per pair, so
-blocking changes no bit.  Past _ROBUST_MAX_CELLS live cells in a block it
-raises NumericalError.
+centroid bound of the candidate scan, less a rounding margin, already
+puts most of them at rho >= RHO_NEAR, and only the rest get exact
+distances, with the same bands.  The robust path runs once per block of
+pairs; its stop test reads only sums per pair, so blocking changes no
+bit.  Past _ROBUST_MAX_CELLS live cells in a block it raises
+NumericalError.
 
 Threads: one robust-path call opens a ThreadPoolExecutor with one thread
 per core the process may use, and each set of cells is split statically:
@@ -137,7 +132,7 @@ its own slice of the cell values, so the table has the same bits on any
 number of threads.  The subdivision, the stop test and the cell cap stay
 on the caller's thread.  This is the only thread pool of the package:
 the far sweep and the near-field gathers run on the caller's thread, as
-pooling them cost 3-6 MB of peak RSS on the smallest runs.
+pooling them raised the peak RSS of the smallest runs.
 """
 
 from __future__ import annotations
@@ -185,37 +180,21 @@ _ROBUST_RTOL = 1e-6
 _ROBUST_ORDER = 5
 _ROBUST_MAX_DEPTH = 24
 # cells per block of the robust-path kernel: a thread's twelve (1024, 25)
-# work arrays take 2.4 MB, about one core's L2 (2 MiB on a 2-core Xeon).
-# Time of the 8514 robust pairs of uniform_refine(graded_square_mesh(16,
-# 2.0)) on that machine, median of 5 runs: at 1024 cells one worker 2.9 s
-# and two workers 1.8 s (medians over 5 processes).  Measured with blocks
-# handed out one at a time rather than split statically: one worker 3.3 s
-# at 4096 and 2.7 s at 256, two workers 1.8 s at 4096 and 3.1 s at 256.
+# work arrays take 2.4 MB, about one core's L2 cache (timings of other
+# sizes in CHANGES.md)
 _ROBUST_BLOCK = 1024
 # live cells of one robust-path call, one block of at most _PAIR_BLOCK
-# pairs, before it gives up with NumericalError: the beta=2 graded preset
-# peaks at 67,600 (2048 panels), 15 times below; beta=20 reaches exactly
-# 2^20 on its 32-panel mesh and settles, because only a count above the
-# cap fails.  Without a cap, beta=50 runs out of memory.
+# pairs, before it gives up with NumericalError: far above the peak of the
+# graded presets, and without a cap beta=50 runs out of memory
 _ROBUST_MAX_CELLS = 1 << 20
 # panel pairs per block of the near-field pass: of the classification in
-# _pair_values and of each gather that feeds a kernel.  Single-thread time
-# of the distances for the 639k near candidates of the same mesh: 0.45 s
-# at 4096 pairs, 0.76 s at 1024, 0.55 s at 16384 and 1.05 s unblocked.
+# _pair_values and of each gather that feeds a kernel
 _PAIR_BLOCK = 4096
 # panels per row strip and per column tile of _far_table: two 663 KB tile
-# buffers.  Single-thread time of the far sweep with its near candidates
-# on the 2048-panel beta=2 graded mesh (best to median of 5, over three
-# runs): 1.0-1.4 s at 2 x 512 and 1 x 1024, 1.2-1.7 s at 16 x 64,
-# 1.4-1.9 s at 4 x 256 and 1.8-2.0 s at 2 x 128.  Numpy's broadcast
-# subtraction is about four times faster per element on tile rows of 4608
-# points than on rows of 576.
+# buffers, whose long tile rows suit numpy's broadcast subtraction
 _FAR_STRIP = 2
 _FAR_TILE = 512
-# rows per strip of the scan of _near_candidates.  Single-thread
-# time on the same mesh, median of 5: 0.053 s at 16 rows, 0.058 s at 32,
-# 0.060 s at 8 and 0.082 s at 2; 0.41 s at 16 rows against 0.50 s at 2 on
-# a 6570-panel random NVB mesh.
+# rows per strip of the scan of _near_candidates
 _SCAN_STRIP = 16
 # tables of at most this many panels evaluate every near pair, with or
 # without the quarter turn, form no key classes (_key_classes) and keep
@@ -224,9 +203,7 @@ _SCAN_STRIP = 16
 # with the decision on that tie (ROADMAP.md, item 3: marking that
 # rounding cannot decide).
 _SMALL_TABLE = 128
-# DOF rows per block of assemble_stiffness.  Single-thread time for the
-# 3008 CR DOFs of the same mesh: 0.21-0.26 s at 16 or 32 rows, 0.22-0.33 s
-# at 64, 0.39-0.50 s at 256 and 0.60-0.77 s at 1024.
+# DOF rows per block of assemble_stiffness
 _STIFF_BLOCK = 32
 
 
@@ -363,10 +340,8 @@ def _map_nodes(tris, nodes):
 
 # upper triangle of the 5x5 Gram matrix of (d, e1a, e2a, -e1b, -e2b)
 _GRAM_I, _GRAM_J = np.triu_indices(5)
-# r^2 entries per block of the rule kernel: 1 MB stays in cache from the
-# GEMM through the square root to the GEMV (10-30% faster than 8 MB
-# blocks in single-thread timings of the vertex, identical and disjoint
-# rules)
+# r^2 entries per GEMM of the rule kernel: 1 MB stays in cache from the
+# GEMM through the square root to the GEMV
 _RULE_CHUNK = 1 << 17
 
 
@@ -389,74 +364,69 @@ def _rule_step(rule):
 
 def _rule_inputs(a, b):
     """All the rule kernel sees of the panel pairs (a[p], b[p]), (P, 3, 2)
-    each, in the rule's vertex order: the (P, 15) Gram entries of
-    (d, e1a, e2a, -e1b, -e2b) in _GRAM_I, _GRAM_J order, each the two-term
-    dot product x x' + y y', and the doubled areas of a and b."""
+    each, in the rule's vertex order, as (P, 17) rows: the 15 Gram entries
+    of (d, e1a, e2a, -e1b, -e2b) in _GRAM_I, _GRAM_J order, each the
+    two-term dot product x x' + y y', then the doubled areas of a and b.
+
+    The five vectors are formed component by component as (5, P) rows and
+    each input is one contiguous row of a (17, P) array, returned
+    transposed, so the work arrays take 17 + 10 + 5 + 1 doubles a pair."""
+    x = np.empty((17, len(a)))
+    x[15] = _doubled_area(a)
+    x[16] = _doubled_area(b)
     vx, vy = (np.stack([a[:, 0, c] - b[:, 0, c], a[:, 1, c] - a[:, 0, c],
                         a[:, 2, c] - a[:, 1, c], b[:, 0, c] - b[:, 1, c],
-                        b[:, 1, c] - b[:, 2, c]], axis=1) for c in (0, 1))
-    gram = vx[:, _GRAM_I] * vx[:, _GRAM_J]
-    gram += vy[:, _GRAM_I] * vy[:, _GRAM_J]
-    return gram, _doubled_area(a), _doubled_area(b)
+                        b[:, 1, c] - b[:, 2, c]]) for c in (0, 1))
+    tmp = np.empty(len(a))
+    for row, (p, q) in enumerate(zip(_GRAM_I, _GRAM_J)):
+        np.multiply(vx[p], vx[q], out=x[row])
+        x[row] += np.multiply(vy[p], vy[q], out=tmp)
+    return x.T
+
+
+def _rule_values(rule, x):
+    """Rule values of the pairs whose kernel inputs (_rule_inputs) are the
+    rows of x: r^2 = x[:, :15] @ monomials in one GEMM, then an in-place
+    square root and reciprocal and a GEMV with the weights.  The GEMM
+    rounds a row by its position, so callers pass _rule_step(rule) rows
+    at a time."""
+    r = x[:, :15] @ _rule_monomials(rule.case, rule.order)
+    np.sqrt(r, out=r)
+    np.divide(1.0, r, out=r)
+    return (r @ rule.weights) * x[:, 15] * x[:, 16] / FOUR_PI
 
 
 def _apply_rule_pairs(rule, a, b):
     """Rule values of the panel pairs (a[p], b[p]), (P, 3, 2) each, in the
-    rule's vertex order; e1 = v1 - v0 and e2 = v2 - v1 as in _map_nodes,
-    and r^2 = gram @ monomials is one GEMM per _rule_step(rule) pairs."""
-    mono = _rule_monomials(rule.case, rule.order)
+    rule's vertex order; e1 = v1 - v0 and e2 = v2 - v1 as in _map_nodes.
+    The inputs are formed per GEMM step of _rule_step(rule) pairs."""
     step = _rule_step(rule)
     out = np.empty(len(a))
     for lo in range(0, len(a), step):
-        gram, area_a, area_b = _rule_inputs(a[lo:lo + step], b[lo:lo + step])
-        r = gram @ mono
-        np.sqrt(r, out=r)
-        np.divide(1.0, r, out=r)
-        out[lo:lo + step] = (r @ rule.weights) * area_a * area_b
-    return out / FOUR_PI
+        out[lo:lo + step] = _rule_values(
+            rule, _rule_inputs(a[lo:lo + step], b[lo:lo + step]))
+    return out
 
 
-def _rule_keys(a, b):
-    """Kernel inputs (_rule_inputs) of the pairs (a[p], b[p]) normalised by
-    4^-f, with f half the binary exponent of the largest Gram diagonal
-    entry: the (P, 17) keys, f, and whether the normalisation round-trips
-    exactly.  Panels scaled by 2^g give the same keys and f + g."""
-    gram, area_a, area_b = _rule_inputs(a, b)
-    words = np.column_stack([gram, area_a, area_b])
-    f = np.frexp(gram[:, _GRAM_I == _GRAM_J].max(axis=1))[1] >> 1
-    key = np.ldexp(words, -2 * f[:, None])
-    exact = (np.ldexp(key, 2 * f[:, None]) == words).all(axis=1)
-    return key, f, exact
+def _key_classes(x):
+    """Classes of equal kernel input among the rows of x, (n, 17) inputs
+    of _rule_inputs: the index of each row's class representative, its
+    first row, and the exponent f of each row's key.
 
-
-def _key_classes(coords, i, j, k, slots):
-    """Classes of equal kernel input among the pairs (i[k], j[k]), taken in
-    the vertex orders slots as in _gathered: the position in k of each
-    pair's class representative, its first pair, and the exponent f of
-    each pair's key (_rule_keys).
-
-    A pair's kernel input is 4^(f - f_rep) times its representative's,
-    exactly, so its rule value is 8^(f - f_rep) times the representative's
-    up to the GEMM's row-position rounding.  The keys are formed in blocks
-    of _PAIR_BLOCK pairs and sorted by one stable lexsort, so each run of
-    equal keys starts at its first pair; a key whose normalisation does
-    not round-trip is its own class.  Float comparison takes -0 for +0, as
-    the kernel's sums of products do.  Besides the work arrays of one
-    block (2.7 MB), the pass keeps 141 bytes per pair (key, exponent and
-    flag), and the sort about 40 more: one call peaks at 5.8 MB
-    (tracemalloc) on the 21,628 vertex pairs of a 4368-panel NVB table.
+    The key of a row is the row times 4^-f, with f half the binary
+    exponent of its largest Gram diagonal entry, so a row scaled by 4^g
+    has the same key and f + g, and its rule value is 8^(f - f_rep) times
+    the representative's up to the GEMM's row-position rounding.  One
+    stable lexsort of the keys puts each run of equal keys in row order;
+    a key whose normalisation does not round-trip is its own class.
+    Float comparison takes -0 for +0, as the kernel's sums of products do.
     """
-    n = len(k)
-    key = np.empty((n, 17))
-    f = np.empty(n, np.int32)
-    exact = np.empty(n, bool)
-    for lo in range(0, n, _PAIR_BLOCK):
-        rows = slice(lo, lo + _PAIR_BLOCK)
-        key[rows], f[rows], exact[rows] = _rule_keys(
-            *_panels(coords, i, j, k, slots, rows))
+    n = len(x)
+    f = np.frexp(x[:, :15][:, _GRAM_I == _GRAM_J].max(axis=1))[1] >> 1
+    key = np.ldexp(x, -2 * f[:, None])
     # NaN equals nothing, not even itself, so these keys start a run of
     # their own
-    key[~exact] = np.nan
+    key[(np.ldexp(key, 2 * f[:, None]) != x).any(axis=1)] = np.nan
     order = np.lexsort(key.T)
     start = np.zeros(n, bool)
     start[:1] = True
@@ -550,6 +520,8 @@ def _robust_pairs(ta, tb):
     """
     nodes, wts = _gauss_duffy(_ROBUST_ORDER)
     n0, n1 = nodes[:, 0], nodes[:, 1]
+    # the four children of a cell as points of its vertices and midpoints
+    children = np.array([[0, 3, 5], [3, 1, 4], [5, 4, 2], [3, 4, 5]])
     frames = _edge_frames(tb)
     n_pairs = len(ta)
     settled = np.zeros(n_pairs)
@@ -599,13 +571,10 @@ def _robust_pairs(ta, tb):
                     f"{4 * len(owner)} live cells at depth {depth + 1} "
                     f"exceed the cap of {_ROBUST_MAX_CELLS} (panels too "
                     f"anisotropic)")
-            m01 = 0.5 * (cells[:, 0] + cells[:, 1])
-            m12 = 0.5 * (cells[:, 1] + cells[:, 2])
-            m20 = 0.5 * (cells[:, 2] + cells[:, 0])
-            kids = np.stack([np.stack([cells[:, 0], m01, m20], 1),
-                             np.stack([m01, cells[:, 1], m12], 1),
-                             np.stack([m20, m12, cells[:, 2]], 1),
-                             np.stack([m01, m12, m20], 1)], axis=1)
+            # vertices 0, 1, 2 and the midpoints of edges 01, 12, 20
+            pts = np.concatenate([cells, 0.5 * (cells + cells[:, [1, 2, 0]])],
+                                 axis=1)
+            kids = pts[:, children]
             kv = cell_values(kids.reshape(-1, 3, 2),
                              np.repeat(owner, 4)).reshape(-1, 4)
             ksum = kv.sum(axis=1)
@@ -657,15 +626,11 @@ def _self_entry_closed_form(tris):
 # -- pair classification helpers -----------------------------------------------
 
 
-def _aspect(tris):
-    edges = tris[..., [1, 2, 0], :] - tris[..., [0, 1, 2], :]
-    lmax2 = (edges ** 2).sum(-1).max(-1)
-    return lmax2 / _doubled_area(tris)
-
-
-def _diameters(tris):
-    """Longest edge of each panel (..., 3, 2)."""
-    return np.sqrt(((tris[..., [1, 2, 0], :] - tris) ** 2).sum(-1)).max(-1)
+def _aspect_and_diameter(tris):
+    """Aspect (longest edge)^2 / (2 |T|) and diameter, the longest edge, of
+    each panel (..., 3, 2), from one pass over the edges."""
+    lmax2 = ((tris[..., [1, 2, 0], :] - tris) ** 2).sum(-1).max(-1)
+    return lmax2 / _doubled_area(tris), np.sqrt(lmax2)
 
 
 def _bounding_circles(tris):
@@ -720,32 +685,24 @@ def _slot_order(first, second=None):
 
 
 def _gathered(kernel, coords, i, j, k, slots=None, block=None):
-    """kernel(a, b) over the panel pairs (i[k], j[k]), in blocks of
-    ``block`` (default _PAIR_BLOCK) pairs of gathered panels; slots, if
-    given, is a pair of (len(k), 3) vertex orders in which the panels are
-    taken."""
+    """The rows of kernel(a, b) over the panel pairs (i[k], j[k]), stacked,
+    in blocks of ``block`` (default _PAIR_BLOCK) pairs of gathered panels;
+    slots, if given, is a pair of (len(k), 3) vertex orders in which the
+    panels are taken.  An empty k gives an empty 1-D array."""
     block = block or _PAIR_BLOCK
-    vals = np.empty(len(k))
+    out = np.empty(0)
     for lo in range(0, len(k), block):
         rows = slice(lo, lo + block)
-        vals[rows] = kernel(*_panels(coords, i, j, k, slots, rows))
-    return vals
-
-
-def _panels(coords, i, j, k, slots, rows):
-    """The panels of the pairs (i[k[rows]], j[k[rows]]), (P, 3, 2) each,
-    in the vertex orders slots[0][rows], slots[1][rows] if slots is given."""
-    k = k[rows]
-    if slots is None:
-        return coords[i[k]], coords[j[k]]
-    return (coords[i[k, None], slots[0][rows]],
-            coords[j[k, None], slots[1][rows]])
-
-
-def _distance_ratios(a, b):
-    """rho = dist / max(diam) of the disjoint panels a[p], b[p]."""
-    return _triangle_distances(a, b) / np.maximum(_diameters(a),
-                                                  _diameters(b))
+        a, b = i[k[rows]], j[k[rows]]
+        if slots is None:
+            vals = kernel(coords[a], coords[b])
+        else:
+            vals = kernel(coords[a[:, None], slots[0][rows]],
+                          coords[b[:, None], slots[1][rows]])
+        if not lo:
+            out = np.empty((len(k),) + vals.shape[1:])
+        out[rows] = vals
+    return out
 
 
 # what evaluates a near pair, as _classify_pairs labels it: the rule of its
@@ -807,7 +764,8 @@ def _classify_pairs(coords, tris, aspect, diam, i, j):
         unsure.append(lo + d[bound / np.maximum(diam.take(a), diam.take(b))
                              < RHO_NEAR])
     unsure = np.concatenate(unsure)
-    rho = _gathered(_distance_ratios, coords, i, j, unsure)
+    rho = _gathered(_triangle_distances, coords, i, j, unsure)
+    rho /= np.maximum(diam.take(i.take(unsure)), diam.take(j.take(unsure)))
     label[unsure[rho < RHO_NEAR]] = _CLOSE
     label[unsure[rho < RHO_CLOSE]] = _ROBUST
     return label
@@ -824,16 +782,17 @@ def _pair_values(coords, tris, aspect, diam, i, j, rep=None):
     representative has another label; the others take their
     representative's value.  The closed-form self entries and the robust
     path evaluate every pair of theirs.  On tables of more than
-    _SMALL_TABLE panels the identical, edge and vertex rules then evaluate
-    one pair per class of _key_classes, the first in the rule's order,
-    and scale its value to the other pairs of the class.
+    _SMALL_TABLE panels the identical, edge and vertex rules store the
+    kernel inputs of their pairs, evaluate one row per class of
+    _key_classes, the first in the rule's order, and scale its value to
+    the other pairs of the class.
 
     Besides per-block work arrays, the pass holds at most 64 bytes per
     pair: values, labels and rep, and for one label its pair indices, the
-    pairs copied and the panel indices of one block.  The classes of a
-    singular label add about 180 bytes per pair of that label and the
-    work arrays of one block while they are formed (_key_classes), and
-    then 20: representative, exponent and class value.
+    pairs copied and the panel indices of one block.  A keyed label adds
+    its kernel inputs, 136 bytes per pair of that label, up to three times
+    that while _key_classes runs, and then 20: representative, exponent
+    and class value.
 
     The kernel's GEMM rounds a row differently depending on its position
     in the block, so rows keep a fixed order: edge pairs sorted by their
@@ -874,23 +833,22 @@ def _pair_values(coords, tris, aspect, diam, i, j, rep=None):
             k, slots = ordered(k)
         rule = quadrature_rule(case, p)
         step = _rule_step(rule)
-
-        def evaluate(k, slots):
-            # whole GEMM steps: each GEMM sees the same rows at any
-            # _PAIR_BLOCK
-            return _gathered(lambda a, b: _apply_rule_pairs(rule, a, b),
-                             coords, i, j, k, slots,
-                             step * max(1, _PAIR_BLOCK // step))
-
-        if kind in (_IDENTICAL, _EDGE, _VERTEX) and len(coords) > _SMALL_TABLE:
-            cls, f = _key_classes(coords, i, j, k, slots)
+        if (kind in (_IDENTICAL, _EDGE, _VERTEX) and len(k)
+                and len(coords) > _SMALL_TABLE):
+            x = _gathered(_rule_inputs, coords, i, j, k, slots)
+            cls, f = _key_classes(x)
             own = np.flatnonzero(cls == np.arange(len(k)))
             vals = np.empty(len(k))
-            vals[own] = evaluate(k[own], None if slots is None
-                                 else (slots[0][own], slots[1][own]))
+            for lo in range(0, len(own), step):
+                rows = own[lo:lo + step]
+                vals[rows] = _rule_values(rule, x[rows])
             out[k] = np.ldexp(vals[cls], 3 * (f - f[cls]))
         else:
-            out[k] = evaluate(k, slots)
+            # whole GEMM steps: each GEMM sees the same rows at any
+            # _PAIR_BLOCK
+            out[k] = _gathered(lambda a, b: _apply_rule_pairs(rule, a, b),
+                               coords, i, j, k, slots,
+                               step * max(1, _PAIR_BLOCK // step))
         if rep is not None:
             out[copies] = out[rep[copies]]
 
@@ -1129,8 +1087,7 @@ def assemble_energy_form(mesh):
     more than _SMALL_TABLE panels.
     """
     coords = mesh.triangle_coords()
-    aspect = _aspect(coords)
-    diam = _diameters(coords)
+    aspect, diam = _aspect_and_diameter(coords)
     sigma = _quarter_turn(coords)
     i, j = _near_candidates(coords, diam)
     # the map, like the scan, runs before the table is allocated, which

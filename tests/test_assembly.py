@@ -33,10 +33,11 @@ from crbem.assembly import (
     SINGULAR_ASPECT_LIMIT,
     NumericalError,
     _apply_rule_pairs,
-    _aspect,
+    _aspect_and_diameter,
     _curl_matrices,
     _edge_frames,
     _far_table,
+    _key_classes,
     _near_candidates,
     _pair_values,
     _power_moments_element,
@@ -134,8 +135,8 @@ class TestRuleKernel:
         for tris in (mesh.triangles,
                      np.take_along_axis(mesh.triangles, turn, axis=1)):
             coords = mesh.vertices[tris]
-            values.append(_pair_values(coords, tris, _aspect(coords),
-                                       _diameters(coords), ci, cj))
+            values.append(_pair_values(coords, tris,
+                                       *_aspect_and_diameter(coords), ci, cj))
         shared = (mesh.triangles[ci][:, :, None]
                   == mesh.triangles[cj][:, None, :]).sum(axis=(1, 2))
         adjacent = (shared == 1) | (shared == 2)
@@ -306,7 +307,7 @@ def graded_robust_case():
     mesh (512 panels, beta = 2), classified as assemble_energy_form does."""
     mesh = uniform_refine(graded_square_mesh(8, 2.0))[0]
     coords = mesh.triangle_coords()
-    aniso = _aspect(coords) > SINGULAR_ASPECT_LIMIT
+    aniso = _aspect_and_diameter(coords)[0] > SINGULAR_ASPECT_LIMIT
     diam = _diameters(coords)
     ci, cj, shared = _near_pairs(mesh)
     disjoint = shared == 0
@@ -346,7 +347,7 @@ class TestSplitKernels:
         mesh = graded_square_mesh(16, 2.0)
         coords = mesh.triangle_coords()
         _, ci, cj = _far_sweep(mesh)
-        args = (coords, mesh.triangles, _aspect(coords), _diameters(coords),
+        args = (coords, mesh.triangles, *_aspect_and_diameter(coords),
                 ci, cj)
         ref = _pair_values(*args)
         for block in (37, 256):
@@ -363,7 +364,7 @@ class TestSplitKernels:
                         mesh.ref_edge)
         coords = mesh.triangle_coords()
         ci, cj, shared = _near_pairs(mesh)
-        args = (coords, mesh.triangles, _aspect(coords), _diameters(coords),
+        args = (coords, mesh.triangles, *_aspect_and_diameter(coords),
                 ci, cj)
         counted = []
 
@@ -446,7 +447,7 @@ def test_pair_values_memory_is_blocked(graded_robust_case):
     coords, _, (ri, rj) = graded_robust_case
     mesh = uniform_refine(graded_square_mesh(8, 2.0))[0]
     _, ci, cj = _far_sweep(mesh)
-    args = (coords, mesh.triangles, _aspect(coords), _diameters(coords),
+    args = (coords, mesh.triangles, *_aspect_and_diameter(coords),
             ci, cj)
     _pair_values(*args)  # builds the cached quadrature rules
     robust = _traced_peak(_robust_pairs, coords[ri], coords[rj])
@@ -652,7 +653,7 @@ class TestNearTurn:
         else:
             mesh = _sweep_mesh(request.param)
         real = (assembly._classify_pairs, assembly._robust_pairs,
-                assembly._apply_rule_pairs)
+                assembly._rule_values)
 
         def recorded(fn, out, measure=lambda result: result):
             def wrapper(*args):
@@ -671,7 +672,7 @@ class TestNearTurn:
                            recorded(real[0], labels))
                 mp.setattr(assembly, "_robust_pairs",
                            recorded(real[1], robust))
-                mp.setattr(assembly, "_apply_rule_pairs",
+                mp.setattr(assembly, "_rule_values",
                            recorded(real[2], rows, len))
                 table = assemble_energy_form(mesh).table
                 runs.append((table, labels[0],
@@ -705,7 +706,7 @@ class TestNearTurn:
         mesh = _sweep_mesh("graded")
         coords = mesh.triangle_coords()
         ci, cj, _ = _near_pairs(mesh)
-        args = (coords, mesh.triangles, _aspect(coords), _diameters(coords),
+        args = (coords, mesh.triangles, *_aspect_and_diameter(coords),
                 ci, cj)
         labels = assembly._classify_pairs(*args)
         ref = _pair_values(*args)
@@ -721,25 +722,24 @@ class TestNearTurn:
 
 
 def _ref_rule_inputs(a, b):
-    """The rule kernel's Gram entries and doubled areas as the einsum over
-    gathered (P, 15, 2) vector pairs formed them before _rule_inputs."""
+    """The rule kernel's 15 Gram entries and two doubled areas, (P, 17), as
+    the einsum over gathered (P, 15, 2) vector pairs formed them before
+    _rule_inputs."""
     gi, gj = np.triu_indices(5)
     vecs = np.stack([a[:, 0] - b[:, 0], a[:, 1] - a[:, 0], a[:, 2] - a[:, 1],
                      b[:, 0] - b[:, 1], b[:, 1] - b[:, 2]], axis=1)
     gram = np.einsum("pkc,pkc->pk", vecs[:, gi], vecs[:, gj])
-    return gram, _ref_doubled_area(a), _ref_doubled_area(b)
+    return np.column_stack([gram, _ref_doubled_area(a), _ref_doubled_area(b)])
 
 
-def _ref_rule_keys(a, b):
-    """The 17 kernel input words of the pairs (a[p], b[p]) times 4^-f, f
-    half the binary exponent of the largest Gram diagonal entry, -0 as +0."""
-    gram, area_a, area_b = _ref_rule_inputs(a, b)
-    words = np.column_stack([gram, area_a, area_b])
+def _ref_keys(x):
+    """The rows of kernel inputs x times 4^-f, f half the binary exponent of
+    the largest Gram diagonal entry, -0 as +0; f; and whether the
+    normalisation round-trips."""
     gi, gj = np.triu_indices(5)
-    f = np.frexp(gram[:, gi == gj].max(axis=1))[1] // 2
-    key = np.ldexp(words, -2 * f[:, None])
-    assert (np.ldexp(key, 2 * f[:, None]) == words).all()
-    return key + 0.0
+    f = np.frexp(x[:, np.flatnonzero(gi == gj)].max(axis=1))[1] // 2
+    key = np.ldexp(x, -2 * f[:, None])
+    return key + 0.0, f, (np.ldexp(key, 2 * f[:, None]) == x).all(axis=1)
 
 
 def test_rule_inputs_keep_the_earlier_bits():
@@ -760,12 +760,61 @@ def test_rule_inputs_keep_the_earlier_bits():
     assert singular.sum() > 10000
     pairs.append((coords[ci[singular]], coords[cj[singular]]))
     for a, b in pairs:
-        for got, ref in zip(_rule_inputs(a, b), _ref_rule_inputs(a, b)):
-            assert np.array_equal(got, ref)
+        got = _rule_inputs(a, b)
+        assert got.shape == (len(a), 17)
+        assert np.array_equal(got, _ref_rule_inputs(a, b))
 
 
-def _own_classes(coords, i, j, k, slots):
-    return np.arange(len(k)), np.zeros(len(k), np.int32)
+def test_rule_inputs_memory():
+    # On one block of P = 4096 pairs the work arrays are the (17, P)
+    # result, the (5, P) differences of both components, the five
+    # differences of one component before they are stacked and a product
+    # row: at most 33 doubles a pair, and the doubled areas, formed first,
+    # take fewer.  The bound leaves two rows for small temporaries.
+    # Gathering (P, 15) copies of the differences would take 15 doubles a
+    # pair per copy.
+    rng = np.random.default_rng(19)
+    a, b = rng.uniform(0.0, 1.0, (2, 4096, 3, 2))
+    assert _traced_peak(_rule_inputs, a, b) < 35 * 8 * len(a)
+
+
+def test_rule_values_in_steps_match_the_panel_kernel():
+    # the keyed labels evaluate stored (n, 17) inputs a GEMM step at a
+    # time, with the bits of the kernel that forms its inputs per step
+    mesh = _nvb_mesh(200)
+    coords = mesh.triangle_coords()
+    ci, cj, shared = _near_pairs(mesh)
+    k = np.flatnonzero(shared == 0)[:500]
+    a, b = coords[ci[k]], coords[cj[k]]
+    rule = quadrature_rule("identical", 5)
+    step = assembly._rule_step(rule)
+    x = np.ascontiguousarray(_rule_inputs(a, b))
+    got = np.concatenate([assembly._rule_values(rule, x[lo:lo + step])
+                          for lo in range(0, len(x), step)])
+    assert np.array_equal(got, _apply_rule_pairs(rule, a, b))
+
+
+def test_every_gemm_takes_at_most_one_step():
+    # the GEMM rounds a row by its position in the block, so every call
+    # of the rule kernel, class representatives included, takes at most
+    # _rule_step(rule) rows
+    calls = []
+    real = assembly._rule_values
+
+    def record(rule, x):
+        calls.append((len(x), assembly._rule_step(rule), rule.case))
+        return real(rule, x)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(assembly, "_rule_values", record)
+        assemble_energy_form(_nvb_mesh(200))
+    assert {case for *_, case in calls} == {
+        "identical", "edge-adjacent", "vertex-adjacent", "disjoint"}
+    assert all(rows <= step for rows, step, _ in calls)
+
+
+def _own_classes(x):
+    return np.arange(len(x)), np.zeros(len(x), np.int32)
 
 
 class TestRuleClasses:
@@ -773,12 +822,12 @@ class TestRuleClasses:
     def classed(self, request):
         # tables with the key classes and without them (every pair its own
         # class), each with the labels of its near pass, its robust-path
-        # values and the panel pairs its rule kernel saw per singular case
+        # values and the kernel inputs its rule kernel saw per singular case
         mesh = (_nvb_mesh(200) if request.param == "nvb"
                 else _sweep_mesh(request.param))
         assert mesh.num_triangles > assembly._SMALL_TABLE
         real = (assembly._classify_pairs, assembly._robust_pairs,
-                assembly._apply_rule_pairs)
+                assembly._rule_values)
         runs = {}
         with pytest.MonkeyPatch.context() as mp:
             for run in ("classes", "none"):
@@ -794,18 +843,18 @@ class TestRuleClasses:
                     robust.append(real[1](ta, tb))
                     return robust[-1]
 
-                def kernel(rule, a, b):
+                def kernel(rule, x):
                     if rule.case != "disjoint":
-                        seen.setdefault(rule.case, []).append((a, b))
-                    return real[2](rule, a, b)
+                        seen.setdefault(rule.case, []).append(x)
+                    return real[2](rule, x)
 
                 mp.setattr(assembly, "_classify_pairs", classify)
                 mp.setattr(assembly, "_robust_pairs", robust_pairs)
-                mp.setattr(assembly, "_apply_rule_pairs", kernel)
+                mp.setattr(assembly, "_rule_values", kernel)
                 table = assemble_energy_form(mesh).table
                 runs[run] = (table, labels[0],
                              np.concatenate(robust or [np.empty(0)]),
-                             {case: [np.concatenate(p) for p in zip(*calls)]
+                             {case: np.concatenate(calls)
                               for case, calls in seen.items()})
         ci, cj, _ = _near_pairs(mesh)
         return (ci, cj), runs
@@ -837,37 +886,36 @@ class TestRuleClasses:
         ref, got = runs["none"][3], runs["classes"][3]
         assert set(got) == set(ref) == {"identical", "edge-adjacent",
                                         "vertex-adjacent"}
-        for case, (a, b) in ref.items():
-            distinct = len(np.unique(_ref_rule_keys(a, b), axis=0))
-            assert len(got[case][0]) == distinct < len(a)
+        for case, x in ref.items():
+            key, _, exact = _ref_keys(x)
+            assert exact.all()
+            assert len(got[case]) == len(np.unique(key, axis=0)) < len(x)
 
 
 def test_classes_start_at_the_first_equal_key():
-    # on the singular pairs of a table, in the vertex orders of their rule,
-    # each representative's key equals its pair's bitwise and is the
-    # first such key
+    # on the kernel inputs of the singular pairs of a table, each
+    # representative's key equals its row's bitwise and is the first such
+    # key, and the exponents are those of the keys
     calls = []
     real = assembly._key_classes
 
-    def record(coords, i, j, k, slots):
-        calls.append((coords, i, j, k, slots, real(coords, i, j, k, slots)))
+    def record(x):
+        calls.append((x, real(x)))
         return calls[-1][-1]
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(assembly, "_key_classes", record)
         assemble_energy_form(_nvb_mesh(200))
     assert len(calls) == 3
-    for coords, i, j, k, slots, (rep, _) in calls:
-        a, b = coords[i[k]], coords[j[k]]
-        if slots is not None:
-            a = np.take_along_axis(a, slots[0][:, :, None], axis=1)
-            b = np.take_along_axis(b, slots[1][:, :, None], axis=1)
-        key = _ref_rule_keys(a, b)
+    for x, (rep, f) in calls:
+        key, ref_f, exact = _ref_keys(x)
+        assert exact.all()
+        assert np.array_equal(f, ref_f)
         _, first, group = np.unique(key, axis=0, return_index=True,
                                     return_inverse=True)
         assert np.array_equal(rep, first[group])
         assert np.array_equal(key[rep].view(np.uint64), key.view(np.uint64))
-        assert len(first) < len(k)
+        assert len(first) < len(x)
 
 
 def test_inexact_key_is_its_own_class():
@@ -878,17 +926,45 @@ def test_inexact_key_is_its_own_class():
     coords = np.stack([1e150 * unit, 1e-150 * unit, unit, unit[[0, 2, 1]]
                        * np.array([-1.0, 1.0])])
     i, j = np.array([0, 0, 2, 2]), np.array([1, 1, 3, 3])
-    assert np.array_equal(assembly._rule_keys(coords[i], coords[j])[2],
-                          [False, False, True, True])
-    rep, _ = assembly._key_classes(coords, i, j, np.arange(4), None)
+    x = _rule_inputs(coords[i], coords[j])
+    assert np.array_equal(_ref_keys(x)[2], [False, False, True, True])
+    rep, _ = _key_classes(x)
     assert np.array_equal(rep, [0, 1, 2, 2])
 
 
+class TestKeyClasses:
+    # _key_classes on hand-made rows of 17 kernel inputs
+    @staticmethod
+    def _rows(n, seed):
+        return np.random.default_rng(seed).uniform(0.5, 2.0, (n, 17))
+
+    def test_rows_scaled_by_powers_of_four_form_one_class(self):
+        base, other = self._rows(2, 23)
+        g = np.array([3, 0, 0, -2, 5, 0])
+        x = np.ldexp(np.stack([base, base, other, base, base, base]),
+                     2 * g[:, None])
+        rep, f = _key_classes(x)
+        assert np.array_equal(rep, [0, 0, 2, 0, 0, 0])
+        assert np.array_equal(f - f[rep], g - g[rep])
+
+    def test_signed_zeros_form_one_class(self):
+        x = np.repeat(self._rows(1, 29), 3, axis=0)
+        x[:, 4] = [0.0, -0.0, 0.0]
+        x[2, 7] = -x[2, 7]
+        rep, _ = _key_classes(x)
+        assert np.array_equal(rep, [0, 0, 2])
+
+    def test_row_that_does_not_round_trip_is_its_own_class(self):
+        x = np.repeat(self._rows(1, 31), 4, axis=0)
+        x[:2, :15] *= 1e150
+        x[:2, 16] = 1e-300
+        assert np.array_equal(_ref_keys(x)[2], [False, False, True, True])
+        rep, _ = _key_classes(x)
+        assert np.array_equal(rep, [0, 1, 2, 2])
+
+
 def test_no_pairs_no_classes():
-    coords = build_initial_square_mesh().triangle_coords()
-    none = np.empty(0, np.int32)
-    rep, f = assembly._key_classes(coords, none, none, np.empty(0, np.intp),
-                                   None)
+    rep, f = _key_classes(np.empty((0, 17)))
     assert rep.shape == f.shape == (0,)
 
 
@@ -899,8 +975,8 @@ def test_scaled_mesh_scales_keyed_entries_exactly():
     scaled = Mesh(2.0 * mesh.vertices, mesh.triangles, mesh.ref_edge)
     ci, cj, _ = _near_pairs(mesh)
     coords = mesh.triangle_coords()
-    labels = assembly._classify_pairs(coords, mesh.triangles, _aspect(coords),
-                                      _diameters(coords), ci, cj)
+    labels = assembly._classify_pairs(coords, mesh.triangles,
+                                      *_aspect_and_diameter(coords), ci, cj)
     k = np.flatnonzero((labels == assembly._IDENTICAL)
                        | (labels == assembly._EDGE)
                        | (labels == assembly._VERTEX))
