@@ -7,7 +7,6 @@ adaptive newest-vertex-bisection refinement loop.
 
 from .mesh import (
     Mesh,
-    RefinementMap,
     build_initial_square_mesh,
     refine_nvb,
     uniform_refine,
@@ -56,7 +55,6 @@ from .estimators import (
 )
 from .adaptive import (
     ExperimentConfig,
-    ConvergenceHistory,
     doerfler_mark,
     run_experiment,
     fit_rate,

@@ -23,7 +23,7 @@ import csv
 import io
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,7 +47,6 @@ from .estimators import (
 __all__ = [
     "ExperimentConfig",
     "LevelRecord",
-    "ConvergenceHistory",
     "EXPERIMENTS",
     "doerfler_mark",
     "run_experiment",
@@ -95,22 +94,18 @@ class ExperimentConfig:
         return self
 
 
-@dataclass
-class ConvergenceHistory:
-    config: ExperimentConfig
-    records: list = field(default_factory=list)
-
-    def values(self, quantity):
-        """(N, value, level) triples of levels where the quantity exists."""
-        xs, ys, ls = [], [], []
-        for rec in self.records:
-            v = getattr(rec, quantity)
-            if v is not None:
-                xs.append(rec.n_coarse)
-                ys.append(v)
-                ls.append(rec.level)
-        return (np.asarray(xs, float), np.asarray(ys, float),
-                np.asarray(ls, dtype=np.int64))
+def _values(records, quantity):
+    """(N, value, level) arrays over the records where the quantity
+    exists."""
+    xs, ys, ls = [], [], []
+    for rec in records:
+        v = getattr(rec, quantity)
+        if v is not None:
+            xs.append(rec.n_coarse)
+            ys.append(v)
+            ls.append(rec.level)
+    return (np.asarray(xs, float), np.asarray(ys, float),
+            np.asarray(ls, dtype=np.int64))
 
 
 def doerfler_mark(indicators, theta):
@@ -168,7 +163,7 @@ def _next_coarse(config, level, pair, marked):
     if name.startswith("uniform"):
         return pair.fine
     if name.startswith("adaptive"):
-        return pair.coarse.refined(*refine_nvb(pair.coarse.mesh, marked))
+        return pair.coarse.refined(refine_nvb(pair.coarse.mesh, marked)[0])
     return Level(_graded_mesh(2 ** (level + 2), config.beta),
                  pair.coarse.data)
 
@@ -187,11 +182,12 @@ def _maybe_dump(config, level, mesh):
 
 
 def run_experiment(config):
-    """Run one of the experiment presets and return its history."""
+    """Run one of the experiment presets and return its LevelRecords,
+    one per level."""
     config.validate()
     uniform = config.experiment.startswith("uniform")
     adaptive = config.experiment.startswith("adaptive")
-    history = ConvergenceHistory(config=config)
+    records = []
     coarse = _first_level(config)
     for level in range(config.max_levels):
         t0 = time.perf_counter()
@@ -203,7 +199,7 @@ def run_experiment(config):
         _maybe_dump(config, level, coarse.mesh)
         if uniform and last:
             rec = LevelRecord(n_coarse=coarse.cr.dof_count,
-                              rho2=jump_term(coarse.mesh, coarse.phi)[0],
+                              rho2=jump_term(coarse.phi)[0],
                               conf_gap2=conf_gap(coarse))
         else:
             pair = solve_pair(coarse)
@@ -216,16 +212,16 @@ def run_experiment(config):
                 coarse = _next_coarse(config, level, pair, marked)
         rec.level = level
         rec.wall_ms = 1e3 * (time.perf_counter() - t0)
-        history.records.append(rec)
+        records.append(rec)
         if last:
             break
-    return history
+    return records
 
 
-def fit_rate(history, quantity):
+def fit_rate(records, quantity):
     """Least-squares slope of log(quantity) against log(N) over the
-    trailing RATE_WINDOW levels where the quantity is available."""
-    xs, ys, levels = history.values(quantity)
+    trailing RATE_WINDOW records where the quantity is available."""
+    xs, ys, levels = _values(records, quantity)
     if len(xs) < 2:
         raise ValueError(f"need at least 2 levels to fit {quantity}")
     xs = xs[-RATE_WINDOW:]
@@ -246,14 +242,14 @@ def _format_value(v):
     return str(v)
 
 
-def emit_csv(history, sink):
-    """Write the convergence history with the fixed column schema."""
+def emit_csv(records, sink):
+    """Write the level records with the fixed column schema."""
     path = isinstance(sink, (str, os.PathLike))
     with (open(sink, "w", newline="") if path
           else contextlib.nullcontext(sink)) as f:
         writer = csv.writer(f)
         writer.writerow(CSV_COLUMNS)
-        for rec in history.records:
+        for rec in records:
             writer.writerow([_format_value(getattr(rec, column.lower()))
                              for column in CSV_COLUMNS])
 
@@ -269,20 +265,20 @@ _SVG_SERIES = (
 )
 
 
-def emit_svg_plot(history, sink):
+def emit_svg_plot(records, sink):
     """Self-contained log-log SVG of the squared quantities against the
     number of coarse DOFs, with an N^(-1/2) guide line."""
-    if not history.records:
-        raise ValueError("history is empty")
+    if not records:
+        raise ValueError("no level records to plot")
     width, height, margin = 720, 540, 60
     series = []
     for name, color in _SVG_SERIES:
-        xs, ys, _ = history.values(name)
+        xs, ys, _ = _values(records, name)
         keep = ys > 0.0
         if keep.any():
             series.append((name, color, xs[keep], ys[keep]))
     if not series:
-        raise ValueError("history has no positive quantities to plot")
+        raise ValueError("the records have no positive quantities to plot")
     all_x = np.concatenate([s[2] for s in series])
     all_y = np.concatenate([s[3] for s in series])
     # guide line through the first eta2 (or first available) point

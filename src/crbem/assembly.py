@@ -72,8 +72,8 @@ product, and the two doubled areas are the inputs.  _rule_values takes
 table per rule give r^2 in one GEMM, followed by an in-place square root
 and reciprocal and a GEMV with the weights.  Only coordinate differences
 enter, so there is no cancellation on absolute coordinates.  The GEMM
-rounds a row by its position in the block, so every GEMM takes
-_rule_step(rule) rows in a fixed order.
+rounds a row by its position in the block, so _rule_values runs every
+GEMM on _rule_step(rule) rows in a fixed order.
 
 The identical, edge and vertex rules then evaluate one pair per class of
 equal kernel input.  _pair_values stores the inputs of such a label,
@@ -384,27 +384,21 @@ def _rule_inputs(a, b):
     return x.T
 
 
-def _rule_values(rule, x):
+def _rule_values(rule, x, rows=None):
     """Rule values of the pairs whose kernel inputs (_rule_inputs) are the
-    rows of x: r^2 = x[:, :15] @ monomials in one GEMM, then an in-place
-    square root and reciprocal and a GEMV with the weights.  The GEMM
-    rounds a row by its position, so callers pass _rule_step(rule) rows
-    at a time."""
-    r = x[:, :15] @ _rule_monomials(rule.case, rule.order)
-    np.sqrt(r, out=r)
-    np.divide(1.0, r, out=r)
-    return (r @ rule.weights) * x[:, 15] * x[:, 16] / FOUR_PI
-
-
-def _apply_rule_pairs(rule, a, b):
-    """Rule values of the panel pairs (a[p], b[p]), (P, 3, 2) each, in the
-    rule's vertex order; e1 = v1 - v0 and e2 = v2 - v1 as in _map_nodes.
-    The inputs are formed per GEMM step of _rule_step(rule) pairs."""
+    rows of x, or x[rows]: per GEMM step of _rule_step(rule) rows,
+    r^2 = x[:, :15] @ monomials in one GEMM, then an in-place square root
+    and reciprocal and a GEMV with the weights.  The GEMM rounds a row by
+    its position, so every row keeps its place in its step."""
     step = _rule_step(rule)
-    out = np.empty(len(a))
-    for lo in range(0, len(a), step):
-        out[lo:lo + step] = _rule_values(
-            rule, _rule_inputs(a[lo:lo + step], b[lo:lo + step]))
+    n = len(x) if rows is None else len(rows)
+    out = np.empty(n)
+    for lo in range(0, n, step):
+        y = x[lo:lo + step] if rows is None else x[rows[lo:lo + step]]
+        r = y[:, :15] @ _rule_monomials(rule.case, rule.order)
+        np.sqrt(r, out=r)
+        np.divide(1.0, r, out=r)
+        out[lo:lo + step] = (r @ rule.weights) * y[:, 15] * y[:, 16] / FOUR_PI
     return out
 
 
@@ -832,23 +826,19 @@ def _pair_values(coords, tris, aspect, diam, i, j, rep=None):
         if ordered is not None:
             k, slots = ordered(k)
         rule = quadrature_rule(case, p)
-        step = _rule_step(rule)
         if (kind in (_IDENTICAL, _EDGE, _VERTEX) and len(k)
                 and len(coords) > _SMALL_TABLE):
             x = _gathered(_rule_inputs, coords, i, j, k, slots)
             cls, f = _key_classes(x)
             own = np.flatnonzero(cls == np.arange(len(k)))
             vals = np.empty(len(k))
-            for lo in range(0, len(own), step):
-                rows = own[lo:lo + step]
-                vals[rows] = _rule_values(rule, x[rows])
+            vals[own] = _rule_values(rule, x, own)
             out[k] = np.ldexp(vals[cls], 3 * (f - f[cls]))
         else:
-            # whole GEMM steps: each GEMM sees the same rows at any
-            # _PAIR_BLOCK
-            out[k] = _gathered(lambda a, b: _apply_rule_pairs(rule, a, b),
-                               coords, i, j, k, slots,
-                               step * max(1, _PAIR_BLOCK // step))
+            # one GEMM step a block, with its inputs formed per block
+            out[k] = _gathered(
+                lambda a, b: _rule_values(rule, _rule_inputs(a, b)),
+                coords, i, j, k, slots, _rule_step(rule))
         if rep is not None:
             out[copies] = out[rep[copies]]
 

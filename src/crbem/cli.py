@@ -110,7 +110,7 @@ def main(argv=None):
         return EXIT_BAD_CONFIG
 
     try:
-        history = run_experiment(config)
+        records = run_experiment(config)
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -118,24 +118,24 @@ def main(argv=None):
         # a dense table or matrix of the next level that does not fit
         print(f"numerical failure: out of memory: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    if not history.records:
+    if not records:
         print(f"error: no level fits within --max-fine-dofs "
               f"{config.max_fine_dofs}", file=sys.stderr)
         return EXIT_BAD_CONFIG
 
-    emit_csv(history, args.out_csv)
+    emit_csv(records, args.out_csv)
     if args.out_svg:
-        emit_svg_plot(history, args.out_svg)
+        emit_svg_plot(records, args.out_svg)
 
     if not args.quiet:
-        for rec in history.records:
+        for rec in records:
             msg = (f"level {rec.level:2d}  N={rec.n_coarse:6d}"
                    f"  rho2={rec.rho2:.6e}  conf_gap2={rec.conf_gap2:.6e}")
             if rec.mu_tilde2 is not None:
                 msg += f"  mu_tilde2={rec.mu_tilde2:.6e}"
             print(msg)
         try:
-            slope = fit_rate(history, "mu_tilde2")
+            slope = fit_rate(records, "mu_tilde2")
             print(f"trailing mu_tilde2 slope vs N: {slope:+.3f}")
         except ValueError:
             pass

@@ -2,11 +2,12 @@
 
 A Level holds one mesh with its energy form, its Crouzeix-Raviart and
 conforming spaces, their load vectors and Galerkin solutions, each
-computed on first use.  A SolvePair is a coarse Level, the Level of its
-uniform refinement, and the refinement map.  The two-level estimators
-read the coarse and fine CR solutions; the conformity gap reads the
-coarse CR and conforming solutions.  No estimator reads a conforming
-solution on the fine mesh, so none is computed.
+computed on first use.  A SolvePair is a coarse Level and the Level of
+its uniform refinement, whose mesh maps each fine element to its coarse
+parent.  The two-level estimators read the coarse and fine CR solutions;
+the conformity gap reads the coarse CR and conforming solutions.  No
+estimator reads a conforming solution on the fine mesh, so none is
+computed.
 
 Estimator conventions: the energy norm is realized as sqrt(a(.,.)); edge
 jump terms are weighted per edge by the edge length; every interior edge
@@ -22,7 +23,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg as sla
 
-from .mesh import Mesh, RefinementMap, uniform_refine
+from .mesh import Mesh, uniform_refine
 from .spaces import (
     CoefVec,
     cr_space,
@@ -156,24 +157,22 @@ class Level:
         a = assemble_stiffness(self.form, self.conf)
         return CoefVec(self.conf, solve_spd(a, self.load_conf))
 
-    def refined(self, mesh, rmap):
+    def refined(self, mesh):
         """The Level of a refinement of this mesh, with the data carried
-        to each child from its parent."""
+        to each child from its parent, ``mesh.parent``."""
         data = self.data
         if data[0] == "manufactured":
-            w = data[1].values[rmap.child_to_parent]
+            w = data[1].values[mesh.parent]
             data = ("manufactured", PwConstVecField(mesh, w), data[2])
         return Level(mesh, data)
 
 
 @dataclass(eq=False)
 class SolvePair:
-    """A coarse Level, the Level of its uniform refinement, and the map
-    from fine to coarse elements."""
+    """A coarse Level and the Level of its uniform refinement."""
 
     coarse: Level
     fine: Level
-    rmap: RefinementMap
 
     @cached_property
     def fine_curl(self):
@@ -182,8 +181,7 @@ class SolvePair:
     @cached_property
     def fine_curl_diff(self):
         """curl of (fine solution - coarse solution) on the fine mesh."""
-        coarse = embed_coarse_in_fine(self.coarse.phi, self.rmap,
-                                      self.fine.mesh)
+        coarse = embed_coarse_in_fine(self.coarse.phi, self.fine.mesh)
         return PwConstVecField(self.fine.mesh,
                                self.fine_curl.values - coarse.values)
 
@@ -191,8 +189,7 @@ class SolvePair:
 def solve_pair(coarse):
     """The solve pair of a Level and its uniform refinement, with the
     same data; the solutions are computed when an estimator reads them."""
-    fine_mesh, rmap = uniform_refine(coarse.mesh)
-    return SolvePair(coarse, coarse.refined(fine_mesh, rmap), rmap)
+    return SolvePair(coarse, coarse.refined(uniform_refine(coarse.mesh)[0]))
 
 
 def estimator_eta(pair):
@@ -205,8 +202,8 @@ def estimator_eta_tilde(pair):
     """Energy norm of the fine solution minus its quasi-interpolant in
     the coarse conforming space."""
     fine_mesh = pair.fine.mesh
-    interp = clement_interpolate(pair.fine.phi, pair.coarse.mesh, pair.rmap)
-    coarse = embed_coarse_in_fine(interp, pair.rmap, fine_mesh)
+    interp = clement_interpolate(pair.fine.phi, pair.coarse.mesh)
+    coarse = embed_coarse_in_fine(interp, fine_mesh)
     e = PwConstVecField(fine_mesh, pair.fine_curl.values - coarse.values)
     return float(np.sqrt(max(energy_inner(pair.fine.form, e, e), 0.0)))
 
@@ -218,7 +215,7 @@ def _weighted_l2_parts(pair, fine_field):
     h = np.sqrt(coarse_mesh.areas)
     sq = (fine_field.values ** 2).sum(axis=1) * pair.fine.mesh.areas
     parts = np.zeros(coarse_mesh.num_triangles)
-    np.add.at(parts, pair.rmap.child_to_parent, sq)
+    np.add.at(parts, pair.fine.mesh.parent, sq)
     parts *= h
     return parts
 
@@ -233,23 +230,22 @@ def estimator_mu_tilde(pair):
     """Localized estimator with the piecewise-constant projection: the
     h-weighted L2 norm of (1 - Pi) applied to the fine curl."""
     fine = pair.fine_curl
-    coarse = project_pwconst(fine, pair.rmap, pair.coarse.mesh)
-    resid = PwConstVecField(
-        pair.fine.mesh,
-        fine.values - coarse.values[pair.rmap.child_to_parent])
+    coarse = project_pwconst(fine, pair.coarse.mesh)
+    resid = PwConstVecField(fine.mesh,
+                            fine.values - coarse.values[fine.mesh.parent])
     parts = _weighted_l2_parts(pair, resid)
     return float(np.sqrt(parts.sum())), parts
 
 
-def jump_term(mesh, coeffs):
-    """Squared jump functional and its per-element halves.
+def jump_term(coeffs):
+    """Squared jump functional and its per-element halves on the mesh of
+    the coefficients.
 
     Each edge contributes |e|^2 |e| (jump')^2.  Interior edges are
     assigned half to each adjacent element; the parts therefore sum
     exactly to the total.
     """
-    if coeffs.space.mesh is not mesh:
-        raise ValueError("coefficients do not live on this mesh")
+    mesh = coeffs.space.mesh
     jumps = jump_field(coeffs)
     ln = mesh.edge_lengths
     per_edge = ln ** 2 * ln * jumps.jump_deriv ** 2
@@ -305,10 +301,10 @@ def estimator_report(pair):
     eta_t = estimator_eta_tilde(pair)
     mu, _ = estimator_mu(pair)
     mu_t, mu_parts = estimator_mu_tilde(pair)
-    rho2, rho_parts = jump_term(coarse.mesh, coarse.phi)
-    rho_hat2, rho_hat_fine = jump_term(fine.mesh, fine.phi)
+    rho2, rho_parts = jump_term(coarse.phi)
+    rho_hat2, rho_hat_fine = jump_term(fine.phi)
     rho_hat_parts = np.zeros(coarse.mesh.num_triangles)
-    np.add.at(rho_hat_parts, pair.rmap.child_to_parent, rho_hat_fine)
+    np.add.at(rho_hat_parts, fine.mesh.parent, rho_hat_fine)
     rec = LevelRecord(
         n_coarse=coarse.cr.dof_count,
         rho2=rho2,

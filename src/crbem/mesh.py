@@ -4,34 +4,25 @@ A mesh stores vertices, triangles (with per-triangle reference edges for
 NVB), and a complete edge table.  Local edge ``i`` of a triangle is the
 edge opposite local vertex ``i``, so edge ``i`` connects local vertices
 ``(i+1) % 3`` and ``(i+2) % 3``.  Meshes are treated as immutable after
-construction; refinement returns a new mesh plus a RefinementMap.
+construction.  A refined mesh records in ``parent`` the triangle of the
+mesh it refines that each of its triangles came from.
 """
 
 from __future__ import annotations
 
 import contextlib
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "Mesh",
-    "RefinementMap",
     "build_initial_square_mesh",
     "refine_nvb",
     "uniform_refine",
     "graded_square_mesh",
     "mesh_io_write",
 ]
-
-@dataclass
-class RefinementMap:
-    """Parent links from the triangles of a refinement to its mesh."""
-
-    child_to_parent: np.ndarray  # (nt_fine,) coarse triangle index per child
-    parent_count: int
-
 
 class Mesh:
     """Conforming triangulation of the screen [0,1]^2.
@@ -41,7 +32,9 @@ class Mesh:
     vertices : (nv, 2) float array
     triangles : (nt, 3) int array, counterclockwise vertex indices
     ref_edge : (nt,) int array, local index of the NVB reference edge
-    parent : (nt,) int array, triangle index in the previous mesh (-1 if none)
+    parent : (nt,) int array, for a refinement the index of the triangle
+        of the refined mesh that holds each triangle; -1 throughout for a
+        mesh that refines none
     """
 
     def __init__(self, vertices, triangles, ref_edge, parent=None):
@@ -197,7 +190,7 @@ def refine_nvb(mesh, marked_elements):
     edge also has its reference edge marked.  Each element is split into
     2, 3, or 4 children by iterated bisection of its reference edge.
 
-    Returns the refined conforming mesh and the RefinementMap.
+    Returns the refined conforming mesh and its ``parent`` array.
     """
     marked_elements = np.asarray(sorted(set(int(m) for m in marked_elements)),
                                  dtype=np.int64)
@@ -234,7 +227,7 @@ def refine_nvb(mesh, marked_elements):
 
     refined = Mesh(vertices, np.array(out_tris), np.array(out_ref),
                    parent=np.array(out_parent))
-    return refined, RefinementMap(np.array(out_parent, dtype=np.int64), nt)
+    return refined, refined.parent
 
 
 def uniform_refine(mesh):
@@ -258,7 +251,8 @@ def graded_square_mesh(n, beta):
     The initial mesh is uniformly refined until each side has ``n``
     subdivisions (``n = 2^(l+1)``), then every vertex is moved
     coordinatewise by ``g(t) = (2t)^beta / 2`` for ``t <= 1/2`` and its
-    mirror image above.  ``beta = 1`` reproduces the uniform mesh.
+    mirror image above.  ``beta = 1`` reproduces the uniform mesh.  A
+    graded mesh refines no other mesh, so it carries no parents.
     """
     if beta < 1.0:
         raise ValueError(f"grading exponent must be >= 1, got {beta}")
@@ -270,11 +264,8 @@ def graded_square_mesh(n, beta):
     mesh = build_initial_square_mesh()
     for _ in range(depth):
         mesh, _ = uniform_refine(mesh)
-    if beta == 1.0:
-        return mesh
-    mapped = _grading_map(mesh.vertices, beta)
-    return Mesh(mapped, mesh.triangles.copy(), mesh.ref_edge.copy(),
-                parent=mesh.parent.copy())
+    return Mesh(_grading_map(mesh.vertices, beta), mesh.triangles,
+                mesh.ref_edge)
 
 
 def mesh_io_write(mesh, sink):

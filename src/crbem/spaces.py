@@ -166,22 +166,24 @@ def curl_field(coeffs):
     return PwConstVecField(mesh, curl)
 
 
-def _check_map(rmap, coarse_mesh, fine_mesh):
-    if rmap.parent_count != coarse_mesh.num_triangles:
-        raise ValueError("refinement map does not match the coarse mesh")
-    if len(rmap.child_to_parent) != fine_mesh.num_triangles:
-        raise ValueError("refinement map does not match the fine mesh")
+def _parents(fine_mesh, coarse_mesh):
+    """``fine_mesh.parent``, checked to index every triangle of the coarse
+    mesh and nothing else."""
+    parent = fine_mesh.parent
+    if not np.array_equal(np.unique(parent),
+                          np.arange(coarse_mesh.num_triangles)):
+        raise ValueError("fine mesh is not a refinement of the coarse mesh")
+    return parent
 
 
-def embed_coarse_in_fine(coeffs, rmap, fine_mesh):
+def embed_coarse_in_fine(coeffs, fine_mesh):
     """Curl field of a coarse function represented on the refined mesh.
 
     A coarse piecewise linear restricted to any child is linear with the
     same gradient, so each child inherits its parent's curl vector.
     """
-    _check_map(rmap, coeffs.space.mesh, fine_mesh)
-    coarse = curl_field(coeffs)
-    return PwConstVecField(fine_mesh, coarse.values[rmap.child_to_parent])
+    parent = _parents(fine_mesh, coeffs.space.mesh)
+    return PwConstVecField(fine_mesh, curl_field(coeffs).values[parent])
 
 
 def jump_field(coeffs):
@@ -219,7 +221,7 @@ def _barycentric_in_parent(coarse_mesh, parents, points):
     return np.stack([1.0 - mu1 - mu2, mu1, mu2], axis=1)
 
 
-def clement_interpolate(fine_coeffs, coarse_mesh, rmap):
+def clement_interpolate(fine_coeffs, coarse_mesh):
     """Quasi-interpolation of a fine CR function into the coarse
     conforming space.
 
@@ -232,16 +234,15 @@ def clement_interpolate(fine_coeffs, coarse_mesh, rmap):
     if fine_coeffs.space.kind != "cr":
         raise ValueError("clement_interpolate expects CR input coefficients")
     fine_mesh = fine_coeffs.space.mesh
-    _check_map(rmap, coarse_mesh, fine_mesh)
-    counts = np.bincount(rmap.child_to_parent, minlength=rmap.parent_count)
-    if not np.all(counts == 4):
+    parent = _parents(fine_mesh, coarse_mesh)
+    if not np.all(np.bincount(parent) == 4):
         raise ValueError("fine mesh is not the uniform refinement of the "
                          "coarse mesh")
 
     # fine function values at the fine edge midpoints are the CR DOFs
     v_mid = _gather(fine_coeffs.values, fine_coeffs.space.element_dofs)
     mids = fine_mesh.edge_midpoints[fine_mesh.tri_edges]  # (nt_f, 3, 2)
-    parents = np.repeat(rmap.child_to_parent, 3)
+    parents = np.repeat(parent, 3)
     lam = _barycentric_in_parent(coarse_mesh, parents, mids.reshape(-1, 2))
     weights = np.repeat(fine_mesh.areas / 3.0, 3) * v_mid.ravel()
 
@@ -273,14 +274,13 @@ def clement_interpolate(fine_coeffs, coarse_mesh, rmap):
     return CoefVec(out_space, out)
 
 
-def project_pwconst(fine_field, rmap, coarse_mesh):
+def project_pwconst(fine_field, coarse_mesh):
     """L2 projection of a fine piecewise-constant field onto the coarse
     elements: the area-weighted average of the children per parent."""
     fine_mesh = fine_field.mesh
-    _check_map(rmap, coarse_mesh, fine_mesh)
-    num = np.zeros((rmap.parent_count, 2))
-    np.add.at(num, rmap.child_to_parent,
-              fine_field.values * fine_mesh.areas[:, None])
-    den = np.zeros(rmap.parent_count)
-    np.add.at(den, rmap.child_to_parent, fine_mesh.areas)
+    parent = _parents(fine_mesh, coarse_mesh)
+    num = np.zeros((coarse_mesh.num_triangles, 2))
+    np.add.at(num, parent, fine_field.values * fine_mesh.areas[:, None])
+    den = np.zeros(coarse_mesh.num_triangles)
+    np.add.at(den, parent, fine_mesh.areas)
     return PwConstVecField(coarse_mesh, num / den[:, None])

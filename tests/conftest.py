@@ -19,8 +19,8 @@ def initial_mesh():
 
 @pytest.fixture
 def refined_once(initial_mesh):
-    fine, rmap = uniform_refine(initial_mesh)
-    return initial_mesh, fine, rmap
+    fine, _ = uniform_refine(initial_mesh)
+    return initial_mesh, fine
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from crbem.adaptive import (
     CSV_COLUMNS,
     EXPERIMENTS,
-    ConvergenceHistory,
     ExperimentConfig,
     LevelRecord,
     doerfler_mark,
@@ -84,14 +83,10 @@ class TestDoerflerMark:
 
 
 def synthetic_history(ns, values, quantity="mu_tilde2"):
-    cfg = ExperimentConfig(experiment="uniform-smooth")
-    hist = ConvergenceHistory(config=cfg)
-    for k, (n, v) in enumerate(zip(ns, values)):
-        rec = LevelRecord(level=k, n_coarse=n, n_fine=4 * n, eta2=v,
-                          eta_tilde2=v, mu2=v, mu_tilde2=v, rho2=v,
-                          rho_hat2=v, conf_gap2=v, wall_ms=1.0)
-        hist.records.append(rec)
-    return hist
+    return [LevelRecord(level=k, n_coarse=n, n_fine=4 * n, eta2=v,
+                        eta_tilde2=v, mu2=v, mu_tilde2=v, rho2=v,
+                        rho_hat2=v, conf_gap2=v, wall_ms=1.0)
+            for k, (n, v) in enumerate(zip(ns, values))]
 
 
 class TestFitRate:
@@ -134,19 +129,17 @@ class TestOutputs:
         rows = list(csv.reader(buf))
         assert rows[0] == list(CSV_COLUMNS)
         assert len(rows) == 4
-        for row, rec in zip(rows[1:], hist.records):
+        for row, rec in zip(rows[1:], hist):
             assert int(row[0]) == rec.level
             assert float(row[3]) == pytest.approx(rec.eta2, rel=1e-15)
 
     def test_csv_columns_hold_their_own_fields(self):
         # eleven distinct values, one per column, so that a column written
         # from another field shows
-        cfg = ExperimentConfig(experiment="uniform-smooth")
-        hist = ConvergenceHistory(config=cfg)
-        hist.records.append(LevelRecord(
+        hist = [LevelRecord(
             level=3, n_coarse=17, n_fine=71, eta2=0.25, eta_tilde2=0.375,
             mu2=0.5, mu_tilde2=0.625, rho2=0.75, rho_hat2=0.875,
-            conf_gap2=1.125, wall_ms=12.5))
+            conf_gap2=1.125, wall_ms=12.5)]
         buf = io.StringIO()
         emit_csv(hist, buf)
         buf.seek(0)
@@ -158,12 +151,10 @@ class TestOutputs:
             "wall_ms": "12.5"}
 
     def test_csv_empty_fields_for_missing(self):
-        cfg = ExperimentConfig(experiment="uniform-smooth")
-        hist = ConvergenceHistory(config=cfg)
-        hist.records.append(LevelRecord(
+        hist = [LevelRecord(
             level=0, n_coarse=8, n_fine=None, eta2=None, eta_tilde2=None,
             mu2=None, mu_tilde2=None, rho2=1.0, rho_hat2=None,
-            conf_gap2=0.5, wall_ms=1.0))
+            conf_gap2=0.5, wall_ms=1.0)]
         buf = io.StringIO()
         emit_csv(hist, buf)
         buf.seek(0)
@@ -192,7 +183,7 @@ class TestAdaptiveLoop:
         cfg_u = ExperimentConfig(experiment="uniform-smooth",
                                  max_levels=3, max_fine_dofs=2000)
         hist_u = run_experiment(cfg_u)
-        for ra, ru in zip(hist_a.records, hist_u.records):
+        for ra, ru in zip(hist_a, hist_u):
             assert ra.n_coarse == ru.n_coarse
             assert ra.eta2 == pytest.approx(ru.eta2, rel=1e-9)
 
@@ -200,9 +191,9 @@ class TestAdaptiveLoop:
         cfg = ExperimentConfig(experiment="adaptive-smooth", theta=0.5,
                                max_levels=6, max_fine_dofs=1500)
         hist = run_experiment(cfg)
-        ns = [r.n_coarse for r in hist.records]
+        ns = [r.n_coarse for r in hist]
         assert all(b >= a for a, b in zip(ns, ns[1:]))
-        assert len(hist.records) >= 3
+        assert len(hist) >= 3
 
     def test_determinism_bit_identical_csv(self):
         def run_once():
@@ -231,7 +222,7 @@ class TestAdaptiveLoop:
             assert indicators.sum() == pytest.approx(total, rel=1e-10)
             marked, _ = doerfler_mark(indicators, 0.5)
             from crbem import refine_nvb
-            level = level.refined(*refine_nvb(level.mesh, marked))
+            level = level.refined(refine_nvb(level.mesh, marked)[0])
 
 
 class TestConfigValidation:

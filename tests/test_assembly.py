@@ -32,7 +32,6 @@ from crbem.assembly import (
     RHO_FAR,
     SINGULAR_ASPECT_LIMIT,
     NumericalError,
-    _apply_rule_pairs,
     _aspect_and_diameter,
     _curl_matrices,
     _edge_frames,
@@ -44,6 +43,7 @@ from crbem.assembly import (
     _quarter_turn,
     _robust_pairs,
     _rule_inputs,
+    _rule_values,
     _segment_potential,
     _self_entry_closed_form,
     _triangle_distances,
@@ -117,8 +117,8 @@ class TestRuleKernel:
     def test_matches_direct_evaluation(self, case, order):
         rule = quadrature_rule(case, order)
         pairs = _kernel_pairs(case)
-        got = _apply_rule_pairs(rule, np.array([a for a, _ in pairs]),
-                                np.array([b for _, b in pairs]))
+        got = _rule_values(rule, _rule_inputs(np.array([a for a, _ in pairs]),
+                                              np.array([b for _, b in pairs])))
         for value, (ta, tb) in zip(got, pairs):
             ref = _direct_rule_value(rule, ta, tb)
             assert abs(value - ref) / ref < 1e-13
@@ -127,7 +127,7 @@ class TestRuleKernel:
         # every other panel stored with its vertices turned; the gather in
         # _pair_values hands the edge- and vertex-adjacent pairs to the
         # rule kernel in their rule's vertex order all the same
-        _, mesh, _ = refined_once
+        _, mesh = refined_once
         _, ci, cj = _far_sweep(mesh)
         turn = np.array([[0, 1, 2], [1, 2, 0], [0, 1, 2], [2, 0, 1]]
                         * (mesh.num_triangles // 4))
@@ -144,7 +144,7 @@ class TestRuleKernel:
         assert np.array_equal(values[1][adjacent], values[0][adjacent])
 
     def test_table_invariant_under_dyadic_translation(self, refined_once):
-        _, mesh, _ = refined_once
+        _, mesh = refined_once
         moved = Mesh(mesh.vertices + [1024.0, -1024.0], mesh.triangles,
                      mesh.ref_edge)
         G = assemble_energy_form(mesh).table
@@ -153,8 +153,8 @@ class TestRuleKernel:
 
     def test_non_finite_table_raises(self, initial_mesh, monkeypatch):
         monkeypatch.setattr(
-            "crbem.assembly._apply_rule_pairs",
-            lambda rule, a, b: np.full(len(a), np.nan))
+            "crbem.assembly._rule_values",
+            lambda rule, x, rows=None: np.full(len(x), np.nan))
         with pytest.raises(NumericalError):
             assemble_energy_form(initial_mesh)
 
@@ -410,7 +410,7 @@ class TestSplitKernels:
     def test_single_layer_field_bitwise(self, refined_once):
         # random points plus points on the source edges and at vertices,
         # where the per-edge terms hit the d = 0 and 0/0 branches
-        _, mesh, _ = refined_once
+        _, mesh = refined_once
         coords = mesh.triangle_coords()
         rng = np.random.default_rng(11)
         values = rng.standard_normal((mesh.num_triangles, 2))
@@ -779,8 +779,8 @@ def test_rule_inputs_memory():
 
 
 def test_rule_values_in_steps_match_the_panel_kernel():
-    # the keyed labels evaluate stored (n, 17) inputs a GEMM step at a
-    # time, with the bits of the kernel that forms its inputs per step
+    # the keyed labels evaluate rows of stored (n, 17) inputs, with the
+    # bits of the streamed labels, which form their inputs per GEMM step
     mesh = _nvb_mesh(200)
     coords = mesh.triangle_coords()
     ci, cj, shared = _near_pairs(mesh)
@@ -788,25 +788,36 @@ def test_rule_values_in_steps_match_the_panel_kernel():
     a, b = coords[ci[k]], coords[cj[k]]
     rule = quadrature_rule("identical", 5)
     step = assembly._rule_step(rule)
+    assert step < len(k)
+    want = np.concatenate([
+        _rule_values(rule, _rule_inputs(a[lo:lo + step], b[lo:lo + step]))
+        for lo in range(0, len(k), step)])
     x = np.ascontiguousarray(_rule_inputs(a, b))
-    got = np.concatenate([assembly._rule_values(rule, x[lo:lo + step])
-                          for lo in range(0, len(x), step)])
-    assert np.array_equal(got, _apply_rule_pairs(rule, a, b))
+    assert np.array_equal(_rule_values(rule, x, np.arange(len(k))), want)
 
 
 def test_every_gemm_takes_at_most_one_step():
-    # the GEMM rounds a row by its position in the block, so every call
+    # the GEMM rounds a row by its position in the block, so every GEMM
     # of the rule kernel, class representatives included, takes at most
     # _rule_step(rule) rows
     calls = []
-    real = assembly._rule_values
+    real = assembly._rule_monomials
 
-    def record(rule, x):
-        calls.append((len(x), assembly._rule_step(rule), rule.case))
-        return real(rule, x)
+    class Monomials:
+        # numpy hands x @ Monomials(...) to __rmatmul__
+        __array_ufunc__ = None
+
+        def __init__(self, case, order):
+            self.case = case
+            self.step = assembly._rule_step(quadrature_rule(case, order))
+            self.table = real(case, order)
+
+        def __rmatmul__(self, x):
+            calls.append((len(x), self.step, self.case))
+            return x @ self.table
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(assembly, "_rule_values", record)
+        mp.setattr(assembly, "_rule_monomials", Monomials)
         assemble_energy_form(_nvb_mesh(200))
     assert {case for *_, case in calls} == {
         "identical", "edge-adjacent", "vertex-adjacent", "disjoint"}
@@ -843,10 +854,11 @@ class TestRuleClasses:
                     robust.append(real[1](ta, tb))
                     return robust[-1]
 
-                def kernel(rule, x):
+                def kernel(rule, x, rows=None):
                     if rule.case != "disjoint":
-                        seen.setdefault(rule.case, []).append(x)
-                    return real[2](rule, x)
+                        seen.setdefault(rule.case, []).append(
+                            x if rows is None else x[rows])
+                    return real[2](rule, x, rows)
 
                 mp.setattr(assembly, "_classify_pairs", classify)
                 mp.setattr(assembly, "_robust_pairs", robust_pairs)
@@ -995,8 +1007,8 @@ class TestPanelIntegral:
 
     def test_order_escalation_identical(self):
         a = UNIT_RIGHT[None]
-        v5, v7 = (_apply_rule_pairs(quadrature_rule("identical", p), a, a)[0]
-                  for p in (5, 7))
+        v5, v7 = (_rule_values(quadrature_rule("identical", p),
+                               _rule_inputs(a, a))[0] for p in (5, 7))
         assert abs(v7 - v5) / abs(v5) < 1e-6
 
     @pytest.mark.parametrize("s", [0.5, 2.0])
@@ -1299,7 +1311,7 @@ class TestRhs:
         assert np.allclose(b, 2 * (1 / 8) / 3)
 
     def test_constant_hat_contribution(self, refined_once):
-        _, fine, _ = refined_once
+        _, fine = refined_once
         space = conforming_space(fine)
         b = assemble_rhs_constant(space)
         for d, z in enumerate(space.dof_to_entity):
@@ -1366,7 +1378,7 @@ class TestRhs:
         assert np.abs(b).max() > 0
 
     def test_manufactured_conforming_galerkin_reproduces_data(self, refined_once):
-        _, fine, _ = refined_once
+        _, fine = refined_once
         form = assemble_energy_form(fine)
         space = conforming_space(fine)
         rng = np.random.default_rng(8)

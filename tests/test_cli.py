@@ -1,5 +1,7 @@
 import csv
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
 import xml.etree.ElementTree as ET
@@ -10,6 +12,39 @@ from hypothesis import strategies as st
 
 from crbem.cli import main
 from crbem.adaptive import CSV_COLUMNS, EXPERIMENTS, ExperimentConfig
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src")
+
+
+@pytest.mark.parametrize("args, code, prefix", [
+    (["--experiment", "uniform-smooth", "--max-fine-dofs", "100",
+      "--levels", "2"], 0, None),
+    (["--experiment", "adaptive-smooth", "--theta", "2"], 2, "error: "),
+    (["--experiment", "graded-smooth", "--beta", "2000"], 3,
+     "numerical failure: "),
+], ids=["ok", "bad-config", "numerical-failure"])
+def test_module_entry_point(tmp_path, args, code, prefix):
+    # the exit codes and messages of ``python -m crbem.cli``, in a process
+    # of its own, as a shell sees them
+    out_csv = tmp_path / "x.csv"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "crbem.cli", "run", *args, "--quiet",
+         "--out-csv", str(out_csv)],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == code
+    if prefix is None:
+        with open(out_csv, newline="") as f:
+            assert next(csv.reader(f)) == list(CSV_COLUMNS)
+    else:
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(prefix), lines
+        assert not out_csv.exists()
 
 
 @pytest.mark.slow

@@ -141,7 +141,7 @@ class TestEstimators:
     def test_eta_zero_for_prolongated_solution(self, pair_constant):
         pair = pair_constant
         base = curl_field(pair.coarse.phi)
-        fake = SolvePair(pair.coarse, pair.fine, pair.rmap)
+        fake = SolvePair(pair.coarse, pair.fine)
         fake.fine_curl_diff = PwConstVecField(
             pair.fine.mesh, np.zeros((pair.fine.mesh.num_triangles, 2)))
         assert estimator_eta(fake) == 0.0
@@ -158,7 +158,7 @@ class TestEstimators:
         psi_fine_cr = conforming_to_cr(prolong_conforming(psi, pair.fine.mesh))
         fine = copy.copy(pair.fine)
         fine.phi = psi_fine_cr
-        fake = SolvePair(pair.coarse, fine, pair.rmap)
+        fake = SolvePair(pair.coarse, fine)
         val = estimator_eta_tilde(fake)
         scale = np.sqrt(energy_inner(pair.fine.form, curl_field(psi_fine_cr),
                                      curl_field(psi_fine_cr)))
@@ -169,7 +169,7 @@ class TestEstimators:
         mesh = pair.coarse.mesh
         ones = PwConstVecField(
             pair.fine.mesh, np.tile([1.0, 0.0], (pair.fine.mesh.num_triangles, 1)))
-        fake = SolvePair(pair.coarse, pair.fine, pair.rmap)
+        fake = SolvePair(pair.coarse, pair.fine)
         fake.fine_curl_diff = ones
         total, parts = estimator_mu(fake)
         h = np.sqrt(mesh.areas)
@@ -192,9 +192,9 @@ class TestEstimators:
         pair = pair_constant
         rng = np.random.default_rng(3)
         coarse_vals = rng.standard_normal((pair.coarse.mesh.num_triangles, 2))
-        fake = SolvePair(pair.coarse, pair.fine, pair.rmap)
+        fake = SolvePair(pair.coarse, pair.fine)
         fake.fine_curl = PwConstVecField(
-            pair.fine.mesh, coarse_vals[pair.rmap.child_to_parent])
+            pair.fine.mesh, coarse_vals[pair.fine.mesh.parent])
         total, _ = estimator_mu_tilde(fake)
         assert total < 1e-12
 
@@ -214,7 +214,7 @@ class TestJumpTerm:
         conf = pair_constant.coarse.conf
         rng = np.random.default_rng(4)
         psi = conforming_to_cr(CoefVec(conf, rng.standard_normal(conf.dof_count)))
-        total, parts = jump_term(mesh, psi)
+        total, parts = jump_term(psi)
         # interior jumps vanish; boundary traces of the hat combination are
         # nonzero only through the trace-against-zero convention
         interior = ~mesh.edge_boundary
@@ -226,7 +226,7 @@ class TestJumpTerm:
     def test_single_edge_formula(self, initial_mesh):
         space = cr_space(initial_mesh)
         phi = CoefVec(space, np.eye(8)[2])
-        total, parts = jump_term(initial_mesh, phi)
+        total, parts = jump_term(phi)
         jumps = jump_field(phi)
         expect = 0.0
         for e in range(initial_mesh.num_edges):

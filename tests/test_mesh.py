@@ -62,34 +62,34 @@ class TestInitialMesh:
 
 class TestRefinement:
     def test_uniform_counts(self, refined_once):
-        coarse, fine, rmap = refined_once
+        coarse, fine = refined_once
         assert fine.num_triangles == 32
         assert fine.num_vertices == 25
-        assert np.all(np.bincount(rmap.child_to_parent) == 4)
+        assert np.all(np.bincount(fine.parent) == 4)
 
     def test_uniform_twice(self, refined_once):
-        _, fine, _ = refined_once
+        _, fine = refined_once
         finer, _ = uniform_refine(fine)
         assert finer.num_triangles == 128
 
     def test_children_tile_parent(self, refined_once):
-        coarse, fine, rmap = refined_once
+        coarse, fine = refined_once
         tiled = np.zeros(coarse.num_triangles)
-        np.add.at(tiled, rmap.child_to_parent, fine.areas)
+        np.add.at(tiled, fine.parent, fine.areas)
         assert np.abs(tiled - coarse.areas).max() < 1e-12 * coarse.areas.max()
 
     def test_width_halves_under_uniform(self, refined_once):
-        coarse, fine, rmap = refined_once
+        coarse, fine = refined_once
         h_fine = np.sqrt(fine.areas)
-        h_parent = np.sqrt(coarse.areas)[rmap.child_to_parent]
+        h_parent = np.sqrt(coarse.areas)[fine.parent]
         assert np.allclose(h_fine, h_parent / 2)
 
     def test_single_triangle_mesh_bisec3(self):
         tri = Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]]),
                    np.array([[0, 1, 2]]), np.array([0]))
-        fine, rmap = refine_nvb(tri, [0])
+        fine, _ = refine_nvb(tri, [0])
         assert fine.num_triangles == 4
-        assert np.array_equal(rmap.child_to_parent, [0, 0, 0, 0])
+        assert np.array_equal(fine.parent, [0, 0, 0, 0])
 
     def test_all_marked_equals_uniform(self, initial_mesh):
         a, _ = refine_nvb(initial_mesh, range(8))
@@ -99,16 +99,22 @@ class TestRefinement:
         assert np.array_equal(a.ref_edge, b.ref_edge)
 
     def test_single_mark_closure(self, initial_mesh):
-        fine, rmap = refine_nvb(initial_mesh, [0])
+        fine, _ = refine_nvb(initial_mesh, [0])
         validate_conforming(fine)
         assert 4 <= fine.num_triangles <= 32
         # recorded closure outcome for this mesh and marking
         assert fine.num_triangles == 15
 
     def test_empty_marking_is_identity(self, initial_mesh):
-        clone, rmap = refine_nvb(initial_mesh, [])
+        clone, _ = refine_nvb(initial_mesh, [])
         assert np.array_equal(clone.triangles, initial_mesh.triangles)
-        assert np.array_equal(rmap.child_to_parent, np.arange(8))
+        assert np.array_equal(clone.parent, np.arange(8))
+
+    def test_refinement_returns_its_read_only_parents(self, initial_mesh):
+        for fine, parent in (refine_nvb(initial_mesh, [0]),
+                             uniform_refine(initial_mesh)):
+            assert np.array_equal(parent, fine.parent)
+            assert not parent.flags.writeable
 
     def test_marked_out_of_range(self, initial_mesh):
         with pytest.raises(IndexError):
@@ -121,10 +127,11 @@ class TestRefinement:
         for round_ in range(10):
             k = max(1, mesh.num_triangles // 8)
             marked = rng.choice(mesh.num_triangles, size=k, replace=False)
-            mesh, rmap = refine_nvb(mesh, marked)
+            coarse = mesh
+            mesh, _ = refine_nvb(mesh, marked)
             validate_conforming(mesh)
-            parent_areas = np.zeros(rmap.parent_count)
-            np.add.at(parent_areas, rmap.child_to_parent, mesh.areas)
+            parent_areas = np.zeros(coarse.num_triangles)
+            np.add.at(parent_areas, mesh.parent, mesh.areas)
             angle = min_interior_angle(mesh)
             if round_ == 1:
                 reference_angle = angle
@@ -140,6 +147,11 @@ class TestGradedMesh:
             u, _ = uniform_refine(u)
         assert np.array_equal(g.triangles, u.triangles)
         assert np.allclose(g.vertices, u.vertices)
+
+    @pytest.mark.parametrize("beta", [1.0, 2.0])
+    def test_no_parents(self, beta):
+        # a graded mesh refines no mesh, not even at beta = 1
+        assert np.all(graded_square_mesh(8, beta).parent == -1)
 
     def test_boundary_layer_width(self):
         g = graded_square_mesh(4, 2.0)

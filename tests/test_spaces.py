@@ -14,6 +14,7 @@ from crbem import (
     clement_interpolate,
     project_pwconst,
     build_initial_square_mesh,
+    graded_square_mesh,
     uniform_refine,
 )
 from crbem.spaces import (
@@ -104,34 +105,34 @@ class TestCurlField:
 
 class TestEmbedding:
     def test_children_inherit_parent_curl(self, refined_once):
-        coarse, fine, rmap = refined_once
+        coarse, fine = refined_once
         space = cr_space(coarse)
         rng = np.random.default_rng(0)
         coeffs = CoefVec(space, rng.standard_normal(space.dof_count))
-        embedded = embed_coarse_in_fine(coeffs, rmap, fine)
+        embedded = embed_coarse_in_fine(coeffs, fine)
         parent = curl_field(coeffs).values
-        assert np.array_equal(embedded.values, parent[rmap.child_to_parent])
+        assert np.array_equal(embedded.values, parent[fine.parent])
 
     def test_zero_function(self, refined_once):
-        coarse, fine, rmap = refined_once
+        coarse, fine = refined_once
         space = cr_space(coarse)
         embedded = embed_coarse_in_fine(coeffs=CoefVec(space, np.zeros(8)),
-                                        rmap=rmap, fine_mesh=fine)
+                                        fine_mesh=fine)
         assert np.allclose(embedded.values, 0.0)
 
     def test_prolongated_conforming_has_zero_curl_difference(self, refined_once):
-        coarse, fine, rmap = refined_once
+        coarse, fine = refined_once
         space = conforming_space(coarse)
         phi = CoefVec(space, np.ones(space.dof_count))
         fine_phi = prolong_conforming(phi, fine)
         diff = (curl_field(fine_phi).values
-                - embed_coarse_in_fine(phi, rmap, fine).values)
+                - embed_coarse_in_fine(phi, fine).values)
         assert np.abs(diff).max() < 1e-13
 
 
 class TestJumps:
     def test_conforming_function_has_zero_jumps(self, refined_once):
-        _, fine, _ = refined_once
+        _, fine = refined_once
         space = conforming_space(fine)
         rng = np.random.default_rng(1)
         phi = CoefVec(space, rng.standard_normal(space.dof_count))
@@ -141,7 +142,7 @@ class TestJumps:
         assert np.abs(jumps.jump_hi[interior]).max() < 1e-13
 
     def test_cr_jump_vanishes_at_midpoints(self, refined_once):
-        _, fine, _ = refined_once
+        _, fine = refined_once
         space = cr_space(fine)
         rng = np.random.default_rng(2)
         phi = CoefVec(space, rng.standard_normal(space.dof_count))
@@ -162,35 +163,35 @@ class TestJumps:
 
 class TestClement:
     def test_reproduces_coarse_conforming(self, refined_once):
-        coarse, fine, rmap = refined_once
+        coarse, fine = refined_once
         space = conforming_space(coarse)
         phi = CoefVec(space, np.array([0.7]))
         fine_cr = conforming_to_cr(prolong_conforming(phi, fine))
-        out = clement_interpolate(fine_cr, coarse, rmap)
+        out = clement_interpolate(fine_cr, coarse)
         assert np.abs(out.values - phi.values).max() < 1e-10
 
     def test_reproduces_on_finer_pair(self):
         coarse = build_initial_square_mesh()
         coarse, _ = uniform_refine(coarse)
-        fine, rmap = uniform_refine(coarse)
+        fine, _ = uniform_refine(coarse)
         space = conforming_space(coarse)
         rng = np.random.default_rng(3)
         phi = CoefVec(space, rng.standard_normal(space.dof_count))
         fine_cr = conforming_to_cr(prolong_conforming(phi, fine))
-        out = clement_interpolate(fine_cr, coarse, rmap)
+        out = clement_interpolate(fine_cr, coarse)
         assert np.abs(out.values - phi.values).max() < 1e-10
 
     def test_zero_maps_to_zero(self, refined_once):
-        coarse, fine, rmap = refined_once
+        coarse, fine = refined_once
         space = cr_space(fine)
         out = clement_interpolate(CoefVec(space, np.zeros(space.dof_count)),
-                                  coarse, rmap)
+                                  coarse)
         assert np.allclose(out.values, 0.0)
 
     def test_locality(self):
         coarse = build_initial_square_mesh()
         coarse, _ = uniform_refine(coarse)
-        fine, rmap = uniform_refine(coarse)
+        fine, _ = uniform_refine(coarse)
         space = cr_space(fine)
         # one fine DOF, deep inside the patch of a single coarse node
         conf = conforming_space(coarse)
@@ -198,14 +199,14 @@ class TestClement:
         target_edge = None
         for dof, e in enumerate(space.dof_to_entity):
             ts = fine.edge_tris[e]
-            parents = set(rmap.child_to_parent[ts])
+            parents = set(fine.parent[ts])
             if len(parents) == 1:
                 target_edge = e
                 values[dof] = 1.0
                 break
-        out = clement_interpolate(CoefVec(space, values), coarse, rmap)
+        out = clement_interpolate(CoefVec(space, values), coarse)
         mid = fine.edge_midpoints[target_edge]
-        parent = rmap.child_to_parent[fine.edge_tris[target_edge][0]]
+        parent = fine.parent[fine.edge_tris[target_edge][0]]
         support_nodes = set(coarse.triangles[parent])
         for z, dof in zip(conf.dof_to_entity, range(conf.dof_count)):
             if out.values[dof] != 0.0:
@@ -215,45 +216,83 @@ class TestClement:
 
     def test_requires_uniform_refinement(self, initial_mesh):
         from crbem import refine_nvb
-        fine, rmap = refine_nvb(initial_mesh, [0])
+        fine, _ = refine_nvb(initial_mesh, [0])
         space = cr_space(fine)
         with pytest.raises(ValueError, match="uniform"):
             clement_interpolate(CoefVec(space, np.zeros(space.dof_count)),
-                                initial_mesh, rmap)
+                                initial_mesh)
+
+
+def _apply_on_zero(operator, coarse, fine):
+    """One of the three operators that read fine.parent, on zero data."""
+    if operator == "embed":
+        space = cr_space(coarse)
+        return embed_coarse_in_fine(CoefVec(space, np.zeros(space.dof_count)),
+                                    fine)
+    if operator == "clement":
+        space = cr_space(fine)
+        return clement_interpolate(CoefVec(space, np.zeros(space.dof_count)),
+                                   coarse)
+    return project_pwconst(
+        PwConstVecField(fine, np.zeros((fine.num_triangles, 2))), coarse)
+
+
+@pytest.mark.parametrize("operator", ["embed", "clement", "project"])
+class TestParentCheck:
+    def test_mesh_without_parents(self, initial_mesh, operator):
+        for coarse, fine in ((initial_mesh, initial_mesh),
+                             (graded_square_mesh(4, 2.0),
+                              graded_square_mesh(8, 2.0))):
+            with pytest.raises(ValueError, match="not a refinement"):
+                _apply_on_zero(operator, coarse, fine)
+
+    @pytest.mark.parametrize("edit", ["miss", "overrun"])
+    def test_parents_index_every_coarse_triangle_and_nothing_else(
+            self, refined_once, operator, edit):
+        coarse, fine = refined_once
+        parent = fine.parent.copy()
+        if edit == "miss":
+            parent[parent == 3] = 2
+        else:
+            # the other children of triangle 0 still cover it
+            parent[np.flatnonzero(parent == 0)[0]] = coarse.num_triangles
+        bad = Mesh(fine.vertices, fine.triangles, fine.ref_edge, parent)
+        with pytest.raises(ValueError, match="not a refinement"):
+            _apply_on_zero(operator, coarse, bad)
 
 
 class TestProjection:
     def test_constant_children(self, refined_once):
-        coarse, fine, rmap = refined_once
+        coarse, fine = refined_once
         values = np.tile([2.0, -1.0], (fine.num_triangles, 1))
-        out = project_pwconst(PwConstVecField(fine, values), rmap, coarse)
+        out = project_pwconst(PwConstVecField(fine, values), coarse)
         assert np.allclose(out.values, [2.0, -1.0])
 
     def test_equal_area_average(self, refined_once):
-        coarse, fine, rmap = refined_once
+        coarse, fine = refined_once
         values = np.zeros((fine.num_triangles, 2))
-        kids = np.flatnonzero(rmap.child_to_parent == 0)
+        kids = np.flatnonzero(fine.parent == 0)
         values[kids[:2], 0] = 0.0
         values[kids[2:], 0] = 2.0
-        out = project_pwconst(PwConstVecField(fine, values), rmap, coarse)
+        out = project_pwconst(PwConstVecField(fine, values), coarse)
         assert out.values[0, 0] == pytest.approx(1.0)
 
     def test_residual_orthogonal_to_coarse_constants(self, refined_once):
-        coarse, fine, rmap = refined_once
+        coarse, fine = refined_once
         rng = np.random.default_rng(4)
         field = PwConstVecField(fine, rng.standard_normal((fine.num_triangles, 2)))
-        proj = project_pwconst(field, rmap, coarse)
-        resid = field.values - proj.values[rmap.child_to_parent]
+        proj = project_pwconst(field, coarse)
+        resid = field.values - proj.values[fine.parent]
         sums = np.zeros((coarse.num_triangles, 2))
-        np.add.at(sums, rmap.child_to_parent, resid * fine.areas[:, None])
+        np.add.at(sums, fine.parent, resid * fine.areas[:, None])
         assert np.abs(sums).max() < 1e-12
 
     def test_pythagoras(self, refined_once):
-        coarse, fine, rmap = refined_once
+        coarse, fine = refined_once
         rng = np.random.default_rng(5)
         field = PwConstVecField(fine, rng.standard_normal((fine.num_triangles, 2)))
-        proj = project_pwconst(field, rmap, coarse)
-        lifted = proj.values[rmap.child_to_parent]
+        proj = project_pwconst(field, coarse)
+        lifted = proj.values[fine.parent]
         resid = field.values - lifted
 
         def norm2(v):
