@@ -137,6 +137,7 @@ pooling them raised the peak RSS of the smallest runs.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -198,11 +199,13 @@ _FAR_TILE = 512
 _SCAN_STRIP = 16
 # tables of at most this many panels evaluate every near pair, with or
 # without the quarter turn, form no key classes (_key_classes) and keep
-# their bits: adaptive-smooth's 8- and 32-panel meshes, on which rounding
-# picks 4 of 8 tied indicators for Doerfler marking.  This guard goes
-# with the decision on that tie (ROADMAP.md, item 3: marking that
-# rounding cannot decide).
-_SMALL_TABLE = 128
+# their bits: adaptive-smooth's 8- and 32-panel tables, the initial mesh
+# and its uniform refinement, on which rounding picks 4 of 8 tied
+# indicators for Doerfler marking.  Larger tables, the 128-panel uniform
+# one among them, take the classes, and the turn where the mesh has one.
+# This guard goes with the decision on that tie (ROADMAP.md, item 3:
+# marking that rounding cannot decide).
+_SMALL_TABLE = 32
 # DOF rows per block of assemble_stiffness
 _STIFF_BLOCK = 32
 
@@ -1151,65 +1154,78 @@ def assemble_rhs_constant(space):
     return b
 
 
-def _power_moments_element(tri, alpha):
-    """int_T x^alpha * lambda_j for one triangle, j = 0, 1, 2.
+# x^e of an array, each value by libm's pow: array np.power may take SIMD
+# code that differs from libm in the last bit, and the moments are
+# ill-conditioned (see _power_moments)
+_libm_pow = np.frompyfunc(math.pow, 2, 1)
 
-    The triangle is cut into x-monotone strips; the inner y-integral of
-    an affine function over an interval with affine bounds is a quadratic
-    in x, and int x^(alpha+k) has a closed form for alpha > -1.  The
-    closed form is exact, its floating-point value is not: for x^-0.6 it
-    is off by up to 3.0e-10 relative on the 8192-panel uniform mesh and
+
+def _power_moments(coords, alpha):
+    """int_T x^alpha * lambda_j for every triangle of coords (nt, 3, 2),
+    j = 0, 1, 2, as an (nt, 3) array.
+
+    Each triangle is cut at its middle vertex into two x-monotone strips;
+    the inner y-integral of an affine function over an interval with
+    affine bounds is a quadratic in x, and int x^(alpha+k) has a closed
+    form for alpha > -1.  A strip of width at most 1e-300 adds nothing.
+    The closed form is exact, its floating-point value is not: for x^-0.6
+    it is off by up to 3.0e-10 relative on the 8192-panel uniform mesh and
     1.9e-7 on a 46,239-panel random NVB mesh, against 50-digit arithmetic.
+    So every x^e is libm's, taken once per distinct x.
     """
-    x = tri[:, 0]
-    y = tri[:, 1]
-    area2 = ((tri[1, 0] - tri[0, 0]) * (tri[2, 1] - tri[0, 1])
-             - (tri[1, 1] - tri[0, 1]) * (tri[2, 0] - tri[0, 0]))
+    x = coords[..., 0]
+    y = coords[..., 1]
+    nxt, prv = [1, 2, 0], [2, 0, 1]
+    area2 = ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
+             - (y[:, 1] - y[:, 0]) * (x[:, 2] - x[:, 0]))
     # affine barycentric coefficients: lambda_j = (a_j + b_j x + c_j y)/area2
-    a_c = np.array([x[1] * y[2] - x[2] * y[1],
-                    x[2] * y[0] - x[0] * y[2],
-                    x[0] * y[1] - x[1] * y[0]])
-    b_c = np.array([y[1] - y[2], y[2] - y[0], y[0] - y[1]])
-    c_c = np.array([x[2] - x[1], x[0] - x[2], x[1] - x[0]])
+    a_c = x[:, nxt] * y[:, prv] - x[:, prv] * y[:, nxt]
+    b_c = y[:, nxt] - y[:, prv]
+    c_c = x[:, prv] - x[:, nxt]
+    # edges (0, 1), (1, 2), (2, 0) as lines y = icpt + slope x, taken from
+    # their first vertex; a vertical edge spans no strip
+    dx = x[:, nxt] - x
+    slope = (y[:, nxt] - y) / np.where(dx != 0.0, dx, 1.0)
+    icpt = y - slope * x
+    lo = np.minimum(x, x[:, nxt])
+    hi = np.maximum(x, x[:, nxt])
 
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    moments = np.zeros(3)
-
-    def edge_line(i, j):
-        # y(x) on the edge between vertices i and j
-        dx = x[j] - x[i]
-        slope = (y[j] - y[i]) / dx
-        return y[i] - slope * x[i], slope
-
-    for x0, x1 in ((xs[0], xs[1]), (xs[1], xs[2])):
-        if x1 - x0 <= 1e-300:
-            continue
-        xm = 0.5 * (x0 + x1)
-        lines = []
-        for i, j in ((0, 1), (1, 2), (2, 0)):
-            lo, hi = min(x[i], x[j]), max(x[i], x[j])
-            if lo <= xm <= hi and x[j] - x[i] != 0.0:
-                lines.append(edge_line(i, j))
-        (i0, s0), (i1, s1) = lines[0], lines[1]
-        if i0 + s0 * xm > i1 + s1 * xm:
-            (i0, s0), (i1, s1) = (i1, s1), (i0, s0)
+    xs = np.sort(x, axis=1)
+    values, inverse = np.unique(xs, return_inverse=True)
+    inverse = inverse.reshape(xs.shape)
+    exponents = [alpha + k + 1.0 for k in range(3)]
+    powers = [_libm_pow(values, e).astype(float)[inverse] for e in exponents]
+    moments = np.zeros((len(coords), 3))
+    for s in range(2):
+        # the triangles whose strip s is wider than 1e-300
+        t = np.flatnonzero(xs[:, s + 1] - xs[:, s] > 1e-300)
+        xm = 0.5 * (xs[t, s] + xs[t, s + 1])
+        # the first two edges that span the strip's midpoint, lower first
+        spans = ((lo[t] <= xm[:, None]) & (xm[:, None] <= hi[t])
+                 & (dx[t] != 0.0))
+        count = np.cumsum(spans, axis=1)
+        e0 = np.argmax(count == 1, axis=1)
+        e1 = np.argmax(count == 2, axis=1)
+        i0, s0 = icpt[t, e0], slope[t, e0]
+        i1, s1 = icpt[t, e1], slope[t, e1]
+        swap = i0 + s0 * xm > i1 + s1 * xm
+        i0, i1 = np.where(swap, i1, i0), np.where(swap, i0, i1)
+        s0, s1 = np.where(swap, s1, s0), np.where(swap, s0, s1)
         # cross-section [y_lo, y_hi] with y = i + s x; for each j:
         # inner = (a + b x)(y_hi - y_lo) + c (y_hi^2 - y_lo^2)/2
-        dy0 = i1 - i0
-        dy1 = s1 - s0
-        sq0 = i1 * i1 - i0 * i0
-        sq1 = 2.0 * (i1 * s1 - i0 * s0)
-        sq2 = s1 * s1 - s0 * s0
-        for j in range(3):
-            # quadratic coefficients of the inner integral in x
-            q0 = a_c[j] * dy0 + 0.5 * c_c[j] * sq0
-            q1 = a_c[j] * dy1 + b_c[j] * dy0 + 0.5 * c_c[j] * sq1
-            q2 = b_c[j] * dy1 + 0.5 * c_c[j] * sq2
-            for k, q in enumerate((q0, q1, q2)):
-                e = alpha + k + 1.0
-                moments[j] += q * (x1 ** e - x0 ** e) / e
-    return moments / area2
+        dy0 = (i1 - i0)[:, None]
+        dy1 = (s1 - s0)[:, None]
+        sq0 = (i1 * i1 - i0 * i0)[:, None]
+        sq1 = (2.0 * (i1 * s1 - i0 * s0))[:, None]
+        sq2 = (s1 * s1 - s0 * s0)[:, None]
+        a, b, c = a_c[t], b_c[t], c_c[t]
+        # quadratic coefficients of the inner integral in x
+        q = (a * dy0 + 0.5 * c * sq0,
+             a * dy1 + b * dy0 + 0.5 * c * sq1,
+             b * dy1 + 0.5 * c * sq2)
+        for qk, e, p in zip(q, exponents, powers):
+            moments[t] += qk * (p[t, s + 1] - p[t, s])[:, None] / e
+    return moments / area2[:, None]
 
 
 def assemble_rhs_power(space, alpha):
@@ -1217,10 +1233,7 @@ def assemble_rhs_power(space, alpha):
     if not -1.0 < alpha:
         raise ValueError(f"power {alpha} gives a divergent load integral")
     mesh = space.mesh
-    coords = mesh.triangle_coords()
-    moments = np.empty((mesh.num_triangles, 3))
-    for t in range(mesh.num_triangles):
-        moments[t] = _power_moments_element(coords[t], alpha)
+    moments = _power_moments(mesh.triangle_coords(), alpha)
     # slot basis const + lin*lambda_k: const*(sum of moments) + lin*moment_k
     const, lin = space.basis
     total = moments.sum(axis=1)

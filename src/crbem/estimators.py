@@ -34,6 +34,7 @@ from .spaces import (
     clement_interpolate,
     project_pwconst,
     PwConstVecField,
+    _parents,
 )
 from .assembly import (
     NumericalError,
@@ -159,10 +160,12 @@ class Level:
 
     def refined(self, mesh):
         """The Level of a refinement of this mesh, with the data carried
-        to each child from its parent, ``mesh.parent``."""
+        to each child from its parent, ``mesh.parent``.  Raises
+        ValueError if ``mesh`` does not refine this mesh."""
+        parent = _parents(mesh, self.mesh)
         data = self.data
         if data[0] == "manufactured":
-            w = data[1].values[mesh.parent]
+            w = data[1].values[parent]
             data = ("manufactured", PwConstVecField(mesh, w), data[2])
         return Level(mesh, data)
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import threading
 import tracemalloc
@@ -39,7 +40,7 @@ from crbem.assembly import (
     _key_classes,
     _near_candidates,
     _pair_values,
-    _power_moments_element,
+    _power_moments,
     _quarter_turn,
     _robust_pairs,
     _rule_inputs,
@@ -50,7 +51,7 @@ from crbem.assembly import (
     single_layer_field,
 )
 
-from oracle import pair_value
+from oracle import pair_value, power_moments_element
 
 UNIT_RIGHT = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 # unit-right-triangle self entry, frozen from the independent oracle
@@ -613,9 +614,10 @@ class TestFarTable:
         assert far.sum() > 0.3 * far.size
         assert (np.abs(G[far] - H[far]) / H[far]).max() <= 2e-15
 
-    @pytest.mark.parametrize("levels", [0, 1, 2])
+    @pytest.mark.parametrize("levels", [0, 1])
     def test_small_tables_keep_their_bits(self, monkeypatch, levels):
-        # 8, 32 and 128 panels: every pair is a near candidate
+        # 8 and 32 panels, adaptive-smooth's tied tables: every pair is a
+        # near candidate
         mesh = build_initial_square_mesh()
         for _ in range(levels):
             mesh = uniform_refine(mesh)[0]
@@ -643,13 +645,19 @@ class TestFarTable:
 
 
 class TestNearTurn:
-    @pytest.fixture(scope="class", params=["uniform", "graded", "fine"])
+    @pytest.fixture(scope="class",
+                    params=["uniform", "graded", "fine", "uniform128"])
     def turned(self, request):
         # tables with and without the quarter turn, each with the labels of
         # its near pass, its robust-path values and the number of rule pairs
-        # it evaluated
+        # it evaluated.  The 128-panel table is the smallest uniform one
+        # above _SMALL_TABLE.
         if request.param == "fine":
             mesh = uniform_refine(graded_square_mesh(16, 2.0))[0]
+        elif request.param == "uniform128":
+            mesh = uniform_refine(uniform_refine(
+                build_initial_square_mesh())[0])[0]
+            assert mesh.num_triangles == 128 > assembly._SMALL_TABLE
         else:
             mesh = _sweep_mesh(request.param)
         real = (assembly._classify_pairs, assembly._robust_pairs,
@@ -1333,7 +1341,7 @@ class TestRhs:
 
     def test_power_unit_triangle_closed_form(self):
         alpha = -0.6
-        moments = _power_moments_element(UNIT_RIGHT, alpha)
+        moments = _power_moments(UNIT_RIGHT[None], alpha)[0]
         assert moments.sum() == pytest.approx(
             1.0 / ((alpha + 1) * (alpha + 2)), rel=1e-12)
 
@@ -1341,7 +1349,7 @@ class TestRhs:
         from numpy.polynomial.legendre import leggauss
         alpha = -0.6
         tri = np.array([[0.3, 0.1], [0.9, 0.2], [0.5, 0.8]])
-        moments = _power_moments_element(tri, alpha)
+        moments = _power_moments(tri[None], alpha)[0]
         g, w = leggauss(40)
         g = 0.5 * (g + 1)
         w = 0.5 * w
@@ -1388,3 +1396,64 @@ class TestRhs:
         a = assemble_stiffness(form, space)
         x = np.linalg.solve(a, b)
         assert np.abs(x - phi.values).max() < 1e-10
+
+
+@pytest.fixture(scope="module")
+def nvb_10k():
+    mesh = _nvb_mesh(10_000)
+    assert mesh.num_triangles >= 10_000
+    return mesh
+
+
+def _oracle_moments(coords, alpha, power=pow):
+    return np.array([power_moments_element(tri, alpha, power)
+                     for tri in coords])
+
+
+# every vertical edge leaves one strip of width zero, which adds nothing,
+# and so does the strip of width 1e-301 of "narrow-strip".  The one-ulp
+# strip's midpoint rounds onto its right end, so all three edges span it
+# and the first two in edge order bound it.
+HAND_MADE = {
+    "narrow-strip": [[0.0, 0.0], [1e-301, 1.0], [0.5, 0.2]],
+    "one-ulp-strip": [[0.5 + 2.0**-53, 0.0], [0.5 + 2.0**-52, 1.0],
+                      [0.9, 0.3]],
+    "vertical-left": [[0.2, 0.1], [0.7, 0.4], [0.2, 0.9]],
+    "vertical-right": [[0.1, 0.3], [0.6, 0.05], [0.6, 0.8]],
+    "vertical-on-axis": [[0.0, 0.0], [0.5, 0.5], [0.0, 1.0]],
+    "vertex-on-axis": [[0.0, 0.2], [0.5, 0.0], [0.3, 0.6]],
+    "clockwise": [[0.3, 0.1], [0.5, 0.8], [0.9, 0.2]],
+}
+
+
+class TestPowerMoments:
+    @pytest.mark.parametrize("alpha", [-0.6, -0.25])
+    @pytest.mark.parametrize("kind", ["uniform", "nvb", "graded2",
+                                      "graded3"])
+    def test_equal_to_the_element_oracle(self, nvb_10k, kind, alpha):
+        if kind == "uniform":
+            meshes = [build_initial_square_mesh()]
+            for _ in range(4):
+                meshes.append(uniform_refine(meshes[-1])[0])
+        elif kind == "nvb":
+            meshes = [nvb_10k]
+        else:
+            meshes = [graded_square_mesh(16, float(kind[-1]))]
+        for mesh in meshes:
+            coords = mesh.triangle_coords()
+            assert np.array_equal(_power_moments(coords, alpha),
+                                  _oracle_moments(coords, alpha))
+
+    @pytest.mark.parametrize("name", list(HAND_MADE))
+    def test_hand_made_triangles(self, name):
+        tri = np.array(HAND_MADE[name])
+        assert np.array_equal(_power_moments(tri[None], -0.6)[0],
+                              power_moments_element(tri, -0.6))
+
+    def test_every_power_from_libm(self):
+        # numpy's array power may round differently from libm's pow (on
+        # some hosts in about 5% of inputs), so 6000 random x catch a
+        # switch to it
+        coords = np.random.default_rng(11).random((2000, 3, 2))
+        assert np.array_equal(_power_moments(coords, -0.6),
+                              _oracle_moments(coords, -0.6, math.pow))

@@ -137,6 +137,30 @@ class TestSolvePair:
         assert abs(cross) <= 1e-9 * a_phi
 
 
+class TestLevelRefined:
+    @pytest.fixture(scope="class")
+    def exact_level(self):
+        from crbem.adaptive import ExperimentConfig, _first_level
+        return _first_level(ExperimentConfig(experiment="uniform-exact"))
+
+    def test_children_take_their_parents_data(self, exact_level):
+        fine = uniform_refine(exact_level.mesh)[0]
+        w = exact_level.refined(fine).data[1].values
+        assert np.array_equal(w, exact_level.data[1].values[fine.parent])
+
+    def test_mesh_without_parents_rejected(self, exact_level):
+        # 32 panels, as the uniform refinement, but no parents
+        mesh = graded_square_mesh(4, 2.0)
+        assert mesh.num_triangles == 32
+        with pytest.raises(ValueError, match="not a refinement"):
+            exact_level.refined(mesh)
+
+    def test_refinement_of_another_mesh_rejected(self, exact_level):
+        fine = uniform_refine(exact_level.mesh)[0]
+        with pytest.raises(ValueError, match="not a refinement"):
+            exact_level.refined(uniform_refine(fine)[0])
+
+
 class TestEstimators:
     def test_eta_zero_for_prolongated_solution(self, pair_constant):
         pair = pair_constant
