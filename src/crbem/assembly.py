@@ -14,9 +14,10 @@ are positive and sum to vol(tau x tau) = 1/4.
 The cases are told apart in one place, _classify_pairs, by the number of
 vertex indices a pair shares (3, 2, 1, 0); disjoint pairs are then binned
 by separation.  assemble_energy_form fills the whole table with the
-far-field rule and calls _pair_values once, on the diagonal and the near
-candidates.  panel_integral assembles the table of a one- or two-panel
-mesh, so single pairs take exactly the table's path.  Timings and memory
+far-field rule, then has _classify_pairs label the diagonal and the near
+candidates and _pair_values evaluate them, once each.  panel_integral
+assembles the table of a one- or two-panel mesh, so single pairs take
+exactly the table's path.  Timings and memory
 measurements of every design choice below are in CHANGES.md.
 
 The far table is a sweep of row strips of _FAR_STRIP panels against
@@ -51,8 +52,8 @@ one block over every row: the full sweep, with its bits.
 
 The near pass uses the same turn.  _orbit_representatives maps each near
 candidate to the candidate of smallest code among its images
-(sigma^a i, sigma^a j), before the table is allocated.  _pair_values
-classifies every candidate as without the turn; then each rule evaluates
+(sigma^a i, sigma^a j), before the table is allocated.  _classify_pairs
+labels every candidate as without the turn; then each rule evaluates
 only the pairs that are their own representative, or whose representative
 is no candidate or has another label, and the others copy their
 representative's value: a quarter of the rule pairs.  A near entry so
@@ -91,10 +92,12 @@ Memory: the table G (nt x nt) and a Galerkin matrix A (n x n) are the
 only quadratic arrays of a run; estimators.solve_spd factors A in place.
 The far sweep works in two tile buffers, and assemble_stiffness fills A
 by blocks of _STIFF_BLOCK DOF rows, each symmetrized in place against the
-rows above it.  The near candidates are two int32 index lists, and the
-orbit map one more.  The near-field pass works in blocks too:
-_classify_pairs labels the near candidates in blocks of _PAIR_BLOCK rows
-with one byte each, _pair_values keeps per label only the indices of its
+rows above it.  The near candidates are two int32 index lists and one
+flag byte each, and the orbit map one more int32.  The near-field pass
+works in blocks too: _classify_pairs labels the near candidates in blocks
+of _PAIR_BLOCK rows with one byte each, after the table is allocated, as
+classifying before it left more freed heap behind for the rest of the
+run, and _pair_values keeps per label only the indices of its
 pairs (and for a keyed label their kernel inputs), and one loop,
 _gathered, gathers the panels of a block of pairs, in the vertex order of
 their case, for a kernel that sees only that block.
@@ -117,12 +120,12 @@ to _ROBUST_RTOL and the bands compare distance ratios with RHO_CLOSE and
 RHO_NEAR, so a change of rounding could flip a decision and move a table
 entry by up to about 1e-6 relative.  The tests keep the earlier kernels
 and check bit equality.  Most disjoint pairs need no distance: the
-centroid bound of the candidate scan, less a rounding margin, already
-puts most of them at rho >= RHO_NEAR, and only the rest get exact
-distances, with the same bands.  The robust path runs once per block of
-pairs; its stop test reads only sums per pair, so blocking changes no
-bit.  Past _ROBUST_MAX_CELLS live cells in a block it raises
-NumericalError.
+candidate scan marks close only the pairs that its centroid bound, less
+a rounding margin, cannot place at rho >= RHO_NEAR, and only the
+disjoint ones among them get exact distances, with the same bands.  The
+robust path runs once per block of pairs; its stop test reads only sums
+per pair, so blocking changes no bit.  Past _ROBUST_MAX_CELLS live cells
+in a block it raises NumericalError.
 
 Threads: one robust-path call opens a ThreadPoolExecutor with one thread
 per core the process may use, and each set of cells is split statically:
@@ -188,8 +191,8 @@ _ROBUST_BLOCK = 1024
 # pairs, before it gives up with NumericalError: far above the peak of the
 # graded presets, and without a cap beta=50 runs out of memory
 _ROBUST_MAX_CELLS = 1 << 20
-# panel pairs per block of the near-field pass: of the classification in
-# _pair_values and of each gather that feeds a kernel
+# panel pairs per block of the near-field pass: of _classify_pairs and of
+# each gather that feeds a kernel
 _PAIR_BLOCK = 4096
 # panels per row strip and per column tile of _far_table: two 663 KB tile
 # buffers, whose long tile rows suit numpy's broadcast subtraction
@@ -714,7 +717,7 @@ _BY_COUNT = np.array([_DISJOINT, _VERTEX, _EDGE, _IDENTICAL,
                       _DISJOINT, _ROBUST, _ROBUST, _SELF], np.int8)
 
 
-def _classify_pairs(coords, tris, aspect, diam, i, j):
+def _classify_pairs(coords, tris, aspect, diam, i, j, close):
     """Label (int8) of each panel pair (i[k], j[k]): what evaluates it.
 
     A pair is classified by how many vertex indices its panels share: 3
@@ -725,17 +728,13 @@ def _classify_pairs(coords, tris, aspect, diam, i, j):
     pairs are binned by rho = dist / max(diam): the disjoint rule of order
     ORDER - 1 (rho >= RHO_NEAR) or ORDER (rho >= RHO_CLOSE), else the
     robust path.  The pairs are counted in blocks of _PAIR_BLOCK, and
-    exact distances are computed only where the centroid bound leaves rho
-    below RHO_NEAR possible.
+    exact distances are computed only for the disjoint pairs flagged in
+    close, those that _near_candidates could not place at rho >= RHO_NEAR.
     """
     label = np.empty(len(i), np.int8)
-    cent, radius = _bounding_circles(coords)
-    cx, cy = cent[:, 0].copy(), cent[:, 1].copy()
-    scale = np.abs(coords).max(axis=(1, 2))
     # shared vertices counted by nine comparisons of gathered index rows;
     # every gather is a take, several times faster than fancy indexing
     cols = np.ascontiguousarray(tris.T)
-    unsure = []
     for lo in range(0, len(i), _PAIR_BLOCK):
         a, b = i[lo:lo + _PAIR_BLOCK], j[lo:lo + _PAIR_BLOCK]
         ta, tb = cols.take(a, axis=1), cols.take(b, axis=1)
@@ -746,21 +745,7 @@ def _classify_pairs(coords, tris, aspect, diam, i, j):
         iso = ((aspect.take(a) <= SINGULAR_ASPECT_LIMIT)
                & (aspect.take(b) <= SINGULAR_ASPECT_LIMIT))
         label[lo:lo + _PAIR_BLOCK] = _BY_COUNT[count + 4 * ~iso]
-        # The centroid bound of _near_candidates is at most dist, as each
-        # disc holds its panel.  Rounding: as computed, the bound and the
-        # distance are each within 100 u S of their exact values, with
-        # u = 2^-53 and S the largest coordinate magnitude of the pair,
-        # which is at least d / 3 for the larger diameter d.  So where the
-        # bound less 1e-9 S, 10^5 times that error, gives rho >= RHO_NEAR,
-        # the computed distance gives it too, and every pair keeps its band.
-        d = np.flatnonzero(count == 0)
-        a, b = a.take(d), b.take(d)
-        bound = (np.hypot(cx.take(a) - cx.take(b), cy.take(a) - cy.take(b))
-                 - radius.take(a) - radius.take(b)
-                 - 1e-9 * np.maximum(scale.take(a), scale.take(b)))
-        unsure.append(lo + d[bound / np.maximum(diam.take(a), diam.take(b))
-                             < RHO_NEAR])
-    unsure = np.concatenate(unsure)
+    unsure = np.flatnonzero(close & (label == _DISJOINT))
     rho = _gathered(_triangle_distances, coords, i, j, unsure)
     rho /= np.maximum(diam.take(i.take(unsure)), diam.take(j.take(unsure)))
     label[unsure[rho < RHO_NEAR]] = _CLOSE
@@ -768,10 +753,10 @@ def _classify_pairs(coords, tris, aspect, diam, i, j):
     return label
 
 
-def _pair_values(coords, tris, aspect, diam, i, j, rep=None):
+def _pair_values(coords, tris, i, j, label, rep=None):
     """Table entries of the panel pairs (i[k], j[k]), i <= j, of one mesh.
 
-    _classify_pairs labels each pair with what evaluates it, and one
+    label, from _classify_pairs, says what evaluates each pair, and one
     loop, _gathered, hands every kernel the panels of one block of the
     pairs of a label.  With rep, the index of each pair's representative
     under the quarter turn (see _orbit_representatives), a rule evaluates
@@ -786,10 +771,10 @@ def _pair_values(coords, tris, aspect, diam, i, j, rep=None):
 
     Besides per-block work arrays, the pass holds at most 64 bytes per
     pair: values, labels and rep, and for one label its pair indices, the
-    pairs copied and the panel indices of one block.  A keyed label adds
-    its kernel inputs, 136 bytes per pair of that label, up to three times
-    that while _key_classes runs, and then 20: representative, exponent
-    and class value.
+    pairs copied and the panel indices of one block; the classification
+    runs before it.  A keyed label adds its kernel inputs, 136 bytes per
+    pair of that label, up to three times that while _key_classes runs,
+    and then 20: representative, exponent and class value.
 
     The kernel's GEMM rounds a row differently depending on its position
     in the block, so rows keep a fixed order: edge pairs sorted by their
@@ -797,7 +782,6 @@ def _pair_values(coords, tris, aspect, diam, i, j, rep=None):
     other label in the order given.  The robust path takes (coords[i],
     coords[j]) as they are.
     """
-    label = _classify_pairs(coords, tris, aspect, diam, i, j)
     out = np.full(len(i), np.nan)
 
     def along_shared_edge(k):
@@ -919,28 +903,43 @@ def _quarter_turn(coords):
 
 def _near_candidates(coords, diam):
     """Pairs i <= j of a mesh possibly closer than RHO_FAR diameters, in
-    (i, j) order, as two int32 index lists.
+    (i, j) order, as two int32 index lists, and a bool per pair, close,
+    where it may be closer than RHO_NEAR diameters.
 
-    A pair is no candidate where its centroid distance less both radii
-    (see _bounding_circles) is at least RHO_FAR times the larger diameter.
-    The diagonal and every pair that shares a vertex are candidates: their
-    centroid distance is at most the sum of the two radii.  The scan runs
-    in strips of _SCAN_STRIP rows.
+    The centroid bound of a pair is its centroid distance less both radii
+    (see _bounding_circles).  A pair is no candidate where the bound is at
+    least RHO_FAR times the larger diameter d.  The diagonal and every
+    pair that shares a vertex are candidates: their centroid distance is
+    at most the sum of the two radii.  A candidate is close unless the
+    bound less 1e-9 S is at least RHO_NEAR d, with S the largest
+    coordinate magnitude of the pair.  The bound is at most the distance,
+    as each disc holds its panel.  Rounding: as computed, the bound and
+    the distance are each within 100 u S of their exact values, with
+    u = 2^-53, and S is at least d / 3.  So where the bound less 1e-9 S,
+    10^5 times that error, gives rho >= RHO_NEAR, the computed distance
+    gives it too: a pair that is not close keeps its band without one.
+    The scan runs in strips of _SCAN_STRIP rows.
     """
     nt = len(coords)
     cent, radius = _bounding_circles(coords)
     cx, cy = cent[:, 0].copy(), cent[:, 1].copy()
-    near_i, near_j = [], []
+    scale = np.abs(coords).max(axis=(1, 2))
+    near_i, near_j, close = [], [], []
     for i0 in range(0, nt, _SCAN_STRIP):
         i1 = min(nt, i0 + _SCAN_STRIP)
         gx, gy = cx[i0:i1, None] - cx[i0:], cy[i0:i1, None] - cy[i0:]
         bound = (np.sqrt(gx * gx + gy * gy) - radius[i0:i1, None]
                  - radius[i0:])
-        thresh = RHO_FAR * np.maximum(diam[i0:i1, None], diam[i0:])
-        ii, jj = np.nonzero(np.triu(bound < thresh))
-        near_i.append((ii + i0).astype(np.int32))
-        near_j.append((jj + i0).astype(np.int32))
-    return np.concatenate(near_i), np.concatenate(near_j)
+        dmax = np.maximum(diam[i0:i1, None], diam[i0:])
+        ii, jj = np.nonzero(np.triu(bound < RHO_FAR * dmax))
+        a, b = ii + i0, jj + i0
+        close.append(bound[ii, jj]
+                     - 1e-9 * np.maximum(scale.take(a), scale.take(b))
+                     < RHO_NEAR * dmax[ii, jj])
+        near_i.append(a.astype(np.int32))
+        near_j.append(b.astype(np.int32))
+    return (np.concatenate(near_i), np.concatenate(near_j),
+            np.concatenate(close))
 
 
 def _orbit_representatives(i, j, sigma):
@@ -1075,21 +1074,23 @@ def assemble_energy_form(mesh):
     """Element-pair single-layer table for all panel pairs of a mesh.
 
     Every pair starts from the far-field rule; the near candidates, the
-    diagonal included, are then evaluated by _pair_values.  Both take the
-    quarter turn, where the mesh has one; the near pass only on tables of
-    more than _SMALL_TABLE panels.
+    diagonal included, are then labelled by _classify_pairs, from the
+    flags of the candidate scan, and evaluated by _pair_values.  The far
+    table and the evaluation take the quarter turn, where the mesh has
+    one; the evaluation only on tables of more than _SMALL_TABLE panels.
     """
     coords = mesh.triangle_coords()
     aspect, diam = _aspect_and_diameter(coords)
     sigma = _quarter_turn(coords)
-    i, j = _near_candidates(coords, diam)
+    i, j, close = _near_candidates(coords, diam)
     # the map, like the scan, runs before the table is allocated, which
     # leaves less freed heap behind for the rest of the run
     rep = None
     if sigma is not None and len(coords) > _SMALL_TABLE:
         rep = _orbit_representatives(i, j, sigma)
     G = _far_table(coords, sigma)
-    vals = _pair_values(coords, mesh.triangles, aspect, diam, i, j, rep)
+    label = _classify_pairs(coords, mesh.triangles, aspect, diam, i, j, close)
+    vals = _pair_values(coords, mesh.triangles, i, j, label, rep)
     G[i, j] = vals
     G[j, i] = vals
 

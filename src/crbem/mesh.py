@@ -48,8 +48,8 @@ class Mesh:
         self._build_geometry()
         self._build_edge_table()
         for arr in (self.vertices, self.triangles, self.ref_edge, self.parent,
-                    self.areas, self.centroids, self.edge_vertices,
-                    self.edge_tris, self.edge_boundary, self.edge_midpoints,
+                    self.areas, self.edge_vertices, self.edge_tris,
+                    self.edge_boundary, self.edge_midpoints,
                     self.edge_lengths, self.tri_edges, self.boundary_vertex):
             arr.setflags(write=False)
 
@@ -78,7 +78,6 @@ class Mesh:
                 f"triangle {bad} is degenerate or clockwise (signed area "
                 f"{signed[bad]:.3e})")
         self.areas = signed
-        self.centroids = p.mean(axis=1)
 
     def _build_edge_table(self):
         nt = len(self.triangles)

@@ -31,6 +31,7 @@ from crbem.spaces import PwConstVecField
 from crbem.assembly import (
     RHO_CLOSE,
     RHO_FAR,
+    RHO_NEAR,
     SINGULAR_ASPECT_LIMIT,
     NumericalError,
     _aspect_and_diameter,
@@ -135,9 +136,8 @@ class TestRuleKernel:
         values = []
         for tris in (mesh.triangles,
                      np.take_along_axis(mesh.triangles, turn, axis=1)):
-            coords = mesh.vertices[tris]
-            values.append(_pair_values(coords, tris,
-                                       *_aspect_and_diameter(coords), ci, cj))
+            values.append(
+                _pair_values(*_near_plan(mesh.vertices[tris], tris)))
         shared = (mesh.triangles[ci][:, :, None]
                   == mesh.triangles[cj][:, None, :]).sum(axis=(1, 2))
         adjacent = (shared == 1) | (shared == 2)
@@ -288,8 +288,18 @@ def _far_sweep(mesh):
     """Far table and near candidates of a mesh, as assemble_energy_form
     gets them."""
     coords = mesh.triangle_coords()
-    ci, cj = _near_candidates(coords, _diameters(coords))
+    ci, cj, _ = _near_candidates(coords, _diameters(coords))
     return _far_table(coords, assembly._quarter_turn(coords)), ci, cj
+
+
+def _near_plan(coords, tris):
+    """The arguments (coords, tris, i, j, label) of _pair_values for the
+    near candidates of a mesh, labelled as assemble_energy_form labels
+    them."""
+    aspect, diam = _aspect_and_diameter(coords)
+    ci, cj, close = _near_candidates(coords, diam)
+    return coords, tris, ci, cj, assembly._classify_pairs(
+        coords, tris, aspect, diam, ci, cj, close)
 
 
 def _near_pairs(mesh):
@@ -347,26 +357,24 @@ class TestSplitKernels:
         # the robust path included, block by block
         mesh = graded_square_mesh(16, 2.0)
         coords = mesh.triangle_coords()
-        _, ci, cj = _far_sweep(mesh)
-        args = (coords, mesh.triangles, *_aspect_and_diameter(coords),
-                ci, cj)
-        ref = _pair_values(*args)
+        ref = _pair_values(*_near_plan(coords, mesh.triangles))
         for block in (37, 256):
             monkeypatch.setattr("crbem.assembly._PAIR_BLOCK", block)
-            assert np.array_equal(_pair_values(*args), ref)
+            assert np.array_equal(
+                _pair_values(*_near_plan(coords, mesh.triangles)), ref)
 
     @pytest.mark.parametrize("kind", ["uniform", "nvb", "graded", "moved"])
     def test_centroid_bound_keeps_bands(self, monkeypatch, kind):
-        # the same values as with every disjoint pair banded by its exact
-        # distance (infinite radii void the bound), from far fewer distances
+        # the same labels as with every disjoint pair banded by its exact
+        # distance, from far fewer distances.  Infinite radii void the
+        # bound: every pair is then a candidate and close, and the labels
+        # of the real candidates are found by their codes i nt + j.
         mesh = _sweep_mesh("graded" if kind == "moved" else kind)
         if kind == "moved":
             mesh = Mesh(mesh.vertices + [1000.3, -999.7], mesh.triangles,
                         mesh.ref_edge)
-        coords = mesh.triangle_coords()
-        ci, cj, shared = _near_pairs(mesh)
-        args = (coords, mesh.triangles, *_aspect_and_diameter(coords),
-                ci, cj)
+        coords, tris = mesh.triangle_coords(), mesh.triangles
+        nt = mesh.num_triangles
         counted = []
 
         def counting(a, b):
@@ -374,15 +382,22 @@ class TestSplitKernels:
             return _triangle_distances(a, b)
 
         monkeypatch.setattr("crbem.assembly._triangle_distances", counting)
-        got = _pair_values(*args)
+        *_, ci, cj, got = _near_plan(coords, tris)
         exact = sum(counted)
         monkeypatch.setattr(
             "crbem.assembly._bounding_circles",
             lambda tris: (tris.mean(axis=-2), np.full(len(tris), np.inf)))
-        assert np.array_equal(_pair_values(*args), got)
-        disjoint = (shared == 0).sum()
-        assert sum(counted) - exact == disjoint
-        assert exact < 0.15 * disjoint
+        *_, vi, vj, voided = _near_plan(coords, tris)
+        assert len(vi) == nt * (nt + 1) // 2
+        codes = vi.astype(np.int64) * nt + vj
+        real = ci.astype(np.int64) * nt + cj
+        at = np.searchsorted(codes, real)
+        assert np.array_equal(codes[at], real)
+        assert np.array_equal(voided[at], got)
+        shared = (tris[vi][:, :, None] == tris[vj][:, None, :]).sum(
+            axis=(1, 2))
+        assert sum(counted) - exact == (shared == 0).sum()
+        assert exact < 0.15 * (shared[at] == 0).sum()
 
     @pytest.mark.parametrize("block", [3, 1024])
     def test_robust_pairs_off_block_size(self, monkeypatch, block):
@@ -436,9 +451,9 @@ def _traced_peak(fn, *args):
 
 
 def test_pair_values_memory_is_blocked(graded_robust_case):
-    # Per near candidate the pass holds at most 64 bytes: its value, class
-    # code and robust flag, and for a disjoint pair its index, distance,
-    # band index and the two panel indices gathered for one call.  The
+    # Per near candidate the classification and evaluation hold at most
+    # 64 bytes: its value and label, and for a disjoint pair its index,
+    # distance and the two panel indices gathered for one call.  The
     # per-block work arrays stay under 4 MiB: the rule kernel's r^2 block
     # of _RULE_CHUNK doubles (1 MiB), and its panel chunks and the
     # distance and classification arrays of _PAIR_BLOCK rows.  The robust
@@ -446,21 +461,26 @@ def test_pair_values_memory_is_blocked(graded_robust_case):
     # pairs.  Gathering the (P, 3, 2) coordinates of both panels of every
     # disjoint pair alone takes 96 bytes a candidate.
     coords, _, (ri, rj) = graded_robust_case
-    mesh = uniform_refine(graded_square_mesh(8, 2.0))[0]
-    _, ci, cj = _far_sweep(mesh)
-    args = (coords, mesh.triangles, *_aspect_and_diameter(coords),
-            ci, cj)
-    _pair_values(*args)  # builds the cached quadrature rules
+    tris = uniform_refine(graded_square_mesh(8, 2.0))[0].triangles
+    aspect, diam = _aspect_and_diameter(coords)
+    ci, cj, close = _near_candidates(coords, diam)
+
+    def near_pass():
+        label = assembly._classify_pairs(coords, tris, aspect, diam, ci, cj,
+                                         close)
+        return _pair_values(coords, tris, ci, cj, label)
+
+    near_pass()  # builds the cached quadrature rules
     robust = _traced_peak(_robust_pairs, coords[ri], coords[rj])
-    assert _traced_peak(_pair_values, *args) < (robust + 64 * len(ci)
-                                                 + (4 << 20))
+    assert _traced_peak(near_pass) < robust + 64 * len(ci) + (4 << 20)
 
 
 def test_far_table_memory():
     # The sweep holds no more than the table, the near candidates twice,
     # as per-strip pieces and joined, and work arrays of at most 4 MiB:
-    # the scan's strips, two 663 KB tile buffers, through which the
-    # quarter turn's row copies go, and the rule points of every panel.
+    # the scan's strips, the candidates' close flags, two 663 KB tile
+    # buffers, through which the quarter turn's row copies go, and the
+    # rule points of every panel.
     mesh = uniform_refine(graded_square_mesh(16, 2.0))[0]
     assert _quarter_turn(mesh.triangle_coords()) is not None
     G, ci, cj = _far_sweep(mesh)
@@ -486,7 +506,7 @@ def _ref_near_candidates(mesh):
     RHO_FAR times the larger diameter, in (i, j) order, from one dense
     nt x nt comparison."""
     coords = mesh.triangle_coords()
-    cent = mesh.centroids
+    cent = coords.mean(axis=1)
     off = coords - cent[:, None, :]
     radius = np.sqrt(off[..., 0] * off[..., 0]
                      + off[..., 1] * off[..., 1]).max(axis=1)
@@ -644,6 +664,57 @@ class TestFarTable:
         assert (np.abs(H[far] - G[far]) / G[far]).max() <= 1e-12
 
 
+@pytest.mark.parametrize("kind", ["uniform", "nvb", "graded", "moved"])
+def test_labels_match_dense_reference(kind):
+    # the labels that assemble_energy_form evaluates are those of the
+    # dense candidate reference: the case by the shared vertex count and
+    # the aspects, the band of a disjoint pair by its exact distance
+    mesh = _sweep_mesh("graded" if kind == "moved" else kind)
+    if kind == "moved":
+        mesh = Mesh(mesh.vertices + [1000.3, -999.7], mesh.triangles,
+                    mesh.ref_edge)
+    labels, real = [], assembly._classify_pairs
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(assembly, "_classify_pairs",
+                   lambda *args: labels.append(real(*args)) or labels[-1])
+        assemble_energy_form(mesh)
+    coords, tris = mesh.triangle_coords(), mesh.triangles
+    ci, cj = _ref_near_candidates(mesh)
+    shared = (tris[ci][:, :, None] == tris[cj][:, None, :]).sum(axis=(1, 2))
+    lmax2 = ((coords[:, [1, 2, 0]] - coords) ** 2).sum(-1).max(-1)
+    aniso = lmax2 / _ref_doubled_area(coords) > SINGULAR_ASPECT_LIMIT
+    ref = np.array([assembly._DISJOINT, assembly._VERTEX, assembly._EDGE,
+                    assembly._IDENTICAL])[shared]
+    ref[(shared > 0) & (aniso[ci] | aniso[cj])] = assembly._ROBUST
+    ref[(shared == 3) & aniso[ci]] = assembly._SELF
+    d = np.flatnonzero(shared == 0)
+    diam = _diameters(coords)
+    rho = _ref_triangle_distances(coords[ci[d]], coords[cj[d]]) / np.maximum(
+        diam[ci[d]], diam[cj[d]])
+    ref[d[rho < RHO_NEAR]] = assembly._CLOSE
+    ref[d[rho < RHO_CLOSE]] = assembly._ROBUST
+    assert len(labels) == 1 and np.array_equal(labels[0], ref)
+    if kind in ("graded", "moved"):
+        assert len(np.unique(ref)) == 7
+
+
+@pytest.mark.parametrize("beta", [2.0, 3.0])
+def test_robust_path_settles_below_its_depth_cap(monkeypatch, beta):
+    # Subdivision accepts every cell at depth _ROBUST_MAX_DEPTH - 1
+    # without a word.  With a cap of 8 instead of 24 the robust pairs of
+    # the refined graded mesh keep their bits, so none of them comes
+    # near the cap.
+    mesh = uniform_refine(graded_square_mesh(8, beta))[0]
+    coords, _, ci, cj, labels = _near_plan(mesh.triangle_coords(),
+                                           mesh.triangles)
+    k = np.flatnonzero(labels == assembly._ROBUST)
+    assert len(k) > 1000
+    ta, tb = coords[ci[k]], coords[cj[k]]
+    ref = _robust_pairs(ta, tb)
+    monkeypatch.setattr("crbem.assembly._ROBUST_MAX_DEPTH", 8)
+    assert np.array_equal(_robust_pairs(ta, tb), ref)
+
+
 class TestNearTurn:
     @pytest.fixture(scope="class",
                     params=["uniform", "graded", "fine", "uniform128"])
@@ -712,15 +783,12 @@ class TestNearTurn:
 
     def test_representative_of_another_label_is_evaluated(self):
         mesh = _sweep_mesh("graded")
-        coords = mesh.triangle_coords()
-        ci, cj, _ = _near_pairs(mesh)
-        args = (coords, mesh.triangles, *_aspect_and_diameter(coords),
-                ci, cj)
-        labels = assembly._classify_pairs(*args)
+        args = _near_plan(mesh.triangle_coords(), mesh.triangles)
+        labels = args[-1]
         ref = _pair_values(*args)
         disjoint = np.flatnonzero(labels == assembly._DISJOINT)
         k, m = disjoint[:2]
-        rep = np.arange(len(ci))
+        rep = np.arange(len(labels))
         rep[k] = np.flatnonzero(labels == assembly._EDGE)[0]
         assert np.array_equal(_pair_values(*args, rep), ref)
         # a representative of the same label lends its value
@@ -761,7 +829,7 @@ def test_rule_inputs_keep_the_earlier_bits():
     pairs = [(a, b)]
     mesh = uniform_refine(graded_square_mesh(16, 2.0))[0]
     coords = mesh.triangle_coords()
-    ci, cj = _near_candidates(coords, _diameters(coords))
+    ci, cj, _ = _near_candidates(coords, _diameters(coords))
     shared = (mesh.triangles[ci][:, :, None]
               == mesh.triangles[cj][:, None, :]).any(axis=2).sum(axis=1)
     singular = shared > 0
@@ -993,10 +1061,7 @@ def test_scaled_mesh_scales_keyed_entries_exactly():
     # join pairs whose kernel inputs differ by powers of 4
     mesh = _nvb_mesh(200)
     scaled = Mesh(2.0 * mesh.vertices, mesh.triangles, mesh.ref_edge)
-    ci, cj, _ = _near_pairs(mesh)
-    coords = mesh.triangle_coords()
-    labels = assembly._classify_pairs(coords, mesh.triangles,
-                                      *_aspect_and_diameter(coords), ci, cj)
+    *_, ci, cj, labels = _near_plan(mesh.triangle_coords(), mesh.triangles)
     k = np.flatnonzero((labels == assembly._IDENTICAL)
                        | (labels == assembly._EDGE)
                        | (labels == assembly._VERTEX))
@@ -1227,8 +1292,8 @@ class TestEnergyForm:
         coords = mesh.triangle_coords()
         areas = mesh.areas
         sliver = int(np.argmin(areas))
-        neighbors = np.argsort(
-            np.linalg.norm(mesh.centroids - mesh.centroids[sliver], axis=1))
+        cent = coords.mean(axis=1)
+        neighbors = np.argsort(np.linalg.norm(cent - cent[sliver], axis=1))
         for j in neighbors[:4]:
             ref = pair_value(coords[sliver], coords[j], depth=9, order=12)
             got = form.table[sliver, j]

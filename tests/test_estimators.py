@@ -273,7 +273,7 @@ class TestIndicators:
         pair = pair_constant
         mesh = pair.coarse.mesh
         _, ind = estimator_report(pair)
-        cent = mesh.centroids
+        cent = mesh.triangle_coords().mean(axis=1)
 
         def transform(p, k):
             x, y = p
