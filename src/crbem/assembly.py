@@ -13,68 +13,64 @@ are positive and sum to vol(tau x tau) = 1/4.
 
 The cases are told apart in one place, _classify_pairs, by the number of
 vertex indices a pair shares (3, 2, 1, 0); disjoint pairs are then binned
-by separation.  assemble_energy_form fills the whole table with the
-far-field rule, then has _classify_pairs label the diagonal and the near
-candidates and _pair_values evaluate them, once each.  panel_integral
-assembles the table of a one- or two-panel mesh, so single pairs take
-exactly the table's path.  Timings and memory
-measurements of every design choice below are in CHANGES.md.
+by separation.  assemble_energy_form splits the pairs i <= j in two: the
+near candidates, the pairs possibly closer than RHO_FAR diameters, the
+diagonal included, and the far pairs.  _far_pass evaluates the far ones;
+_classify_pairs labels the candidates and _pair_values evaluates them.
+Each pass writes G[i, j] and G[j, i] of a pair with the same value, so
+every entry is written once and the table is bitwise symmetric.
+panel_integral assembles the table of a one- or two-panel mesh, so single
+pairs take exactly the table's path.  Timings and memory measurements of
+every design choice below are in CHANGES.md.
 
-The far table is a sweep of row strips of _FAR_STRIP panels against
-column tiles of _FAR_TILE panels, j >= i, the strip's own square first.
-Squared distances of the rule points come from per-component
-differences, written into two tile buffers allocated once, so no
-cancellation on absolute coordinates enters.  The far rule's weights
-factor as w_k w_l area2_i area2_j: a tile reduces by a GEMV with w and
-then w @, and the area product is applied per tile.  The diagonal tile
-is averaged with its transpose, so the table is bitwise symmetric.  The
-near candidates, the pairs i <= j possibly closer than RHO_FAR diameters,
-come from a separate scan of every row, _near_candidates, which runs
-first: the candidate lists are built before the table is allocated.
-Near pairs are not skipped, as they do not form whole tiles.
+The split is made twice from the same numbers.  _near_candidates scans
+the pairs in strips of _SCAN_STRIP rows, j >= i, before the table is
+allocated, and lists the candidates: the pairs whose centroid bound (the
+centroid distance less both enclosing radii, _centroid_bounds) is below
+RHO_FAR times the larger diameter.  _far_pass runs over the same strips
+after the table is allocated, forms the same bound again, and takes its
+exact complement, so every pair i <= j is a candidate or far, never
+both.  The far pairs get the disjoint rule of order ORDER - 2 from the
+rule kernel below, one GEMM step a block of gathered pairs.
 
 The meshes of the uniform and graded runs map onto themselves under the
 quarter turn (x, y) -> (1 - y, x), panel by panel and vertex k onto vertex
 k.  _quarter_turn finds that panel map sigma from exact coordinates, with
-no tolerance.  The panels are then taken in the order P0, P1, P2, P3, with
-P0 one panel per orbit and Pa = sigma^a(P0).  The far rule sees a pair
-only through its geometry, so in that order the table is block-circulant
-up to rounding: block (a, b) is block (0, b - a mod 4).  The sweep runs
-the same tile loop over the rows of P0 only, against P0 and P2 (j >= i)
-and P1, an eighth of all pairs.  Each tile's transpose goes into the rows
-of P0 as well, as block 3 is block 1 transposed, and the strip's square
-of block 2 is averaged with its transpose like that of block 0.  Then
-every other row sigma^a(p) is row p with its columns permuted, copied in
-strips through the tile buffers.  A far entry so differs from the full
-sweep's by rounding only.  Where no sigma exists (NVB meshes, translated
-meshes, gradings whose coordinates do not turn exactly) the loop runs as
-one block over every row: the full sweep, with its bits.
+no tolerance.  The images (sigma^a i, sigma^a j), a = 0..3, of a pair,
+each taken as (min, max), form its orbit, and the image of smallest code
+min nt + max is its representative.  A pair sees the kernel only through
+its geometry, so an image's value differs from the pair's own by
+rounding only.  _far_pass copies a far pair's entry from its
+representative wherever that is far too; the representative lies in
+the same strip or an earlier one, so a strip evaluates its other pairs
+first.  Where no sigma exists (NVB meshes, translated meshes, gradings
+whose coordinates do not turn exactly) every far pair is evaluated.
 
 The near pass uses the same turn.  _orbit_representatives maps each near
-candidate to the candidate of smallest code among its images
-(sigma^a i, sigma^a j), before the table is allocated.  _classify_pairs
-labels every candidate as without the turn; then each rule evaluates
-only the pairs that are their own representative, or whose representative
-is no candidate or has another label, and the others copy their
-representative's value: a quarter of the rule pairs.  A near entry so
-differs from the turn-less pass by rounding only.  The closed-form self
-entries and the robust path evaluate every pair of theirs, as their
-rounding decides subdivision.  Tables of at most _SMALL_TABLE panels
-evaluate every near pair and keep their bits.
+candidate to its representative, before the table is allocated.
+_classify_pairs labels every candidate as without the turn; then each
+rule evaluates only the pairs that are their own representative, or
+whose representative is no candidate or has another label, and the
+others copy their representative's value: a quarter of the rule pairs.
+A near entry so differs from the turn-less pass by rounding only.  The
+closed-form self entries and the robust path evaluate every pair of
+theirs, as their rounding decides subdivision.  Tables of at most
+_SMALL_TABLE panels take no turn, evaluate every pair and keep their
+bits.
 
-Every rule-based pair (the three singular cases and the near and close
-disjoint bands) is evaluated by one kernel, which sees a pair only
-through 17 numbers, _rule_inputs.  A node pair (x1, x2), (y1, y2) maps
-to x - y = d + x1 e1a + x2 e2a - y1 e1b - y2 e2b with d = a0 - b0, so
-|x - y|^2 is a quadratic form in c = (1, x1, x2, y1, y2) with the Gram
-matrix of (d, e1a, e2a, -e1b, -e2b).  Its 15 entries, each a two-term dot
-product, and the two doubled areas are the inputs.  _rule_values takes
-(P, 17) rows of them: the Gram entries times a cached (15, K) monomial
-table per rule give r^2 in one GEMM, followed by an in-place square root
-and reciprocal and a GEMV with the weights.  Only coordinate differences
-enter, so there is no cancellation on absolute coordinates.  The GEMM
-rounds a row by its position in the block, so _rule_values runs every
-GEMM on _rule_step(rule) rows in a fixed order.
+Every rule-based pair (the three singular cases, the near and close
+disjoint bands and the far pairs) is evaluated by one kernel, which sees
+a pair only through 17 numbers, _rule_inputs.  A node pair (x1, x2),
+(y1, y2) maps to x - y = d + x1 e1a + x2 e2a - y1 e1b - y2 e2b with
+d = a0 - b0, so |x - y|^2 is a quadratic form in c = (1, x1, x2, y1, y2)
+with the Gram matrix of (d, e1a, e2a, -e1b, -e2b).  Its 15 entries, each
+a two-term dot product, and the two doubled areas are the inputs.
+_rule_values takes (P, 17) rows of them: the Gram entries times a cached
+(15, K) monomial table per rule give r^2 in one GEMM, followed by an
+in-place square root and reciprocal and a GEMV with the weights.  Only
+coordinate differences enter, so there is no cancellation on absolute
+coordinates.  The GEMM rounds a row by its position in the block, so
+_rule_values runs every GEMM on _rule_step(rule) rows in a fixed order.
 
 The identical, edge and vertex rules then evaluate one pair per class of
 equal kernel input.  _pair_values stores the inputs of such a label,
@@ -90,17 +86,19 @@ panels form no classes.
 
 Memory: the table G (nt x nt) and a Galerkin matrix A (n x n) are the
 only quadratic arrays of a run; estimators.solve_spd factors A in place.
-The far sweep works in two tile buffers, and assemble_stiffness fills A
-by blocks of _STIFF_BLOCK DOF rows, each symmetrized in place against the
-rows above it.  The near candidates are two int32 index lists and one
-flag byte each, and the orbit map one more int32.  The near-field pass
-works in blocks too: _classify_pairs labels the near candidates in blocks
-of _PAIR_BLOCK rows with one byte each, after the table is allocated, as
-classifying before it left more freed heap behind for the rest of the
-run, and _pair_values keeps per label only the indices of its
-pairs (and for a keyed label their kernel inputs), and one loop,
-_gathered, gathers the panels of a block of pairs, in the vertex order of
-their case, for a kernel that sees only that block.
+assemble_stiffness fills A by blocks of _STIFF_BLOCK DOF rows, each
+symmetrized in place against the rows above it.  The near candidates are
+two int32 index lists and one flag byte each, and the orbit map one more
+int32.  _far_pass holds the far pairs of one strip at a time, their
+orbit images, and the kernel inputs of one block of them; no list spans
+the far pairs of the table.  The near-field pass works in blocks too:
+_classify_pairs labels the near candidates in blocks of _PAIR_BLOCK rows
+with one byte each, after the table is allocated, as classifying before
+it left more freed heap behind for the rest of the run, and _pair_values
+keeps per label only the indices of its pairs (and for a keyed label
+their kernel inputs), and one loop, _gathered, gathers the panels of a
+block of pairs, in the vertex order of their case, for a kernel that
+sees only that block.
 
 The transformed rules converge geometrically for shape-regular panels but
 degrade on strongly anisotropic ones (boundary-graded meshes).  Pairs
@@ -134,7 +132,7 @@ work arrays, which the caller's thread allocates.  Each block writes only
 its own slice of the cell values, so the table has the same bits on any
 number of threads.  The subdivision, the stop test and the cell cap stay
 on the caller's thread.  This is the only thread pool of the package:
-the far sweep and the near-field gathers run on the caller's thread, as
+the far pass and the near-field gathers run on the caller's thread, as
 pooling them raised the peak RSS of the smallest runs.
 """
 
@@ -169,8 +167,8 @@ __all__ = [
 FOUR_PI = 4.0 * np.pi
 
 # tensor order of the singular-case rules (identical, edge, vertex) and
-# of close disjoint pairs; near disjoint pairs take ORDER - 1, the far
-# table ORDER - 2
+# of close disjoint pairs; near disjoint pairs take ORDER - 1, far pairs
+# ORDER - 2
 ORDER = 5
 # dist/max(diam) band edges for disjoint pairs
 RHO_FAR = 6.0
@@ -194,18 +192,15 @@ _ROBUST_MAX_CELLS = 1 << 20
 # panel pairs per block of the near-field pass: of _classify_pairs and of
 # each gather that feeds a kernel
 _PAIR_BLOCK = 4096
-# panels per row strip and per column tile of _far_table: two 663 KB tile
-# buffers, whose long tile rows suit numpy's broadcast subtraction
-_FAR_STRIP = 2
-_FAR_TILE = 512
-# rows per strip of the scan of _near_candidates
+# rows per strip of the two passes over the pairs, the candidate scan of
+# _near_candidates and the far pass of _far_pass
 _SCAN_STRIP = 16
-# tables of at most this many panels evaluate every near pair, with or
-# without the quarter turn, form no key classes (_key_classes) and keep
-# their bits: adaptive-smooth's 8- and 32-panel tables, the initial mesh
-# and its uniform refinement, on which rounding picks 4 of 8 tied
-# indicators for Doerfler marking.  Larger tables, the 128-panel uniform
-# one among them, take the classes, and the turn where the mesh has one.
+# tables of at most this many panels take no quarter turn, form no key
+# classes (_key_classes) and keep their bits: adaptive-smooth's 8- and
+# 32-panel tables, the initial mesh and its uniform refinement, on which
+# rounding picks 4 of 8 tied indicators for Doerfler marking; they have
+# no far pair.  Larger tables, the 128-panel uniform one among them, take
+# the classes, and the turn where the mesh has one.
 # This guard goes with the decision on that tie (ROADMAP.md, item 3:
 # marking that rounding cannot decide).
 _SMALL_TABLE = 32
@@ -334,14 +329,6 @@ def _doubled_area(tris):
     d1 = tris[..., 1, :] - tris[..., 0, :]
     d2 = tris[..., 2, :] - tris[..., 0, :]
     return np.abs(d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0])
-
-
-def _map_nodes(tris, nodes):
-    """Map reference nodes (K,2) into triangles (...,3,2) -> (...,K,2)."""
-    e1 = tris[..., None, 1, :] - tris[..., None, 0, :]
-    e2 = tris[..., None, 2, :] - tris[..., None, 1, :]
-    return (tris[..., None, 0, :] + nodes[..., 0, None] * e1
-            + nodes[..., 1, None] * e2)
 
 
 # upper triangle of the 5x5 Gram matrix of (d, e1a, e2a, -e1b, -e2b)
@@ -901,36 +888,48 @@ def _quarter_turn(coords):
     return sigma
 
 
+def _centroid_bounds(coords, diam):
+    """The centroid bound of panel pairs, as a function of two indices a,
+    b that broadcast (arrays, or a slice and a column slice): the pairs'
+    centroid distance less both radii (see _bounding_circles), and their
+    larger diameter.  A pair is near where the bound is below RHO_FAR times
+    that diameter.  Both passes over the pairs, _near_candidates and
+    _far_pass, take the bound from here, so they agree bit for bit."""
+    cent, radius = _bounding_circles(coords)
+    cx, cy = cent[:, 0].copy(), cent[:, 1].copy()
+
+    def bounds(a, b):
+        gx, gy = cx[a] - cx[b], cy[a] - cy[b]
+        return (np.sqrt(gx * gx + gy * gy) - radius[a] - radius[b],
+                np.maximum(diam[a], diam[b]))
+
+    return bounds
+
+
 def _near_candidates(coords, diam):
     """Pairs i <= j of a mesh possibly closer than RHO_FAR diameters, in
     (i, j) order, as two int32 index lists, and a bool per pair, close,
     where it may be closer than RHO_NEAR diameters.
 
-    The centroid bound of a pair is its centroid distance less both radii
-    (see _bounding_circles).  A pair is no candidate where the bound is at
-    least RHO_FAR times the larger diameter d.  The diagonal and every
-    pair that shares a vertex are candidates: their centroid distance is
-    at most the sum of the two radii.  A candidate is close unless the
-    bound less 1e-9 S is at least RHO_NEAR d, with S the largest
-    coordinate magnitude of the pair.  The bound is at most the distance,
-    as each disc holds its panel.  Rounding: as computed, the bound and
-    the distance are each within 100 u S of their exact values, with
-    u = 2^-53, and S is at least d / 3.  So where the bound less 1e-9 S,
-    10^5 times that error, gives rho >= RHO_NEAR, the computed distance
-    gives it too: a pair that is not close keeps its band without one.
-    The scan runs in strips of _SCAN_STRIP rows.
+    A pair is no candidate where its centroid bound (_centroid_bounds) is
+    at least RHO_FAR times the larger diameter d; _far_pass evaluates
+    exactly those pairs.  The diagonal and every pair that shares a vertex
+    are candidates: their centroid distance is at most the sum of the two
+    radii.  A candidate is close unless the bound less 1e-9 S is at least
+    RHO_NEAR d, with S the largest coordinate magnitude of the pair.  The
+    bound is at most the distance, as each disc holds its panel.
+    Rounding: as computed, the bound and the distance are each within
+    100 u S of their exact values, with u = 2^-53, and S is at least d / 3.
+    So where the bound less 1e-9 S, 10^5 times that error, gives
+    rho >= RHO_NEAR, the computed distance gives it too: a pair that is
+    not close keeps its band without one.  The scan runs in strips of
+    _SCAN_STRIP rows.
     """
-    nt = len(coords)
-    cent, radius = _bounding_circles(coords)
-    cx, cy = cent[:, 0].copy(), cent[:, 1].copy()
+    bounds = _centroid_bounds(coords, diam)
     scale = np.abs(coords).max(axis=(1, 2))
     near_i, near_j, close = [], [], []
-    for i0 in range(0, nt, _SCAN_STRIP):
-        i1 = min(nt, i0 + _SCAN_STRIP)
-        gx, gy = cx[i0:i1, None] - cx[i0:], cy[i0:i1, None] - cy[i0:]
-        bound = (np.sqrt(gx * gx + gy * gy) - radius[i0:i1, None]
-                 - radius[i0:])
-        dmax = np.maximum(diam[i0:i1, None], diam[i0:])
+    for i0 in range(0, len(coords), _SCAN_STRIP):
+        bound, dmax = bounds(np.s_[i0:i0 + _SCAN_STRIP, None], np.s_[i0:])
         ii, jj = np.nonzero(np.triu(bound < RHO_FAR * dmax))
         a, b = ii + i0, jj + i0
         close.append(bound[ii, jj]
@@ -940,6 +939,16 @@ def _near_candidates(coords, diam):
         near_j.append(b.astype(np.int32))
     return (np.concatenate(near_i), np.concatenate(near_j),
             np.concatenate(close))
+
+
+def _smallest_image(codes, a, b, sigma):
+    """The smallest code min nt + max among the images (sigma^t a,
+    sigma^t b), t = 0..3, of the pairs (a, b), whose own codes are codes."""
+    nt = len(sigma)
+    for _ in range(3):
+        a, b = sigma[a], sigma[b]
+        codes = np.minimum(codes, np.minimum(a, b) * nt + np.maximum(a, b))
+    return codes
 
 
 def _orbit_representatives(i, j, sigma):
@@ -961,134 +970,79 @@ def _orbit_representatives(i, j, sigma):
     codes += j
     rep = np.empty(len(i), dtype)
     for lo in range(0, len(i), _PAIR_BLOCK):
-        a, b = i[lo:lo + _PAIR_BLOCK], j[lo:lo + _PAIR_BLOCK]
-        best = codes[lo:lo + _PAIR_BLOCK]
-        for _ in range(3):
-            a, b = sigma[a], sigma[b]
-            best = np.minimum(best, np.minimum(a, b) * nt + np.maximum(a, b))
+        block = slice(lo, lo + _PAIR_BLOCK)
+        best = _smallest_image(codes[block], i[block], j[block], sigma)
         # best is at most the pair's own code, so the search stays in range
         at = np.searchsorted(codes, best)
-        rep[lo:lo + _PAIR_BLOCK] = np.where(
-            codes[at] == best, at, np.arange(lo, lo + len(at)))
+        rep[block] = np.where(codes[at] == best, at,
+                              np.arange(lo, lo + len(at)))
     return rep
 
 
-def _far_table(coords, sigma):
-    """Far-field table of a mesh.
+def _far_pass(G, coords, diam, sigma):
+    """Write the far entries of a mesh's table G: each pair i <= j that
+    is no near candidate gets the disjoint rule of order ORDER - 2 from
+    the rule kernel, one GEMM step of _rule_step pairs a block, in G[i, j]
+    and G[j, i] alike.
 
-    Every entry G[i, j] gets the tensorized disjoint rule of order
-    ORDER - 2; the diagonal comes out non-finite (coincident points) and
-    the entries of the near candidates are overwritten afterwards.  Row
-    strips of _FAR_STRIP panels run against column tiles of _FAR_TILE
-    panels, j >= i, the strip's own square first.  With the quarter turn
-    sigma of _quarter_turn, the strips cover only the rows of one panel
-    per orbit and the other rows are permuted copies (see the module
-    notes); with sigma None the same loop sweeps every row.
+    The pass runs over the strips of the candidate scan and takes a
+    strip's far pairs as the exact complement of its candidates, from the
+    same bound (_centroid_bounds).  With the quarter turn sigma, a far
+    pair whose representative, its image of smallest code
+    (_smallest_image), is far too copies that image's entry.  The image
+    lies in this strip or an earlier one, so a strip evaluates its other
+    pairs first.  The pass holds one strip's far pairs at a time.
     """
     nt = len(coords)
-    nodes, w = _gauss_duffy(ORDER - 2)
-    k = len(w)
-    pts = _map_nodes(coords, nodes)
-    area2 = _doubled_area(coords)
-    if sigma is None:
-        # one block, rows and columns in panel order
-        order, m, blocks = None, nt, 1
-    else:
-        # panels in the order P0, P1, P2, P3 with P0 the smallest index of
-        # each orbit and Pa = sigma^a(P0): block (a, b) of the table is
-        # block (0, b - a mod 4), blocks 0 and 2 are symmetric and block 3
-        # is block 1 transposed
-        powers = [np.arange(nt), sigma, sigma[sigma], sigma[sigma[sigma]]]
-        first = ((powers[0] < powers[1]) & (powers[0] < powers[2])
-                 & (powers[0] < powers[3]))
-        order = np.concatenate([s[first] for s in powers])
-        m, blocks = nt // 4, 3
-        pts, area2 = pts[order], area2[order]
-    px = np.ascontiguousarray(pts[..., 0])
-    py = np.ascontiguousarray(pts[..., 1])
-
-    def at(r0, r1, c0, c1):
-        # table entries of the rows r0:r1 and columns c0:c1 of that order
-        if order is None:
-            return slice(r0, r1), slice(c0, c1)
-        return np.ix_(order[r0:r1], order[c0:c1])
-
-    G = np.empty((nt, nt))
-    size = max(_FAR_STRIP * max(_FAR_STRIP, _FAR_TILE) * k * k, nt)
-    dx, dy = np.empty(size), np.empty(size)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for i0 in range(0, m, _FAR_STRIP):
-            i1 = min(m, i0 + _FAR_STRIP)
-            xa, ya = px[i0:i1].ravel(), py[i0:i1].ravel()
-            for b in range(blocks):
-                lo, hi = b * m, (b + 1) * m
-                if b == 1:
-                    tiles, start = [], lo
-                else:
-                    # a symmetric block: j >= i, the strip's own square
-                    # first
-                    tiles, start = [(lo + i0, lo + i1)], lo + i1
-                tiles += [(j0, min(hi, j0 + _FAR_TILE))
-                          for j0 in range(start, hi, _FAR_TILE)]
-                for j0, j1 in tiles:
-                    shape = ((i1 - i0) * k, (j1 - j0) * k)
-                    r = dx[:shape[0] * shape[1]].reshape(shape)
-                    t = dy[:r.size].reshape(shape)
-                    np.subtract.outer(xa, px[j0:j1].ravel(), out=r)
-                    r *= r
-                    np.subtract.outer(ya, py[j0:j1].ravel(), out=t)
-                    t *= t
-                    r += t
-                    np.sqrt(r, out=r)
-                    np.divide(1.0, r, out=r)
-                    vals = w @ (r.reshape(-1, k) @ w).reshape(i1 - i0, k,
-                                                              j1 - j0)
-                    vals *= area2[i0:i1, None]
-                    vals *= area2[j0:j1]
-                    if b != 1 and j0 == lo + i0:
-                        # the two reduction orders of a pair differ in
-                        # rounding; the table must be bitwise symmetric
-                        vals = 0.5 * (vals + vals.T)
-                    G[at(i0, i1, j0, j1)] = vals
-                    # the transposed pairs, (Pb[j], P0[i]) as (P0[j],
-                    # P(-b)[i]) in the same rows
-                    mirror = (4 - b) % 4 * m
-                    G[at(j0 - lo, j1 - lo, mirror + i0, mirror + i1)] = vals.T
-    if order is not None:
-        # row sigma^a(p) is row p with its columns taken at sigma^-a,
-        # copied in strips through the tile buffers
-        rows = size // nt
-        for i0 in range(0, m, rows):
-            i1 = min(m, i0 + rows)
-            src = dx[:(i1 - i0) * nt].reshape(i1 - i0, nt)
-            dst = dy[:src.size].reshape(src.shape)
-            np.take(G, order[i0:i1], axis=0, out=src, mode="clip")
-            for a in (1, 2, 3):
-                np.take(src, powers[4 - a], axis=1, out=dst, mode="clip")
-                G[order[a * m + i0:a * m + i1]] = dst
-    G /= FOUR_PI
-    return G
+    bounds = _centroid_bounds(coords, diam)
+    rule = quadrature_rule("disjoint", ORDER - 2)
+    for i0 in range(0, nt, _SCAN_STRIP):
+        bound, dmax = bounds(np.s_[i0:i0 + _SCAN_STRIP, None], np.s_[i0:])
+        far = np.triu(~(bound < RHO_FAR * dmax))
+        a, b = np.nonzero(far)
+        a += i0
+        b += i0
+        ra, rb, copy = a, b, np.zeros(len(a), bool)
+        if sigma is not None:
+            codes = a * nt + b
+            best = _smallest_image(codes, a, b, sigma)
+            ra, rb = np.divmod(best, nt)
+            bound, dmax = bounds(ra, rb)
+            copy = (best != codes) & ~(bound < RHO_FAR * dmax)
+        k = np.flatnonzero(~copy)
+        # one GEMM step a block, as in _pair_values
+        G[a[k], b[k]] = _gathered(
+            lambda a, b: _rule_values(rule, _rule_inputs(a, b)),
+            coords, a, b, k, None, _rule_step(rule))
+        k = np.flatnonzero(copy)
+        G[a[k], b[k]] = G[ra[k], rb[k]]
+        # G[j, i] = G[i, j] of the strip's far pairs, by one masked copy of
+        # its column block rather than a scatter down the columns
+        np.copyto(G[i0:, i0:i0 + _SCAN_STRIP], G[i0:i0 + _SCAN_STRIP, i0:].T,
+                  where=far.T)
 
 
 def assemble_energy_form(mesh):
     """Element-pair single-layer table for all panel pairs of a mesh.
 
-    Every pair starts from the far-field rule; the near candidates, the
-    diagonal included, are then labelled by _classify_pairs, from the
-    flags of the candidate scan, and evaluated by _pair_values.  The far
-    table and the evaluation take the quarter turn, where the mesh has
-    one; the evaluation only on tables of more than _SMALL_TABLE panels.
+    The candidate scan splits the pairs i <= j in two: the near
+    candidates, the diagonal included, and the far pairs.  The table
+    comes from np.empty.  _far_pass writes the far pairs, and the near
+    candidates are labelled by _classify_pairs, from the flags of the
+    scan, and evaluated by _pair_values.  Each pass writes G[i, j] and
+    G[j, i] of its pairs, so every entry is written once.  Tables of more
+    than _SMALL_TABLE panels take the quarter turn in both passes, where
+    the mesh has one.
     """
     coords = mesh.triangle_coords()
     aspect, diam = _aspect_and_diameter(coords)
-    sigma = _quarter_turn(coords)
     i, j, close = _near_candidates(coords, diam)
     # the map, like the scan, runs before the table is allocated, which
     # leaves less freed heap behind for the rest of the run
-    rep = None
-    if sigma is not None and len(coords) > _SMALL_TABLE:
-        rep = _orbit_representatives(i, j, sigma)
-    G = _far_table(coords, sigma)
+    sigma = _quarter_turn(coords) if len(coords) > _SMALL_TABLE else None
+    rep = None if sigma is None else _orbit_representatives(i, j, sigma)
+    G = np.empty((len(coords),) * 2)
+    _far_pass(G, coords, diam, sigma)
     label = _classify_pairs(coords, mesh.triangles, aspect, diam, i, j, close)
     vals = _pair_values(coords, mesh.triangles, i, j, label, rep)
     G[i, j] = vals

@@ -37,7 +37,7 @@ from crbem.assembly import (
     _aspect_and_diameter,
     _curl_matrices,
     _edge_frames,
-    _far_table,
+    _far_pass,
     _key_classes,
     _near_candidates,
     _pair_values,
@@ -285,11 +285,14 @@ def _diameters(coords):
 
 
 def _far_sweep(mesh):
-    """Far table and near candidates of a mesh, as assemble_energy_form
-    gets them."""
+    """The far entries of a mesh's table, NaN elsewhere, and its near
+    candidates, as assemble_energy_form gets them."""
     coords = mesh.triangle_coords()
-    ci, cj, _ = _near_candidates(coords, _diameters(coords))
-    return _far_table(coords, assembly._quarter_turn(coords)), ci, cj
+    diam = _diameters(coords)
+    ci, cj, _ = _near_candidates(coords, diam)
+    G = np.full((len(coords),) * 2, np.nan)
+    _far_pass(G, coords, diam, assembly._quarter_turn(coords))
+    return G, ci, cj
 
 
 def _near_plan(coords, tris):
@@ -476,23 +479,36 @@ def test_pair_values_memory_is_blocked(graded_robust_case):
 
 
 def test_far_table_memory():
-    # The sweep holds no more than the table, the near candidates twice,
-    # as per-strip pieces and joined, and work arrays of at most 4 MiB:
-    # the scan's strips, the candidates' close flags, two 663 KB tile
-    # buffers, through which the quarter turn's row copies go, and the
-    # rule points of every panel.
+    # The scan and the far pass hold no more than the table, the near
+    # candidates twice, as per-strip pieces and joined, and work arrays of
+    # at most 4 MiB: the candidates' close flags, and per strip its
+    # bounds, its far pairs (at most 32,768 here), their orbit images
+    # under the quarter turn, and the rule kernel's blocks.  No array
+    # spans the far pairs of the whole table: on this mesh one int64 index
+    # list of them alone takes 11.7 MB.
     mesh = uniform_refine(graded_square_mesh(16, 2.0))[0]
-    assert _quarter_turn(mesh.triangle_coords()) is not None
-    G, ci, cj = _far_sweep(mesh)
+    coords = mesh.triangle_coords()
+    diam = _diameters(coords)
+    sigma = _quarter_turn(coords)
+    assert sigma is not None
+
+    def far_table():
+        ci, cj, _ = _near_candidates(coords, diam)
+        G = np.empty((len(coords),) * 2)
+        _far_pass(G, coords, diam, sigma)
+        return G, ci, cj
+
+    G, ci, cj = far_table()
     limit = G.nbytes + 2 * (ci.nbytes + cj.nbytes) + (4 << 20)
     del G
-    assert _traced_peak(_far_sweep, mesh) < limit
+    assert _traced_peak(far_table) < limit
 
 
 def test_near_turn_memory(monkeypatch):
     # The orbit map takes 4 bytes a candidate, built before the table.
     # Choosing the pairs of one label that a rule evaluates holds a few
-    # bytes more per pair of that label for a moment.
+    # bytes more per pair of that label for a moment.  The far pass holds
+    # the orbit images of one strip's far pairs.
     mesh = uniform_refine(graded_square_mesh(8, 2.0))[0]
     ci, _, _ = _near_pairs(mesh)
     assemble_energy_form(mesh)  # builds the cached quadrature rules
@@ -563,17 +579,24 @@ class TestFarTable:
         assert np.array_equal(ci, ri) and np.array_equal(cj, rj)
 
     def test_table_bitwise_symmetric(self, swept):
-        _, (G, _, _) = swept
+        # the far entries, and the table of assemble_energy_form that
+        # holds them
+        mesh, (G, ci, cj) = swept
         assert np.array_equal(G, G.T, equal_nan=True)
+        table = assemble_energy_form(mesh).table
+        assert np.array_equal(table, table.T)
+        far = _far_mask(mesh.num_triangles, (ci, cj))
+        assert np.array_equal(table[far], G[far])
 
     def test_odd_strip_and_tile_sizes(self, swept, monkeypatch):
-        # strips of 3 and tiles of 5 panels, and scan strips of 7, divide
-        # none of the panel counts
+        # strips of 7 panels divide none of the panel counts, and the rule
+        # kernel's blocks of 37 pairs, one GEMM step each, mostly divide
+        # no strip's far pairs
         mesh, (G, ci, cj) = swept
-        assert all(mesh.num_triangles % n for n in (3, 5, 7))
-        monkeypatch.setattr("crbem.assembly._FAR_STRIP", 3)
-        monkeypatch.setattr("crbem.assembly._FAR_TILE", 5)
+        assert mesh.num_triangles % 7
         monkeypatch.setattr("crbem.assembly._SCAN_STRIP", 7)
+        monkeypatch.setattr("crbem.assembly._RULE_CHUNK", 37 * 81)
+        assert assembly._rule_step(quadrature_rule("disjoint", 3)) == 37
         H, hi, hj = _far_sweep(mesh)
         assert np.array_equal(hi, ci) and np.array_equal(hj, cj)
         assert np.array_equal(H, H.T, equal_nan=True)
@@ -642,9 +665,10 @@ class TestFarTable:
         for _ in range(levels):
             mesh = uniform_refine(mesh)[0]
         assert _quarter_turn(mesh.triangle_coords()) is not None
-        _, ci, _ = _far_sweep(mesh)
+        G, ci, _ = _far_sweep(mesh)
         nt = mesh.num_triangles
         assert len(ci) == nt * (nt + 1) // 2
+        assert np.isnan(G).all()
         G = assemble_energy_form(mesh).table
         monkeypatch.setattr("crbem.assembly._quarter_turn",
                             lambda coords: None)
@@ -662,6 +686,61 @@ class TestFarTable:
         far = _far_mask(mesh.num_triangles, (ci, cj), (hi, hj))
         assert far.sum() > 0.3 * far.size
         assert (np.abs(H[far] - G[far]) / G[far]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["uniform", "nvb", "graded", "moved"])
+def test_far_pairs_and_candidates_partition_the_table(kind):
+    # The table comes from np.empty.  On a table of NaNs the far pass
+    # writes G[i, j] and G[j, i] of exactly the pairs i <= j that are no
+    # candidate of the dense reference: it writes no near entry, and a
+    # quarter-turn copy never reads an entry it has not written.  The near
+    # candidates are the reference's, so the two passes partition the
+    # pairs.  uniform and graded have the turn.
+    mesh = _sweep_mesh("graded" if kind == "moved" else kind)
+    if kind == "moved":
+        mesh = Mesh(mesh.vertices + [1000.3, -999.7], mesh.triangles,
+                    mesh.ref_edge)
+    coords = mesh.triangle_coords()
+    nt, diam = len(coords), _diameters(coords)
+    sigma = _quarter_turn(coords)
+    assert (sigma is not None) == (kind in ("uniform", "graded"))
+    G = np.full((nt, nt), np.nan)
+    _far_pass(G, coords, diam, sigma)
+    ri, rj = _ref_near_candidates(mesh)
+    ci, cj, _ = _near_candidates(coords, diam)
+    assert np.array_equal(ci, ri) and np.array_equal(cj, rj)
+    far = _far_mask(nt, (ri, rj))
+    assert far.sum() > 0.2 * nt * nt
+    assert np.array_equal(~np.isnan(G), far)
+    assert np.array_equal(G, G.T, equal_nan=True)
+
+
+def test_far_pair_with_a_near_representative_is_evaluated(monkeypatch):
+    # Rounding can put a far pair's representative in the near band.  A
+    # grown enclosing radius of panel 0, which leads its orbit, does that
+    # on purpose: more pairs of panel 0 become candidates, while those of
+    # its quarter-turn images stay far and must be evaluated, not copied.
+    mesh = _sweep_mesh("uniform")
+    coords = mesh.triangle_coords()
+    nt, diam = len(coords), _diameters(coords)
+    sigma = _quarter_turn(coords)
+    real = assembly._bounding_circles
+
+    def grown(tris):
+        cent, radius = real(tris)
+        radius[0] += 0.25
+        return cent, radius
+
+    monkeypatch.setattr(assembly, "_bounding_circles", grown)
+    G, H = np.full((2, nt, nt), np.nan)
+    _far_pass(G, coords, diam, sigma)
+    _far_pass(H, coords, diam, None)
+    ci, cj, _ = _near_candidates(coords, diam)
+    far = _far_mask(nt, (ci, cj))
+    # pairs (0, b), near, whose image (sigma 0, sigma b) is far
+    assert (~far[0] & far[sigma[0], sigma]).sum() > 10
+    assert np.array_equal(~np.isnan(G), far)
+    assert (np.abs(G[far] - H[far]) / H[far]).max() <= 2e-15
 
 
 @pytest.mark.parametrize("kind", ["uniform", "nvb", "graded", "moved"])
