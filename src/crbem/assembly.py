@@ -47,16 +47,20 @@ first.  Where no sigma exists (NVB meshes, translated meshes, gradings
 whose coordinates do not turn exactly) every far pair is evaluated.
 
 The near pass uses the same turn.  _orbit_representatives maps each near
-candidate to its representative, before the table is allocated.
-_classify_pairs labels every candidate as without the turn; then each
-rule evaluates only the pairs that are their own representative, or
-whose representative is no candidate or has another label, and the
-others copy their representative's value: a quarter of the rule pairs.
-A near entry so differs from the turn-less pass by rounding only.  The
-closed-form self entries and the robust path evaluate every pair of
-theirs, as their rounding decides subdivision.  Tables of at most
-_SMALL_TABLE panels take no turn, evaluate every pair and keep their
-bits.
+candidate to its representative, and tells whether the turn keeps the
+pair's order, before the table is allocated.  _classify_pairs labels
+every candidate as without the turn; then one copy rule serves every
+label: a pair copies its representative's value where that is another
+pair of its label, and for the robust path, whose outer and inner panels
+play unlike roles, where the turn keeps the order too.  The others are
+evaluated: a quarter of the rule pairs, and a quarter of the robust and
+self pairs plus the few that the turn takes in the other order.  A rule
+entry so differs from the turn-less pass by rounding only.  The
+closed-form self entries and the robust path see coordinate differences
+only, which a turn of a dyadic mesh maps exactly, so their copies are
+bitwise the pair's own values and no subdivision decision moves.  Tables
+of at most _SMALL_TABLE panels take no turn, evaluate every pair and
+keep their bits.
 
 Every rule-based pair (the three singular cases, the near and close
 disjoint bands and the far pairs) is evaluated by one kernel, which sees
@@ -89,16 +93,16 @@ only quadratic arrays of a run; estimators.solve_spd factors A in place.
 assemble_stiffness fills A by blocks of _STIFF_BLOCK DOF rows, each
 symmetrized in place against the rows above it.  The near candidates are
 two int32 index lists and one flag byte each, and the orbit map one more
-int32.  _far_pass holds the far pairs of one strip at a time, their
-orbit images, and the kernel inputs of one block of them; no list spans
-the far pairs of the table.  The near-field pass works in blocks too:
-_classify_pairs labels the near candidates in blocks of _PAIR_BLOCK rows
-with one byte each, after the table is allocated, as classifying before
-it left more freed heap behind for the rest of the run, and _pair_values
-keeps per label only the indices of its pairs (and for a keyed label
-their kernel inputs), and one loop, _gathered, gathers the panels of a
-block of pairs, in the vertex order of their case, for a kernel that
-sees only that block.
+int32 and one more byte.  _far_pass holds the far pairs of one strip at a
+time, their orbit images, and the kernel inputs of one block of them; no
+list spans the far pairs of the table.  The near-field pass works in
+blocks too: _classify_pairs labels the near candidates in blocks of
+_PAIR_BLOCK rows with one byte each, after the table is allocated, as
+classifying before it left more freed heap behind for the rest of the
+run, and _pair_values keeps per label only the indices of its pairs (and
+for a keyed label their kernel inputs), and one loop, _gathered, gathers
+the panels of a block of pairs, in the vertex order of their case, for a
+kernel that sees only that block.
 
 The transformed rules converge geometrically for shape-regular panels but
 degrade on strongly anisotropic ones (boundary-graded meshes).  Pairs
@@ -107,17 +111,22 @@ semi-analytic path: the inner integral of the kernel over a flat panel is
 evaluated in closed form and the outer integral by adaptive subdivision;
 identical anisotropic panels use a fully closed-form self-entry.
 
-The robust path computes the edge frames of the inner panels (start
-vertex, unit tangent, length) once per call and evaluates the closed form
-in place on split x and y coordinate arrays, in blocks of _ROBUST_BLOCK
-cells times the 25 Duffy points.  The triangle distances that pick the
-disjoint bands are split the same way.  Both kernels keep the
-floating-point operations of the earlier (M, K, 2) formulation, in the
-same order: subdivision stops where four children agree with their parent
-to _ROBUST_RTOL and the bands compare distance ratios with RHO_CLOSE and
-RHO_NEAR, so a change of rounding could flip a decision and move a table
-entry by up to about 1e-6 relative.  The tests keep the earlier kernels
-and check bit equality.  Most disjoint pairs need no distance: the
+The robust path moves each pair to pair-relative coordinates, vertex 0
+of the inner panel at the origin, computes the edge frames of the inner
+panels (start vertex, unit tangent, length) once per call and evaluates
+the closed form in place on split x and y coordinate arrays, in blocks of
+_ROBUST_BLOCK cells times the 25 Duffy points.  The triangle distances
+that pick the disjoint bands are split the same way.  On the coordinates
+they are given, both kernels keep the floating-point operations of the
+earlier (M, K, 2) formulation, in the same order: subdivision stops where
+four children agree with their parent to _ROBUST_RTOL and the bands
+compare distance ratios with RHO_CLOSE and RHO_NEAR, so a change of
+rounding could flip a decision and move a table entry by up to about
+1e-6 relative.  The tests keep the earlier kernels and check bit
+equality, the robust one on the pair-relative panels; against absolute
+coordinates the translation moves a robust value by rounding only, a
+small multiple of u S / h for coordinates of size S and a shortest edge
+h.  Most disjoint pairs need no distance: the
 candidate scan marks close only the pairs that its centroid bound, less
 a rounding margin, cannot place at rho >= RHO_NEAR, and only the
 disjoint ones among them get exact distances, with the same bands.  The
@@ -499,6 +508,13 @@ def _robust_pairs(ta, tb):
     """Adaptive outer quadrature over ta of the closed-form inner
     potential of tb; handles arbitrarily anisotropic or close panels.
 
+    The path works in pair-relative coordinates: vertex 0 of each inner
+    panel is subtracted from both panels before any frame or cell is
+    formed.  It so sees coordinate differences only, and a quarter turn
+    of a pair of dyadic panels, which maps their differences exactly,
+    maps every floating-point operation of the path exactly: the turned
+    pair, taken in the same order, gets bitwise the same value.
+
     The blocks of _ROBUST_BLOCK cells run on one thread per core the
     process may use: thread s takes every workers-th block from the s-th
     on, with work arrays of its own.  The subdivision, the stop test and
@@ -509,11 +525,12 @@ def _robust_pairs(ta, tb):
     n0, n1 = nodes[:, 0], nodes[:, 1]
     # the four children of a cell as points of its vertices and midpoints
     children = np.array([[0, 3, 5], [3, 1, 4], [5, 4, 2], [3, 4, 5]])
-    frames = _edge_frames(tb)
+    origin = tb[:, :1]
+    frames = _edge_frames(tb - origin)
+    cells = ta - origin
     n_pairs = len(ta)
     settled = np.zeros(n_pairs)
     owner = np.arange(n_pairs)
-    cells = ta.copy()
     # os.sched_getaffinity exists only on some platforms, Linux among them
     workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
@@ -740,28 +757,33 @@ def _classify_pairs(coords, tris, aspect, diam, i, j, close):
     return label
 
 
-def _pair_values(coords, tris, i, j, label, rep=None):
+def _pair_values(coords, tris, i, j, label, orbit=None):
     """Table entries of the panel pairs (i[k], j[k]), i <= j, of one mesh.
 
     label, from _classify_pairs, says what evaluates each pair, and one
     loop, _gathered, hands every kernel the panels of one block of the
-    pairs of a label.  With rep, the index of each pair's representative
-    under the quarter turn (see _orbit_representatives), a rule evaluates
-    only the pairs that are their own representative or whose
-    representative has another label; the others take their
-    representative's value.  The closed-form self entries and the robust
-    path evaluate every pair of theirs.  On tables of more than
-    _SMALL_TABLE panels the identical, edge and vertex rules store the
-    kernel inputs of their pairs, evaluate one row per class of
+    pairs of a label.  orbit, if given, is the pair (rep, kept) of
+    _orbit_representatives: each pair's representative under the quarter
+    turn and whether the turn keeps the pair's order.  One copy rule
+    serves every label: a pair takes its representative's value where
+    that is another pair of its label and, for the robust path, whose
+    outer and inner panels play unlike roles, where the order is kept.
+    Every other pair is evaluated.  A representative is its own, so it is
+    evaluated, and the copies are made once all labels are.  On dyadic
+    meshes a copied self entry or robust value is bitwise the pair's own;
+    a rule copy differs from it by the GEMM's rounding.  On tables of
+    more than _SMALL_TABLE panels the identical, edge and vertex rules
+    store the kernel inputs of their pairs, evaluate one row per class of
     _key_classes, the first in the rule's order, and scale its value to
     the other pairs of the class.
 
     Besides per-block work arrays, the pass holds at most 64 bytes per
-    pair: values, labels and rep, and for one label its pair indices, the
-    pairs copied and the panel indices of one block; the classification
-    runs before it.  A keyed label adds its kernel inputs, 136 bytes per
-    pair of that label, up to three times that while _key_classes runs,
-    and then 20: representative, exponent and class value.
+    pair: values, labels, the orbit and the copy flags, and for one label
+    its pair indices and the panel indices of one block; the
+    classification runs before it.  A keyed label adds its kernel inputs,
+    136 bytes per pair of that label, up to three times that while
+    _key_classes runs, and then 20: representative, exponent and class
+    value.
 
     The kernel's GEMM rounds a row differently depending on its position
     in the block, so rows keep a fixed order: edge pairs sorted by their
@@ -770,6 +792,11 @@ def _pair_values(coords, tris, i, j, label, rep=None):
     coords[j]) as they are.
     """
     out = np.full(len(i), np.nan)
+    copy = np.zeros(len(i), bool)
+    if orbit is not None:
+        rep, kept = orbit
+        copy = ((rep != np.arange(len(i))) & (label.take(rep) == label)
+                & (kept | (label != _ROBUST)))
 
     def along_shared_edge(k):
         ti = tris[i[k]]
@@ -790,12 +817,11 @@ def _pair_values(coords, tris, i, j, label, rep=None):
         return k, (_slot_order(np.argmax(shared.any(axis=2), axis=1)),
                    _slot_order(np.argmax(shared.any(axis=1), axis=1)))
 
+    def evaluated(kind):
+        return np.flatnonzero((label == kind) & ~copy)
+
     def apply_rule(kind, case, p, ordered=None):
-        k = np.flatnonzero(label == kind)
-        if rep is not None:
-            r = rep[k]
-            own = (r == k) | (label[r] != kind)
-            copies, k = k[~own], k[own]
+        k = evaluated(kind)
         slots = None
         if ordered is not None:
             k, slots = ordered(k)
@@ -813,19 +839,20 @@ def _pair_values(coords, tris, i, j, label, rep=None):
             out[k] = _gathered(
                 lambda a, b: _rule_values(rule, _rule_inputs(a, b)),
                 coords, i, j, k, slots, _rule_step(rule))
-        if rep is not None:
-            out[copies] = out[rep[copies]]
 
     apply_rule(_IDENTICAL, "identical", ORDER)
     apply_rule(_EDGE, "edge-adjacent", ORDER, along_shared_edge)
     apply_rule(_VERTEX, "vertex-adjacent", ORDER, at_shared_vertex)
     apply_rule(_DISJOINT, "disjoint", ORDER - 1)
     apply_rule(_CLOSE, "disjoint", ORDER)
-    k = np.flatnonzero(label == _SELF)
+    k = evaluated(_SELF)
     out[k] = _gathered(lambda a, b: _self_entry_closed_form(a), coords, i, j,
                        k)
-    k = np.flatnonzero(label == _ROBUST)
+    k = evaluated(_ROBUST)
     out[k] = _gathered(_robust_pairs, coords, i, j, k)
+    if orbit is not None:
+        k = np.flatnonzero(copy)
+        out[k] = out[rep[k]]
     return out
 
 
@@ -941,25 +968,40 @@ def _near_candidates(coords, diam):
             np.concatenate(close))
 
 
-def _smallest_image(codes, a, b, sigma):
+def _smallest_image(codes, a, b, sigma, kept=None):
     """The smallest code min nt + max among the images (sigma^t a,
-    sigma^t b), t = 0..3, of the pairs (a, b), whose own codes are codes."""
+    sigma^t b), t = 0..3, of the pairs (a, b), a <= b, whose own codes are
+    codes.  kept, if given, a bool per pair, is set in place to whether
+    some turn t that gives the smallest code keeps the pair's order,
+    sigma^t a <= sigma^t b."""
     nt = len(sigma)
+    if kept is not None:
+        kept[...] = True
     for _ in range(3):
         a, b = sigma[a], sigma[b]
-        codes = np.minimum(codes, np.minimum(a, b) * nt + np.maximum(a, b))
+        image = np.minimum(a, b) * nt + np.maximum(a, b)
+        if kept is not None:
+            # a smaller image decides the order; an equal one may add it
+            ordered = a <= b
+            kept[:] = np.where(image < codes, ordered,
+                               kept | (ordered & (image == codes)))
+        codes = np.minimum(codes, image)
     return codes
 
 
 def _orbit_representatives(i, j, sigma):
     """Index of each near candidate's representative under the quarter
-    turn sigma of _quarter_turn.
+    turn sigma of _quarter_turn, and whether the turn keeps the pair's
+    order.
 
     The orbit of a pair (i, j) is the pairs (sigma^a i, sigma^a j),
     a = 0..3, each taken as (min, max), and its representative the one of
     smallest code min nt + max.  A candidate whose representative is no
-    candidate is its own.  The candidates are in (i, j) order, so their
-    codes are sorted and searched, in blocks of _PAIR_BLOCK pairs.
+    candidate is its own.  The order is kept where a turn onto the
+    representative maps i onto the representative's smaller index; the
+    robust path copies only then, as it treats its two panels unlike
+    (_pair_values).  The candidates are in (i, j) order, so their codes
+    are sorted and searched, in blocks of _PAIR_BLOCK pairs.
     """
     nt = len(sigma)
     # nt^2 - 1 fits int32 up to nt = 46340, a table of 17 GB
@@ -969,14 +1011,16 @@ def _orbit_representatives(i, j, sigma):
     codes *= nt
     codes += j
     rep = np.empty(len(i), dtype)
+    kept = np.empty(len(i), bool)
     for lo in range(0, len(i), _PAIR_BLOCK):
         block = slice(lo, lo + _PAIR_BLOCK)
-        best = _smallest_image(codes[block], i[block], j[block], sigma)
+        best = _smallest_image(codes[block], i[block], j[block], sigma,
+                               kept[block])
         # best is at most the pair's own code, so the search stays in range
         at = np.searchsorted(codes, best)
         rep[block] = np.where(codes[at] == best, at,
                               np.arange(lo, lo + len(at)))
-    return rep
+    return rep, kept
 
 
 def _far_pass(G, coords, diam, sigma):
@@ -1040,11 +1084,11 @@ def assemble_energy_form(mesh):
     # the map, like the scan, runs before the table is allocated, which
     # leaves less freed heap behind for the rest of the run
     sigma = _quarter_turn(coords) if len(coords) > _SMALL_TABLE else None
-    rep = None if sigma is None else _orbit_representatives(i, j, sigma)
+    orbit = None if sigma is None else _orbit_representatives(i, j, sigma)
     G = np.empty((len(coords),) * 2)
     _far_pass(G, coords, diam, sigma)
     label = _classify_pairs(coords, mesh.triangles, aspect, diam, i, j, close)
-    vals = _pair_values(coords, mesh.triangles, i, j, label, rep)
+    vals = _pair_values(coords, mesh.triangles, i, j, label, orbit)
     G[i, j] = vals
     G[j, i] = vals
 

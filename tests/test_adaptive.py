@@ -259,6 +259,9 @@ FENCE_CASES = {
        for name in ("uniform-smooth", "adaptive-singular") for n in (1, 2)},
     "graded-smooth/levels2": ["--experiment", "graded-smooth",
                               "--levels", "2"],
+    "graded-smooth/beta3@300": ["--experiment", "graded-smooth", "--beta",
+                                "3", "--max-fine-dofs", "300", "--levels",
+                                "30"],
 }
 FENCE_EXACT = ("level", "N_coarse", "N_fine")
 

@@ -163,7 +163,9 @@ class TestRuleKernel:
 # -- pre-split reference copies of the robust path and the distances ----------
 # The split-component kernels must reproduce these bit for bit: the robust
 # path's stopping test and the band edges compare against thresholds, so a
-# change of rounding can flip a decision and move a table entry.
+# change of rounding can flip a decision and move a table entry.  The
+# robust path works in pair-relative coordinates, so its reference gets
+# the panels as _robust_pairs sees them (_pair_relative).
 
 
 def _ref_doubled_area(tris):
@@ -240,6 +242,12 @@ def _ref_robust_pairs(ta, tb, rtol=1e-6, p=5, max_depth=24):
         np.add.at(running, owner, np.abs(parent))
         scale = np.maximum(scale, np.abs(running))
     return settled / (4.0 * np.pi)
+
+
+def _pair_relative(ta, tb):
+    """Both panels of each pair less vertex 0 of the inner panel tb."""
+    origin = tb[:, :1]
+    return ta - origin, tb - origin
 
 
 def _ref_segment_distances(p1, p2, q1, q2):
@@ -337,7 +345,7 @@ class TestSplitKernels:
     def test_robust_pairs_bitwise_on_graded_mesh(self, graded_robust_case):
         coords, _, (ri, rj) = graded_robust_case
         assert len(ri) > 100
-        ref = _ref_robust_pairs(coords[ri], coords[rj])
+        ref = _ref_robust_pairs(*_pair_relative(coords[ri], coords[rj]))
         assert np.array_equal(_robust_pairs(coords[ri], coords[rj]), ref)
 
     def test_triangle_distances_bitwise_on_graded_mesh(self,
@@ -414,7 +422,32 @@ class TestSplitKernels:
         ta = UNIT_RIGHT + rng.uniform(-0.05, 0.05, (n, 3, 2))
         tb = ta + [1.0 + rng.uniform(0.05, 0.3), 0.0]
         assert np.array_equal(_robust_pairs(ta, tb),
-                              _ref_robust_pairs(ta, tb))
+                              _ref_robust_pairs(*_pair_relative(ta, tb)))
+
+    @pytest.mark.parametrize("beta", [2.0, 3.0])
+    def test_pair_relative_coordinates_move_only_rounding(self, beta):
+        # Against the absolute-coordinate kernel, pair-relative coordinates
+        # change only the rounding of the points the path forms: from
+        # absolute coordinates each point errs by about u S, with
+        # u = 2^-53 and S the pair's largest coordinate magnitude, on the
+        # scale of the pair's shortest edge h, and an outer integral of
+        # the smooth inner potential passes that on as about u S / h
+        # relative.  64 u S / h bounds it with room for the amplification
+        # of the cells near the inner panel's edges.  A flipped
+        # subdivision decision moves a value on the scale of the stop
+        # tolerance 1e-6, far above the bound (1.8e-12 at most here).
+        mesh = uniform_refine(graded_square_mesh(8, beta))[0]
+        coords, _, ci, cj, labels = _near_plan(mesh.triangle_coords(),
+                                               mesh.triangles)
+        k = np.flatnonzero(labels == assembly._ROBUST)
+        ta, tb = coords[ci[k]], coords[cj[k]]
+        got, ref = _robust_pairs(ta, tb), _ref_robust_pairs(ta, tb)
+        h = np.minimum(*(np.sqrt(((t[:, [1, 2, 0]] - t) ** 2).sum(-1))
+                         .min(-1) for t in (ta, tb)))
+        scale = np.maximum(np.abs(ta).max(axis=(1, 2)),
+                           np.abs(tb).max(axis=(1, 2)))
+        assert (got != ref).any()
+        assert (np.abs(got - ref) <= 64 * 2.0 ** -53 * scale / h * ref).all()
 
     def test_segment_potential_near_edge_line(self):
         # (0.3, -d) approaches an edge line of the panel from outside; the
@@ -505,10 +538,11 @@ def test_far_table_memory():
 
 
 def test_near_turn_memory(monkeypatch):
-    # The orbit map takes 4 bytes a candidate, built before the table.
-    # Choosing the pairs of one label that a rule evaluates holds a few
-    # bytes more per pair of that label for a moment.  The far pass holds
-    # the orbit images of one strip's far pairs.
+    # The orbit map takes 5 bytes a candidate, its representative and
+    # whether the turn keeps its order, built before the table.  The copy
+    # flags take one byte more, and finding them a few bytes more per
+    # candidate for a moment.  The far pass holds the orbit images of one
+    # strip's far pairs.
     mesh = uniform_refine(graded_square_mesh(8, 2.0))[0]
     ci, _, _ = _near_pairs(mesh)
     assemble_energy_form(mesh)  # builds the cached quadrature rules
@@ -794,14 +828,65 @@ def test_robust_path_settles_below_its_depth_cap(monkeypatch, beta):
     assert np.array_equal(_robust_pairs(ta, tb), ref)
 
 
+@pytest.mark.parametrize("beta", [2.0, 3.0])
+def test_robust_and_self_entries_shift_invariant(beta):
+    # The shift (1000.3, -999.7) moves these dyadic coordinates exactly,
+    # so every coordinate difference keeps its bits, and so do the
+    # pair-relative robust path and the closed-form self entries.  The
+    # moved mesh has no quarter turn and evaluates every pair whose entry
+    # the unmoved mesh copies from its orbit.  The pairs compared are
+    # those of the robust path or the self entries on both meshes: the
+    # triangle distances are formed from absolute coordinates, and a
+    # disjoint pair at a band edge exactly (rho = RHO_CLOSE or RHO_NEAR)
+    # takes its band from their rounding.
+    mesh = uniform_refine(graded_square_mesh(8, beta))[0]
+    moved = Mesh(mesh.vertices + [1000.3, -999.7], mesh.triangles,
+                 mesh.ref_edge)
+    coords, moved_coords = mesh.triangle_coords(), moved.triangle_coords()
+    assert np.array_equal(moved_coords - moved_coords[:, :1],
+                          coords - coords[:, :1])
+    assert _quarter_turn(moved_coords) is None
+    *_, ci, cj, labels = _near_plan(coords, mesh.triangles)
+    *_, mi, mj, moved_labels = _near_plan(moved_coords, moved.triangles)
+    assert np.array_equal(ci, mi) and np.array_equal(cj, mj)
+    both = [(lab == assembly._ROBUST) | (lab == assembly._SELF)
+            for lab in (labels, moved_labels)]
+    k = np.flatnonzero(both[0] & both[1])
+    assert len(k) > 0.99 * max(both[0].sum(), both[1].sum()) > 1000
+    G = assemble_energy_form(mesh).table
+    H = assemble_energy_form(moved).table
+    assert np.array_equal(G[ci[k], cj[k]], H[ci[k], cj[k]])
+
+
+@pytest.mark.parametrize("beta", [2.0, 3.0])
+def test_robust_and_self_copies_keep_the_table(beta):
+    # On dyadic graded tables a robust or self entry copied from its
+    # orbit is bitwise the pair's own value, so the table with the copies
+    # equals, bit for bit, the table that evaluates every such pair
+    mesh = uniform_refine(graded_square_mesh(16, beta))[0]
+    G = assemble_energy_form(mesh).table
+    real = assembly._pair_values
+
+    def no_copies(coords, tris, i, j, label, orbit):
+        rep, kept = orbit
+        own = (label == assembly._ROBUST) | (label == assembly._SELF)
+        rep = np.where(own, np.arange(len(rep)), rep)
+        return real(coords, tris, i, j, label, (rep, kept))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(assembly, "_pair_values", no_copies)
+        H = assemble_energy_form(mesh).table
+    assert np.array_equal(G, H)
+
+
 class TestNearTurn:
     @pytest.fixture(scope="class",
                     params=["uniform", "graded", "fine", "uniform128"])
     def turned(self, request):
-        # tables with and without the quarter turn, each with the labels of
-        # its near pass, its robust-path values and the number of rule pairs
-        # it evaluated.  The 128-panel table is the smallest uniform one
-        # above _SMALL_TABLE.
+        # the near candidates and quarter turn of a mesh, and its tables
+        # with and without the turn, each with the labels of its near pass
+        # and the numbers of robust-path and rule pairs it evaluated.  The
+        # 128-panel table is the smallest uniform one above _SMALL_TABLE.
         if request.param == "fine":
             mesh = uniform_refine(graded_square_mesh(16, 2.0))[0]
         elif request.param == "uniform128":
@@ -829,26 +914,25 @@ class TestNearTurn:
                 mp.setattr(assembly, "_classify_pairs",
                            recorded(real[0], labels))
                 mp.setattr(assembly, "_robust_pairs",
-                           recorded(real[1], robust))
+                           recorded(real[1], robust, len))
                 mp.setattr(assembly, "_rule_values",
                            recorded(real[2], rows, len))
                 table = assemble_energy_form(mesh).table
-                runs.append((table, labels[0],
-                             np.concatenate(robust or [np.empty(0)]),
-                             sum(rows)))
+                runs.append((table, labels[0], sum(robust), sum(rows)))
         ci, cj, _ = _near_pairs(mesh)
-        return (ci, cj), runs
+        return (ci, cj, _quarter_turn(mesh.triangle_coords())), runs
 
     def test_near_entries_agree(self, turned):
-        (ci, cj), ((G, *_), (H, *_)) = turned
+        (ci, cj, _), ((G, *_), (H, *_)) = turned
         assert (np.abs(G[ci, cj] - H[ci, cj]) / H[ci, cj]).max() <= 2e-15
 
     def test_same_labels_and_robust_entries(self, turned):
-        (ci, cj), ((G, labels, robust, _), (H, ref_labels, ref_robust, _)) = (
-            turned)
+        # the robust and self entries, copies included, keep the bits of
+        # the pass that evaluates every pair
+        (ci, cj, _), ((G, labels, *_), (H, ref_labels, *_)) = turned
         assert np.array_equal(labels, ref_labels)
-        assert np.array_equal(robust, ref_robust)
-        k = np.flatnonzero(labels == assembly._ROBUST)
+        k = np.flatnonzero((labels == assembly._ROBUST)
+                           | (labels == assembly._SELF))
         assert np.array_equal(G[ci[k], cj[k]], H[ci[k], cj[k]])
 
     def test_tables_bitwise_symmetric(self, turned):
@@ -860,6 +944,36 @@ class TestNearTurn:
         _, ((*_, rows), (*_, ref_rows)) = turned
         assert rows < 0.26 * ref_rows
 
+    def test_robust_pairs_evaluated_once_per_orbit_and_order(self, turned):
+        # The robust path evaluates at most one pair per orbit, plus the
+        # pairs that no turn onto the orbit's smallest pair (min, max)
+        # takes in their own order, i before j, as the path's outer and
+        # inner panels play unlike roles, and the pairs whose smallest
+        # image is no robust pair: a disjoint pair at a band edge exactly
+        # takes its band from rounding, which the turn may change.  All
+        # three are counted here from the turned indices of the robust
+        # pairs.
+        (ci, cj, sigma), ((_, labels, robust, _), (*_, ref_robust, _)) = (
+            turned)
+        k = np.flatnonzero(labels == assembly._ROBUST)
+        assert ref_robust == len(k)
+        if not len(k):
+            assert robust == 0
+            return
+        nt = len(sigma)
+        a, b = ci[k].astype(np.int64), cj[k].astype(np.int64)
+        images = [(a, b)]
+        for _ in range(3):
+            a, b = sigma[a], sigma[b]
+            images.append((a, b))
+        codes = [np.minimum(a, b) * nt + np.maximum(a, b) for a, b in images]
+        best = np.min(codes, axis=0)
+        kept = np.any([(c == best) & (a <= b)
+                       for c, (a, b) in zip(codes, images)], axis=0)
+        lone = ~np.isin(best, ci[k].astype(np.int64) * nt + cj[k])
+        assert robust <= (len(np.unique(best[~lone])) + lone.sum()
+                          + (~kept).sum())
+        assert robust < 0.3 * len(k)
     def test_representative_of_another_label_is_evaluated(self):
         mesh = _sweep_mesh("graded")
         args = _near_plan(mesh.triangle_coords(), mesh.triangles)
@@ -868,12 +982,21 @@ class TestNearTurn:
         disjoint = np.flatnonzero(labels == assembly._DISJOINT)
         k, m = disjoint[:2]
         rep = np.arange(len(labels))
+        kept = np.ones(len(labels), bool)
         rep[k] = np.flatnonzero(labels == assembly._EDGE)[0]
-        assert np.array_equal(_pair_values(*args, rep), ref)
+        assert np.array_equal(_pair_values(*args, (rep, kept)), ref)
         # a representative of the same label lends its value
         rep[k] = m
-        got = _pair_values(*args, rep)
+        got = _pair_values(*args, (rep, kept))
         assert got[k] == got[m] and ref[k] != ref[m]
+        # a robust pair copies only where the turn keeps its order
+        robust = np.flatnonzero(labels == assembly._ROBUST)
+        k, m = robust[:2]
+        rep[k] = m
+        kept[k] = False
+        assert _pair_values(*args, (rep, kept))[k] == ref[k] != ref[m]
+        kept[k] = True
+        assert _pair_values(*args, (rep, kept))[k] == ref[m]
 
 
 def _ref_rule_inputs(a, b):
