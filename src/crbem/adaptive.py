@@ -89,6 +89,9 @@ class ExperimentConfig:
             raise ValueError(f"theta must lie in (0, 1), got {self.theta}")
         if self.max_levels < 1:
             raise ValueError("max_levels must be at least 1")
+        if self.max_fine_dofs < 0:
+            raise ValueError(f"max_fine_dofs must be at least 0, got "
+                             f"{self.max_fine_dofs}")
         if not (np.isfinite(self.beta) and self.beta >= 1.0):
             raise ValueError(f"beta must be finite and >= 1, got {self.beta}")
         return self

@@ -13,25 +13,19 @@ are positive and sum to vol(tau x tau) = 1/4.
 
 The cases are told apart in one place, _classify_pairs, by the number of
 vertex indices a pair shares (3, 2, 1, 0); disjoint pairs are then binned
-by separation.  assemble_energy_form splits the pairs i <= j in two: the
-near candidates, the pairs possibly closer than RHO_FAR diameters, the
-diagonal included, and the far pairs.  _far_pass evaluates the far ones;
-_classify_pairs labels the candidates and _pair_values evaluates them.
-Each pass writes G[i, j] and G[j, i] of a pair with the same value, so
-every entry is written once and the table is bitwise symmetric.
-panel_integral assembles the table of a one- or two-panel mesh, so single
-pairs take exactly the table's path.  Timings and memory measurements of
-every design choice below are in CHANGES.md.
-
-The split is made twice from the same numbers.  _near_candidates scans
-the pairs in strips of _SCAN_STRIP rows, j >= i, before the table is
-allocated, and lists the candidates: the pairs whose centroid bound (the
-centroid distance less both enclosing radii, _centroid_bounds) is below
-RHO_FAR times the larger diameter.  _far_pass runs over the same strips
-after the table is allocated, forms the same bound again, and takes its
-exact complement, so every pair i <= j is a candidate or far, never
-both.  The far pairs get the disjoint rule of order ORDER - 2 from the
-rule kernel below, one GEMM step a block of gathered pairs.
+by separation.  One pass, _split_pairs, splits the pairs i <= j in two
+and makes the decision in one place.  It runs over strips of _SCAN_STRIP
+rows, j >= i, and forms each pair's centroid bound (the centroid distance
+less both enclosing radii) once.  Where the bound is below RHO_FAR times
+the larger diameter the pair is a near candidate, the diagonal included;
+the others are far, and the pass writes them at once with the disjoint
+rule of order ORDER - 2 from the rule kernel below, one GEMM step a block
+of gathered pairs.  _classify_pairs labels the candidates and
+_pair_values evaluates them.  Each pass writes G[i, j] and G[j, i] of a
+pair with the same value, so every entry is written once and the table
+is bitwise symmetric.  panel_integral assembles the table of a one- or
+two-panel mesh, so single pairs take exactly the table's path.  Timings
+and memory measurements of every design choice below are in CHANGES.md.
 
 The meshes of the uniform and graded runs map onto themselves under the
 quarter turn (x, y) -> (1 - y, x), panel by panel and vertex k onto vertex
@@ -40,27 +34,26 @@ no tolerance.  The images (sigma^a i, sigma^a j), a = 0..3, of a pair,
 each taken as (min, max), form its orbit, and the image of smallest code
 min nt + max is its representative.  A pair sees the kernel only through
 its geometry, so an image's value differs from the pair's own by
-rounding only.  _far_pass copies a far pair's entry from its
+rounding only.  _split_pairs copies a far pair's entry from its
 representative wherever that is far too; the representative lies in
 the same strip or an earlier one, so a strip evaluates its other pairs
 first.  Where no sigma exists (NVB meshes, translated meshes, gradings
 whose coordinates do not turn exactly) every far pair is evaluated.
 
-The near pass uses the same turn.  _orbit_representatives maps each near
-candidate to its representative, and tells whether the turn keeps the
-pair's order, before the table is allocated.  _classify_pairs labels
-every candidate as without the turn; then one copy rule serves every
-label: a pair copies its representative's value where that is another
-pair of its label, and for the robust path, whose outer and inner panels
-play unlike roles, where the turn keeps the order too.  The others are
-evaluated: a quarter of the rule pairs, and a quarter of the robust and
-self pairs plus the few that the turn takes in the other order.  A rule
-entry so differs from the turn-less pass by rounding only.  The
-closed-form self entries and the robust path see coordinate differences
-only, which a turn of a dyadic mesh maps exactly, so their copies are
-bitwise the pair's own values and no subdivision decision moves.  Tables
-of at most _SMALL_TABLE panels take no turn, evaluate every pair and
-keep their bits.
+The near pass uses the same turn.  After its strip loop, _split_pairs maps
+each near candidate to its representative, and tells whether the turn
+keeps the pair's order.  _classify_pairs labels every candidate as without
+the turn; then one copy rule serves every label: a pair copies its
+representative's value where that is another pair of its label, and for
+the robust path, whose outer and inner panels play unlike roles, where the
+turn keeps the order too.  The others are evaluated: a quarter of the rule
+pairs, and a quarter of the robust and self pairs plus the few that the
+turn takes in the other order.  A rule entry so differs from the turn-less
+pass by rounding only.  The closed-form self entries and the robust path
+see coordinate differences only, which a turn of a dyadic mesh maps
+exactly, so their copies are bitwise the pair's own values and no
+subdivision decision moves.  Tables of at most _SMALL_TABLE panels take no
+turn, evaluate every pair and keep their bits.
 
 Every rule-based pair (the three singular cases, the near and close
 disjoint bands and the far pairs) is evaluated by one kernel, which sees
@@ -88,21 +81,25 @@ as with the turn.  The disjoint bands are not keyed, as that cost more
 time and peak memory than it saved.  Tables of at most _SMALL_TABLE
 panels form no classes.
 
-Memory: the table G (nt x nt) and a Galerkin matrix A (n x n) are the
-only quadratic arrays of a run; estimators.solve_spd factors A in place.
+Memory: the table G (nt x nt) and a Galerkin matrix A (n x n) are the only
+quadratic arrays of a run; estimators.solve_spd factors A in place.
 assemble_stiffness fills A by blocks of _STIFF_BLOCK DOF rows, each
 symmetrized in place against the rows above it.  The near candidates are
 two int32 index lists and one flag byte each, and the orbit map one more
-int32 and one more byte.  _far_pass holds the far pairs of one strip at a
-time, their orbit images, and the kernel inputs of one block of them; no
-list spans the far pairs of the table.  The near-field pass works in
-blocks too: _classify_pairs labels the near candidates in blocks of
-_PAIR_BLOCK rows with one byte each, after the table is allocated, as
-classifying before it left more freed heap behind for the rest of the
-run, and _pair_values keeps per label only the indices of its pairs (and
-for a keyed label their kernel inputs), and one loop, _gathered, gathers
-the panels of a block of pairs, in the vertex order of their case, for a
-kernel that sees only that block.
+int32 and one more byte.  _split_pairs holds the far pairs of one strip at
+a time, their orbit images, and the kernel inputs of one block of them; no
+list spans the far pairs of the table.  Its strips keep a candidate as one
+code, 4 bytes, and its flag, as two index lists kept between the far
+pairs' work arrays left more heap behind for the rest of the run.  It
+builds the orbit map once the candidates are joined, in blocks, as maps
+built per strip raised the peak memory of the graded runs.  The near-field
+pass works in blocks too: _classify_pairs labels the near candidates in
+blocks of _PAIR_BLOCK rows with one byte each, after the table is
+allocated, as classifying before it left more freed heap behind for the
+rest of the run, and _pair_values keeps per label only the indices of its
+pairs (and for a keyed label their kernel inputs), and one loop,
+_gathered, gathers the panels of a block of pairs, in the vertex order of
+their case, for a kernel that sees only that block.
 
 The transformed rules converge geometrically for shape-regular panels but
 degrade on strongly anisotropic ones (boundary-graded meshes).  Pairs
@@ -201,8 +198,7 @@ _ROBUST_MAX_CELLS = 1 << 20
 # panel pairs per block of the near-field pass: of _classify_pairs and of
 # each gather that feeds a kernel
 _PAIR_BLOCK = 4096
-# rows per strip of the two passes over the pairs, the candidate scan of
-# _near_candidates and the far pass of _far_pass
+# rows per strip of _split_pairs, the one pass that splits the pairs
 _SCAN_STRIP = 16
 # tables of at most this many panels take no quarter turn, form no key
 # classes (_key_classes) and keep their bits: adaptive-smooth's 8- and
@@ -733,7 +729,7 @@ def _classify_pairs(coords, tris, aspect, diam, i, j, close):
     ORDER - 1 (rho >= RHO_NEAR) or ORDER (rho >= RHO_CLOSE), else the
     robust path.  The pairs are counted in blocks of _PAIR_BLOCK, and
     exact distances are computed only for the disjoint pairs flagged in
-    close, those that _near_candidates could not place at rho >= RHO_NEAR.
+    close, those that _split_pairs could not place at rho >= RHO_NEAR.
     """
     label = np.empty(len(i), np.int8)
     # shared vertices counted by nine comparisons of gathered index rows;
@@ -763,7 +759,7 @@ def _pair_values(coords, tris, i, j, label, orbit=None):
     label, from _classify_pairs, says what evaluates each pair, and one
     loop, _gathered, hands every kernel the panels of one block of the
     pairs of a label.  orbit, if given, is the pair (rep, kept) of
-    _orbit_representatives: each pair's representative under the quarter
+    _split_pairs: each pair's representative under the quarter
     turn and whether the turn keeps the pair's order.  One copy rule
     serves every label: a pair takes its representative's value where
     that is another pair of its label and, for the robust path, whose
@@ -915,59 +911,6 @@ def _quarter_turn(coords):
     return sigma
 
 
-def _centroid_bounds(coords, diam):
-    """The centroid bound of panel pairs, as a function of two indices a,
-    b that broadcast (arrays, or a slice and a column slice): the pairs'
-    centroid distance less both radii (see _bounding_circles), and their
-    larger diameter.  A pair is near where the bound is below RHO_FAR times
-    that diameter.  Both passes over the pairs, _near_candidates and
-    _far_pass, take the bound from here, so they agree bit for bit."""
-    cent, radius = _bounding_circles(coords)
-    cx, cy = cent[:, 0].copy(), cent[:, 1].copy()
-
-    def bounds(a, b):
-        gx, gy = cx[a] - cx[b], cy[a] - cy[b]
-        return (np.sqrt(gx * gx + gy * gy) - radius[a] - radius[b],
-                np.maximum(diam[a], diam[b]))
-
-    return bounds
-
-
-def _near_candidates(coords, diam):
-    """Pairs i <= j of a mesh possibly closer than RHO_FAR diameters, in
-    (i, j) order, as two int32 index lists, and a bool per pair, close,
-    where it may be closer than RHO_NEAR diameters.
-
-    A pair is no candidate where its centroid bound (_centroid_bounds) is
-    at least RHO_FAR times the larger diameter d; _far_pass evaluates
-    exactly those pairs.  The diagonal and every pair that shares a vertex
-    are candidates: their centroid distance is at most the sum of the two
-    radii.  A candidate is close unless the bound less 1e-9 S is at least
-    RHO_NEAR d, with S the largest coordinate magnitude of the pair.  The
-    bound is at most the distance, as each disc holds its panel.
-    Rounding: as computed, the bound and the distance are each within
-    100 u S of their exact values, with u = 2^-53, and S is at least d / 3.
-    So where the bound less 1e-9 S, 10^5 times that error, gives
-    rho >= RHO_NEAR, the computed distance gives it too: a pair that is
-    not close keeps its band without one.  The scan runs in strips of
-    _SCAN_STRIP rows.
-    """
-    bounds = _centroid_bounds(coords, diam)
-    scale = np.abs(coords).max(axis=(1, 2))
-    near_i, near_j, close = [], [], []
-    for i0 in range(0, len(coords), _SCAN_STRIP):
-        bound, dmax = bounds(np.s_[i0:i0 + _SCAN_STRIP, None], np.s_[i0:])
-        ii, jj = np.nonzero(np.triu(bound < RHO_FAR * dmax))
-        a, b = ii + i0, jj + i0
-        close.append(bound[ii, jj]
-                     - 1e-9 * np.maximum(scale.take(a), scale.take(b))
-                     < RHO_NEAR * dmax[ii, jj])
-        near_i.append(a.astype(np.int32))
-        near_j.append(b.astype(np.int32))
-    return (np.concatenate(near_i), np.concatenate(near_j),
-            np.concatenate(close))
-
-
 def _smallest_image(codes, a, b, sigma, kept=None):
     """The smallest code min nt + max among the images (sigma^t a,
     sigma^t b), t = 0..3, of the pairs (a, b), a <= b, whose own codes are
@@ -989,70 +932,68 @@ def _smallest_image(codes, a, b, sigma, kept=None):
     return codes
 
 
-def _orbit_representatives(i, j, sigma):
-    """Index of each near candidate's representative under the quarter
-    turn sigma of _quarter_turn, and whether the turn keeps the pair's
-    order.
+def _split_pairs(G, coords, diam, sigma):
+    """Write the far entries of a mesh's table G and return its near
+    candidates i <= j in (i, j) order, as two int32 index lists, a close
+    flag each and, with the quarter turn sigma, their orbit map.
 
-    The orbit of a pair (i, j) is the pairs (sigma^a i, sigma^a j),
-    a = 0..3, each taken as (min, max), and its representative the one of
-    smallest code min nt + max.  A candidate whose representative is no
-    candidate is its own.  The order is kept where a turn onto the
-    representative maps i onto the representative's smaller index; the
-    robust path copies only then, as it treats its two panels unlike
-    (_pair_values).  The candidates are in (i, j) order, so their codes
-    are sorted and searched, in blocks of _PAIR_BLOCK pairs.
-    """
-    nt = len(sigma)
-    # nt^2 - 1 fits int32 up to nt = 46340, a table of 17 GB
-    dtype = np.int32 if nt <= 46340 else np.int64
-    sigma = sigma.astype(dtype)
-    codes = i.astype(dtype)
-    codes *= nt
-    codes += j
-    rep = np.empty(len(i), dtype)
-    kept = np.empty(len(i), bool)
-    for lo in range(0, len(i), _PAIR_BLOCK):
-        block = slice(lo, lo + _PAIR_BLOCK)
-        best = _smallest_image(codes[block], i[block], j[block], sigma,
-                               kept[block])
-        # best is at most the pair's own code, so the search stays in range
-        at = np.searchsorted(codes, best)
-        rep[block] = np.where(codes[at] == best, at,
-                              np.arange(lo, lo + len(at)))
-    return rep, kept
+    One loop over strips of _SCAN_STRIP rows forms each pair's centroid
+    bound once (_bounding_circles).  A pair is a candidate where the bound
+    is below RHO_FAR times the larger diameter d, so the diagonal and
+    every pair that shares a vertex are, and far otherwise.  A candidate
+    is close unless the bound less 1e-9 S is at least RHO_NEAR d, S the
+    pair's largest coordinate magnitude.  The bound is at most the
+    distance, as each disc holds its panel; as computed, both are within
+    100 u S of their exact values, u = 2^-53, and S >= d / 3, so where the
+    bound less 1e-9 S gives rho >= RHO_NEAR, the computed distance does
+    too: a pair that is not close keeps its band without one.
 
-
-def _far_pass(G, coords, diam, sigma):
-    """Write the far entries of a mesh's table G: each pair i <= j that
-    is no near candidate gets the disjoint rule of order ORDER - 2 from
-    the rule kernel, one GEMM step of _rule_step pairs a block, in G[i, j]
-    and G[j, i] alike.
-
-    The pass runs over the strips of the candidate scan and takes a
-    strip's far pairs as the exact complement of its candidates, from the
-    same bound (_centroid_bounds).  With the quarter turn sigma, a far
-    pair whose representative, its image of smallest code
-    (_smallest_image), is far too copies that image's entry.  The image
-    lies in this strip or an earlier one, so a strip evaluates its other
-    pairs first.  The pass holds one strip's far pairs at a time.
+    A strip's far pairs get the rule kernel, in G[i, j] and G[j, i]
+    alike.  With sigma, a far pair whose representative, its image of
+    smallest code (_smallest_image), is far too copies that image's
+    entry, which lies in this strip or an earlier one, so a strip
+    evaluates its other pairs first.  The loop keeps each candidate as
+    its code i nt + j; the index lists are split from the joined codes.
+    The orbit map (rep, kept) gives each candidate's representative,
+    itself where that is no candidate, and whether some turn onto it maps
+    i onto its smaller index.  It is built after the loop, in blocks of
+    _PAIR_BLOCK candidates, whose codes are sorted and searched.
     """
     nt = len(coords)
-    bounds = _centroid_bounds(coords, diam)
+    cent, radius = _bounding_circles(coords)
+    cx, cy = cent[:, 0].copy(), cent[:, 1].copy()
+    scale = np.abs(coords).max(axis=(1, 2))
+
+    def bounds(a, b):
+        # a and b broadcast: arrays, or a slice and a column slice
+        gx, gy = cx[a] - cx[b], cy[a] - cy[b]
+        return (np.sqrt(gx * gx + gy * gy) - radius[a] - radius[b],
+                np.maximum(diam[a], diam[b]))
+
     rule = quadrature_rule("disjoint", ORDER - 2)
+    # nt^2 - 1 fits int32 up to nt = 46340, a table of 17 GB
+    dtype = np.int32 if nt <= 46340 else np.int64
+    codes, close = [], []
     for i0 in range(0, nt, _SCAN_STRIP):
         bound, dmax = bounds(np.s_[i0:i0 + _SCAN_STRIP, None], np.s_[i0:])
-        far = np.triu(~(bound < RHO_FAR * dmax))
+        near = bound < RHO_FAR * dmax
+        ii, jj = np.nonzero(np.triu(near))
+        a, b = ii + i0, jj + i0
+        codes.append((a * nt + b).astype(dtype))
+        close.append(bound[ii, jj]
+                     - 1e-9 * np.maximum(scale.take(a), scale.take(b))
+                     < RHO_NEAR * dmax[ii, jj])
+        far = np.triu(~near)
         a, b = np.nonzero(far)
         a += i0
         b += i0
         ra, rb, copy = a, b, np.zeros(len(a), bool)
         if sigma is not None:
-            codes = a * nt + b
-            best = _smallest_image(codes, a, b, sigma)
+            far_codes = a * nt + b
+            best = _smallest_image(far_codes, a, b, sigma)
             ra, rb = np.divmod(best, nt)
             bound, dmax = bounds(ra, rb)
-            copy = (best != codes) & ~(bound < RHO_FAR * dmax)
+            copy = (best != far_codes) & ~(bound < RHO_FAR * dmax)
         k = np.flatnonzero(~copy)
         # one GEMM step a block, as in _pair_values
         G[a[k], b[k]] = _gathered(
@@ -1064,29 +1005,39 @@ def _far_pass(G, coords, diam, sigma):
         # its column block rather than a scatter down the columns
         np.copyto(G[i0:, i0:i0 + _SCAN_STRIP], G[i0:i0 + _SCAN_STRIP, i0:].T,
                   where=far.T)
+    codes, close = np.concatenate(codes), np.concatenate(close)
+    i, j = (x.astype(np.int32, copy=False) for x in np.divmod(codes, nt))
+    if sigma is None:
+        return i, j, close, None
+    sigma = sigma.astype(dtype)
+    rep = np.empty(len(i), dtype)
+    kept = np.empty(len(i), bool)
+    for lo in range(0, len(i), _PAIR_BLOCK):
+        block = slice(lo, lo + _PAIR_BLOCK)
+        best = _smallest_image(codes[block], i[block], j[block], sigma,
+                               kept[block])
+        # best is at most the pair's own code, so the search stays in range
+        at = np.searchsorted(codes, best)
+        rep[block] = np.where(codes[at] == best, at,
+                              np.arange(lo, lo + len(at)))
+    return i, j, close, (rep, kept)
 
 
 def assemble_energy_form(mesh):
     """Element-pair single-layer table for all panel pairs of a mesh.
 
-    The candidate scan splits the pairs i <= j in two: the near
-    candidates, the diagonal included, and the far pairs.  The table
-    comes from np.empty.  _far_pass writes the far pairs, and the near
-    candidates are labelled by _classify_pairs, from the flags of the
-    scan, and evaluated by _pair_values.  Each pass writes G[i, j] and
-    G[j, i] of its pairs, so every entry is written once.  Tables of more
-    than _SMALL_TABLE panels take the quarter turn in both passes, where
-    the mesh has one.
+    The table comes from np.empty.  _split_pairs writes the far pairs
+    and returns the near candidates, the diagonal included, which are
+    labelled by _classify_pairs, from its close flags, and evaluated by
+    _pair_values.  Each pass writes G[i, j] and G[j, i] of its pairs, so
+    every entry is written once.  Tables of more than _SMALL_TABLE panels
+    take the quarter turn in both passes, where the mesh has one.
     """
     coords = mesh.triangle_coords()
     aspect, diam = _aspect_and_diameter(coords)
-    i, j, close = _near_candidates(coords, diam)
-    # the map, like the scan, runs before the table is allocated, which
-    # leaves less freed heap behind for the rest of the run
     sigma = _quarter_turn(coords) if len(coords) > _SMALL_TABLE else None
-    orbit = None if sigma is None else _orbit_representatives(i, j, sigma)
     G = np.empty((len(coords),) * 2)
-    _far_pass(G, coords, diam, sigma)
+    i, j, close, orbit = _split_pairs(G, coords, diam, sigma)
     label = _classify_pairs(coords, mesh.triangles, aspect, diam, i, j, close)
     vals = _pair_values(coords, mesh.triangles, i, j, label, orbit)
     G[i, j] = vals

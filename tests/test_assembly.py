@@ -37,9 +37,7 @@ from crbem.assembly import (
     _aspect_and_diameter,
     _curl_matrices,
     _edge_frames,
-    _far_pass,
     _key_classes,
-    _near_candidates,
     _pair_values,
     _power_moments,
     _quarter_turn,
@@ -48,6 +46,7 @@ from crbem.assembly import (
     _rule_values,
     _segment_potential,
     _self_entry_closed_form,
+    _split_pairs,
     _triangle_distances,
     single_layer_field,
 )
@@ -296,11 +295,16 @@ def _far_sweep(mesh):
     """The far entries of a mesh's table, NaN elsewhere, and its near
     candidates, as assemble_energy_form gets them."""
     coords = mesh.triangle_coords()
-    diam = _diameters(coords)
-    ci, cj, _ = _near_candidates(coords, diam)
     G = np.full((len(coords),) * 2, np.nan)
-    _far_pass(G, coords, diam, assembly._quarter_turn(coords))
+    ci, cj, *_ = _split_pairs(G, coords, _diameters(coords),
+                              assembly._quarter_turn(coords))
     return G, ci, cj
+
+
+def _candidates(coords, diam):
+    """Near candidates and close flags of _split_pairs, which writes its
+    far entries into a scratch table."""
+    return _split_pairs(np.empty((len(coords),) * 2), coords, diam, None)[:3]
 
 
 def _near_plan(coords, tris):
@@ -308,7 +312,7 @@ def _near_plan(coords, tris):
     near candidates of a mesh, labelled as assemble_energy_form labels
     them."""
     aspect, diam = _aspect_and_diameter(coords)
-    ci, cj, close = _near_candidates(coords, diam)
+    ci, cj, close = _candidates(coords, diam)
     return coords, tris, ci, cj, assembly._classify_pairs(
         coords, tris, aspect, diam, ci, cj, close)
 
@@ -499,7 +503,7 @@ def test_pair_values_memory_is_blocked(graded_robust_case):
     coords, _, (ri, rj) = graded_robust_case
     tris = uniform_refine(graded_square_mesh(8, 2.0))[0].triangles
     aspect, diam = _aspect_and_diameter(coords)
-    ci, cj, close = _near_candidates(coords, diam)
+    ci, cj, close = _candidates(coords, diam)
 
     def near_pass():
         label = assembly._classify_pairs(coords, tris, aspect, diam, ci, cj,
@@ -512,13 +516,15 @@ def test_pair_values_memory_is_blocked(graded_robust_case):
 
 
 def test_far_table_memory():
-    # The scan and the far pass hold no more than the table, the near
-    # candidates twice, as per-strip pieces and joined, and work arrays of
-    # at most 4 MiB: the candidates' close flags, and per strip its
+    # The split holds no more than the table, the near candidates twice,
+    # as their int32 codes i nt + j (per-strip pieces, then joined) and as
+    # the two index lists split from them, the orbit map, and work arrays
+    # of at most 4 MiB: the candidates' close flags, and per strip its
     # bounds, its far pairs (at most 32,768 here), their orbit images
-    # under the quarter turn, and the rule kernel's blocks.  No array
-    # spans the far pairs of the whole table: on this mesh one int64 index
-    # list of them alone takes 11.7 MB.
+    # under the quarter turn, and the rule kernel's blocks.  The orbit map
+    # takes 5 bytes a candidate, an int32 representative and a kept flag.
+    # No array spans the far pairs of the whole table: on this mesh one
+    # int64 index list of them alone takes 11.7 MB.
     mesh = uniform_refine(graded_square_mesh(16, 2.0))[0]
     coords = mesh.triangle_coords()
     diam = _diameters(coords)
@@ -526,23 +532,21 @@ def test_far_table_memory():
     assert sigma is not None
 
     def far_table():
-        ci, cj, _ = _near_candidates(coords, diam)
         G = np.empty((len(coords),) * 2)
-        _far_pass(G, coords, diam, sigma)
-        return G, ci, cj
+        return G, _split_pairs(G, coords, diam, sigma)
 
-    G, ci, cj = far_table()
-    limit = G.nbytes + 2 * (ci.nbytes + cj.nbytes) + (4 << 20)
+    G, (ci, cj, _, (rep, kept)) = far_table()
+    limit = (G.nbytes + 2 * (ci.nbytes + cj.nbytes) + rep.nbytes
+             + kept.nbytes + (4 << 20))
     del G
     assert _traced_peak(far_table) < limit
 
 
 def test_near_turn_memory(monkeypatch):
     # The orbit map takes 5 bytes a candidate, its representative and
-    # whether the turn keeps its order, built before the table.  The copy
-    # flags take one byte more, and finding them a few bytes more per
-    # candidate for a moment.  The far pass holds the orbit images of one
-    # strip's far pairs.
+    # whether the turn keeps its order.  The copy flags take one byte
+    # more, and finding them a few bytes more per candidate for a moment.
+    # The far pairs' orbit images are held one strip at a time.
     mesh = uniform_refine(graded_square_mesh(8, 2.0))[0]
     ci, _, _ = _near_pairs(mesh)
     assemble_energy_form(mesh)  # builds the cached quadrature rules
@@ -724,12 +728,13 @@ class TestFarTable:
 
 @pytest.mark.parametrize("kind", ["uniform", "nvb", "graded", "moved"])
 def test_far_pairs_and_candidates_partition_the_table(kind):
-    # The table comes from np.empty.  On a table of NaNs the far pass
+    # The table comes from np.empty.  On a table of NaNs the split
     # writes G[i, j] and G[j, i] of exactly the pairs i <= j that are no
     # candidate of the dense reference: it writes no near entry, and a
-    # quarter-turn copy never reads an entry it has not written.  The near
-    # candidates are the reference's, so the two passes partition the
-    # pairs.  uniform and graded have the turn.
+    # quarter-turn copy never reads an entry it has not written.  The
+    # candidates it returns are the reference's, so the far entries and
+    # the candidates partition the pairs.  uniform and graded have the
+    # turn.
     mesh = _sweep_mesh("graded" if kind == "moved" else kind)
     if kind == "moved":
         mesh = Mesh(mesh.vertices + [1000.3, -999.7], mesh.triangles,
@@ -739,9 +744,8 @@ def test_far_pairs_and_candidates_partition_the_table(kind):
     sigma = _quarter_turn(coords)
     assert (sigma is not None) == (kind in ("uniform", "graded"))
     G = np.full((nt, nt), np.nan)
-    _far_pass(G, coords, diam, sigma)
+    ci, cj, *_ = _split_pairs(G, coords, diam, sigma)
     ri, rj = _ref_near_candidates(mesh)
-    ci, cj, _ = _near_candidates(coords, diam)
     assert np.array_equal(ci, ri) and np.array_equal(cj, rj)
     far = _far_mask(nt, (ri, rj))
     assert far.sum() > 0.2 * nt * nt
@@ -767,14 +771,44 @@ def test_far_pair_with_a_near_representative_is_evaluated(monkeypatch):
 
     monkeypatch.setattr(assembly, "_bounding_circles", grown)
     G, H = np.full((2, nt, nt), np.nan)
-    _far_pass(G, coords, diam, sigma)
-    _far_pass(H, coords, diam, None)
-    ci, cj, _ = _near_candidates(coords, diam)
+    ci, cj, *_ = _split_pairs(G, coords, diam, sigma)
+    _split_pairs(H, coords, diam, None)
     far = _far_mask(nt, (ci, cj))
     # pairs (0, b), near, whose image (sigma 0, sigma b) is far
     assert (~far[0] & far[sigma[0], sigma]).sum() > 10
     assert np.array_equal(~np.isnan(G), far)
     assert (np.abs(G[far] - H[far]) / H[far]).max() <= 2e-15
+
+
+@pytest.mark.parametrize("kind", ["uniform", "graded"])
+def test_orbit_map_matches_reference(kind):
+    # (rep, kept) of each near candidate, from sigma pair by pair: the
+    # codes min nt + max of the four images, the candidate of the smallest
+    # (itself where that is no candidate), and whether some image of the
+    # smallest code keeps the order a <= b
+    mesh = _sweep_mesh(kind)
+    coords = mesh.triangle_coords()
+    nt = len(coords)
+    sigma = _quarter_turn(coords)
+    ci, cj, _, (rep, kept) = _split_pairs(np.empty((nt, nt)), coords,
+                                          _diameters(coords), sigma)
+    a, b = ci.astype(np.int64), cj.astype(np.int64)
+    images = [(a, b)]
+    for _ in range(3):
+        a, b = sigma[a], sigma[b]
+        images.append((a, b))
+    codes = np.stack([np.minimum(a, b) * nt + np.maximum(a, b)
+                      for a, b in images], axis=1).tolist()
+    ordered = np.stack([a <= b for a, b in images], axis=1).tolist()
+    index = {c: k for k, c in enumerate(codes_k[0] for codes_k in codes)}
+    ref_rep, ref_kept = np.empty(len(ci), np.int64), np.empty(len(ci), bool)
+    for k, (c, o) in enumerate(zip(codes, ordered)):
+        best = min(c)
+        ref_rep[k] = index.get(best, k)
+        ref_kept[k] = any(ok for ck, ok in zip(c, o) if ck == best)
+    assert np.array_equal(rep, ref_rep) and np.array_equal(kept, ref_kept)
+    own = ref_rep == np.arange(len(ci))
+    assert own.sum() < 0.3 * len(ci) and (~ref_kept).any()
 
 
 @pytest.mark.parametrize("kind", ["uniform", "nvb", "graded", "moved"])
@@ -1031,9 +1065,7 @@ def test_rule_inputs_keep_the_earlier_bits():
     pairs = [(a, b)]
     mesh = uniform_refine(graded_square_mesh(16, 2.0))[0]
     coords = mesh.triangle_coords()
-    ci, cj, _ = _near_candidates(coords, _diameters(coords))
-    shared = (mesh.triangles[ci][:, :, None]
-              == mesh.triangles[cj][:, None, :]).any(axis=2).sum(axis=1)
+    ci, cj, shared = _near_pairs(mesh)
     singular = shared > 0
     assert singular.sum() > 10000
     pairs.append((coords[ci[singular]], coords[cj[singular]]))

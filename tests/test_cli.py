@@ -259,6 +259,19 @@ def test_cli_contract(experiment, theta, beta, levels, max_fine_dofs):
             assert code in (0, 2, 3)
 
 
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_negative_dof_cap_is_a_config_error(tmp_path, capsys, experiment):
+    # before the fix, uniform presets wrote the initial mesh for a cap of
+    # -5 and the others reported that no level fits; a cap of 0 stays valid
+    code = main(["run", "--experiment", experiment, "--max-fine-dofs", "-5",
+                 "--quiet", "--out-csv", str(tmp_path / "x.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: max_fine_dofs must be at least 0")
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "x.csv").exists()
+
+
 @pytest.mark.parametrize("beta", ["nan", "inf"])
 def test_non_finite_beta_is_a_config_error(tmp_path, capsys, monkeypatch,
                                            beta):
