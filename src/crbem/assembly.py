@@ -83,8 +83,11 @@ panels form no classes.
 
 Memory: the table G (nt x nt) and a Galerkin matrix A (n x n) are the only
 quadratic arrays of a run; estimators.solve_spd factors A in place.
-assemble_stiffness fills A by blocks of _STIFF_BLOCK DOF rows, each
-symmetrized in place against the rows above it.  The near candidates are
+assemble_stiffness fills A by blocks of _STIFF_BLOCK DOF rows, then
+symmetrizes it in place, one pair of square tiles of that side at a time.
+On the orbit indicators of the quarter turn (constant data, see
+estimators) A has the orbits' rows only, about n/4, and no n x n array is
+made.  The near candidates are
 two int32 index lists and one flag byte each, and the orbit map one more
 int32 and one more byte.  _split_pairs holds the far pairs of one strip at
 a time, their orbit images, and the kernel inputs of one block of them; no
@@ -209,7 +212,8 @@ _SCAN_STRIP = 16
 # This guard goes with the decision on that tie (ROADMAP.md, item 3:
 # marking that rounding cannot decide).
 _SMALL_TABLE = 32
-# DOF rows per block of assemble_stiffness
+# DOF rows per block of assemble_stiffness, and the side of the square
+# tiles it symmetrizes
 _STIFF_BLOCK = 32
 
 
@@ -857,10 +861,16 @@ def _pair_values(coords, tris, i, j, label, orbit=None):
 
 @dataclass
 class EnergyForm:
-    """Dense element-pair single-layer table for one mesh."""
+    """Dense element-pair single-layer table for one mesh.
+
+    sigma is the panel map of the quarter turn that the table was
+    assembled with (_quarter_turn), or None: on meshes without the turn
+    and on tables of at most _SMALL_TABLE panels.
+    """
 
     mesh: object
     table: np.ndarray  # (nt, nt), symmetric, positive entries
+    sigma: np.ndarray | None = None
 
     def __post_init__(self):
         nt = self.mesh.num_triangles
@@ -1047,7 +1057,7 @@ def assemble_energy_form(mesh):
         raise NumericalError("energy table is not finite, symmetric and "
                              "positive")
     G.setflags(write=False)
-    return EnergyForm(mesh, G)
+    return EnergyForm(mesh, G, sigma)
 
 
 def energy_inner(form, u, v):
@@ -1074,24 +1084,42 @@ def _curl_matrices(space):
     return cx, cy
 
 
-def assemble_stiffness(form, space):
-    """Galerkin matrix A[i][j] = a(basis_i, basis_j) on the given space."""
+def assemble_stiffness(form, space, orbits=None):
+    """Galerkin matrix A[i][j] = a(basis_i, basis_j) on the given space.
+
+    With orbits, a DOF's orbit index (spaces.dof_orbits), the basis is the
+    orbit indicators instead: basis function o is the sum of the basis
+    functions of orbit o, so the matrix is S A S^T with S the orbit-sum
+    matrix, formed as (C S^T)^T G (C S^T) from the summed curl matrices
+    C S^T, with no n x n array.  Both bases take the same loop: blocks of
+    _STIFF_BLOCK rows of a = cx G cx^T + cy G cy^T, then A = 0.5 (a + a^T)
+    in place, one pair of square tiles at a time, so A is bitwise
+    symmetric.
+    """
     if space.mesh is not form.mesh:
         raise ValueError("space does not live on the form's mesh")
     cx, cy = _curl_matrices(space)
+    if orbits is not None:
+        # S[o, i] = 1 where DOF i lies in orbit o
+        dofs = np.arange(len(orbits))
+        S = sp.csr_matrix((np.ones(len(dofs)), (orbits, dofs)))
+        cx, cy = S @ cx, S @ cy
     G = form.table
-    n = space.dof_count
+    n = cx.shape[0]
     A = np.empty((n, n))
     for r0 in range(0, n, _STIFF_BLOCK):
-        r1 = min(n, r0 + _STIFF_BLOCK)
-        rows = slice(r0, r1)
-        # rows of a.T for a = cx (cx G)^T + cy (cy G)^T; then the pairs of
-        # this block with the blocks above it become 0.5 (a + a^T)
+        rows = slice(r0, r0 + _STIFF_BLOCK)
+        # rows of a.T for a = cx (cx G)^T + cy (cy G)^T
         A[rows] = (cx @ (cx[rows] @ G).T + cy @ (cy[rows] @ G).T).T
-        s = A[rows, :r1] + A[:r1, rows].T
-        s *= 0.5
-        A[rows, :r1] = s
-        A[:r1, rows] = s.T
+    # then A = 0.5 (a + a^T), one pair of square tiles at a time
+    for r0 in range(0, n, _STIFF_BLOCK):
+        rows = slice(r0, r0 + _STIFF_BLOCK)
+        for c0 in range(0, r0 + 1, _STIFF_BLOCK):
+            cols = slice(c0, c0 + _STIFF_BLOCK)
+            s = A[rows, cols] + A[cols, rows].T
+            s *= 0.5
+            A[rows, cols] = s
+            A[cols, rows] = s.T
     return A
 
 

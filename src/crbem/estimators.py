@@ -9,6 +9,25 @@ the conformity gap reads the coarse CR and conforming solutions.  No
 estimator reads a conforming solution on the fine mesh, so none is
 computed.
 
+Constant data on a mesh that the quarter turn sigma maps onto itself give
+a solution that the turn leaves alone, so it lies in the span of the
+indicators of the DOF orbits (spaces.dof_orbits).  Where the energy form
+was assembled with sigma (EnergyForm.sigma: tables of more than
+assembly._SMALL_TABLE panels with the turn), Level solves the Galerkin
+system on that basis, of about a quarter of the unknowns, with the
+stiffness of assemble_stiffness(..., orbits) and the orbit sums of the
+load, and lifts the solution to the space: the uniform-smooth and
+graded-smooth solves.  All other solves, power and manufactured data,
+NVB meshes and small tables, are on the full basis.  The table is
+sigma-invariant only up to quadrature error: on graded meshes a few
+pairs take another band than their images, or the robust path with the
+panels swapped.  So the lifted solution is the Galerkin solution on the
+subspace but not exactly on the space: solve_spd checks the residual of
+the reduced system, and the lifted solution's residual in the full
+system may exceed _RESIDUAL_TOL.  Every quantity the estimators read is
+a quadratic form that the turn leaves alone, so that difference enters
+them at second order only.
+
 Estimator conventions: the energy norm is realized as sqrt(a(.,.)); edge
 jump terms are weighted per edge by the edge length; every interior edge
 contributes half of its value to each adjacent element's indicator so the
@@ -29,6 +48,7 @@ from .spaces import (
     cr_space,
     conforming_space,
     curl_field,
+    dof_orbits,
     embed_coarse_in_fine,
     jump_field,
     clement_interpolate,
@@ -149,14 +169,23 @@ class Level:
     @cached_property
     def phi(self):
         """Crouzeix-Raviart solution."""
-        a = assemble_stiffness(self.form, self.cr)
-        return CoefVec(self.cr, solve_spd(a, self.load_cr))
+        return self._solve(self.cr, self.load_cr)
 
     @cached_property
     def phi0(self):
         """Conforming solution."""
-        a = assemble_stiffness(self.form, self.conf)
-        return CoefVec(self.conf, solve_spd(a, self.load_conf))
+        return self._solve(self.conf, self.load_conf)
+
+    def _solve(self, space, load):
+        """The Galerkin solution in space.  With constant data on a table
+        assembled with the quarter turn, on the orbit indicators of the
+        DOFs, lifted to the space; else on the space's own basis."""
+        orbits = None
+        if self.data[0] == "constant" and self.form.sigma is not None:
+            orbits = dof_orbits(space, self.form.sigma)
+            load = np.bincount(orbits, weights=load)
+        x = solve_spd(assemble_stiffness(self.form, space, orbits), load)
+        return CoefVec(space, x if orbits is None else x[orbits])
 
     def refined(self, mesh):
         """The Level of a refinement of this mesh, with the data carried

@@ -36,6 +36,8 @@ __all__ = [
     "jump_field",
     "clement_interpolate",
     "project_pwconst",
+    "dof_turn",
+    "dof_orbits",
 ]
 
 
@@ -119,6 +121,31 @@ def cr_space(mesh):
 def conforming_space(mesh):
     return _space("conforming", mesh, mesh.boundary_vertex, mesh.triangles,
                   (0.0, 1.0))
+
+
+def dof_turn(space, sigma):
+    """The DOF map img of a panel map sigma that takes vertex k of panel t
+    to vertex k of panel sigma[t], as the quarter turn of
+    assembly._quarter_turn does: img[element_dofs[t, k]] =
+    element_dofs[sigma[t], k], since slot k's entity goes with vertex k."""
+    dofs = space.element_dofs
+    src, dst = dofs.ravel(), dofs[sigma].ravel()
+    live = src >= 0
+    img = np.empty(space.dof_count, np.intp)
+    img[src[live]] = dst[live]
+    return img
+
+
+def dof_orbits(space, sigma):
+    """The orbit of each DOF under the quarter turn sigma, numbered 0, 1,
+    ... in the order of each orbit's smallest DOF.  An orbit has four DOFs,
+    but the center vertex of the conforming space is one alone."""
+    img = dof_turn(space, sigma)
+    least = image = np.arange(space.dof_count)
+    for _ in range(3):
+        image = img[image]
+        least = np.minimum(least, image)
+    return np.unique(least, return_inverse=True)[1]
 
 
 def barycentric_gradients(mesh):

@@ -10,6 +10,7 @@ from crbem import (
     NumericalError,
     assemble_rhs_manufactured,
     assemble_stiffness,
+    build_initial_square_mesh,
     conf_gap,
     cr_space,
     curl_field,
@@ -21,10 +22,12 @@ from crbem import (
     estimator_report,
     graded_square_mesh,
     jump_term,
+    refine_nvb,
     solve_spd,
     uniform_refine,
 )
-from crbem.spaces import PwConstVecField, jump_field
+from crbem import estimators
+from crbem.spaces import PwConstVecField, dof_turn, jump_field
 from crbem.estimators import Level, SolvePair
 
 from conforming import conforming_to_cr, prolong_conforming
@@ -159,6 +162,77 @@ class TestLevelRefined:
         fine = uniform_refine(exact_level.mesh)[0]
         with pytest.raises(ValueError, match="not a refinement"):
             exact_level.refined(uniform_refine(fine)[0])
+
+
+def _uniform_mesh(panels):
+    mesh = build_initial_square_mesh()
+    while mesh.num_triangles < panels:
+        mesh = uniform_refine(mesh)[0]
+    return mesh
+
+
+# (space, solution, load) attributes of a Level
+_SOLVES = [("cr", "phi", "load_cr"), ("conf", "phi0", "load_conf")]
+
+
+class TestReducedSolve:
+    """Constant data on a table with the quarter turn: the Galerkin solve
+    on the DOF-orbit indicators."""
+
+    @pytest.fixture(scope="class", params=["uniform", "graded"])
+    def level(self, request):
+        mesh = (_uniform_mesh(512) if request.param == "uniform"
+                else uniform_refine(graded_square_mesh(8, 2.0))[0])
+        assert mesh.num_triangles == 512
+        level = Level(mesh, ("constant",))
+        assert level.form.sigma is not None
+        return level
+
+    @pytest.mark.parametrize("names", _SOLVES, ids=["cr", "conforming"])
+    def test_lifted_solution_is_turn_invariant(self, level, names):
+        space, x = getattr(level, names[0]), getattr(level, names[1]).values
+        assert np.array_equal(x[dof_turn(space, level.form.sigma)], x)
+
+    @pytest.mark.parametrize("names", _SOLVES, ids=["cr", "conforming"])
+    def test_energies_match_the_full_solve(self, level, names):
+        space, phi, load = (getattr(level, name) for name in names)
+        full = CoefVec(space, solve_spd(assemble_stiffness(level.form, space),
+                                        load))
+        for x in (phi, full):
+            assert np.abs(x.values).max() > 0.0
+        assert load @ phi.values == pytest.approx(load @ full.values,
+                                                  rel=1e-12, abs=0.0)
+
+        def energy(x):
+            w = curl_field(x)
+            return energy_inner(level.form, w, w)
+
+        assert energy(phi) == pytest.approx(energy(full), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("case", ["constant", "power", "no turn",
+                                      "small table"])
+    def test_which_solves_are_reduced(self, monkeypatch, case):
+        mesh = _uniform_mesh(32 if case == "small table" else 128)
+        if case == "no turn":
+            mesh = refine_nvb(mesh, [0])[0]
+        data = ("power", -0.6) if case == "power" else ("constant",)
+        level = Level(mesh, data)
+        sizes = []
+
+        def counted(a, b):
+            sizes.append(len(a))
+            return solve_spd(a, b)
+
+        monkeypatch.setattr(estimators, "solve_spd", counted)
+        level.phi, level.phi0
+        assert (level.form.sigma is None) == (case in ("no turn",
+                                                       "small table"))
+        full = [level.cr.dof_count, level.conf.dof_count]
+        if case == "constant":
+            # 4 DOFs an orbit, the center vertex alone
+            assert sizes == [full[0] // 4, (full[1] + 3) // 4]
+        else:
+            assert sizes == full
 
 
 class TestEstimators:

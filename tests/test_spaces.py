@@ -17,9 +17,12 @@ from crbem import (
     graded_square_mesh,
     uniform_refine,
 )
+from crbem.assembly import _quarter_turn
 from crbem.spaces import (
     PwConstVecField,
     barycentric_gradients,
+    dof_orbits,
+    dof_turn,
     element_vertex_values,
 )
 
@@ -46,6 +49,74 @@ class TestDofSpaces:
         space = cr_space(initial_mesh)
         with pytest.raises(ValueError):
             CoefVec(space, np.zeros(3))
+
+
+def _turnable_mesh(kind):
+    """The 128-panel uniform mesh, or a 512-panel graded one of beta = 2
+    or 3."""
+    if kind == "uniform":
+        mesh = build_initial_square_mesh()
+        for _ in range(2):
+            mesh = uniform_refine(mesh)[0]
+        return mesh
+    return uniform_refine(graded_square_mesh(8, float(kind[-1])))[0]
+
+
+@pytest.mark.parametrize("space_fn", [cr_space, conforming_space])
+@pytest.mark.parametrize("kind", ["uniform", "graded2", "graded3"])
+class TestDofOrbits:
+    def _turn(self, kind, space_fn):
+        mesh = _turnable_mesh(kind)
+        sigma = _quarter_turn(mesh.triangle_coords())
+        assert sigma is not None
+        space = space_fn(mesh)
+        return space, sigma, dof_turn(space, sigma)
+
+    def test_permutation_of_order_four(self, kind, space_fn):
+        space, _, img = self._turn(kind, space_fn)
+        ident = np.arange(space.dof_count)
+        assert np.array_equal(np.sort(img), ident)
+        assert not np.array_equal(img[img], ident)
+        assert np.array_equal(img[img[img[img]]], ident)
+
+    def test_every_slot_gives_the_same_image(self, kind, space_fn):
+        # both panels of an interior edge, and every panel at a node
+        space, sigma, img = self._turn(kind, space_fn)
+        dofs = space.element_dofs
+        live = dofs >= 0
+        assert np.array_equal(img[dofs[live]], dofs[sigma][live])
+
+    def test_image_is_the_turned_entity(self, kind, space_fn):
+        space, _, img = self._turn(kind, space_fn)
+        mesh = space.mesh
+        # the vertices of each DOF's entity: an edge's two, or the node
+        ends = (mesh.edge_vertices if space.kind == "cr"
+                else np.arange(mesh.num_vertices)[:, None])
+        xy = mesh.vertices[ends[space.dof_to_entity]]
+        turned = np.stack([1.0 - xy[..., 1], xy[..., 0]], axis=-1)
+        image = mesh.vertices[ends[space.dof_to_entity[img]]]
+        # the turned vertices, in either order, exactly
+        assert ((turned == image).all(axis=(1, 2))
+                | (turned == image[:, ::-1]).all(axis=(1, 2))).all()
+
+    def test_orbit_sizes(self, kind, space_fn):
+        space, sigma, img = self._turn(kind, space_fn)
+        orbits = dof_orbits(space, sigma)
+        sizes = np.bincount(orbits)
+        lone = np.flatnonzero(sizes == 1)
+        assert set(sizes) <= {1, 4}
+        if space.kind == "cr":
+            assert len(lone) == 0
+        else:
+            # the center vertex, alone
+            assert len(lone) == 1
+            center = space.dof_to_entity[orbits == lone[0]]
+            assert np.array_equal(space.mesh.vertices[center], [[0.5, 0.5]])
+        # numbered by smallest DOF, and an orbit is closed under the turn
+        first = np.unique(orbits, return_index=True)[1]
+        assert np.array_equal(orbits[first], np.arange(len(sizes)))
+        assert np.all(np.diff(first) > 0)
+        assert np.array_equal(orbits[img], orbits)
 
 
 class TestBasisGradient:
