@@ -114,35 +114,49 @@ identical anisotropic panels use a fully closed-form self-entry.
 The robust path moves each pair to pair-relative coordinates, vertex 0
 of the inner panel at the origin, computes the edge frames of the inner
 panels (start vertex, unit tangent, length) once per call and evaluates
-the closed form in place on split x and y coordinate arrays, in blocks of
-_ROBUST_BLOCK cells times the 25 Duffy points.  The triangle distances
-that pick the disjoint bands are split the same way.  On the coordinates
-they are given, both kernels keep the floating-point operations of the
-earlier (M, K, 2) formulation, in the same order: subdivision stops where
-four children agree with their parent to _ROBUST_RTOL and the bands
-compare distance ratios with RHO_CLOSE and RHO_NEAR, so a change of
-rounding could flip a decision and move a table entry by up to about
-1e-6 relative.  The tests keep the earlier kernels and check bit
-equality, the robust one on the pair-relative panels; against absolute
-coordinates the translation moves a robust value by rounding only, a
-small multiple of u S / h for coordinates of size S and a shortest edge
-h.  Most disjoint pairs need no distance: the
-candidate scan marks close only the pairs that its centroid bound, less
-a rounding margin, cannot place at rho >= RHO_NEAR, and only the
-disjoint ones among them get exact distances, with the same bands.  The
-robust path runs once per block of pairs; its stop test reads only sums
-per pair, so blocking changes no bit.  Past _ROBUST_MAX_CELLS live cells
-in a block it raises NumericalError.
+the closed form in blocks of _ROBUST_BLOCK cells times the 25 Duffy
+points.  An edge's term, _edge_potential, needs only the signed distance
+d of a point to the edge line and the offset s_a of the edge's start
+vertex along it, and takes the distances to the edge's ends as
+sqrt(s^2 + d^2).  Pair-relative offsets are of the size of the panels,
+so the squares cannot overflow, and hypot, which guards against that
+in libm, costs several times as much.  d and s_a are affine in the Duffy
+nodes: _edge_offset_rows forms their coefficients per cell, and one GEMM
+per edge evaluates them at every point of a block, with no point mapped.
+single_layer_field maps its points and calls the same _edge_potential.
+Against the earlier kernel, which mapped each point and took hypot, this
+moves a robust value by rounding only, a small multiple of u S / h for
+pair-relative coordinates of size S and a shortest edge h.  Subdivision
+stops where four children agree with their parent to _ROBUST_RTOL, so a
+flipped decision would move a table entry by about 1e-6 relative, far
+above that; a decision flips only where its test lies within rounding of
+the threshold, and none did on the graded tables measured in CHANGES.md.
+The tests keep the earlier kernel as the reference and check that both
+evaluate the same cells and stay within the rounding bound.  A block's
+GEMM must round a row alike wherever it stands, so that neither the
+block size nor the thread count changes a bit; the tests check that too.
+The triangle distances that pick the disjoint bands work on split
+x and y coordinate arrays and keep the floating-point operations of the
+earlier (M, K, 2) formulation, in the same order, as the bands compare
+distance ratios with RHO_CLOSE and RHO_NEAR; the tests check them bit
+for bit against the earlier kernel.  Most disjoint pairs need no
+distance: the candidate scan marks close only the pairs that its
+centroid bound, less a rounding margin, cannot place at rho >= RHO_NEAR,
+and only the disjoint ones among them get exact distances, with the same
+bands.  The robust path runs once per block of pairs; its stop test reads
+only sums per pair, so blocking changes no bit.  Past _ROBUST_MAX_CELLS
+live cells in a block it raises NumericalError.
 
 Threads: one robust-path call opens a ThreadPoolExecutor with one thread
 per core the process may use, and each set of cells is split statically:
 thread s evaluates every workers-th block from the s-th on, in its own
-work arrays, which the caller's thread allocates.  Each block writes only
-its own slice of the cell values, so the table has the same bits on any
-number of threads.  The subdivision, the stop test and the cell cap stay
-on the caller's thread.  This is the only thread pool of the package:
-the far pass and the near-field gathers run on the caller's thread, as
-pooling them raised the peak RSS of the smallest runs.
+work arrays (the GEMM's coefficients and output, the cell values and
+_edge_potential's five), which the caller's thread allocates.  Each block
+writes only its own slice of the cell values, so the table has the same
+bits on any number of threads.  The subdivision, the stop test and the
+cell cap stay on the caller's thread.  This is the only thread pool of
+the package: the far pass and the near-field gathers run on the caller's
+thread, as pooling them raised the peak RSS of the smallest runs.
 """
 
 from __future__ import annotations
@@ -190,8 +204,8 @@ SINGULAR_ASPECT_LIMIT = 3.0
 _ROBUST_RTOL = 1e-6
 _ROBUST_ORDER = 5
 _ROBUST_MAX_DEPTH = 24
-# cells per block of the robust-path kernel: a thread's twelve (1024, 25)
-# work arrays take 2.4 MB, about one core's L2 cache (timings of other
+# cells per block of the robust-path kernel: a thread's eight (1024, 25)
+# work arrays take 1.6 MB, about one core's L2 cache (timings of other
 # sizes in CHANGES.md)
 _ROBUST_BLOCK = 1024
 # live cells of one robust-path call, one block of at most _PAIR_BLOCK
@@ -448,51 +462,96 @@ def _edge_frames(tris):
                      t[..., 1] / ln, ln], axis=-1)
 
 
+def _edge_potential(d, s_a, ln, total, work):
+    """Add one edge's term of int_tri 1/|x-y| dy to total, in place.
+
+    d: signed distance of each point to the edge line, positive outside a
+    counterclockwise panel; s_a: tangential offset of the edge's start
+    vertex from the point; ln: the edge length, broadcast against them;
+    work: five scratch arrays of the shape of d.  The term is
+    d log(num/den), with num and den = s + r at the edge's end and start
+    vertex, s_b = s_a + ln and r = sqrt(s^2 + d^2).  The rationalized form
+    d^2 / (r - s) is used where s < 0.  s and d must be of moderate size,
+    as the squares would overflow beyond about 1e154: the robust path
+    passes pair-relative offsets, and single_layer_field offsets on the
+    scale of its mesh.
+    """
+    s_b, dd, r_a, r_b, num = work
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.add(s_a, ln, out=s_b)
+        np.multiply(d, d, out=dd)
+        for s, r in ((s_a, r_a), (s_b, r_b)):
+            np.multiply(s, s, out=r)
+            r += dd
+            np.sqrt(r, out=r)
+        np.add(s_b, r_b, out=num)
+        neg = np.less(s_b, 0.0)
+        if neg.any():
+            np.divide(dd, np.subtract(r_b, s_b, out=r_b), out=num, where=neg)
+        den = np.add(s_a, r_a, out=s_b)
+        neg = np.less(s_a, 0.0, out=neg)
+        if neg.any():
+            np.divide(dd, np.subtract(r_a, s_a, out=r_a), out=den, where=neg)
+        # the term's limit 0 where d * d is not normal and num / den
+        # would overflow or be 0 / 0
+        small = np.less(np.abs(d, out=r_a), 1e-150, out=neg)
+        if small.any():
+            num[small] = den[small] = 1.0
+        term = np.log(np.divide(num, den, out=num), out=num)
+        term *= d
+        total += term
+
+
 def _segment_potential(frames, px, py, work):
-    """int_tri 1/|x-y| dy in closed form, batched.
+    """int_tri 1/|x-y| dy in closed form at given points, batched.
 
     frames: (M, 3, 5) edge frames of counterclockwise panels (see
     _edge_frames); px, py: (M, K) point coordinates in the same plane;
     work: ten (M, K) scratch arrays, of which the first is returned.
-    Each edge adds d log(num/den), with d the signed distance of the point
-    to the edge line and num, den from the tangential offsets s_b, s_a of
-    the edge's end points; the rationalized form is used where s < 0.
+    Each edge maps the points to their signed distance d to the edge line
+    and the tangential offset s_a of its start vertex, and _edge_potential
+    adds its term.
     """
-    total, rx, ry, d, s_a, s_b, r_a, r_b, num, tmp = work
+    total, rx, ry, d, s_a, *edge = work
     total[...] = 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for k in range(3):
-            ax, ay, tx, ty, ln = (frames[:, k, j, None] for j in range(5))
-            np.subtract(ax, px, out=rx)
-            np.subtract(ay, py, out=ry)
-            # d = rel . n with the outward normal n = (ty, -tx)
-            np.multiply(rx, ty, out=d)
-            d -= np.multiply(ry, tx, out=tmp)
-            np.multiply(rx, tx, out=s_a)
-            s_a += np.multiply(ry, ty, out=tmp)
-            np.add(s_a, ln, out=s_b)
-            np.hypot(s_a, d, out=r_a)
-            np.hypot(s_b, d, out=r_b)
-            dd = np.multiply(d, d, out=rx)
-            np.add(s_b, r_b, out=num)
-            neg = np.less(s_b, 0.0)
-            if neg.any():
-                np.divide(dd, np.subtract(r_b, s_b, out=tmp), out=num,
-                          where=neg)
-            den = np.add(s_a, r_a, out=ry)
-            neg = np.less(s_a, 0.0, out=neg)
-            if neg.any():
-                np.divide(dd, np.subtract(r_a, s_a, out=tmp), out=den,
-                          where=neg)
-            # the term's limit 0 where d * d is not normal and num / den
-            # would overflow or be 0 / 0
-            small = np.less(np.abs(d, out=tmp), 1e-150, out=neg)
-            if small.any():
-                num[small] = den[small] = 1.0
-            term = np.log(np.divide(num, den, out=num), out=num)
-            term *= d
-            total += term
+    for k in range(3):
+        ax, ay, tx, ty, ln = (frames[:, k, j, None] for j in range(5))
+        np.subtract(ax, px, out=rx)
+        np.subtract(ay, py, out=ry)
+        # d = rel . n with the outward normal n = (ty, -tx)
+        np.multiply(rx, ty, out=d)
+        d -= np.multiply(ry, tx, out=edge[0])
+        np.multiply(rx, tx, out=s_a)
+        s_a += np.multiply(ry, ty, out=edge[0])
+        _edge_potential(d, s_a, ln, total, edge)
     return total
+
+
+def _edge_offset_rows(cells, frames, out):
+    """The d and s_a of _edge_potential as affine functions of the Duffy
+    nodes of cells (M, 3, 2), for the edges of frames (M, 3, 5).
+
+    At the point p = c0 + n0 (c1 - c0) + n1 (c2 - c1) of a cell, edge k
+    has d = (a_k - p) . n and s_a = (a_k - p) . t, with a_k its start
+    vertex, t its tangent and n = (ty, -tx).  Each is alpha + beta n0 +
+    gamma n1, with alpha, beta and gamma the same dot products of a_k - c0,
+    c0 - c1 and c1 - c2.  Writes out (3, 3, 2M): for edge k and each
+    coefficient the rows of d of every cell, then those of s_a, so that
+    out[k].T @ [1; n0; n1] gives both in one GEMM of at least two rows.
+    Returns out.
+    """
+    m = len(cells)
+    (c0x, c0y), (c1x, c1y), (c2x, c2y) = cells.transpose(1, 2, 0)
+    ax, ay, tx, ty, _ = frames.transpose(2, 1, 0)
+    for j, (vx, vy) in enumerate(((ax - c0x, ay - c0y),
+                                  (c0x - c1x, c0y - c1y),
+                                  (c1x - c2x, c1y - c2y))):
+        d, s_a = out[:, j, :m], out[:, j, m:]
+        np.multiply(vx, ty, out=d)
+        d -= vy * tx
+        np.multiply(vx, tx, out=s_a)
+        s_a += vy * ty
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -515,14 +574,18 @@ def _robust_pairs(ta, tb):
     maps every floating-point operation of the path exactly: the turned
     pair, taken in the same order, gets bitwise the same value.
 
-    The blocks of _ROBUST_BLOCK cells run on one thread per core the
-    process may use: thread s takes every workers-th block from the s-th
-    on, with work arrays of its own.  The subdivision, the stop test and
+    A block of cells gets d and s_a of every edge at every Duffy point
+    from _edge_offset_rows and one GEMM per edge, and _edge_potential
+    adds each edge's term.  The blocks of _ROBUST_BLOCK cells run on one
+    thread per core the process may use: thread s takes every workers-th
+    block from the s-th on, with work arrays of its own.  The subdivision, the stop test and
     the cell cap stay on the caller's thread.  Raises NumericalError when
     the live cells of the subdivision exceed _ROBUST_MAX_CELLS.
     """
     nodes, wts = _gauss_duffy(_ROBUST_ORDER)
-    n0, n1 = nodes[:, 0], nodes[:, 1]
+    # the rows of _edge_offset_rows times this basis give d and s_a at the
+    # Duffy points of a block of cells, one GEMM per edge
+    basis = np.stack([np.ones(len(wts)), nodes[:, 0], nodes[:, 1]])
     # the four children of a cell as points of its vertices and midpoints
     children = np.array([[0, 3, 5], [3, 1, 4], [5, 4, 2], [3, 4, 5]])
     origin = tb[:, :1]
@@ -534,10 +597,13 @@ def _robust_pairs(ta, tb):
     # os.sched_getaffinity exists only on some platforms, Linux among them
     workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
-    # work arrays per thread: px, py and _segment_potential's ten.  They
-    # come from the caller's thread, as what a pool thread allocates stays
-    # resident in its own malloc arena after it is freed.
-    work = np.empty((workers, 12, _ROBUST_BLOCK, len(wts)))
+    # work arrays per thread: the cell values, d and s_a (one array of
+    # 2 _ROBUST_BLOCK rows, the GEMM's output) and _edge_potential's five,
+    # and the GEMM's coefficient rows of each edge.  They come from the
+    # caller's thread, as what a pool thread allocates stays resident in
+    # its own malloc arena after it is freed.
+    work = np.empty((workers, 8, _ROBUST_BLOCK, len(wts)))
+    coefs = np.empty((workers, 3, 3, 2 * _ROBUST_BLOCK))
     with ThreadPoolExecutor(workers) as pool:
 
         def cell_values(cells, owner):
@@ -548,18 +614,19 @@ def _robust_pairs(ta, tb):
                 for lo in starts[s::workers]:
                     hi = lo + _ROBUST_BLOCK
                     c = cells[lo:hi]
-                    px, py, *scratch = work[s, :, :len(c)]
-                    # Duffy nodes mapped as v0 + n0 (v1 - v0) + n1 (v2 - v1)
-                    for i, p in ((0, px), (1, py)):
-                        np.multiply((c[:, 1, i] - c[:, 0, i])[:, None], n0,
-                                    out=p)
-                        p += c[:, 0, i, None]
-                        p += np.multiply((c[:, 2, i] - c[:, 1, i])[:, None],
-                                         n1, out=scratch[0])
-                    vals = _segment_potential(frames[owner[lo:hi]], px, py,
-                                              scratch)
-                    vals *= wts
-                    out[lo:hi] = _doubled_area(c) * vals.sum(axis=1)
+                    m = len(c)
+                    f = frames[owner[lo:hi]]
+                    total = work[s, 0, :m]
+                    ds = work[s, 1:3].reshape(-1, len(wts))[:2 * m]
+                    edge = work[s, 3:, :m]
+                    coef = _edge_offset_rows(c, f, coefs[s, ..., :2 * m])
+                    total[...] = 0.0
+                    for k in range(3):
+                        np.matmul(coef[k].T, basis, out=ds)
+                        _edge_potential(ds[:m], ds[m:], f[:, k, 4, None],
+                                        total, edge)
+                    total *= wts
+                    out[lo:hi] = _doubled_area(c) * total.sum(axis=1)
 
             list(pool.map(run, range(min(workers, len(starts)))))
             return out
@@ -1225,7 +1292,12 @@ def assemble_rhs_power(space, alpha):
 
 def single_layer_field(source_coords, source_values, pts):
     """The single-layer potential of a piecewise-constant vector density,
-    u(x) = (1/4pi) sum_S w_S int_S |x-y|^(-1) dy, evaluated at pts (...,2)."""
+    u(x) = (1/4pi) sum_S w_S int_S |x-y|^(-1) dy, evaluated at pts (...,2).
+
+    Each source panel's potential comes from _segment_potential, which
+    maps the points onto its edges and takes the closed form of the
+    robust path, _edge_potential; the points should lie on the scale of
+    the mesh (see there)."""
     shape = pts.shape
     px = pts[..., 0].reshape(1, -1)
     py = pts[..., 1].reshape(1, -1)

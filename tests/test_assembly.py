@@ -51,7 +51,7 @@ from crbem.assembly import (
     single_layer_field,
 )
 
-from oracle import pair_value, power_moments_element
+from oracle import inner_integral, pair_value, power_moments_element
 
 UNIT_RIGHT = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 # unit-right-triangle self entry, frozen from the independent oracle
@@ -160,11 +160,14 @@ class TestRuleKernel:
 
 
 # -- pre-split reference copies of the robust path and the distances ----------
-# The split-component kernels must reproduce these bit for bit: the robust
-# path's stopping test and the band edges compare against thresholds, so a
-# change of rounding can flip a decision and move a table entry.  The
-# robust path works in pair-relative coordinates, so its reference gets
-# the panels as _robust_pairs sees them (_pair_relative).
+# The robust path's stopping test and the band edges compare against
+# thresholds, so a change of rounding can flip a decision and move a table
+# entry.  The split distance kernel must reproduce its reference bit for
+# bit.  The robust path forms its point offsets from affine rows and its
+# vertex distances with sqrt, where the reference maps points and takes
+# np.hypot: it must evaluate the same cells and stay within rounding of it
+# (_robust_near_reference).  It works in pair-relative coordinates, so its
+# reference gets the panels as _robust_pairs sees them (_pair_relative).
 
 
 def _ref_doubled_area(tris):
@@ -278,13 +281,81 @@ def _ref_triangle_distances(ta, tb):
     return best
 
 
+def _ref_sqrt_segment_potential(tris, pts):
+    """_ref_segment_potential with r = sqrt(s^2 + d^2) for np.hypot, as
+    the shared closed form _edge_potential takes it."""
+    total = np.zeros(pts.shape[:2])
+    for k in range(3):
+        a = tris[:, k][:, None, :]
+        t = (tris[:, (k + 1) % 3] - tris[:, k])[:, None, :]
+        ln = np.linalg.norm(t, axis=2, keepdims=True)
+        t = t / ln
+        n = np.stack([t[..., 1], -t[..., 0]], axis=-1)
+        rel = a - pts
+        d = (rel * n).sum(-1)
+        s_a = (rel * t).sum(-1)
+        s_b = s_a + ln[..., 0]
+        r_a = np.sqrt(s_a * s_a + d * d)
+        r_b = np.sqrt(s_b * s_b + d * d)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            num = np.where(s_b < 0, d * d / (r_b - s_b), s_b + r_b)
+            den = np.where(s_a < 0, d * d / (r_a - s_a), s_a + r_a)
+            term = d * np.log(num / den)
+        total += np.where(np.abs(d) < 1e-300, 0.0, np.nan_to_num(term))
+    return total
+
+
 def _ref_single_layer_field(source_coords, source_values, pts):
     flat = pts.reshape(1, -1, 2)
     u = np.zeros((flat.shape[1], 2))
     for s in range(len(source_coords)):
-        pot = _ref_segment_potential(source_coords[s][None], flat)[0]
+        pot = _ref_sqrt_segment_potential(source_coords[s][None], flat)[0]
         u += pot[:, None] * source_values[s]
     return u.reshape(pts.shape[:-1] + (2,)) / (4.0 * np.pi)
+
+
+def _robust_near_reference(monkeypatch, ta, tb):
+    """_robust_pairs(ta, tb), checked against _ref_robust_pairs on the
+    pair-relative panels.
+
+    The reference maps each Duffy point p, forms a - p and takes np.hypot;
+    the path forms d and s_a as affine functions of the Duffy nodes
+    (_edge_offset_rows) and takes sqrt(s^2 + d^2).  Either way d and s_a
+    err by a few u S, with u = 2^-53 and S the pair's largest
+    pair-relative coordinate magnitude, on the scale of its shortest edge
+    h, and each distance by about an ulp.  As in
+    test_pair_relative_coordinates_move_only_rounding, a point error of
+    u S passes into the outer integral as about u S / h relative, and
+    64 u S / h bounds it with room for the cells near the inner panel's
+    edges (4.3 u S / h at most on the pairs of these tests).  A flipped
+    subdivision decision moves a value on the scale of the stop tolerance
+    1e-6 and changes the cells evaluated, so both paths must evaluate the
+    same cells, recorded where each takes their doubled areas.
+    """
+    rel = _pair_relative(ta, tb)
+    cells = {"got": [], "ref": []}
+
+    def recording(area, seen):
+        def recorded(c):
+            seen.append(c.copy())
+            return area(c)
+        return recorded
+
+    with monkeypatch.context() as m:
+        m.setattr(assembly, "_doubled_area",
+                  recording(assembly._doubled_area, cells["got"]))
+        m.setitem(globals(), "_ref_doubled_area",
+                  recording(_ref_doubled_area, cells["ref"]))
+        got, ref = _robust_pairs(ta, tb), _ref_robust_pairs(*rel)
+    got_cells, ref_cells = (np.concatenate(cells[k]).reshape(-1, 6)
+                            for k in ("got", "ref"))
+    assert np.array_equal(got_cells[np.lexsort(got_cells.T)],
+                          ref_cells[np.lexsort(ref_cells.T)])
+    h = np.minimum(*(np.sqrt(((t[:, [1, 2, 0]] - t) ** 2).sum(-1)).min(-1)
+                     for t in rel))
+    scale = np.maximum(*(np.abs(t).max(axis=(1, 2)) for t in rel))
+    assert (np.abs(got - ref) <= 64 * 2.0 ** -53 * scale / h * ref).all()
+    return got
 
 
 def _diameters(coords):
@@ -346,11 +417,20 @@ def graded_robust_case():
 
 
 class TestSplitKernels:
-    def test_robust_pairs_bitwise_on_graded_mesh(self, graded_robust_case):
+    def test_robust_pairs_bitwise_on_graded_mesh(self, graded_robust_case,
+                                                 monkeypatch):
+        # within rounding of the reference, with the same cells, and
+        # bitwise the same on any block size and number of threads: a
+        # block's GEMM must round a row alike wherever it stands
         coords, _, (ri, rj) = graded_robust_case
         assert len(ri) > 100
-        ref = _ref_robust_pairs(*_pair_relative(coords[ri], coords[rj]))
-        assert np.array_equal(_robust_pairs(coords[ri], coords[rj]), ref)
+        ta, tb = coords[ri], coords[rj]
+        got = _robust_near_reference(monkeypatch, ta, tb)
+        for block, cpus in ((37, {0}), (1000, {0, 1}), (4096, {0, 1})):
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid, cpus=cpus: cpus)
+            monkeypatch.setattr("crbem.assembly._ROBUST_BLOCK", block)
+            assert np.array_equal(_robust_pairs(ta, tb), got)
 
     def test_triangle_distances_bitwise_on_graded_mesh(self,
                                                        graded_robust_case):
@@ -425,8 +505,11 @@ class TestSplitKernels:
         n = 1031 if block == 1024 else 61
         ta = UNIT_RIGHT + rng.uniform(-0.05, 0.05, (n, 3, 2))
         tb = ta + [1.0 + rng.uniform(0.05, 0.3), 0.0]
-        assert np.array_equal(_robust_pairs(ta, tb),
-                              _ref_robust_pairs(*_pair_relative(ta, tb)))
+        got = _robust_near_reference(monkeypatch, ta, tb)
+        # one thread and one block per call give the same bits
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr("crbem.assembly._ROBUST_BLOCK", 1 << 16)
+        assert np.array_equal(_robust_pairs(ta, tb), got)
 
     @pytest.mark.parametrize("beta", [2.0, 3.0])
     def test_pair_relative_coordinates_move_only_rounding(self, beta):
@@ -462,6 +545,72 @@ class TestSplitKernels:
                                  np.empty((10,) + d.shape))
         assert np.isfinite(got).all()
         assert (got == got[0, 0]).all()
+
+    def test_edge_offset_rows_match_mapped_points(self):
+        # d and s_a from the affine rows against the mapped Duffy points,
+        # on random cells and inner panels at several scales, vertex 0 of
+        # the inner panel at the origin.  Each side rounds a handful of
+        # sums and products of numbers of size at most 2 S, with S the
+        # pair's largest coordinate magnitude, so they agree to 16 u S
+        # (10 u S at most here)
+        rng = np.random.default_rng(17)
+        m = 2000
+        tb = rng.uniform(-1.0, 1.0, (m, 3, 2))
+        tb -= tb[:, :1]
+        cells = (rng.uniform(-1.0, 1.0, (m, 3, 2))
+                 * 10.0 ** rng.uniform(-3.0, 0.0, (m, 1, 1))
+                 + rng.uniform(-1.0, 1.0, (m, 1, 2)))
+        frames = _edge_frames(tb)
+        rows = assembly._edge_offset_rows(cells, frames,
+                                          np.empty((3, 3, 2 * m)))
+        nodes, _ = assembly._gauss_duffy(assembly._ROBUST_ORDER)
+        n0, n1 = nodes[:, 0, None], nodes[:, 1, None]
+        basis = np.stack([np.ones(len(nodes)), n0[:, 0], n1[:, 0]])
+        c0, c1, c2 = (cells[:, None, k] for k in range(3))
+        rel = frames[:, None, :, :2] - (c0 + n0 * (c1 - c0)
+                                        + n1 * (c2 - c1))[:, :, None]
+        tx, ty = frames[:, None, :, 2], frames[:, None, :, 3]
+        d = rel[..., 0] * ty - rel[..., 1] * tx
+        s_a = rel[..., 0] * tx + rel[..., 1] * ty
+        scale = np.maximum(np.abs(cells).max(axis=(1, 2)),
+                           np.abs(tb).max(axis=(1, 2)))[:, None]
+        for k in range(3):
+            got = rows[k].T @ basis
+            assert (np.abs(got[:m] - d[..., k]) <= 16 * 2.0 ** -53 * scale).all()
+            assert (np.abs(got[m:] - s_a[..., k])
+                    <= 16 * 2.0 ** -53 * scale).all()
+
+    def test_segment_potential_matches_oracle(self):
+        # the shared closed form against the oracle's, which takes np.hypot
+        # and drops every edge term with |d| < 1e-14.  At random points
+        # both take the same branches and differ by rounding: a few u S,
+        # S the panel's largest coordinate magnitude, per edge term (18 u S
+        # at most here), within 64 u S.  On an edge line or at a vertex
+        # the computed d of that edge is a rounding residue of a few u S
+        # that the kernel keeps: its term d log(num/den) is at most about
+        # |d| log(16 S^2 / d^2), some 75 |d|, per edge, within 1024 u S
+        # over the three (242 u S at most here)
+        rng = np.random.default_rng(23)
+        u = 2.0 ** -53
+        for _ in range(100):
+            tri = rng.uniform(-1.0, 1.0, (3, 2)) * 10.0 ** rng.uniform(-2, 1)
+            e1, e2 = tri[1] - tri[0], tri[2] - tri[0]
+            if e1[0] * e2[1] < e1[1] * e2[0]:
+                tri = tri[[0, 2, 1]]
+            scale = np.abs(tri).max()
+            s = rng.uniform(0.0, 1.0, (40, 1))
+            t = rng.uniform(-2.0, 3.0, (40, 1))
+            on_lines = np.concatenate(
+                [(1 - w) * tri[k] + w * tri[(k + 1) % 3]
+                 for k in range(3) for w in (s, t)] + [tri])
+            at_random = tri.mean(axis=0) + rng.uniform(-2, 2, (80, 2)) * scale
+            frames = _edge_frames(tri[None])
+            for pts, tol in ((at_random, 64), (on_lines, 1024)):
+                got = _segment_potential(frames, pts[None, :, 0],
+                                         pts[None, :, 1],
+                                         np.empty((10, 1, len(pts))))[0]
+                assert (np.abs(got - inner_integral(tri, pts))
+                        <= tol * u * scale).all()
 
     def test_single_layer_field_bitwise(self, refined_once):
         # random points plus points on the source edges and at vertices,
@@ -1497,13 +1646,13 @@ class TestEnergyForm:
 
     def test_robust_worker_error_reaches_caller(self, monkeypatch):
         # 1031 pairs: at the first call thread 0 takes the block at 0 and
-        # thread 1 the block at 1024, and the second to reach the kernel
-        # fails
+        # thread 1 the block at 1024, and the second call of the edge
+        # kernel fails, in whichever thread makes it
         class KernelFailure(Exception):
             pass
 
         calls = itertools.count()
-        real = _segment_potential
+        real = assembly._edge_potential
 
         def failing(*args):
             if next(calls) == 1:
@@ -1511,7 +1660,7 @@ class TestEnergyForm:
             return real(*args)
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr("crbem.assembly._segment_potential", failing)
+        monkeypatch.setattr("crbem.assembly._edge_potential", failing)
         rng = np.random.default_rng(5)
         ta = UNIT_RIGHT + rng.uniform(-0.05, 0.05, (1031, 3, 2))
         threads = threading.active_count()
