@@ -68,6 +68,9 @@ in-place square root and reciprocal and a GEMV with the weights.  Only
 coordinate differences enter, so there is no cancellation on absolute
 coordinates.  The GEMM rounds a row by its position in the block, so
 _rule_values runs every GEMM on _rule_step(rule) rows in a fixed order.
+_rule_pairs, the one call of the far pass and the streamed labels,
+gathers the panels of one GEMM step of pairs at a time and forms their
+inputs.
 
 The identical, edge and vertex rules then evaluate one pair per class of
 equal kernel input.  _pair_values stores the inputs of such a label,
@@ -115,26 +118,29 @@ The robust path moves each pair to pair-relative coordinates, vertex 0
 of the inner panel at the origin, computes the edge frames of the inner
 panels (start vertex, unit tangent, length) once per call and evaluates
 the closed form in blocks of _ROBUST_BLOCK cells times the 25 Duffy
-points.  An edge's term, _edge_potential, needs only the signed distance
-d of a point to the edge line and the offset s_a of the edge's start
-vertex along it, and takes the distances to the edge's ends as
-sqrt(s^2 + d^2).  Pair-relative offsets are of the size of the panels,
-so the squares cannot overflow, and hypot, which guards against that
-in libm, costs several times as much.  d and s_a are affine in the Duffy
-nodes: _edge_offset_rows forms their coefficients per cell, and one GEMM
-per edge evaluates them at every point of a block, with no point mapped.
-single_layer_field maps its points and calls the same _edge_potential.
-Against the earlier kernel, which mapped each point and took hypot, this
-moves a robust value by rounding only, a small multiple of u S / h for
-pair-relative coordinates of size S and a shortest edge h.  Subdivision
-stops where four children agree with their parent to _ROBUST_RTOL, so a
-flipped decision would move a table entry by about 1e-6 relative, far
-above that; a decision flips only where its test lies within rounding of
-the threshold, and none did on the graded tables measured in CHANGES.md.
-The tests keep the earlier kernel as the reference and check that both
-evaluate the same cells and stay within the rounding bound.  A block's
-GEMM must round a row alike wherever it stands, so that neither the
-block size nor the thread count changes a bit; the tests check that too.
+points.  One front end, _panel_potential, evaluates the closed form of
+panels at the points that affine cells map given nodes to.  An edge's
+term, _edge_potential, needs only the signed distance d of a point to
+the edge line and the offset s_a of the edge's start vertex along it,
+and takes the distances to the edge's ends as sqrt(s^2 + d^2).
+Pair-relative offsets are of the size of the panels, so the squares
+cannot overflow, and hypot, which guards against that in libm, costs
+several times as much.  d and s_a are affine in the nodes:
+_edge_offset_rows forms their coefficients per cell, and one GEMM per
+edge evaluates them at every point of a block, with no point mapped.
+single_layer_field takes the same front end with the identity cell
+(0, 0), (1, 0), (1, 1), which maps the nodes (x, y) to the points
+themselves.  A robust value so differs from the closed form at mapped
+points, taken with hypot, by rounding only, a small multiple of u S / h
+for pair-relative coordinates of size S and a shortest edge h.
+Subdivision stops where four children agree with their parent to
+_ROBUST_RTOL, so a flipped decision would move a table entry by about
+1e-6 relative, far above that; a decision flips only where its test
+lies within rounding of the threshold.  The tests check against such a
+mapped-point reference that the path evaluates the same cells and stays
+within the rounding bound.  A block's GEMM must round a row alike
+wherever it stands, so that neither the block size nor the thread count
+changes a bit; the tests check that too.
 The triangle distances that pick the disjoint bands work on split
 x and y coordinate arrays and keep the floating-point operations of the
 earlier (M, K, 2) formulation, in the same order, as the bands compare
@@ -223,8 +229,8 @@ _SCAN_STRIP = 16
 # rounding picks 4 of 8 tied indicators for Doerfler marking; they have
 # no far pair.  Larger tables, the 128-panel uniform one among them, take
 # the classes, and the turn where the mesh has one.
-# This guard goes with the decision on that tie (ROADMAP.md, item 3:
-# marking that rounding cannot decide).
+# This guard goes with the decision on that tie (ROADMAP.md, "Marking
+# that rounding cannot decide" under the decisions for the maintainers).
 _SMALL_TABLE = 32
 # DOF rows per block of assemble_stiffness, and the side of the square
 # tiles it symmetrizes
@@ -400,17 +406,16 @@ def _rule_inputs(a, b):
     return x.T
 
 
-def _rule_values(rule, x, rows=None):
+def _rule_values(rule, x):
     """Rule values of the pairs whose kernel inputs (_rule_inputs) are the
-    rows of x, or x[rows]: per GEMM step of _rule_step(rule) rows,
-    r^2 = x[:, :15] @ monomials in one GEMM, then an in-place square root
-    and reciprocal and a GEMV with the weights.  The GEMM rounds a row by
-    its position, so every row keeps its place in its step."""
+    rows of x: per GEMM step of _rule_step(rule) rows, r^2 = x[:, :15] @
+    monomials in one GEMM, then an in-place square root and reciprocal and
+    a GEMV with the weights.  The GEMM rounds a row by its position, so
+    every row keeps its place in its step."""
     step = _rule_step(rule)
-    n = len(x) if rows is None else len(rows)
-    out = np.empty(n)
-    for lo in range(0, n, step):
-        y = x[lo:lo + step] if rows is None else x[rows[lo:lo + step]]
+    out = np.empty(len(x))
+    for lo in range(0, len(x), step):
+        y = x[lo:lo + step]
         r = y[:, :15] @ _rule_monomials(rule.case, rule.order)
         np.sqrt(r, out=r)
         np.divide(1.0, r, out=r)
@@ -472,9 +477,9 @@ def _edge_potential(d, s_a, ln, total, work):
     d log(num/den), with num and den = s + r at the edge's end and start
     vertex, s_b = s_a + ln and r = sqrt(s^2 + d^2).  The rationalized form
     d^2 / (r - s) is used where s < 0.  s and d must be of moderate size,
-    as the squares would overflow beyond about 1e154: the robust path
-    passes pair-relative offsets, and single_layer_field offsets on the
-    scale of its mesh.
+    as the squares would overflow beyond about 1e154; _panel_potential,
+    its one caller, gets pair-relative cells from the robust path and
+    points on the scale of the mesh from single_layer_field.
     """
     s_b, dd, r_a, r_b, num = work
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -502,34 +507,9 @@ def _edge_potential(d, s_a, ln, total, work):
         total += term
 
 
-def _segment_potential(frames, px, py, work):
-    """int_tri 1/|x-y| dy in closed form at given points, batched.
-
-    frames: (M, 3, 5) edge frames of counterclockwise panels (see
-    _edge_frames); px, py: (M, K) point coordinates in the same plane;
-    work: ten (M, K) scratch arrays, of which the first is returned.
-    Each edge maps the points to their signed distance d to the edge line
-    and the tangential offset s_a of its start vertex, and _edge_potential
-    adds its term.
-    """
-    total, rx, ry, d, s_a, *edge = work
-    total[...] = 0.0
-    for k in range(3):
-        ax, ay, tx, ty, ln = (frames[:, k, j, None] for j in range(5))
-        np.subtract(ax, px, out=rx)
-        np.subtract(ay, py, out=ry)
-        # d = rel . n with the outward normal n = (ty, -tx)
-        np.multiply(rx, ty, out=d)
-        d -= np.multiply(ry, tx, out=edge[0])
-        np.multiply(rx, tx, out=s_a)
-        s_a += np.multiply(ry, ty, out=edge[0])
-        _edge_potential(d, s_a, ln, total, edge)
-    return total
-
-
 def _edge_offset_rows(cells, frames, out):
-    """The d and s_a of _edge_potential as affine functions of the Duffy
-    nodes of cells (M, 3, 2), for the edges of frames (M, 3, 5).
+    """The d and s_a of _edge_potential as affine functions of the nodes
+    (n0, n1) of cells (M, 3, 2), for the edges of frames (M, 3, 5).
 
     At the point p = c0 + n0 (c1 - c0) + n1 (c2 - c1) of a cell, edge k
     has d = (a_k - p) . n and s_a = (a_k - p) . t, with a_k its start
@@ -554,6 +534,30 @@ def _edge_offset_rows(cells, frames, out):
     return out
 
 
+def _panel_potential(cells, frames, basis, coefs, work):
+    """int_tri 1/|x-y| dy in closed form for the panels of frames (M, 3, 5)
+    (see _edge_frames), at the points p = c0 + n0 (c1 - c0) + n1 (c2 - c1)
+    of the cells (M, 3, 2) for the nodes of basis = [1; n0; n1], (3, K).
+
+    coefs, (3, 3, 2B), and work, (8, B, K), are scratch arrays for
+    B >= M cells; returns work[0, :M], the (M, K) potentials.
+    _edge_offset_rows gives the coefficients of d and s_a of each edge,
+    one GEMM per edge evaluates them at the nodes, and _edge_potential
+    adds the edge's term.  The identity cell (0, 0), (1, 0), (1, 1) maps
+    the nodes (x, y) to the points (x, y) themselves.
+    """
+    m = len(cells)
+    total = work[0, :m]
+    ds = work[1:3].reshape(-1, basis.shape[1])[:2 * m]
+    coef = _edge_offset_rows(cells, frames, coefs[..., :2 * m])
+    total[...] = 0.0
+    for k in range(3):
+        np.matmul(coef[k].T, basis, out=ds)
+        _edge_potential(ds[:m], ds[m:], frames[:, k, 4, None], total,
+                        work[3:, :m])
+    return total
+
+
 @lru_cache(maxsize=None)
 def _gauss_duffy(p):
     g, w = _gauss01(p)
@@ -574,17 +578,16 @@ def _robust_pairs(ta, tb):
     maps every floating-point operation of the path exactly: the turned
     pair, taken in the same order, gets bitwise the same value.
 
-    A block of cells gets d and s_a of every edge at every Duffy point
-    from _edge_offset_rows and one GEMM per edge, and _edge_potential
-    adds each edge's term.  The blocks of _ROBUST_BLOCK cells run on one
-    thread per core the process may use: thread s takes every workers-th
-    block from the s-th on, with work arrays of its own.  The subdivision, the stop test and
-    the cell cap stay on the caller's thread.  Raises NumericalError when
-    the live cells of the subdivision exceed _ROBUST_MAX_CELLS.
+    A block of cells gets the inner potential at its Duffy points from
+    one call of _panel_potential.  The blocks of _ROBUST_BLOCK cells run
+    on one thread per core the process may use: thread s takes every
+    workers-th block from the s-th on, with work arrays of its own.  The
+    subdivision, the stop test and the cell cap stay on the caller's
+    thread.  Raises NumericalError when the live cells of the subdivision
+    exceed _ROBUST_MAX_CELLS.
     """
     nodes, wts = _gauss_duffy(_ROBUST_ORDER)
-    # the rows of _edge_offset_rows times this basis give d and s_a at the
-    # Duffy points of a block of cells, one GEMM per edge
+    # the nodes of _panel_potential: the Duffy points of every cell
     basis = np.stack([np.ones(len(wts)), nodes[:, 0], nodes[:, 1]])
     # the four children of a cell as points of its vertices and midpoints
     children = np.array([[0, 3, 5], [3, 1, 4], [5, 4, 2], [3, 4, 5]])
@@ -597,11 +600,11 @@ def _robust_pairs(ta, tb):
     # os.sched_getaffinity exists only on some platforms, Linux among them
     workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
-    # work arrays per thread: the cell values, d and s_a (one array of
-    # 2 _ROBUST_BLOCK rows, the GEMM's output) and _edge_potential's five,
-    # and the GEMM's coefficient rows of each edge.  They come from the
-    # caller's thread, as what a pool thread allocates stays resident in
-    # its own malloc arena after it is freed.
+    # work arrays per thread, those of _panel_potential: the cell values,
+    # d and s_a (one array of 2 _ROBUST_BLOCK rows, the GEMM's output) and
+    # _edge_potential's five, and the GEMM's coefficient rows of each
+    # edge.  They come from the caller's thread, as what a pool thread
+    # allocates stays resident in its own malloc arena after it is freed.
     work = np.empty((workers, 8, _ROBUST_BLOCK, len(wts)))
     coefs = np.empty((workers, 3, 3, 2 * _ROBUST_BLOCK))
     with ThreadPoolExecutor(workers) as pool:
@@ -614,17 +617,8 @@ def _robust_pairs(ta, tb):
                 for lo in starts[s::workers]:
                     hi = lo + _ROBUST_BLOCK
                     c = cells[lo:hi]
-                    m = len(c)
-                    f = frames[owner[lo:hi]]
-                    total = work[s, 0, :m]
-                    ds = work[s, 1:3].reshape(-1, len(wts))[:2 * m]
-                    edge = work[s, 3:, :m]
-                    coef = _edge_offset_rows(c, f, coefs[s, ..., :2 * m])
-                    total[...] = 0.0
-                    for k in range(3):
-                        np.matmul(coef[k].T, basis, out=ds)
-                        _edge_potential(ds[:m], ds[m:], f[:, k, 4, None],
-                                        total, edge)
+                    total = _panel_potential(c, frames[owner[lo:hi]], basis,
+                                             coefs[s], work[s])
                     total *= wts
                     out[lo:hi] = _doubled_area(c) * total.sum(axis=1)
 
@@ -747,11 +741,9 @@ def _triangle_distances(a, b):
     return best
 
 
-def _slot_order(first, second=None):
-    """Vertex orders (P, 3) in which slot ``first`` (and optionally
-    ``second``) leads; the remaining slot fills the last place."""
-    if second is None:
-        return np.stack([first, (first + 1) % 3, (first + 2) % 3], axis=1)
+def _slot_order(first, second):
+    """Vertex orders (P, 3) in which slot ``first`` leads and slot
+    ``second`` follows; the remaining slot fills the last place."""
     return np.stack([first, second, 3 - first - second], axis=1)
 
 
@@ -774,6 +766,15 @@ def _gathered(kernel, coords, i, j, k, slots=None, block=None):
             out = np.empty((len(k),) + vals.shape[1:])
         out[rows] = vals
     return out
+
+
+def _rule_pairs(rule, coords, i, j, k, slots=None):
+    """Rule values of the panel pairs (i[k], j[k]), taken in the vertex
+    orders slots as in _gathered: the inputs of one GEMM step of pairs
+    are formed per block, so every GEMM sees the rows it would see on
+    stored inputs."""
+    return _gathered(lambda a, b: _rule_values(rule, _rule_inputs(a, b)),
+                     coords, i, j, k, slots, _rule_step(rule))
 
 
 # what evaluates a near pair, as _classify_pairs labels it: the rule of its
@@ -879,10 +880,13 @@ def _pair_values(coords, tris, i, j, label, orbit=None):
         return k, (along_edge(i[k]), along_edge(j[k]))
 
     def at_shared_vertex(k):
-        # the shared vertex leads on both panels
+        # the shared vertex leads on both panels, the others follow in
+        # cyclic order
         shared = tris[i[k]][:, :, None] == tris[j[k]][:, None, :]
-        return k, (_slot_order(np.argmax(shared.any(axis=2), axis=1)),
-                   _slot_order(np.argmax(shared.any(axis=1), axis=1)))
+        vi = np.argmax(shared.any(axis=2), axis=1)
+        vj = np.argmax(shared.any(axis=1), axis=1)
+        return k, (_slot_order(vi, (vi + 1) % 3),
+                   _slot_order(vj, (vj + 1) % 3))
 
     def evaluated(kind):
         return np.flatnonzero((label == kind) & ~copy)
@@ -899,13 +903,10 @@ def _pair_values(coords, tris, i, j, label, orbit=None):
             cls, f = _key_classes(x)
             own = np.flatnonzero(cls == np.arange(len(k)))
             vals = np.empty(len(k))
-            vals[own] = _rule_values(rule, x, own)
+            vals[own] = _rule_values(rule, x[own])
             out[k] = np.ldexp(vals[cls], 3 * (f - f[cls]))
         else:
-            # one GEMM step a block, with its inputs formed per block
-            out[k] = _gathered(
-                lambda a, b: _rule_values(rule, _rule_inputs(a, b)),
-                coords, i, j, k, slots, _rule_step(rule))
+            out[k] = _rule_pairs(rule, coords, i, j, k, slots)
 
     apply_rule(_IDENTICAL, "identical", ORDER)
     apply_rule(_EDGE, "edge-adjacent", ORDER, along_shared_edge)
@@ -1072,10 +1073,7 @@ def _split_pairs(G, coords, diam, sigma):
             bound, dmax = bounds(ra, rb)
             copy = (best != far_codes) & ~(bound < RHO_FAR * dmax)
         k = np.flatnonzero(~copy)
-        # one GEMM step a block, as in _pair_values
-        G[a[k], b[k]] = _gathered(
-            lambda a, b: _rule_values(rule, _rule_inputs(a, b)),
-            coords, a, b, k, None, _rule_step(rule))
+        G[a[k], b[k]] = _rule_pairs(rule, coords, a, b, k)
         k = np.flatnonzero(copy)
         G[a[k], b[k]] = G[ra[k], rb[k]]
         # G[j, i] = G[i, j] of the strip's far pairs, by one masked copy of
@@ -1294,31 +1292,34 @@ def single_layer_field(source_coords, source_values, pts):
     """The single-layer potential of a piecewise-constant vector density,
     u(x) = (1/4pi) sum_S w_S int_S |x-y|^(-1) dy, evaluated at pts (...,2).
 
-    Each source panel's potential comes from _segment_potential, which
-    maps the points onto its edges and takes the closed form of the
-    robust path, _edge_potential; the points should lie on the scale of
-    the mesh (see there)."""
-    shape = pts.shape
-    px = pts[..., 0].reshape(1, -1)
-    py = pts[..., 1].reshape(1, -1)
+    Each source panel's potential comes from one call of
+    _panel_potential, the robust path's closed form, with the identity
+    cell (0, 0), (1, 0), (1, 1), under which the nodes [1; x; y] are the
+    points themselves.  The points should lie on the scale of the mesh
+    (see _edge_potential)."""
+    flat = pts.reshape(-1, 2)
+    basis = np.vstack([np.ones(len(flat)), flat.T])
+    identity = np.array([[[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]]])
     frames = _edge_frames(np.asarray(source_coords, float))
-    u = np.zeros((px.shape[1], 2))
-    work = np.empty((10,) + px.shape)
+    u = np.zeros((len(flat), 2))
+    coefs = np.empty((3, 3, 2))
+    work = np.empty((8, 1, len(flat)))
     for s in range(len(source_coords)):
-        pot = _segment_potential(frames[s:s + 1], px, py, work)[0]
+        pot = _panel_potential(identity, frames[s:s + 1], basis, coefs,
+                               work)[0]
         u += pot[:, None] * source_values[s]
-    return u.reshape(shape[:-1] + (2,)) / FOUR_PI
+    return u.reshape(pts.shape[:-1] + (2,)) / FOUR_PI
 
 
-def _consistency_correction(space, field_fn):
+def _consistency_correction(space, source):
     """Inter-element part of the manufactured data functional.
 
     Pairing the hypersingular data with a discontinuous test function
     elementwise leaves boundary terms: sum_T int_{dT} psi (u . t) ds with
-    u = field_fn (the single-layer field of the manufactured curl
-    density) and t the counterclockwise tangent.  For continuous test
-    functions vanishing on the screen boundary these cancel, so only
-    the Crouzeix-Raviart space needs this.
+    u the single-layer field of the manufactured curl density source =
+    (panel coords, curl values) and t the counterclockwise tangent.  For
+    continuous test functions vanishing on the screen boundary these
+    cancel, so only the Crouzeix-Raviart space needs this.
     """
     mesh = space.mesh
     # 10-point Gauss on three panels per edge
@@ -1334,7 +1335,7 @@ def _consistency_correction(space, field_fn):
         seg = b - a
         length = np.linalg.norm(seg, axis=1)
         pts = a[:, None, :] + s_nodes[None, :, None] * seg[:, None, :]
-        u = field_fn(pts)
+        u = single_layer_field(*source, pts)
         ut = (u * seg[:, None, :]).sum(-1) / length[:, None]
         base = length * (s_wts[None, :] * ut).sum(axis=1)
         lin = length * ((s_wts * (2.0 * s_nodes - 1.0))[None, :] * ut).sum(axis=1)
@@ -1365,7 +1366,5 @@ def assemble_rhs_manufactured(form, space, w, source):
     G = form.table
     b = cx @ (G @ w.values[:, 0]) + cy @ (G @ w.values[:, 1])
     if space.kind == "cr":
-        coords, values = source
-        b = b + _consistency_correction(
-            space, lambda pts: single_layer_field(coords, values, pts))
+        b = b + _consistency_correction(space, source)
     return b

@@ -39,12 +39,12 @@ from crbem.assembly import (
     _edge_frames,
     _key_classes,
     _pair_values,
+    _panel_potential,
     _power_moments,
     _quarter_turn,
     _robust_pairs,
     _rule_inputs,
     _rule_values,
-    _segment_potential,
     _self_entry_closed_form,
     _split_pairs,
     _triangle_distances,
@@ -54,6 +54,9 @@ from crbem.assembly import (
 from oracle import inner_integral, pair_value, power_moments_element
 
 UNIT_RIGHT = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+# the cell under which _panel_potential's nodes (x, y) are the points
+# (x, y) themselves, as single_layer_field takes it
+IDENTITY_CELL = np.array([[[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]]])
 # unit-right-triangle self entry, frozen from the independent oracle
 # (subdivision depth escalation agrees with the closed-form reduction)
 SELF_ENTRY_UNIT_RIGHT = 0.079821446904249
@@ -154,7 +157,7 @@ class TestRuleKernel:
     def test_non_finite_table_raises(self, initial_mesh, monkeypatch):
         monkeypatch.setattr(
             "crbem.assembly._rule_values",
-            lambda rule, x, rows=None: np.full(len(x), np.nan))
+            lambda rule, x: np.full(len(x), np.nan))
         with pytest.raises(NumericalError):
             assemble_energy_form(initial_mesh)
 
@@ -281,37 +284,15 @@ def _ref_triangle_distances(ta, tb):
     return best
 
 
-def _ref_sqrt_segment_potential(tris, pts):
-    """_ref_segment_potential with r = sqrt(s^2 + d^2) for np.hypot, as
-    the shared closed form _edge_potential takes it."""
-    total = np.zeros(pts.shape[:2])
-    for k in range(3):
-        a = tris[:, k][:, None, :]
-        t = (tris[:, (k + 1) % 3] - tris[:, k])[:, None, :]
-        ln = np.linalg.norm(t, axis=2, keepdims=True)
-        t = t / ln
-        n = np.stack([t[..., 1], -t[..., 0]], axis=-1)
-        rel = a - pts
-        d = (rel * n).sum(-1)
-        s_a = (rel * t).sum(-1)
-        s_b = s_a + ln[..., 0]
-        r_a = np.sqrt(s_a * s_a + d * d)
-        r_b = np.sqrt(s_b * s_b + d * d)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            num = np.where(s_b < 0, d * d / (r_b - s_b), s_b + r_b)
-            den = np.where(s_a < 0, d * d / (r_a - s_a), s_a + r_a)
-            term = d * np.log(num / den)
-        total += np.where(np.abs(d) < 1e-300, 0.0, np.nan_to_num(term))
-    return total
-
-
-def _ref_single_layer_field(source_coords, source_values, pts):
-    flat = pts.reshape(1, -1, 2)
-    u = np.zeros((flat.shape[1], 2))
-    for s in range(len(source_coords)):
-        pot = _ref_sqrt_segment_potential(source_coords[s][None], flat)[0]
-        u += pot[:, None] * source_values[s]
-    return u.reshape(pts.shape[:-1] + (2,)) / (4.0 * np.pi)
+def _identity_potential(frames, pts, cell=IDENTITY_CELL):
+    """_panel_potential of each panel of frames (M, 3, 5) at the points
+    pts (K, 2), one call per panel through the given cell with the nodes
+    [1; x; y] of the points, as single_layer_field calls it: (M, K)."""
+    basis = np.vstack([np.ones(len(pts)), pts.T])
+    work = np.empty((8, 1, len(pts)))
+    return np.array([
+        _panel_potential(cell, f[None], basis, np.empty((3, 3, 2)),
+                         work)[0].copy() for f in frames])
 
 
 def _robust_near_reference(monkeypatch, ta, tb):
@@ -540,9 +521,9 @@ class TestSplitKernels:
         # (0.3, -d) approaches an edge line of the panel from outside; the
         # edge's term d log(num/den) tends to 0, also where d * d underflows
         frames = _edge_frames(UNIT_RIGHT[None])
-        d = np.array([[0.0, 1e-290, 1e-200, 1e-160, 1e-100]])
-        got = _segment_potential(frames, np.full(d.shape, 0.3), -d,
-                                 np.empty((10,) + d.shape))
+        d = np.array([0.0, 1e-290, 1e-200, 1e-160, 1e-100])
+        got = _identity_potential(frames, np.stack([np.full(d.shape, 0.3),
+                                                    -d], axis=1))
         assert np.isfinite(got).all()
         assert (got == got[0, 0]).all()
 
@@ -606,15 +587,74 @@ class TestSplitKernels:
             at_random = tri.mean(axis=0) + rng.uniform(-2, 2, (80, 2)) * scale
             frames = _edge_frames(tri[None])
             for pts, tol in ((at_random, 64), (on_lines, 1024)):
-                got = _segment_potential(frames, pts[None, :, 0],
-                                         pts[None, :, 1],
-                                         np.empty((10, 1, len(pts))))[0]
+                got = _identity_potential(frames, pts)[0]
                 assert (np.abs(got - inner_integral(tri, pts))
                         <= tol * u * scale).all()
 
-    def test_single_layer_field_bitwise(self, refined_once):
-        # random points plus points on the source edges and at vertices,
-        # where the per-edge terms hit the d = 0 and 0/0 branches
+    def test_identity_cell_maps_nodes_to_points(self):
+        # single_layer_field takes _panel_potential with the identity cell
+        # and the nodes [1; x; y] of its points.  On random inner panels
+        # and cells at scales 1e-3 to 1, the potential at a cell's Duffy
+        # points must equal the identity cell's at the mapped points.  Each
+        # side forms d and s_a within 16 u S of the mapped point's, with S
+        # the pair's largest coordinate magnitude, as in
+        # test_edge_offset_rows_match_mapped_points.  An edge's term then
+        # moves by at most 2 per unit change of s_a and 2 + log(num/den)
+        # per unit change of d, where 0 <= log(num/den) <= log(32 S^2 /
+        # d^2), as no distance exceeds 2 sqrt(2) S.  Every |d| here lies
+        # far above 32 u S, so this first-order bound holds; with the
+        # closed form's own rounding, 64 u S as in
+        # test_segment_potential_matches_oracle, the two agree to
+        # 32 u S sum_k (4 + log(32 S^2 / d_k^2)) + 64 u S (at most 1/60 of
+        # it here).  A transposed or a clockwise identity cell maps the
+        # nodes elsewhere and fails by far.
+        rng = np.random.default_rng(29)
+        m = 300
+        u = 2.0 ** -53
+        tb = rng.uniform(-1.0, 1.0, (m, 3, 2))
+        tb -= tb[:, :1]
+        cw = tb[:, 1, 0] * tb[:, 2, 1] < tb[:, 1, 1] * tb[:, 2, 0]
+        tb[cw] = tb[cw][:, [0, 2, 1]]
+        cells = (rng.uniform(-1.0, 1.0, (m, 3, 2))
+                 * 10.0 ** rng.uniform(-3.0, 0.0, (m, 1, 1))
+                 + rng.uniform(-1.0, 1.0, (m, 1, 2)))
+        frames = _edge_frames(tb)
+        nodes, _ = assembly._gauss_duffy(assembly._ROBUST_ORDER)
+        basis = np.stack([np.ones(len(nodes)), nodes[:, 0], nodes[:, 1]])
+        got = _panel_potential(cells, frames, basis, np.empty((3, 3, 2 * m)),
+                               np.empty((8, m, len(nodes))))
+        c0, c1, c2 = (cells[:, None, k] for k in range(3))
+        pts = c0 + nodes[:, :1] * (c1 - c0) + nodes[:, 1:] * (c2 - c1)
+        rel = frames[:, None, :, :2] - pts[:, :, None]
+        d = (rel[..., 0] * frames[:, None, :, 3]
+             - rel[..., 1] * frames[:, None, :, 2])
+        scale = np.maximum(np.abs(cells).max(axis=(1, 2)),
+                           np.abs(tb).max(axis=(1, 2)))[:, None]
+        assert (np.abs(d) > 1e6 * 32 * u * scale[..., None]).all()
+        tol = 32 * u * scale * (
+            4 + np.log(32 * scale[..., None] ** 2 / d ** 2)).sum(-1)
+        tol += 64 * u * scale
+
+        def at_mapped_points(cell):
+            return np.array([_identity_potential(frames[p:p + 1], pts[p],
+                                                 cell)[0] for p in range(m)])
+
+        assert (np.abs(got - at_mapped_points(IDENTITY_CELL)) <= tol).all()
+        for cell in ([[0.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+                     [[0.0, 0.0], [1.0, 1.0], [1.0, 0.0]]):
+            assert (np.abs(got - at_mapped_points(np.array([cell])))
+                    > tol).any()
+
+    def test_single_layer_field_matches_oracle(self, refined_once):
+        # the field against the oracle's closed form summed over the source
+        # panels, at random points and at points on the source edges and
+        # at vertices, where the per-edge terms hit the d = 0 and 0/0
+        # branches.  As in test_segment_potential_matches_oracle, a
+        # panel's potential is within 64 u S of the oracle's at random
+        # points and within 1024 u S on its edge lines, here with S the
+        # largest coordinate magnitude of the panels and points, so a
+        # component of the field is within that times sum_s |w_s| / 4pi
+        # (0.7 u S and 1.3 u S times that sum at most here)
         _, mesh = refined_once
         coords = mesh.triangle_coords()
         rng = np.random.default_rng(11)
@@ -622,10 +662,16 @@ class TestSplitKernels:
         s = rng.uniform(0.0, 1.0, 60)[:, None]
         on_edges = np.concatenate([(1 - s) * coords[k, 0] + s * coords[k, 1]
                                    for k in range(3)])
-        pts = np.concatenate([rng.uniform(-0.2, 1.2, (240, 2)), on_edges,
-                              mesh.vertices])
-        assert np.array_equal(single_layer_field(coords, values, pts),
-                              _ref_single_layer_field(coords, values, pts))
+        at_random = rng.uniform(-0.2, 1.2, (240, 2))
+        weight = np.abs(values).sum(axis=0) / (4.0 * np.pi)
+        for pts, tol in ((at_random, 64), (np.concatenate([on_edges,
+                                                           mesh.vertices]),
+                                           1024)):
+            scale = max(np.abs(coords).max(), np.abs(pts).max())
+            ref = sum(inner_integral(c, pts)[:, None] * v
+                      for c, v in zip(coords, values)) / (4.0 * np.pi)
+            assert (np.abs(single_layer_field(coords, values, pts) - ref)
+                    <= tol * 2.0 ** -53 * scale * weight).all()
 
 
 def _traced_peak(fn, *args):
@@ -1252,7 +1298,7 @@ def test_rule_values_in_steps_match_the_panel_kernel():
         _rule_values(rule, _rule_inputs(a[lo:lo + step], b[lo:lo + step]))
         for lo in range(0, len(k), step)])
     x = np.ascontiguousarray(_rule_inputs(a, b))
-    assert np.array_equal(_rule_values(rule, x, np.arange(len(k))), want)
+    assert np.array_equal(_rule_values(rule, x), want)
 
 
 def test_every_gemm_takes_at_most_one_step():
@@ -1313,11 +1359,10 @@ class TestRuleClasses:
                     robust.append(real[1](ta, tb))
                     return robust[-1]
 
-                def kernel(rule, x, rows=None):
+                def kernel(rule, x):
                     if rule.case != "disjoint":
-                        seen.setdefault(rule.case, []).append(
-                            x if rows is None else x[rows])
-                    return real[2](rule, x, rows)
+                        seen.setdefault(rule.case, []).append(x)
+                    return real[2](rule, x)
 
                 mp.setattr(assembly, "_classify_pairs", classify)
                 mp.setattr(assembly, "_robust_pairs", robust_pairs)
