@@ -68,9 +68,19 @@ in-place square root and reciprocal and a GEMV with the weights.  Only
 coordinate differences enter, so there is no cancellation on absolute
 coordinates.  The GEMM rounds a row by its position in the block, so
 _rule_values runs every GEMM on _rule_step(rule) rows in a fixed order.
-_rule_pairs, the one call of the far pass and the streamed labels,
-gathers the panels of one GEMM step of pairs at a time and forms their
-inputs.
+A pair in natural vertex order, a far pair or one of the disjoint bands,
+takes 8 of its inputs from one panel each: the three Gram entries within
+a panel and the areas.  _panel_rows forms 10 numbers per panel once per
+table, with the operations of _rule_inputs: vertex 0, e1 = v1 - v0,
+e2 = v2 - v1, the Gram entries e1.e1, e1.e2 and e2.e2, and the doubled
+area.  _rule_pairs, the one call of the far pass and the bands, gathers
+two such rows per pair for one GEMM step of pairs at a time, and
+_pair_inputs forms only the nine entries with d = a0 - b0 or a vector of
+each panel, with -e1b and -e2b as exact negations.  So every input equals
+that of _rule_inputs; a zero may differ in sign, which the GEMM's sums do
+not tell apart, and the tables keep their bits.  The singular labels take
+each pair's panels in a vertex order of its own, so they gather
+coordinates and form all 17 inputs by _rule_inputs.
 
 The identical, edge and vertex rules then evaluate one pair per class of
 equal kernel input.  _pair_values stores the inputs of such a label,
@@ -80,9 +90,27 @@ exact translations of a pair leave its inputs bitwise equal, and a
 scaling by 2^g multiplies them by exactly 4^g and the value by 8^g, so
 every pair of a class takes its class value times a power of 8.  A class
 value differs from the pair's own by the GEMM's row-position rounding,
-as with the turn.  The disjoint bands are not keyed, as that cost more
-time and peak memory than it saved.  Tables of at most _SMALL_TABLE
-panels form no classes.
+as with the turn.  Tables of at most _SMALL_TABLE panels form no classes.
+
+The disjoint bands are classed on an integer lattice instead, as storing
+and sorting their float inputs cost more time and memory than it saved.
+Where a table's coordinates times some 2^L are integers below 2^52, so
+that every coordinate difference is exact, _panel_lattice gives each
+panel its exponent g, the 2-adic valuation of its integers, the quarter
+turn t that takes its e1 into x > 0, y >= 0, and the id of its shape
+(e1, e2) / 2^g in that turn.  _lattice_classes keys a band pair (a, b)
+by both shape ids, t_a - t_b mod 4, g_b - g_a, and a0 - b0 in a's turn
+over 2^s, s the smaller exponent, and packs the key and the pair's place
+into one int64.  Pairs of equal key
+are turned and scaled copies of each other, so their inputs are bitwise
+equal up to a factor 4^(s - s_rep), and the classes keep the contract of
+_key_classes: the first pair of a class in the band's order is
+evaluated, and the others take its value times 8^(s - s_rep).  Both
+mechanisms take the first row of each run of a stable sort from one
+helper, _first_of_runs.  Tables without a lattice (gradings whose
+coordinates are not dyadic), tables of at most _SMALL_TABLE panels and
+keys that do not fit an int64 (a mesh translated off its grid) evaluate
+every band pair.
 
 Memory: the table G (nt x nt) and a Galerkin matrix A (n x n) are the only
 quadratic arrays of a run; estimators.solve_spd factors A in place.
@@ -103,7 +131,8 @@ pass works in blocks too: _classify_pairs labels the near candidates in
 blocks of _PAIR_BLOCK rows with one byte each, after the table is
 allocated, as classifying before it left more freed heap behind for the
 rest of the run, and _pair_values keeps per label only the indices of its
-pairs (and for a keyed label their kernel inputs), and one loop,
+pairs (and for a keyed label their kernel inputs, for a band with lattice
+classes one key, then one representative, per pair), and one loop,
 _gathered, gathers the panels of a block of pairs, in the vertex order of
 their case, for a kernel that sees only that block.
 
@@ -233,7 +262,8 @@ _SCAN_STRIP = 16
 # that rounding cannot decide" under the decisions for the maintainers).
 _SMALL_TABLE = 32
 # DOF rows per block of assemble_stiffness, and the side of the square
-# tiles it symmetrizes
+# tiles in which it symmetrizes A and assemble_energy_form checks that G
+# is symmetric
 _STIFF_BLOCK = 32
 
 
@@ -406,6 +436,53 @@ def _rule_inputs(a, b):
     return x.T
 
 
+# the Gram entries of _rule_inputs that take one vector of each panel of a
+# pair, or d, as (entry, p, q); the other six, each within one panel, are
+# the rows 6 to 8 of _panel_rows
+_CROSS = [(e, p, q) for e, (p, q) in enumerate(zip(_GRAM_I, _GRAM_J))
+          if p == 0 or (p < 3 <= q)]
+
+
+def _panel_rows(coords):
+    """What the kernel inputs of a pair in natural vertex order take from
+    each panel (nt, 3, 2), as (10, nt) rows: vertex 0, e1 = v1 - v0 and
+    e2 = v2 - v1 (x, y each), the Gram entries e1.e1, e1.e2 and e2.e2, and
+    the doubled area, each by the operations of _rule_inputs."""
+    v0, v1, v2 = coords.transpose(1, 2, 0)
+    rows = np.empty((10, len(coords)))
+    rows[0:2] = v0
+    e1 = np.subtract(v1, v0, out=rows[2:4])
+    e2 = np.subtract(v2, v1, out=rows[4:6])
+    for row, (u, v) in enumerate(((e1, e1), (e1, e2), (e2, e2)), 6):
+        np.multiply(u[0], v[0], out=rows[row])
+        rows[row] += u[1] * v[1]
+    rows[9] = _doubled_area(coords)
+    return rows
+
+
+def _pair_inputs(rows, a, b):
+    """_rule_inputs of the panel pairs (a[p], b[p]), index arrays, in
+    natural vertex order, from the rows of _panel_rows: the six Gram
+    entries within one panel and the areas are copied, and only the nine
+    with d = a0 - b0 or one vector of each panel are formed.  -e1b and
+    -e2b are exact negations, so every input equals that of _rule_inputs;
+    a zero may differ in sign, which no sum of the kernel's GEMM tells
+    apart."""
+    ra, rb = rows.take(a, axis=1), rows.take(b, axis=1)
+    x = np.empty((17, len(a)))
+    x[[5, 6, 9, 15]] = ra[6:]
+    x[[12, 13, 14, 16]] = rb[6:]
+    np.subtract(ra[:2], rb[:2], out=rb[:2])
+    np.negative(rb[2:6], out=rb[2:6])
+    # (d, e1a, e2a, -e1b, -e2b), x and y rows each
+    vec = (rb[0:2], ra[2:4], ra[4:6], rb[2:4], rb[4:6])
+    tmp = np.empty(len(a))
+    for row, p, q in _CROSS:
+        np.multiply(vec[p][0], vec[q][0], out=x[row])
+        x[row] += np.multiply(vec[p][1], vec[q][1], out=tmp)
+    return x.T
+
+
 def _rule_values(rule, x):
     """Rule values of the pairs whose kernel inputs (_rule_inputs) are the
     rows of x: per GEMM step of _rule_step(rule) rows, r^2 = x[:, :15] @
@@ -421,6 +498,22 @@ def _rule_values(rule, x):
         np.divide(1.0, r, out=r)
         out[lo:lo + step] = (r @ rule.weights) * y[:, 15] * y[:, 16] / FOUR_PI
     return out
+
+
+def _first_of_runs(order, start):
+    """The first row of each row's run of equal keys: order lists the rows
+    in a stable sort by key, and start marks the sorted places where a new
+    key begins (start[0] is True).  A run's first row is the row at its
+    first place; the map is built in blocks of _PAIR_BLOCK places."""
+    rep = np.empty(len(order), np.int32)
+    first = 0
+    for lo in range(0, len(order), _PAIR_BLOCK):
+        new = start[lo:lo + _PAIR_BLOCK]
+        at = np.where(new, np.arange(lo, lo + len(new)), first)
+        np.maximum.accumulate(at, out=at)
+        rep[order[lo:lo + _PAIR_BLOCK]] = order.take(at)
+        first = at[-1]
+    return rep
 
 
 def _key_classes(x):
@@ -448,10 +541,96 @@ def _key_classes(x):
     for word in key.T:
         word = word[order]
         start[1:] |= word[1:] != word[:-1]
-    first = np.maximum.accumulate(np.where(start, np.arange(n), 0))
-    rep = np.empty(n, np.intp)
-    rep[order] = order[first]
-    return rep, f
+    return _first_of_runs(order, start), f
+
+
+def _turned(t, x, y):
+    """R^t (x, y) for the quarter turn R (x, y) -> (-y, x), elementwise."""
+    c, s = np.array([1, 0, -1, 0]).take(t), np.array([0, 1, 0, -1]).take(t)
+    return c * x - s * y, s * x + c * y
+
+
+def _panel_lattice(coords):
+    """Integer codes of the panels (nt, 3, 2) for _lattice_classes, or None
+    unless coords times some 2^L are integers below 2^52 in magnitude, so
+    that every coordinate difference is exact.
+
+    With K = coords 2^L and R the quarter turn (x, y) -> (-y, x), a panel
+    gets its exponent g, the 2-adic valuation of its six integers; its
+    turn t, the power of R that takes e1 into x > 0, y >= 0; the id of its
+    shape R^t (e1, e2) / 2^g among all panels; and its vertex 0, K0.
+    Returns (g, t, shape, K0x, K0y, number of shapes)."""
+    m, e = np.frexp(coords)
+    mant = np.ldexp(m, 53).astype(np.int64)
+    # the bits below the binary point: 53 - e less the trailing zeros of
+    # the integer mantissa
+    tz = np.frexp((mant & -mant).astype(float))[1] - 1
+    shift = int(np.where(mant != 0, 53 - e - tz, 0).max())
+    K = np.ldexp(coords, max(shift, 0))
+    if not np.abs(K).max() < 2.0 ** 52:
+        return None
+    K = K.astype(np.int64)
+    bits = np.bitwise_or.reduce(np.abs(K).reshape(len(K), 6), axis=1)
+    g = np.frexp((bits & -bits).astype(float))[1] - 1
+    (e1x, e2x), (e1y, e2y) = ((K[:, 1:, c] - K[:, :2, c]).T >> g
+                              for c in (0, 1))
+    # e1 in the quadrant q of x > 0, y >= 0 turned q times; t = -q mod 4
+    turn = np.select([(e1x > 0) & (e1y >= 0), (e1x <= 0) & (e1y > 0),
+                      (e1x < 0) & (e1y <= 0)], [0, 3, 2], 1)
+    shape = np.column_stack(_turned(turn, e1x, e1y)
+                            + _turned(turn, e2x, e2y))
+    ids, shape = np.unique(shape, axis=0, return_inverse=True)
+    return g, turn, shape.ravel(), K[:, 0, 0], K[:, 0, 1], len(ids)
+
+
+def _lattice_classes(lattice, i, j, k):
+    """Classes of equal kernel input among the panel pairs (i[k], j[k]) in
+    natural vertex order, from the codes of _panel_lattice: the index of
+    each pair's representative, its first pair, and the pair's exponent s,
+    as _key_classes gives them; None where the keys do not fit an int64.
+
+    A pair (a, b) is taken in a's turn t and scaled by 2^-s, s the smaller
+    of the two exponents.  Its key is the two shapes, t - t_b mod 4,
+    g_b - g_a and R^t (a0 - b0) / 2^s: pairs with equal keys are turned
+    and scaled copies of each other, with exact differences, so their
+    inputs are bitwise equal up to the factor 4^(s - s_rep).  The key and
+    the pair's place are packed into one int64 per pair, in blocks of
+    _PAIR_BLOCK pairs, and sorted in place, which sorts equal keys by
+    place."""
+    g, turn, shape, k0x, k0y, shapes = lattice
+    n = len(k)
+    span = int(g.max() - g.min())
+    ws, wg, wr = (shapes - 1).bit_length(), (2 * span).bit_length(), \
+        max(n - 1, 1).bit_length()
+    wd = (61 - 2 * ws - wg - wr) // 2
+    if wd < 2:
+        return None
+    half = 1 << (wd - 1)
+    key = np.empty(n, np.int64)
+    exp = np.empty(n, np.int8)
+    for lo in range(0, n, _PAIR_BLOCK):
+        m = k[lo:lo + _PAIR_BLOCK]
+        a, b = i.take(m), j.take(m)
+        ta, ga, gb = turn.take(a), g.take(a), g.take(b)
+        s = np.minimum(ga, gb)
+        dx, dy = (d >> s for d in _turned(
+            ta, k0x.take(a) - k0x.take(b), k0y.take(a) - k0y.take(b)))
+        if max(np.abs(dx).max(), np.abs(dy).max()) >= half:
+            return None
+        code = shape.take(a) << ws | shape.take(b)
+        code = code << 2 | ((ta - turn.take(b)) & 3)
+        code = code << wg | (gb - ga + span)
+        code = code << wd | (dx + half)
+        code = code << wd | (dy + half)
+        key[lo:lo + len(m)] = code << wr | np.arange(lo, lo + len(m))
+        exp[lo:lo + len(m)] = s
+    key.sort()
+    start = np.ones(n, bool)
+    for lo in range(1, n, _PAIR_BLOCK):
+        hi = min(lo + _PAIR_BLOCK, n)
+        start[lo:hi] = (key[lo:hi] >> wr) != (key[lo - 1:hi - 1] >> wr)
+    key &= (1 << wr) - 1
+    return _first_of_runs(key, start), exp
 
 
 # -- robust semi-analytic path -------------------------------------------------
@@ -747,15 +926,14 @@ def _slot_order(first, second):
     return np.stack([first, second, 3 - first - second], axis=1)
 
 
-def _gathered(kernel, coords, i, j, k, slots=None, block=None):
+def _gathered(kernel, coords, i, j, k, slots=None):
     """The rows of kernel(a, b) over the panel pairs (i[k], j[k]), stacked,
-    in blocks of ``block`` (default _PAIR_BLOCK) pairs of gathered panels;
-    slots, if given, is a pair of (len(k), 3) vertex orders in which the
-    panels are taken.  An empty k gives an empty 1-D array."""
-    block = block or _PAIR_BLOCK
+    in blocks of _PAIR_BLOCK pairs of gathered panels; slots, if given, is
+    a pair of (len(k), 3) vertex orders in which the panels are taken.  An
+    empty k gives an empty 1-D array."""
     out = np.empty(0)
-    for lo in range(0, len(k), block):
-        rows = slice(lo, lo + block)
+    for lo in range(0, len(k), _PAIR_BLOCK):
+        rows = slice(lo, lo + _PAIR_BLOCK)
         a, b = i[k[rows]], j[k[rows]]
         if slots is None:
             vals = kernel(coords[a], coords[b])
@@ -768,13 +946,18 @@ def _gathered(kernel, coords, i, j, k, slots=None, block=None):
     return out
 
 
-def _rule_pairs(rule, coords, i, j, k, slots=None):
-    """Rule values of the panel pairs (i[k], j[k]), taken in the vertex
-    orders slots as in _gathered: the inputs of one GEMM step of pairs
-    are formed per block, so every GEMM sees the rows it would see on
-    stored inputs."""
-    return _gathered(lambda a, b: _rule_values(rule, _rule_inputs(a, b)),
-                     coords, i, j, k, slots, _rule_step(rule))
+def _rule_pairs(rule, rows, i, j, k):
+    """Rule values of the panel pairs (i[k], j[k]) in natural vertex order,
+    from the panel rows of _panel_rows: the inputs of one GEMM step of
+    pairs are formed at a time, so every GEMM sees the rows it would see
+    on stored inputs."""
+    step = _rule_step(rule)
+    out = np.empty(len(k))
+    for lo in range(0, len(k), step):
+        m = k[lo:lo + step]
+        out[lo:lo + step] = _rule_values(
+            rule, _pair_inputs(rows, i.take(m), j.take(m)))
+    return out
 
 
 # what evaluates a near pair, as _classify_pairs labels it: the rule of its
@@ -825,12 +1008,13 @@ def _classify_pairs(coords, tris, aspect, diam, i, j, close):
     return label
 
 
-def _pair_values(coords, tris, i, j, label, orbit=None):
+def _pair_values(coords, rows, tris, i, j, label, orbit=None):
     """Table entries of the panel pairs (i[k], j[k]), i <= j, of one mesh.
 
-    label, from _classify_pairs, says what evaluates each pair, and one
-    loop, _gathered, hands every kernel the panels of one block of the
-    pairs of a label.  orbit, if given, is the pair (rep, kept) of
+    label, from _classify_pairs, says what evaluates each pair.  One loop,
+    _gathered, hands the singular rules, the self entries and the robust
+    path the panels of one block of the pairs of a label, and the bands
+    take _rule_pairs.  orbit, if given, is the pair (rep, kept) of
     _split_pairs: each pair's representative under the quarter
     turn and whether the turn keeps the pair's order.  One copy rule
     serves every label: a pair takes its representative's value where
@@ -843,15 +1027,20 @@ def _pair_values(coords, tris, i, j, label, orbit=None):
     more than _SMALL_TABLE panels the identical, edge and vertex rules
     store the kernel inputs of their pairs, evaluate one row per class of
     _key_classes, the first in the rule's order, and scale its value to
-    the other pairs of the class.
+    the other pairs of the class; the disjoint bands do the same with
+    the classes of _lattice_classes where the mesh has a lattice.  The
+    band pairs take their inputs from rows, the _panel_rows of coords.
 
     Besides per-block work arrays, the pass holds at most 64 bytes per
     pair: values, labels, the orbit and the copy flags, and for one label
-    its pair indices and the panel indices of one block; the
+    its pair indices (4 bytes) and the panel indices of one block; the
     classification runs before it.  A keyed label adds its kernel inputs,
     136 bytes per pair of that label, up to three times that while
-    _key_classes runs, and then 20: representative, exponent and class
-    value.
+    _key_classes runs, and then 8: representative and exponent.  A band
+    with lattice classes adds 14 bytes per pair while they are found, its
+    int64 key, sorted in place, an int8 exponent, a start flag and the
+    int32 representative, then 5, and 16 per class while its first pairs
+    are evaluated: their places, pair indices and values.
 
     The kernel's GEMM rounds a row differently depending on its position
     in the block, so rows keep a fixed order: edge pairs sorted by their
@@ -889,30 +1078,50 @@ def _pair_values(coords, tris, i, j, label, orbit=None):
                    _slot_order(vj, (vj + 1) % 3))
 
     def evaluated(kind):
-        return np.flatnonzero((label == kind) & ~copy)
+        return np.flatnonzero((label == kind) & ~copy).astype(np.int32)
 
-    def apply_rule(kind, case, p, ordered=None):
-        k = evaluated(kind)
-        slots = None
-        if ordered is not None:
-            k, slots = ordered(k)
-        rule = quadrature_rule(case, p)
-        if (kind in (_IDENTICAL, _EDGE, _VERTEX) and len(k)
-                and len(coords) > _SMALL_TABLE):
-            x = _gathered(_rule_inputs, coords, i, j, k, slots)
-            cls, f = _key_classes(x)
-            own = np.flatnonzero(cls == np.arange(len(k)))
-            vals = np.empty(len(k))
-            vals[own] = _rule_values(rule, x[own])
-            out[k] = np.ldexp(vals[cls], 3 * (f - f[cls]))
+    def spread(k, classes, evaluate):
+        # evaluate the first row of each class, then scale its value to
+        # the other rows of the class, in blocks
+        cls, f = classes
+        own = np.flatnonzero(cls == np.arange(len(k), dtype=cls.dtype))
+        own = own.astype(np.int32)
+        out[k[own]] = evaluate(own)
+        for lo in range(0, len(k), _PAIR_BLOCK):
+            r = cls[lo:lo + _PAIR_BLOCK]
+            # the difference of two exponents fits their type, 3 times it
+            # may not
+            df = (f[lo:lo + _PAIR_BLOCK] - f.take(r)).astype(np.int32)
+            out[k[lo:lo + _PAIR_BLOCK]] = np.ldexp(out.take(k.take(r)), 3 * df)
+
+    def singular_rule(kind, case, ordered=lambda k: (k, None)):
+        k, slots = ordered(evaluated(kind))
+        rule = quadrature_rule(case, ORDER)
+        x = _gathered(_rule_inputs, coords, i, j, k, slots)
+        if len(coords) > _SMALL_TABLE and len(k):
+            classes = _key_classes(x)
         else:
-            out[k] = _rule_pairs(rule, coords, i, j, k, slots)
+            classes = np.arange(len(k)), np.zeros(len(k), np.int32)
+        spread(k, classes, lambda own: _rule_values(rule, x[own]))
 
-    apply_rule(_IDENTICAL, "identical", ORDER)
-    apply_rule(_EDGE, "edge-adjacent", ORDER, along_shared_edge)
-    apply_rule(_VERTEX, "vertex-adjacent", ORDER, at_shared_vertex)
-    apply_rule(_DISJOINT, "disjoint", ORDER - 1)
-    apply_rule(_CLOSE, "disjoint", ORDER)
+    def band_rules():
+        # the lattice is dropped before the robust path, the peak of the pass
+        lattice = (_panel_lattice(coords) if len(coords) > _SMALL_TABLE
+                   else None)
+        for kind, p in ((_DISJOINT, ORDER - 1), (_CLOSE, ORDER)):
+            k = evaluated(kind)
+            rule = quadrature_rule("disjoint", p)
+            classes = lattice and _lattice_classes(lattice, i, j, k)
+            if classes:
+                spread(k, classes,
+                       lambda own: _rule_pairs(rule, rows, i, j, k[own]))
+            else:
+                out[k] = _rule_pairs(rule, rows, i, j, k)
+
+    singular_rule(_IDENTICAL, "identical")
+    singular_rule(_EDGE, "edge-adjacent", along_shared_edge)
+    singular_rule(_VERTEX, "vertex-adjacent", at_shared_vertex)
+    band_rules()
     k = evaluated(_SELF)
     out[k] = _gathered(lambda a, b: _self_entry_closed_form(a), coords, i, j,
                        k)
@@ -1010,7 +1219,7 @@ def _smallest_image(codes, a, b, sigma, kept=None):
     return codes
 
 
-def _split_pairs(G, coords, diam, sigma):
+def _split_pairs(G, coords, rows, diam, sigma):
     """Write the far entries of a mesh's table G and return its near
     candidates i <= j in (i, j) order, as two int32 index lists, a close
     flag each and, with the quarter turn sigma, their orbit map.
@@ -1073,7 +1282,7 @@ def _split_pairs(G, coords, diam, sigma):
             bound, dmax = bounds(ra, rb)
             copy = (best != far_codes) & ~(bound < RHO_FAR * dmax)
         k = np.flatnonzero(~copy)
-        G[a[k], b[k]] = _rule_pairs(rule, coords, a, b, k)
+        G[a[k], b[k]] = _rule_pairs(rule, rows, a, b, k)
         k = np.flatnonzero(copy)
         G[a[k], b[k]] = G[ra[k], rb[k]]
         # G[j, i] = G[i, j] of the strip's far pairs, by one masked copy of
@@ -1098,6 +1307,16 @@ def _split_pairs(G, coords, diam, sigma):
     return i, j, close, (rep, kept)
 
 
+def _tile_pairs(n):
+    """Slices (rows, cols) of the square tiles of side _STIFF_BLOCK on and
+    below the diagonal of an n x n array: with the tiles (cols, rows) they
+    cover it, so a symmetric operation on each pair reads no array
+    transposed as a whole."""
+    for r0 in range(0, n, _STIFF_BLOCK):
+        for c0 in range(0, r0 + 1, _STIFF_BLOCK):
+            yield (slice(r0, r0 + _STIFF_BLOCK), slice(c0, c0 + _STIFF_BLOCK))
+
+
 def assemble_energy_form(mesh):
     """Element-pair single-layer table for all panel pairs of a mesh.
 
@@ -1106,19 +1325,26 @@ def assemble_energy_form(mesh):
     labelled by _classify_pairs, from its close flags, and evaluated by
     _pair_values.  Each pass writes G[i, j] and G[j, i] of its pairs, so
     every entry is written once.  Tables of more than _SMALL_TABLE panels
-    take the quarter turn in both passes, where the mesh has one.
+    take the quarter turn in both passes, where the mesh has one.  Both
+    passes take the rule kernel's panel rows, formed once (_panel_rows).
+    The check compares the square tiles G[r, c] with G[c, r].T
+    (_tile_pairs) instead of G with G.T as a whole.
     """
     coords = mesh.triangle_coords()
     aspect, diam = _aspect_and_diameter(coords)
     sigma = _quarter_turn(coords) if len(coords) > _SMALL_TABLE else None
     G = np.empty((len(coords),) * 2)
-    i, j, close, orbit = _split_pairs(G, coords, diam, sigma)
+    rows = _panel_rows(coords)
+    i, j, close, orbit = _split_pairs(G, coords, rows, diam, sigma)
     label = _classify_pairs(coords, mesh.triangles, aspect, diam, i, j, close)
-    vals = _pair_values(coords, mesh.triangles, i, j, label, orbit)
+    vals = _pair_values(coords, rows, mesh.triangles, i, j, label, orbit)
     G[i, j] = vals
     G[j, i] = vals
 
-    if not (np.isfinite(G).all() and (G == G.T).all() and G.min() > 0.0):
+    if not (np.isfinite(G).all()
+            and all((G[r, c] == G[c, r].T).all()
+                    for r, c in _tile_pairs(len(G)))
+            and G.min() > 0.0):
         raise NumericalError("energy table is not finite, symmetric and "
                              "positive")
     G.setflags(write=False)
@@ -1177,14 +1403,11 @@ def assemble_stiffness(form, space, orbits=None):
         # rows of a.T for a = cx (cx G)^T + cy (cy G)^T
         A[rows] = (cx @ (cx[rows] @ G).T + cy @ (cy[rows] @ G).T).T
     # then A = 0.5 (a + a^T), one pair of square tiles at a time
-    for r0 in range(0, n, _STIFF_BLOCK):
-        rows = slice(r0, r0 + _STIFF_BLOCK)
-        for c0 in range(0, r0 + 1, _STIFF_BLOCK):
-            cols = slice(c0, c0 + _STIFF_BLOCK)
-            s = A[rows, cols] + A[cols, rows].T
-            s *= 0.5
-            A[rows, cols] = s
-            A[cols, rows] = s.T
+    for rows, cols in _tile_pairs(n):
+        s = A[rows, cols] + A[cols, rows].T
+        s *= 0.5
+        A[rows, cols] = s
+        A[cols, rows] = s.T
     return A
 
 

@@ -29,6 +29,7 @@ from crbem import (
 from crbem import assembly
 from crbem.spaces import PwConstVecField
 from crbem.assembly import (
+    ORDER,
     RHO_CLOSE,
     RHO_FAR,
     RHO_NEAR,
@@ -40,6 +41,7 @@ from crbem.assembly import (
     _key_classes,
     _pair_values,
     _panel_potential,
+    _panel_rows,
     _power_moments,
     _quarter_turn,
     _robust_pairs,
@@ -160,6 +162,30 @@ class TestRuleKernel:
             lambda rule, x: np.full(len(x), np.nan))
         with pytest.raises(NumericalError):
             assemble_energy_form(initial_mesh)
+
+    @pytest.mark.parametrize("same_tile", [True, False])
+    def test_asymmetric_table_raises(self, monkeypatch, same_tile):
+        # the check compares square tiles with their transposed partners:
+        # one far entry G[r, c] off by one part in 2^40, in a tile on the
+        # diagonal or off it, fails it.  The panels are shuffled, so that
+        # a tile on the diagonal holds far pairs.
+        mesh = _sweep_mesh("uniform")
+        order = np.random.default_rng(5).permutation(mesh.num_triangles)
+        mesh = Mesh(mesh.vertices, mesh.triangles[order],
+                    mesh.ref_edge[order])
+        side = assembly._STIFF_BLOCK
+        real = assembly._split_pairs
+
+        def one_sided(G, *args):
+            out = real(G, *args)
+            r, c = np.nonzero(_far_mask(len(G), out[:2]))
+            k = np.flatnonzero((r // side == c // side) == same_tile)[0]
+            G[r[k], c[k]] *= 1.0 + 2.0 ** -40
+            return out
+
+        monkeypatch.setattr(assembly, "_split_pairs", one_sided)
+        with pytest.raises(NumericalError):
+            assemble_energy_form(mesh)
 
 
 # -- pre-split reference copies of the robust path and the distances ----------
@@ -348,7 +374,8 @@ def _far_sweep(mesh):
     candidates, as assemble_energy_form gets them."""
     coords = mesh.triangle_coords()
     G = np.full((len(coords),) * 2, np.nan)
-    ci, cj, *_ = _split_pairs(G, coords, _diameters(coords),
+    ci, cj, *_ = _split_pairs(G, coords, _panel_rows(coords),
+                              _diameters(coords),
                               assembly._quarter_turn(coords))
     return G, ci, cj
 
@@ -356,16 +383,17 @@ def _far_sweep(mesh):
 def _candidates(coords, diam):
     """Near candidates and close flags of _split_pairs, which writes its
     far entries into a scratch table."""
-    return _split_pairs(np.empty((len(coords),) * 2), coords, diam, None)[:3]
+    return _split_pairs(np.empty((len(coords),) * 2), coords,
+                        _panel_rows(coords), diam, None)[:3]
 
 
 def _near_plan(coords, tris):
-    """The arguments (coords, tris, i, j, label) of _pair_values for the
-    near candidates of a mesh, labelled as assemble_energy_form labels
+    """The arguments (coords, rows, tris, i, j, label) of _pair_values for
+    the near candidates of a mesh, labelled as assemble_energy_form labels
     them."""
     aspect, diam = _aspect_and_diameter(coords)
     ci, cj, close = _candidates(coords, diam)
-    return coords, tris, ci, cj, assembly._classify_pairs(
+    return coords, _panel_rows(coords), tris, ci, cj, assembly._classify_pairs(
         coords, tris, aspect, diam, ci, cj, close)
 
 
@@ -505,7 +533,7 @@ class TestSplitKernels:
         # subdivision decision moves a value on the scale of the stop
         # tolerance 1e-6, far above the bound (1.8e-12 at most here).
         mesh = uniform_refine(graded_square_mesh(8, beta))[0]
-        coords, _, ci, cj, labels = _near_plan(mesh.triangle_coords(),
+        coords, *_, ci, cj, labels = _near_plan(mesh.triangle_coords(),
                                                mesh.triangles)
         k = np.flatnonzero(labels == assembly._ROBUST)
         ta, tb = coords[ci[k]], coords[cj[k]]
@@ -699,11 +727,12 @@ def test_pair_values_memory_is_blocked(graded_robust_case):
     tris = uniform_refine(graded_square_mesh(8, 2.0))[0].triangles
     aspect, diam = _aspect_and_diameter(coords)
     ci, cj, close = _candidates(coords, diam)
+    rows = _panel_rows(coords)
 
     def near_pass():
         label = assembly._classify_pairs(coords, tris, aspect, diam, ci, cj,
                                          close)
-        return _pair_values(coords, tris, ci, cj, label)
+        return _pair_values(coords, rows, tris, ci, cj, label)
 
     near_pass()  # builds the cached quadrature rules
     robust = _traced_peak(_robust_pairs, coords[ri], coords[rj])
@@ -725,10 +754,11 @@ def test_far_table_memory():
     diam = _diameters(coords)
     sigma = _quarter_turn(coords)
     assert sigma is not None
+    rows = _panel_rows(coords)
 
     def far_table():
         G = np.empty((len(coords),) * 2)
-        return G, _split_pairs(G, coords, diam, sigma)
+        return G, _split_pairs(G, coords, rows, diam, sigma)
 
     G, (ci, cj, _, (rep, kept)) = far_table()
     limit = (G.nbytes + 2 * (ci.nbytes + cj.nbytes) + rep.nbytes
@@ -939,7 +969,7 @@ def test_far_pairs_and_candidates_partition_the_table(kind):
     sigma = _quarter_turn(coords)
     assert (sigma is not None) == (kind in ("uniform", "graded"))
     G = np.full((nt, nt), np.nan)
-    ci, cj, *_ = _split_pairs(G, coords, diam, sigma)
+    ci, cj, *_ = _split_pairs(G, coords, _panel_rows(coords), diam, sigma)
     ri, rj = _ref_near_candidates(mesh)
     assert np.array_equal(ci, ri) and np.array_equal(cj, rj)
     far = _far_mask(nt, (ri, rj))
@@ -966,8 +996,9 @@ def test_far_pair_with_a_near_representative_is_evaluated(monkeypatch):
 
     monkeypatch.setattr(assembly, "_bounding_circles", grown)
     G, H = np.full((2, nt, nt), np.nan)
-    ci, cj, *_ = _split_pairs(G, coords, diam, sigma)
-    _split_pairs(H, coords, diam, None)
+    rows = _panel_rows(coords)
+    ci, cj, *_ = _split_pairs(G, coords, rows, diam, sigma)
+    _split_pairs(H, coords, rows, diam, None)
     far = _far_mask(nt, (ci, cj))
     # pairs (0, b), near, whose image (sigma 0, sigma b) is far
     assert (~far[0] & far[sigma[0], sigma]).sum() > 10
@@ -986,6 +1017,7 @@ def test_orbit_map_matches_reference(kind):
     nt = len(coords)
     sigma = _quarter_turn(coords)
     ci, cj, _, (rep, kept) = _split_pairs(np.empty((nt, nt)), coords,
+                                          _panel_rows(coords),
                                           _diameters(coords), sigma)
     a, b = ci.astype(np.int64), cj.astype(np.int64)
     images = [(a, b)]
@@ -1047,7 +1079,7 @@ def test_robust_path_settles_below_its_depth_cap(monkeypatch, beta):
     # the refined graded mesh keep their bits, so none of them comes
     # near the cap.
     mesh = uniform_refine(graded_square_mesh(8, beta))[0]
-    coords, _, ci, cj, labels = _near_plan(mesh.triangle_coords(),
+    coords, *_, ci, cj, labels = _near_plan(mesh.triangle_coords(),
                                            mesh.triangles)
     k = np.flatnonzero(labels == assembly._ROBUST)
     assert len(k) > 1000
@@ -1096,11 +1128,11 @@ def test_robust_and_self_copies_keep_the_table(beta):
     G = assemble_energy_form(mesh).table
     real = assembly._pair_values
 
-    def no_copies(coords, tris, i, j, label, orbit):
+    def no_copies(coords, rows, tris, i, j, label, orbit):
         rep, kept = orbit
         own = (label == assembly._ROBUST) | (label == assembly._SELF)
         rep = np.where(own, np.arange(len(rep)), rep)
-        return real(coords, tris, i, j, label, (rep, kept))
+        return real(coords, rows, tris, i, j, label, (rep, kept))
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(assembly, "_pair_values", no_copies)
@@ -1116,6 +1148,8 @@ class TestNearTurn:
         # with and without the turn, each with the labels of its near pass
         # and the numbers of robust-path and rule pairs it evaluated.  The
         # 128-panel table is the smallest uniform one above _SMALL_TABLE.
+        # Both runs take no lattice classes (_lattice_classes), which
+        # join turned pairs of the disjoint bands with or without the turn.
         if request.param == "fine":
             mesh = uniform_refine(graded_square_mesh(16, 2.0))[0]
         elif request.param == "uniform128":
@@ -1136,6 +1170,7 @@ class TestNearTurn:
 
         runs = []
         with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(assembly, "_panel_lattice", lambda coords: None)
             for turn in (True, False):
                 if not turn:
                     mp.setattr(assembly, "_quarter_turn", lambda coords: None)
@@ -1336,9 +1371,10 @@ def _own_classes(x):
 class TestRuleClasses:
     @pytest.fixture(scope="class", params=["uniform", "graded", "nvb"])
     def classed(self, request):
-        # tables with the key classes and without them (every pair its own
-        # class), each with the labels of its near pass, its robust-path
-        # values and the kernel inputs its rule kernel saw per singular case
+        # tables with the key and lattice classes and without them (every
+        # pair its own class), each with the labels of its near pass, its
+        # robust-path values and the kernel inputs its rule kernel saw per
+        # singular case
         mesh = (_nvb_mesh(200) if request.param == "nvb"
                 else _sweep_mesh(request.param))
         assert mesh.num_triangles > assembly._SMALL_TABLE
@@ -1349,6 +1385,7 @@ class TestRuleClasses:
             for run in ("classes", "none"):
                 if run == "none":
                     mp.setattr(assembly, "_key_classes", _own_classes)
+                    mp.setattr(assembly, "_panel_lattice", lambda coords: None)
                 labels, robust, seen = [], [], {}
 
                 def classify(*args):
@@ -1486,17 +1523,115 @@ def test_no_pairs_no_classes():
 
 def test_scaled_mesh_scales_keyed_entries_exactly():
     # panels twice the size give exactly 8 times the rule values: classes
-    # join pairs whose kernel inputs differ by powers of 4
+    # join pairs whose kernel inputs differ by powers of 4, and so do the
+    # lattice classes of the disjoint bands
     mesh = _nvb_mesh(200)
     scaled = Mesh(2.0 * mesh.vertices, mesh.triangles, mesh.ref_edge)
     *_, ci, cj, labels = _near_plan(mesh.triangle_coords(), mesh.triangles)
-    k = np.flatnonzero((labels == assembly._IDENTICAL)
-                       | (labels == assembly._EDGE)
-                       | (labels == assembly._VERTEX))
-    assert len(k) > 500
-    G = assemble_energy_form(mesh).table
-    H = assemble_energy_form(scaled).table
-    assert np.array_equal(H[ci[k], cj[k]], 8.0 * G[ci[k], cj[k]])
+    for kinds in ((assembly._IDENTICAL, assembly._EDGE, assembly._VERTEX),
+                  (assembly._DISJOINT, assembly._CLOSE)):
+        k = np.flatnonzero(np.isin(labels, kinds))
+        assert len(k) > 500
+        G = assemble_energy_form(mesh).table
+        H = assemble_energy_form(scaled).table
+        assert np.array_equal(H[ci[k], cj[k]], 8.0 * G[ci[k], cj[k]])
+
+
+@pytest.mark.parametrize("kind", ["uniform", "nvb", "graded", "moved"])
+def test_panel_rows_give_the_rule_inputs(kind, monkeypatch):
+    # pairs in natural vertex order, near and far, get from two panel rows
+    # the inputs that _rule_inputs forms from their coordinates (a zero
+    # may differ in sign), and _rule_pairs gives the values of inputs
+    # formed per GEMM step, bitwise, at odd steps too
+    mesh = _sweep_mesh("graded" if kind == "moved" else kind)
+    if kind == "moved":
+        mesh = Mesh(mesh.vertices + [1000.3, -999.7], mesh.triangles,
+                    mesh.ref_edge)
+    coords = mesh.triangle_coords()
+    rows = _panel_rows(coords)
+    ci, cj, shared = _near_pairs(mesh)
+    far = np.random.default_rng(3).integers(0, len(coords), (2, 20000))
+    a, b = np.concatenate([ci, far[0]]), np.concatenate([cj, far[1]])
+    assert np.array_equal(assembly._pair_inputs(rows, a, b),
+                          _rule_inputs(coords[a], coords[b]))
+    k = np.flatnonzero(shared == 0)[:5000]
+    for order, chunk in ((ORDER - 1, None), (ORDER - 1, 37 * 256),
+                         (ORDER - 2, 101 * 81)):
+        if chunk:
+            monkeypatch.setattr("crbem.assembly._RULE_CHUNK", chunk)
+        rule = quadrature_rule("disjoint", order)
+        step = assembly._rule_step(rule)
+        want = np.concatenate([
+            _rule_values(rule, _rule_inputs(coords[ci[k[lo:lo + step]]],
+                                            coords[cj[k[lo:lo + step]]]))
+            for lo in range(0, len(k), step)])
+        assert np.array_equal(assembly._rule_pairs(rule, rows, ci, cj, k),
+                              want)
+
+
+@pytest.mark.parametrize("kind", ["nvb", "uniform"])
+def test_lattice_classes_join_scaled_copies(kind):
+    # on the band pairs of a dyadic mesh, a pair's inputs are its
+    # representative's times 4^(s - s_rep), bitwise, and the lattice
+    # classes are the classes of equal float key (_key_classes)
+    mesh = _nvb_mesh(200) if kind == "nvb" else _sweep_mesh("uniform")
+    coords, _, _, ci, cj, labels = _near_plan(mesh.triangle_coords(),
+                                              mesh.triangles)
+    lattice = assembly._panel_lattice(coords)
+    assert lattice is not None
+    for band in (assembly._DISJOINT, assembly._CLOSE):
+        k = np.flatnonzero(labels == band)
+        rep, s = assembly._lattice_classes(lattice, ci, cj, k)
+        x = _rule_inputs(coords[ci[k]], coords[cj[k]])
+        g = s.astype(np.int64) - s[rep]
+        assert np.array_equal(x, np.ldexp(x[rep], 2 * g[:, None]))
+        assert np.array_equal(rep, _key_classes(x)[0])
+        assert len(np.unique(rep)) < 0.75 * len(k)
+
+
+@pytest.mark.parametrize("kind", ["moved", "graded"])
+def test_no_lattice_classes_off_the_dyadic_grid(kind, monkeypatch):
+    # The grading with beta = 1.5 has coordinates that no power of two
+    # turns into integers below 2^52: no lattice.  The uniform mesh moved
+    # by (1000.3, -999.7) lies on the grid of 2^-42 within that bound, but
+    # every panel has a coordinate that is an odd multiple of 2^-42, while
+    # its edges are multiples of 2^-5, so a0 - b0 over 2^s does not fit
+    # the key.
+    # Either way the bands evaluate every pair.
+    mesh = (_sweep_mesh("uniform") if kind == "moved"
+            else uniform_refine(graded_square_mesh(8, 1.5))[0])
+    if kind == "moved":
+        mesh = Mesh(mesh.vertices + [1000.3, -999.7], mesh.triangles,
+                    mesh.ref_edge)
+    assert mesh.num_triangles > assembly._SMALL_TABLE
+    lattice = assembly._panel_lattice(mesh.triangle_coords())
+    assert (lattice is None) == (kind == "graded")
+    classes = []
+    real = assembly._lattice_classes
+
+    def recorded(*args):
+        classes.append(real(*args))
+        return classes[-1]
+
+    monkeypatch.setattr(assembly, "_lattice_classes", recorded)
+    assemble_energy_form(mesh)
+    assert len(classes) == (2 if lattice else 0)
+    assert all(c is None for c in classes)
+
+
+def test_lattice_key_that_does_not_fit_takes_no_classes():
+    # unit panels 2^50 apart: a0 - b0 over 2^s does not fit its field of
+    # the int64 key, so the pair takes no class; two copies of a pair four
+    # units apart form one class
+    unit = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    far = assembly._panel_lattice(np.stack([unit, unit + [2.0 ** 50, 0.0]]))
+    one = np.array([0])
+    assert assembly._lattice_classes(far, one, one + 1, one) is None
+    near = assembly._panel_lattice(np.stack([unit + [4.0 * p, 0.0]
+                                             for p in range(4)]))
+    rep, s = assembly._lattice_classes(near, np.array([0, 2]),
+                                       np.array([1, 3]), np.arange(2))
+    assert np.array_equal(rep, [0, 0]) and np.array_equal(s, [0, 0])
 
 
 class TestPanelIntegral:
