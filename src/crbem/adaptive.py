@@ -168,7 +168,7 @@ def _next_coarse(config, level, pair, marked):
     if name.startswith("adaptive"):
         return pair.coarse.refined(refine_nvb(pair.coarse.mesh, marked)[0])
     return Level(_graded_mesh(2 ** (level + 2), config.beta),
-                 pair.coarse.data)
+                 pair.coarse.data, pair.coarse.classes)
 
 
 def _fine_dof_prediction(mesh):

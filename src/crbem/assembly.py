@@ -90,27 +90,44 @@ exact translations of a pair leave its inputs bitwise equal, and a
 scaling by 2^g multiplies them by exactly 4^g and the value by 8^g, so
 every pair of a class takes its class value times a power of 8.  A class
 value differs from the pair's own by the GEMM's row-position rounding,
-as with the turn.  Tables of at most _SMALL_TABLE panels form no classes.
+as with the turn.  The class values last a run: assemble_energy_form
+takes a store, a dict that estimators.Level passes from each level to
+the next, keyed by the rule and a class's exactly normalised key
+(_normalised, -0 taken as +0), of value times 8^-f.  _stored_values
+reads a class found there and evaluates only the others, in their
+order, so each table evaluates the classes that are new to the run.
+Keys that do not round-trip never enter the store.  A table assembled
+alone gets a fresh store and so the same bits whatever was assembled
+before it.  Tables of at most _SMALL_TABLE panels form no classes and
+neither read nor write the store.
 
 The disjoint bands are classed on an integer lattice instead, as storing
-and sorting their float inputs cost more time and memory than it saved.
-Where a table's coordinates times some 2^L are integers below 2^52, so
-that every coordinate difference is exact, _panel_lattice gives each
-panel its exponent g, the 2-adic valuation of its integers, the quarter
-turn t that takes its e1 into x > 0, y >= 0, and the id of its shape
-(e1, e2) / 2^g in that turn.  _lattice_classes keys a band pair (a, b)
-by both shape ids, t_a - t_b mod 4, g_b - g_a, and a0 - b0 in a's turn
-over 2^s, s the smaller exponent, and packs the key and the pair's place
-into one int64.  Pairs of equal key
-are turned and scaled copies of each other, so their inputs are bitwise
-equal up to a factor 4^(s - s_rep), and the classes keep the contract of
-_key_classes: the first pair of a class in the band's order is
-evaluated, and the others take its value times 8^(s - s_rep).  Both
-mechanisms take the first row of each run of a stable sort from one
-helper, _first_of_runs.  Tables without a lattice (gradings whose
-coordinates are not dyadic), tables of at most _SMALL_TABLE panels and
-keys that do not fit an int64 (a mesh translated off its grid) evaluate
-every band pair.
+and sorting their float inputs cost more time and memory than it saved,
+and under the disjoint rule's full symmetry.  The rule is a tensor Gauss
+rule after a Duffy map, x = v0 + a (1 - b) (v1 - v0) + a b (v2 - v0), and
+its nodes in b are symmetric about 1/2, so it cannot tell a panel's
+vertices 1 and 2 apart, nor the two panels of a pair.  Where a table's
+coordinates times some 2^L are integers below 2^52, so that every
+coordinate difference is exact, _panel_lattice gives each panel its
+exponent g, the 2-adic valuation of its integers, and its forms: the id
+of the unordered pair {v1 - v0, v2 - v0} / 2^g under each of the
+square's eight symmetries.  The smallest form is the panel's shape, and
+the symmetries that give it are its frames, two where a mirror swaps its
+edges (a panel whose vertex 0 is the apex of an isosceles triangle).  _lattice_classes keys a band pair (a, b) in a frame h of a by
+a's shape, b's form under h, g_b - g_a and h (b0 - a0) over 2^s, s the
+smaller exponent, takes the smallest such key over a's frames and over
+both orders of the pair, and packs it and the pair's place into one
+int64.  Pairs of equal key are copies of each other under the square's
+symmetries, translation, scaling by 2^(s - s_rep) and exchange of the
+panels, so their values agree up to rounding and the factor
+8^(s - s_rep), and the classes keep the contract of _key_classes: the
+first pair of a class in the band's order is evaluated, and the others
+take its value times 8^(s - s_rep).  Both mechanisms take the first row
+of each run of a stable sort from one helper, _first_of_runs.  Tables
+without a lattice (gradings whose coordinates are not dyadic, meshes
+translated off their grid, whose edges over 2^g do not fit the shape
+codes), tables of at most _SMALL_TABLE panels and keys that do not fit
+an int64 evaluate every band pair.
 
 Memory: the table G (nt x nt) and a Galerkin matrix A (n x n) are the only
 quadratic arrays of a run; estimators.solve_spd factors A in place.
@@ -252,8 +269,9 @@ _ROBUST_MAX_CELLS = 1 << 20
 _PAIR_BLOCK = 4096
 # rows per strip of _split_pairs, the one pass that splits the pairs
 _SCAN_STRIP = 16
-# tables of at most this many panels take no quarter turn, form no key
-# classes (_key_classes) and keep their bits: adaptive-smooth's 8- and
+# tables of at most this many panels take no quarter turn, form no
+# classes and neither read nor write a store of class values, and keep
+# their bits: adaptive-smooth's 8- and
 # 32-panel tables, the initial mesh and its uniform refinement, on which
 # rounding picks 4 of 8 tied indicators for Doerfler marking; they have
 # no far pair.  Larger tables, the 128-panel uniform one among them, take
@@ -516,27 +534,33 @@ def _first_of_runs(order, start):
     return rep
 
 
+def _normalised(x):
+    """The exponent f and key of each row of x, (n, 17) inputs of
+    _rule_inputs: f is half the binary exponent of the row's largest Gram
+    diagonal entry and the key is the row times 4^-f, or NaN throughout
+    where that does not round-trip.  A row scaled by 4^g has the same key
+    and f + g, and its rule value is 8^(f - f') times that of a row of
+    the same key and exponent f', up to the GEMM's row-position rounding.
+    """
+    f = np.frexp(x[:, :15][:, _GRAM_I == _GRAM_J].max(axis=1))[1] >> 1
+    key = np.ldexp(x, -2 * f[:, None])
+    key[(np.ldexp(key, 2 * f[:, None]) != x).any(axis=1)] = np.nan
+    return key, f
+
+
 def _key_classes(x):
     """Classes of equal kernel input among the rows of x, (n, 17) inputs
     of _rule_inputs: the index of each row's class representative, its
-    first row, and the exponent f of each row's key.
+    first row, and the exponent f of each row's key (_normalised).
 
-    The key of a row is the row times 4^-f, with f half the binary
-    exponent of its largest Gram diagonal entry, so a row scaled by 4^g
-    has the same key and f + g, and its rule value is 8^(f - f_rep) times
-    the representative's up to the GEMM's row-position rounding.  One
-    stable lexsort of the keys puts each run of equal keys in row order;
-    a key whose normalisation does not round-trip is its own class.
-    Float comparison takes -0 for +0, as the kernel's sums of products do.
+    One stable lexsort of the keys puts each run of equal keys in row
+    order; NaN equals nothing, not even itself, so a key whose
+    normalisation does not round-trip is its own class.  Float comparison
+    takes -0 for +0, as the kernel's sums of products do.
     """
-    n = len(x)
-    f = np.frexp(x[:, :15][:, _GRAM_I == _GRAM_J].max(axis=1))[1] >> 1
-    key = np.ldexp(x, -2 * f[:, None])
-    # NaN equals nothing, not even itself, so these keys start a run of
-    # their own
-    key[(np.ldexp(key, 2 * f[:, None]) != x).any(axis=1)] = np.nan
+    key, f = _normalised(x)
     order = np.lexsort(key.T)
-    start = np.zeros(n, bool)
+    start = np.zeros(len(x), bool)
     start[:1] = True
     for word in key.T:
         word = word[order]
@@ -544,22 +568,56 @@ def _key_classes(x):
     return _first_of_runs(order, start), f
 
 
-def _turned(t, x, y):
-    """R^t (x, y) for the quarter turn R (x, y) -> (-y, x), elementwise."""
+def _stored_values(store, x, evaluate):
+    """Rule values of the rows of x, (n, 17) kernel inputs of distinct
+    classes, through store, a dict of class values that lasts a run.
+
+    A row whose normalised key (_normalised, -0 taken as +0) is in the
+    store takes the stored value times 8^f.  The others are evaluated by
+    evaluate(rows), an index array in row order, and those whose key
+    round-trips enter the store as value times 8^-f."""
+    key, f = _normalised(x)
+    key += 0.0
+    words = [row.tobytes() for row in key]
+    new = np.flatnonzero([w not in store for w in words])
+    out = np.empty(len(x))
+    out[new] = evaluate(new)
+    for p, word in enumerate(words):
+        if word in store:
+            out[p] = math.ldexp(store[word], 3 * int(f[p]))
+    for p in new[~np.isnan(key[new, 0])]:
+        store[words[p]] = math.ldexp(out[p], -3 * int(f[p]))
+    return out
+
+
+def _symmetry(h, x, y):
+    """S_h (x, y), elementwise, for the symmetries h = 0..7 of the square:
+    the mirror (x, y) -> (x, -y) if h >= 4, then the quarter turn
+    (x, y) -> (-y, x), h mod 4 times."""
+    t = h & 3
     c, s = np.array([1, 0, -1, 0]).take(t), np.array([0, 1, 0, -1]).take(t)
+    y = np.where(h >= 4, -y, y)
     return c * x - s * y, s * x + c * y
 
 
 def _panel_lattice(coords):
     """Integer codes of the panels (nt, 3, 2) for _lattice_classes, or None
     unless coords times some 2^L are integers below 2^52 in magnitude, so
-    that every coordinate difference is exact.
+    that every coordinate difference is exact, and each panel's edge
+    vectors over 2^g fit the 15-bit fields of its shape code.
 
-    With K = coords 2^L and R the quarter turn (x, y) -> (-y, x), a panel
-    gets its exponent g, the 2-adic valuation of its six integers; its
-    turn t, the power of R that takes e1 into x > 0, y >= 0; the id of its
-    shape R^t (e1, e2) / 2^g among all panels; and its vertex 0, K0.
-    Returns (g, t, shape, K0x, K0y, number of shapes)."""
+    With K = coords 2^L, a panel gets its exponent g, the 2-adic valuation
+    of its six integers, and its form under each symmetry S_h of the
+    square (_symmetry): the id of the unordered pair {S_h u, S_h w} among
+    all panels and symmetries, u = (K1 - K0) / 2^g and w = (K2 - K0) / 2^g.
+    Its shape is its smallest form, and its frames are the first and the
+    last h that give the shape; they differ only where a mirror swaps u
+    and w.  Where they differ for no panel, as on the presets' tables of
+    more than _SMALL_TABLE panels, the first is the only frame.  A mesh
+    translated off its grid has edges of the size of its coordinates over
+    2^g, and takes no lattice.
+    Returns (g, frames, shape, forms (8, nt), K0x, K0y, number of forms),
+    frames a tuple of one or two (nt,) arrays."""
     m, e = np.frexp(coords)
     mant = np.ldexp(m, 53).astype(np.int64)
     # the bits below the binary point: 53 - e less the trailing zeros of
@@ -571,58 +629,82 @@ def _panel_lattice(coords):
         return None
     K = K.astype(np.int64)
     bits = np.bitwise_or.reduce(np.abs(K).reshape(len(K), 6), axis=1)
-    g = np.frexp((bits & -bits).astype(float))[1] - 1
-    (e1x, e2x), (e1y, e2y) = ((K[:, 1:, c] - K[:, :2, c]).T >> g
-                              for c in (0, 1))
-    # e1 in the quadrant q of x > 0, y >= 0 turned q times; t = -q mod 4
-    turn = np.select([(e1x > 0) & (e1y >= 0), (e1x <= 0) & (e1y > 0),
-                      (e1x < 0) & (e1y <= 0)], [0, 3, 2], 1)
-    shape = np.column_stack(_turned(turn, e1x, e1y)
-                            + _turned(turn, e2x, e2y))
-    ids, shape = np.unique(shape, axis=0, return_inverse=True)
-    return g, turn, shape.ravel(), K[:, 0, 0], K[:, 0, 1], len(ids)
+    g = np.frexp((bits & -bits).astype(float))[1].astype(np.int64) - 1
+    (ux, wx), (uy, wy) = ((K[:, 1:, c] - K[:, :1, c]).T >> g for c in (0, 1))
+    if max(np.abs(v).max() for v in (ux, uy, wx, wy)) >= 1 << 14:
+        return None
+
+    def packed(x, y):
+        return (x + (1 << 14)) << 15 | (y + (1 << 14))
+
+    forms = np.empty((8, len(K)), np.int64)
+    for h in range(8):
+        p, q = packed(*_symmetry(h, ux, uy)), packed(*_symmetry(h, wx, wy))
+        forms[h] = np.minimum(p, q) << 30 | np.maximum(p, q)
+    ids, forms = np.unique(forms, return_inverse=True)
+    forms = forms.reshape(8, -1)
+    shape = forms.min(axis=0)
+    canon = forms == shape
+    frames = canon.argmax(axis=0), 7 - canon[::-1].argmax(axis=0)
+    if np.array_equal(*frames):
+        frames = frames[:1]
+    return g, frames, shape, forms, K[:, 0, 0], K[:, 0, 1], len(ids)
 
 
 def _lattice_classes(lattice, i, j, k):
-    """Classes of equal kernel input among the panel pairs (i[k], j[k]) in
-    natural vertex order, from the codes of _panel_lattice: the index of
-    each pair's representative, its first pair, and the pair's exponent s,
-    as _key_classes gives them; None where the keys do not fit an int64.
+    """Classes of congruent panel pairs among the pairs (i[k], j[k]), from
+    the codes of _panel_lattice: the index of each pair's representative,
+    its first pair, and the pair's exponent s, as _key_classes gives them;
+    None where the keys do not fit an int64.
 
-    A pair (a, b) is taken in a's turn t and scaled by 2^-s, s the smaller
-    of the two exponents.  Its key is the two shapes, t - t_b mod 4,
-    g_b - g_a and R^t (a0 - b0) / 2^s: pairs with equal keys are turned
-    and scaled copies of each other, with exact differences, so their
-    inputs are bitwise equal up to the factor 4^(s - s_rep).  The key and
-    the pair's place are packed into one int64 per pair, in blocks of
-    _PAIR_BLOCK pairs, and sorted in place, which sorts equal keys by
-    place."""
-    g, turn, shape, k0x, k0y, shapes = lattice
-    n = len(k)
+    The key of a pair (a, b) in a's frame h is a's shape, b's form under
+    S_h, g_b - g_a and S_h (b0 - a0) / 2^s, s the smaller exponent; the
+    pair's key is the smallest of those of (a, b) and (b, a) in each of
+    their first panel's frames.  Pairs of equal key are copies of
+    each other under the symmetries of the square, translation, scaling
+    by 2^(s - s_rep) and exchange of the panels, none of which the
+    disjoint rule tells apart, so their values agree up to rounding and
+    the factor 8^(s - s_rep).  The key and the pair's place are packed
+    into one int64 per pair, in blocks of _PAIR_BLOCK pairs, and sorted in
+    place, which sorts equal keys by place."""
+    g, frames, shape, forms, k0x, k0y, nforms = lattice
+    n, nt = len(k), len(g)
     span = int(g.max() - g.min())
-    ws, wg, wr = (shapes - 1).bit_length(), (2 * span).bit_length(), \
+    wf, wg, wr = (nforms - 1).bit_length(), (2 * span).bit_length(), \
         max(n - 1, 1).bit_length()
-    wd = (61 - 2 * ws - wg - wr) // 2
+    wd = (61 - 2 * wf - wg - wr) // 2
     if wd < 2:
         return None
     half = 1 << (wd - 1)
+    forms = forms.ravel()
+    # the offset fields (ox + half) << wd | (oy + half) of S_h (x, y) are
+    # x tx[h] + y ty[h] + (half << wd) + half, with (tx, ty) the fields of
+    # S_h of the unit vectors
+    (mxx, mxy), (myx, myy) = (_symmetry(np.arange(8), *v)
+                              for v in ((1, 0), (0, 1)))
+    tx, ty = (mxx << wd) + mxy, (myx << wd) + myy
     key = np.empty(n, np.int64)
     exp = np.empty(n, np.int8)
     for lo in range(0, n, _PAIR_BLOCK):
         m = k[lo:lo + _PAIR_BLOCK]
         a, b = i.take(m), j.take(m)
-        ta, ga, gb = turn.take(a), g.take(a), g.take(b)
+        ga, gb = g.take(a), g.take(b)
         s = np.minimum(ga, gb)
-        dx, dy = (d >> s for d in _turned(
-            ta, k0x.take(a) - k0x.take(b), k0y.take(a) - k0y.take(b)))
+        dx, dy = ((k0.take(b) - k0.take(a)) >> s for k0 in (k0x, k0y))
         if max(np.abs(dx).max(), np.abs(dy).max()) >= half:
             return None
-        code = shape.take(a) << ws | shape.take(b)
-        code = code << 2 | ((ta - turn.take(b)) & 3)
-        code = code << wg | (gb - ga + span)
-        code = code << wd | (dx + half)
-        code = code << wd | (dy + half)
-        key[lo:lo + len(m)] = code << wr | np.arange(lo, lo + len(m))
+        best = None
+        for p, q, sign in ((a, b, 1), (b, a, -1)):
+            base = ((sign * (gb - ga) + span) << 2 * wd) + (half << wd) + half
+            head = shape.take(p) << wf
+            for frame in frames:
+                h = frame.take(p)
+                code = head | forms.take(h * nt + q)
+                code <<= wg + 2 * wd
+                code += base
+                code += sign * (tx.take(h) * dx + ty.take(h) * dy)
+                best = code if best is None else np.minimum(best, code)
+        key[lo:lo + len(m)] = best << wr | np.arange(lo, lo + len(m))
         exp[lo:lo + len(m)] = s
     key.sort()
     start = np.ones(n, bool)
@@ -1008,7 +1090,7 @@ def _classify_pairs(coords, tris, aspect, diam, i, j, close):
     return label
 
 
-def _pair_values(coords, rows, tris, i, j, label, orbit=None):
+def _pair_values(coords, rows, tris, i, j, label, orbit=None, classes=None):
     """Table entries of the panel pairs (i[k], j[k]), i <= j, of one mesh.
 
     label, from _classify_pairs, says what evaluates each pair.  One loop,
@@ -1029,7 +1111,10 @@ def _pair_values(coords, rows, tris, i, j, label, orbit=None):
     _key_classes, the first in the rule's order, and scale its value to
     the other pairs of the class; the disjoint bands do the same with
     the classes of _lattice_classes where the mesh has a lattice.  The
-    band pairs take their inputs from rows, the _panel_rows of coords.
+    singular rules read the class values that classes, a store of a run
+    (assemble_energy_form), holds, and evaluate and store only the others;
+    None gives a fresh store.  The band pairs take their inputs from
+    rows, the _panel_rows of coords.
 
     Besides per-block work arrays, the pass holds at most 64 bytes per
     pair: values, labels, the orbit and the copy flags, and for one label
@@ -1050,6 +1135,7 @@ def _pair_values(coords, rows, tris, i, j, label, orbit=None):
     """
     out = np.full(len(i), np.nan)
     copy = np.zeros(len(i), bool)
+    classes = {} if classes is None else classes
     if orbit is not None:
         rep, kept = orbit
         copy = ((rep != np.arange(len(i))) & (label.take(rep) == label)
@@ -1098,11 +1184,12 @@ def _pair_values(coords, rows, tris, i, j, label, orbit=None):
         k, slots = ordered(evaluated(kind))
         rule = quadrature_rule(case, ORDER)
         x = _gathered(_rule_inputs, coords, i, j, k, slots)
-        if len(coords) > _SMALL_TABLE and len(k):
-            classes = _key_classes(x)
-        else:
-            classes = np.arange(len(k)), np.zeros(len(k), np.int32)
-        spread(k, classes, lambda own: _rule_values(rule, x[own]))
+        if len(coords) <= _SMALL_TABLE or not len(k):
+            out[k] = _rule_values(rule, x)
+            return
+        store = classes.setdefault((case, ORDER), {})
+        spread(k, _key_classes(x), lambda own: _stored_values(
+            store, x[own], lambda new: _rule_values(rule, x[own[new]])))
 
     def band_rules():
         # the lattice is dropped before the robust path, the peak of the pass
@@ -1317,7 +1404,7 @@ def _tile_pairs(n):
             yield (slice(r0, r0 + _STIFF_BLOCK), slice(c0, c0 + _STIFF_BLOCK))
 
 
-def assemble_energy_form(mesh):
+def assemble_energy_form(mesh, classes=None):
     """Element-pair single-layer table for all panel pairs of a mesh.
 
     The table comes from np.empty.  _split_pairs writes the far pairs
@@ -1329,6 +1416,11 @@ def assemble_energy_form(mesh):
     passes take the rule kernel's panel rows, formed once (_panel_rows).
     The check compares the square tiles G[r, c] with G[c, r].T
     (_tile_pairs) instead of G with G.T as a whole.
+
+    classes is the store of the singular rules' class values, a dict that
+    the tables of one run share, so that each evaluates only the classes
+    new to the run (_stored_values); None gives a fresh one, so a table
+    assembled alone has the same bits whatever was assembled before it.
     """
     coords = mesh.triangle_coords()
     aspect, diam = _aspect_and_diameter(coords)
@@ -1337,7 +1429,8 @@ def assemble_energy_form(mesh):
     rows = _panel_rows(coords)
     i, j, close, orbit = _split_pairs(G, coords, rows, diam, sigma)
     label = _classify_pairs(coords, mesh.triangles, aspect, diam, i, j, close)
-    vals = _pair_values(coords, rows, mesh.triangles, i, j, label, orbit)
+    vals = _pair_values(coords, rows, mesh.triangles, i, j, label, orbit,
+                        classes)
     G[i, j] = vals
     G[j, i] = vals
 

@@ -36,7 +36,7 @@ per-element indicators sum exactly to the global quantities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -140,15 +140,18 @@ class Level:
     ('manufactured', w, source): w is the curl of the data on this mesh,
     a PwConstVecField, and source = (panel coords, curl values) the curl
     density on the coarsest mesh, shared by every refinement so that the
-    data agree exactly.
+    data agree exactly.  ``classes`` is the store of rule-class values
+    of assemble_energy_form, shared by every Level of a run: refined()
+    passes it on, so each table evaluates only the classes new to the run.
     """
 
     mesh: Mesh
     data: tuple
+    classes: dict = field(default_factory=dict, repr=False)
 
     @cached_property
     def form(self):
-        return assemble_energy_form(self.mesh)
+        return assemble_energy_form(self.mesh, self.classes)
 
     @cached_property
     def cr(self):
@@ -196,7 +199,7 @@ class Level:
         if data[0] == "manufactured":
             w = data[1].values[parent]
             data = ("manufactured", PwConstVecField(mesh, w), data[2])
-        return Level(mesh, data)
+        return Level(mesh, data, self.classes)
 
 
 @dataclass(eq=False)

@@ -225,6 +225,23 @@ class TestAdaptiveLoop:
             level = level.refined(refine_nvb(level.mesh, marked)[0])
 
 
+@pytest.mark.parametrize("name", ["uniform-exact", "adaptive-smooth",
+                                  "graded-smooth"])
+def test_levels_of_a_run_share_one_store(name):
+    # the fine level and the next coarse level carry the first level's
+    # store of class values, so each table of a run evaluates only the
+    # classes new to the run
+    from crbem.adaptive import _first_level, _next_coarse
+    from crbem.estimators import solve_pair
+    config = ExperimentConfig(experiment=name)
+    level = _first_level(config)
+    pair = solve_pair(level)
+    following = _next_coarse(config, 0, pair, np.arange(2))
+    assert following.mesh.num_triangles > level.mesh.num_triangles
+    assert pair.fine.classes is level.classes
+    assert following.classes is level.classes
+
+
 class TestConfigValidation:
     def test_unknown_experiment(self):
         with pytest.raises(ValueError, match="unknown experiment"):
@@ -262,6 +279,10 @@ FENCE_CASES = {
     "graded-smooth/beta3@300": ["--experiment", "graded-smooth", "--beta",
                                 "3", "--max-fine-dofs", "300", "--levels",
                                 "30"],
+    # marking decided by rounding ties, over a chain of NVB tables that
+    # the run's store of singular class values serves
+    "adaptive-smooth@1000": ["--experiment", "adaptive-smooth",
+                             "--max-fine-dofs", "1000", "--levels", "30"],
 }
 FENCE_EXACT = ("level", "N_coarse", "N_fine")
 

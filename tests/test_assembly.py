@@ -1128,11 +1128,11 @@ def test_robust_and_self_copies_keep_the_table(beta):
     G = assemble_energy_form(mesh).table
     real = assembly._pair_values
 
-    def no_copies(coords, rows, tris, i, j, label, orbit):
+    def no_copies(coords, rows, tris, i, j, label, orbit, classes):
         rep, kept = orbit
         own = (label == assembly._ROBUST) | (label == assembly._SELF)
         rep = np.where(own, np.arange(len(rep)), rep)
-        return real(coords, rows, tris, i, j, label, (rep, kept))
+        return real(coords, rows, tris, i, j, label, (rep, kept), classes)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(assembly, "_pair_values", no_copies)
@@ -1516,6 +1516,32 @@ class TestKeyClasses:
         assert np.array_equal(rep, [0, 1, 2, 2])
 
 
+def test_stored_values_scale_to_the_key_and_skip_inexact_rows():
+    # a class value enters the store as value times 8^-f and is read at
+    # another scale times 8^f; a key with -0 reads that of +0; a row whose
+    # key does not round-trip neither enters the store nor reads it
+    r0, r1 = TestKeyClasses._rows(2, 37)
+    r0[4] = 0.0
+    bad = r1.copy()
+    bad[:15] *= 1e150
+    bad[16] = 1e-300
+    seen = []
+
+    def evaluate(rows):
+        seen.append(rows)
+        return 10.0 + rows
+
+    store = {}
+    got = assembly._stored_values(store, np.stack([r0, bad]), evaluate)
+    assert np.array_equal(got, [10.0, 11.0]) and len(store) == 1
+    scaled = np.ldexp(r0, 6)
+    scaled[4] = -0.0
+    got = assembly._stored_values(store, np.stack([scaled, bad, r1]),
+                                  evaluate)
+    assert np.array_equal(seen[-1], [1, 2])
+    assert got[0] == np.ldexp(10.0, 9) and len(store) == 2
+
+
 def test_no_pairs_no_classes():
     rep, f = _key_classes(np.empty((0, 17)))
     assert rep.shape == f.shape == (0,)
@@ -1569,35 +1595,210 @@ def test_panel_rows_give_the_rule_inputs(kind, monkeypatch):
                               want)
 
 
-@pytest.mark.parametrize("kind", ["nvb", "uniform"])
+# the eight symmetries of the square as integer matrices
+_SQUARE = [np.array(m) for m in (
+    [[1, 0], [0, 1]], [[0, -1], [1, 0]], [[-1, 0], [0, -1]], [[0, 1], [-1, 0]],
+    [[1, 0], [0, -1]], [[0, 1], [1, 0]], [[-1, 0], [0, 1]], [[0, -1], [-1, 0]])]
+
+
+def _ref_lattice_classes(coords, a, b):
+    """Classes of the pairs (a[p], b[p]) of dyadic panels under the
+    symmetries of the square, translation, scaling by powers of two and
+    exchange, brute force.  A pair's integer geometry in one of the 16
+    maps is each panel's edge vectors v1 - v0 and v2 - v0 over 2^g, g the
+    2-adic valuation of its integer coordinates, as a sorted pair, then
+    g_b - g_a and b0 - a0 over 2^s, s = min(g_a, g_b); its class is the
+    lexicographically smallest of the 16 rows.  Returns the first pair of
+    each pair's class and s."""
+    K = np.ldexp(coords, 40).astype(np.int64)
+    assert np.array_equal(np.ldexp(K.astype(float), -40), coords)
+    g = np.array([(v & -v).bit_length() - 1 for v in
+                  np.bitwise_or.reduce(np.abs(K).reshape(len(K), 6), axis=1)
+                  .tolist()])
+
+    def edges(k, e):
+        u, w = ((k[:, v] - k[:, 0]) // (2 ** e)[:, None] for v in (1, 2))
+        swap = (u[:, 0] > w[:, 0]) | ((u[:, 0] == w[:, 0]) & (u[:, 1] > w[:, 1]))
+        return np.where(swap[:, None], w, u), np.where(swap[:, None], u, w)
+
+    s = np.minimum(g[a], g[b])
+    rows = np.arange(len(a))
+    best = None
+    for p, q in ((a, b), (b, a)):
+        for m in _SQUARE:
+            kp, kq = K[p] @ m.T, K[q] @ m.T
+            row = np.column_stack([*edges(kp, g[p]), *edges(kq, g[q]),
+                                   g[q] - g[p],
+                                   (kq[:, 0] - kp[:, 0]) // (2 ** s)[:, None]])
+            if best is None:
+                best = row
+                continue
+            diff = row != best
+            col = diff.argmax(axis=1)
+            less = diff.any(axis=1) & (row[rows, col] < best[rows, col])
+            best[less] = row[less]
+    _, first, group = np.unique(best, axis=0, return_index=True,
+                                return_inverse=True)
+    return first[group.ravel()], s
+
+
+@pytest.mark.parametrize("kind", ["nvb", "uniform", "apex"])
 def test_lattice_classes_join_scaled_copies(kind):
-    # on the band pairs of a dyadic mesh, a pair's inputs are its
-    # representative's times 4^(s - s_rep), bitwise, and the lattice
-    # classes are the classes of equal float key (_key_classes)
+    # on the band pairs of a dyadic mesh the lattice classes are those of
+    # the brute-force reference, every class of equal float key
+    # (_key_classes) lies in one of them, and a pair's rule value is its
+    # representative's times 8^(s - s_rep) up to rounding.  "apex" is the
+    # uniform mesh with each panel's vertices turned so that vertex 0 is
+    # its right angle, which a mirror fixes: its panels have two frames.
     mesh = _nvb_mesh(200) if kind == "nvb" else _sweep_mesh("uniform")
-    coords, _, _, ci, cj, labels = _near_plan(mesh.triangle_coords(),
-                                              mesh.triangles)
+    tris = mesh.triangles
+    if kind == "apex":
+        coords = mesh.triangle_coords()
+        edge2 = ((coords[:, [1, 2, 0]] - coords) ** 2).sum(axis=2)
+        first = (edge2.argmax(axis=1) + 2) % 3
+        tris = np.take_along_axis(tris, (first[:, None] + [0, 1, 2]) % 3,
+                                  axis=1)
+    coords, _, _, ci, cj, labels = _near_plan(mesh.vertices[tris], tris)
     lattice = assembly._panel_lattice(coords)
     assert lattice is not None
-    for band in (assembly._DISJOINT, assembly._CLOSE):
+    assert len(lattice[1]) == (2 if kind == "apex" else 1)
+    for band, order in ((assembly._DISJOINT, ORDER - 1),
+                        (assembly._CLOSE, ORDER)):
         k = np.flatnonzero(labels == band)
         rep, s = assembly._lattice_classes(lattice, ci, cj, k)
+        first, ref_s = _ref_lattice_classes(coords, ci[k], cj[k])
+        assert np.array_equal(rep, first)
+        # the exponents up to the scale of the lattice
+        assert len(np.unique(s - ref_s)) == 1
         x = _rule_inputs(coords[ci[k]], coords[cj[k]])
-        g = s.astype(np.int64) - s[rep]
-        assert np.array_equal(x, np.ldexp(x[rep], 2 * g[:, None]))
-        assert np.array_equal(rep, _key_classes(x)[0])
+        by_key = _key_classes(x)[0]
+        assert np.array_equal(rep[by_key], rep)
+        assert len(np.unique(rep)) < len(np.unique(by_key))
         assert len(np.unique(rep)) < 0.75 * len(k)
+        value = _rule_values(quadrature_rule("disjoint", order), x)
+        want = np.ldexp(value[rep], 3 * (s.astype(np.int64) - s[rep]))
+        assert (np.abs(value - want) <= 2e-15 * want).all()
+
+
+def test_mirrored_turned_scaled_and_exchanged_pairs_form_one_class():
+    # a pair of dyadic panels, its mirror image (vertices 1 and 2 swapped,
+    # so that it stays counterclockwise), its quarter turns, a copy twice
+    # its size and the exchanged pair, each moved by its own offset
+    a = np.array([[0.0, 0.0], [3.0, 1.0], [1.0, 2.0]])
+    b = np.array([[5.0, 1.0], [6.0, 3.0], [4.0, 2.0]])
+    mirror = np.array([1.0, -1.0])
+    turns = [(a, b)]
+    for _ in range(3):
+        turns.append(tuple(np.stack([-p[:, 1], p[:, 0]], axis=1)
+                           for p in turns[-1]))
+    pairs = [*turns, ((a * mirror)[[0, 2, 1]], (b * mirror)[[0, 2, 1]]),
+             (2.0 * a, 2.0 * b), (b, a)]
+    coords = np.concatenate([np.stack(pair) + [64.0 * c, 32.0]
+                             for c, pair in enumerate(pairs)])
+    i, j = np.arange(0, len(coords), 2), np.arange(1, len(coords), 2)
+    rep, s = assembly._lattice_classes(assembly._panel_lattice(coords), i, j,
+                                       np.arange(len(i)))
+    assert np.array_equal(rep, np.zeros(len(i)))
+    assert np.array_equal(s - s[0], [0, 0, 0, 0, 0, 1, 0])
+    x = _rule_inputs(coords[i], coords[j])
+    # the classes of equal float key join the turned and scaled copies
+    # only
+    assert np.array_equal(_key_classes(x)[0], [0, 0, 0, 0, 4, 0, 6])
+    value = _rule_values(quadrature_rule("disjoint", ORDER - 1), x)
+    want = np.ldexp(value[0], 3 * s)
+    assert (np.abs(value - want) <= 2e-15 * want).all()
+
+
+def test_pair_and_its_mirror_across_a_symmetric_panel_form_one_class():
+    # a right-angled panel a with vertex 0 at its right angle maps onto
+    # itself under the mirror (x, y) -> (y, x); so the pair (a, b) and its
+    # mirror image (a, b') are copies, which one frame of a cannot join
+    a = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
+    b = np.array([[4.0, 1.0], [6.0, 2.0], [5.0, 3.0]])
+    coords = np.stack([a, b, a + 16.0, b[[0, 2, 1]][:, ::-1] + 16.0])
+    lattice = assembly._panel_lattice(coords)
+    assert len(lattice[1]) == 2
+    rep, s = assembly._lattice_classes(lattice, np.array([0, 2]),
+                                       np.array([1, 3]), np.arange(2))
+    assert np.array_equal(rep, [0, 0]) and np.array_equal(s, [0, 0])
+
+
+def test_no_singular_key_twice_in_a_run(monkeypatch):
+    # over an adaptive run the identical, edge and vertex kernels of
+    # tables above _SMALL_TABLE see each normalised kernel input once:
+    # every Level of the run shares one store of class values
+    from crbem.adaptive import ExperimentConfig, run_experiment
+
+    seen, panels = {}, [0]
+    real = assembly._pair_values, assembly._rule_values
+
+    def pair_values(coords, *args):
+        panels[0] = len(coords)
+        return real[0](coords, *args)
+
+    def kernel(rule, x):
+        if rule.case != "disjoint" and panels[0] > assembly._SMALL_TABLE:
+            seen.setdefault(rule.case, []).append(x)
+        return real[1](rule, x)
+
+    monkeypatch.setattr(assembly, "_pair_values", pair_values)
+    monkeypatch.setattr(assembly, "_rule_values", kernel)
+    records = run_experiment(ExperimentConfig(
+        experiment="adaptive-singular", max_fine_dofs=1000))
+    assert len(records) > 3
+    assert set(seen) == {"identical", "edge-adjacent", "vertex-adjacent"}
+    for case, calls in seen.items():
+        key, _, exact = _ref_keys(np.concatenate(calls))
+        assert exact.all() and len(calls) > 3
+        assert len(np.unique(key, axis=0)) == len(key)
+
+
+def test_table_alone_keeps_its_bits():
+    # the store of class values is an argument: a table assembled alone
+    # has the same bits whatever was assembled before it, and one
+    # assembled with a store filled by other tables stays within rounding
+    mesh = _nvb_mesh(200)
+    alone = assemble_energy_form(mesh).table.copy()
+    store = {}
+    for other in (_sweep_mesh("uniform"), uniform_refine(mesh)[0]):
+        assemble_energy_form(other, store)
+        assemble_energy_form(other)
+    assert store
+    assert np.array_equal(assemble_energy_form(mesh).table, alone)
+    shared = assemble_energy_form(mesh, store).table
+    assert (np.abs(shared - alone) <= 2e-15 * alone).all()
+
+
+def test_small_tables_leave_the_store_alone():
+    # a store of class values that a larger uniform table filled, each
+    # value doubled: tables of at most _SMALL_TABLE panels neither read
+    # nor write it, while the larger table reads it
+    mesh = build_initial_square_mesh()
+    small = [mesh, uniform_refine(mesh)[0]]
+    large = uniform_refine(small[-1])[0]
+    assert small[-1].num_triangles == assembly._SMALL_TABLE
+    store = {}
+    want = assemble_energy_form(large, store).table
+    for values in store.values():
+        for key in values:
+            values[key] *= 2.0
+    before = {case: dict(values) for case, values in store.items()}
+    for m in small:
+        assert np.array_equal(assemble_energy_form(m, store).table,
+                              assemble_energy_form(m).table)
+    assert store == before
+    assert not np.array_equal(assemble_energy_form(large, store).table, want)
 
 
 @pytest.mark.parametrize("kind", ["moved", "graded"])
 def test_no_lattice_classes_off_the_dyadic_grid(kind, monkeypatch):
     # The grading with beta = 1.5 has coordinates that no power of two
-    # turns into integers below 2^52: no lattice.  The uniform mesh moved
-    # by (1000.3, -999.7) lies on the grid of 2^-42 within that bound, but
+    # turns into integers below 2^52.  The uniform mesh moved by
+    # (1000.3, -999.7) lies on the grid of 2^-42 within that bound, but
     # every panel has a coordinate that is an odd multiple of 2^-42, while
-    # its edges are multiples of 2^-5, so a0 - b0 over 2^s does not fit
-    # the key.
-    # Either way the bands evaluate every pair.
+    # its edges are multiples of 2^-5, so its edges over 2^g do not fit
+    # the shape codes.  Neither mesh has a lattice, and the bands evaluate
+    # every pair.
     mesh = (_sweep_mesh("uniform") if kind == "moved"
             else uniform_refine(graded_square_mesh(8, 1.5))[0])
     if kind == "moved":
@@ -1605,7 +1806,7 @@ def test_no_lattice_classes_off_the_dyadic_grid(kind, monkeypatch):
                     mesh.ref_edge)
     assert mesh.num_triangles > assembly._SMALL_TABLE
     lattice = assembly._panel_lattice(mesh.triangle_coords())
-    assert (lattice is None) == (kind == "graded")
+    assert lattice is None
     classes = []
     real = assembly._lattice_classes
 
