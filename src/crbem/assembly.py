@@ -29,16 +29,17 @@ and memory measurements of every design choice below are in CHANGES.md.
 
 The meshes of the uniform and graded runs map onto themselves under the
 quarter turn (x, y) -> (1 - y, x), panel by panel and vertex k onto vertex
-k.  _quarter_turn finds that panel map sigma from exact coordinates, with
-no tolerance.  The images (sigma^a i, sigma^a j), a = 0..3, of a pair,
-each taken as (min, max), form its orbit, and the image of smallest code
-min nt + max is its representative.  A pair sees the kernel only through
-its geometry, so an image's value differs from the pair's own by
-rounding only.  _split_pairs copies a far pair's entry from its
-representative wherever that is far too; the representative lies in
-the same strip or an earlier one, so a strip evaluates its other pairs
-first.  Where no sigma exists (NVB meshes, translated meshes, gradings
-whose coordinates do not turn exactly) every far pair is evaluated.
+k.  panel_map finds the panel map of such an isometry from exact
+coordinates, with no tolerance; _quarter_turn is its call for the turn,
+TURN, whose map is sigma.  The images (sigma^a i, sigma^a j), a = 0..3, of
+a pair, each taken as (min, max), form its orbit, and the image of
+smallest code min nt + max is its representative.  A pair sees the kernel
+only through its geometry, so an image's value differs from the pair's own
+by rounding only.  _split_pairs copies a far pair's entry from its
+representative wherever that is far too; the representative lies in the
+same strip or an earlier one, so a strip evaluates its other pairs first.
+Where no sigma exists (NVB meshes, translated meshes, gradings whose
+coordinates do not turn exactly) every far pair is evaluated.
 
 The near pass uses the same turn.  After its strip loop, _split_pairs maps
 each near candidate to its representative, and tells whether the turn
@@ -134,22 +135,22 @@ quadratic arrays of a run; estimators.solve_spd factors A in place.
 assemble_stiffness fills A by blocks of _STIFF_BLOCK DOF rows, then
 symmetrizes it in place, one pair of square tiles of that side at a time.
 On the orbit indicators of the quarter turn (constant data, see
-estimators) A has the orbits' rows only, about n/4, and no n x n array is
-made.  The near candidates are
-two int32 index lists and one flag byte each, and the orbit map one more
-int32 and one more byte.  _split_pairs holds the far pairs of one strip at
-a time, their orbit images, and the kernel inputs of one block of them; no
-list spans the far pairs of the table.  Its strips keep a candidate as one
-code, 4 bytes, and its flag, as two index lists kept between the far
-pairs' work arrays left more heap behind for the rest of the run.  It
-builds the orbit map once the candidates are joined, in blocks, as maps
-built per strip raised the peak memory of the graded runs.  The near-field
-pass works in blocks too: _classify_pairs labels the near candidates in
-blocks of _PAIR_BLOCK rows with one byte each, after the table is
-allocated, as classifying before it left more freed heap behind for the
-rest of the run, and _pair_values keeps per label only the indices of its
-pairs (and for a keyed label their kernel inputs, for a band with lattice
-classes one key, then one representative, per pair), and one loop,
+estimators) A has the orbits' rows only, about n/4, and on those of the
+reflection (power data) about n/2; no n x n array is made.  The near
+candidates are two int32 index lists and one flag byte each, and the orbit
+map one more int32 and one more byte.  _split_pairs holds the far pairs of
+one strip at a time, their orbit images, and the kernel inputs of one
+block of them; no list spans the far pairs of the table.  Its strips keep
+a candidate as one code, 4 bytes, and its flag, as two index lists kept
+between the far pairs' work arrays left more heap behind for the rest of
+the run.  It builds the orbit map once the candidates are joined, in
+blocks, as maps built per strip raised the peak memory of the graded runs.
+The near-field pass works in blocks too: _classify_pairs labels the near
+candidates in blocks of _PAIR_BLOCK rows with one byte each, after the
+table is allocated, as classifying before it left more freed heap behind
+for the rest of the run, and _pair_values keeps per label only the indices
+of its pairs (and for a keyed label their kernel inputs, for a band with
+lattice classes one key, then one representative, per pair), and one loop,
 _gathered, gathers the panels of a block of pairs, in the vertex order of
 their case, for a kernel that sees only that block.
 
@@ -218,6 +219,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -228,6 +230,10 @@ from .spaces import barycentric_gradients
 
 __all__ = [
     "EnergyForm",
+    "Isometry",
+    "TURN",
+    "REFLECTION",
+    "panel_map",
     "QuadratureRule",
     "quadrature_rule",
     "panel_integral",
@@ -421,8 +427,12 @@ def _rule_monomials(case, order):
     nodes, off-diagonal products doubled."""
     rule = quadrature_rule(case, order)
     c = np.vstack([np.ones(len(rule.weights)), rule.x_nodes.T, rule.y_nodes.T])
-    mono = c[_GRAM_I] * c[_GRAM_J]
-    mono[_GRAM_I != _GRAM_J] *= 2.0
+    # row by row into one array, with no full-size temporary
+    mono = np.empty((len(_GRAM_I), c.shape[1]))
+    for row, (p, q) in enumerate(zip(_GRAM_I, _GRAM_J)):
+        np.multiply(c[p], c[q], out=mono[row])
+        if p != q:
+            mono[row] *= 2.0
     mono.setflags(write=False)
     return mono
 
@@ -1265,21 +1275,51 @@ def panel_integral(ta, tb):
     return float(assemble_energy_form(mesh).table[0, -1])
 
 
-def _quarter_turn(coords):
-    """Panel map sigma of the quarter turn (x, y) -> (1 - y, x), or None.
+class Isometry(NamedTuple):
+    """An isometry of the unit square: ``point`` maps the coordinate
+    arrays x, y to their images, and vertex k of a panel goes to vertex
+    ``slots[k]`` of its image panel.  Each slot order below is its own
+    inverse."""
 
-    Vertex k of panel sigma[i] has exactly the coordinates of vertex k of
-    panel i turned, with no tolerance, and every orbit of sigma has four
-    panels.  None if some panel has no such image.
+    point: Callable
+    slots: tuple
+
+
+# the quarter turn keeps the vertex order; the reflection reverses the
+# orientation, so it keeps vertex 0 and swaps vertices 1 and 2, and the
+# image panels stay counterclockwise
+TURN = Isometry(lambda x, y: (1.0 - y, x), (0, 1, 2))
+REFLECTION = Isometry(lambda x, y: (x, 1.0 - y), (0, 2, 1))
+
+
+def panel_map(coords, isometry):
+    """Panel map s of an isometry of the panels coords (nt, 3, 2), or
+    None if some panel has no image.
+
+    Vertex k of panel s[i] has exactly the coordinates of vertex
+    isometry.slots[k] of panel i mapped, with no tolerance.  As the slot
+    order is its own inverse, vertex k of panel i goes to vertex slots[k]
+    of panel s[i].
     """
     nt = len(coords)
-    turned = np.stack([1.0 - coords[..., 1], coords[..., 0]], axis=-1)
-    src, dst = (np.lexsort(c.reshape(nt, 6).T) for c in (turned, coords))
-    if not np.array_equal(turned[src], coords[dst]):
+    image = np.stack(isometry.point(coords[..., 0], coords[..., 1]),
+                     axis=-1)[:, isometry.slots]
+    src, dst = (np.lexsort(c.reshape(nt, 6).T) for c in (image, coords))
+    if not np.array_equal(image[src], coords[dst]):
         return None
-    sigma = np.empty(nt, np.intp)
-    sigma[src] = dst
-    twice, ident = sigma[sigma], np.arange(nt)
+    s = np.empty(nt, np.intp)
+    s[src] = dst
+    return s
+
+
+def _quarter_turn(coords):
+    """Panel map sigma of the quarter turn (TURN), or None where some
+    panel has no exact image or some orbit of sigma has fewer than four
+    panels."""
+    sigma = panel_map(coords, TURN)
+    if sigma is None:
+        return None
+    twice, ident = sigma[sigma], np.arange(len(coords))
     if (twice == ident).any() or not np.array_equal(twice[twice], ident):
         return None
     return sigma
@@ -1471,14 +1511,14 @@ def _curl_matrices(space):
 def assemble_stiffness(form, space, orbits=None):
     """Galerkin matrix A[i][j] = a(basis_i, basis_j) on the given space.
 
-    With orbits, a DOF's orbit index (spaces.dof_orbits), the basis is the
-    orbit indicators instead: basis function o is the sum of the basis
+    With orbits, a DOF's orbit index under a panel map (spaces.dof_orbits;
+    estimators.Level takes the quarter turn's or the reflection's), the basis
+    is the orbit indicators instead: basis function o is the sum of the basis
     functions of orbit o, so the matrix is S A S^T with S the orbit-sum
-    matrix, formed as (C S^T)^T G (C S^T) from the summed curl matrices
-    C S^T, with no n x n array.  Both bases take the same loop: blocks of
-    _STIFF_BLOCK rows of a = cx G cx^T + cy G cy^T, then A = 0.5 (a + a^T)
-    in place, one pair of square tiles at a time, so A is bitwise
-    symmetric.
+    matrix, formed as (C S^T)^T G (C S^T) from the summed curl matrices C S^T,
+    with no n x n array.  Both bases take the same loop: blocks of
+    _STIFF_BLOCK rows of a = cx G cx^T + cy G cy^T, then A = 0.5 (a + a^T) in
+    place, one pair of square tiles at a time, so A is bitwise symmetric.
     """
     if space.mesh is not form.mesh:
         raise ValueError("space does not live on the form's mesh")

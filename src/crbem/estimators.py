@@ -9,24 +9,32 @@ the conformity gap reads the coarse CR and conforming solutions.  No
 estimator reads a conforming solution on the fine mesh, so none is
 computed.
 
-Constant data on a mesh that the quarter turn sigma maps onto itself give
-a solution that the turn leaves alone, so it lies in the span of the
-indicators of the DOF orbits (spaces.dof_orbits).  Where the energy form
-was assembled with sigma (EnergyForm.sigma: tables of more than
-assembly._SMALL_TABLE panels with the turn), Level solves the Galerkin
-system on that basis, of about a quarter of the unknowns, with the
-stiffness of assemble_stiffness(..., orbits) and the orbit sums of the
-load, and lifts the solution to the space: the uniform-smooth and
-graded-smooth solves.  All other solves, power and manufactured data,
-NVB meshes and small tables, are on the full basis.  The table is
-sigma-invariant only up to quadrature error: on graded meshes a few
-pairs take another band than their images, or the robust path with the
-panels swapped.  So the lifted solution is the Galerkin solution on the
-subspace but not exactly on the space: solve_spd checks the residual of
-the reduced system, and the lifted solution's residual in the full
-system may exceed _RESIDUAL_TOL.  Every quantity the estimators read is
-a quadratic form that the turn leaves alone, so that difference enters
-them at second order only.
+Data that an isometry of the square maps onto themselves, on a mesh it
+maps onto itself, give a solution that the isometry leaves alone, so it
+lies in the span of the indicators of the DOF orbits (spaces.dof_orbits).
+Level.symmetry picks the isometry: the quarter turn sigma (x, y) ->
+(1 - y, x) for constant data, and the reflection (x, y) -> (x, 1 - y)
+for the power data x^alpha, which the turn does not keep.  Both apply
+only where the energy form was assembled with sigma (EnergyForm.sigma:
+tables of more than assembly._SMALL_TABLE panels with the turn); the
+reflection's panel map comes from assembly.panel_map.  There Level
+solves the Galerkin system on the orbit basis, with the stiffness of
+assemble_stiffness(..., orbits) and the orbit sums of the load, and
+lifts the solution to the space: about a quarter of the unknowns for
+the uniform-smooth and graded-smooth solves, and about half for the
+uniform-singular ones.  All other solves, manufactured data, small
+tables and meshes without the turn, are on the full basis.  The
+adaptive runs' NVB meshes have no turn, so they stay on the full basis
+even where the reflection maps the mesh onto itself.  The table is
+invariant only up to quadrature error: on graded meshes a few pairs
+take another band than their turned images, or the robust path with
+the panels swapped, and on uniform ones entries differ from their
+images by rounding.  So the lifted solution is the
+Galerkin solution on the subspace but not exactly on the space:
+solve_spd checks the residual of the reduced system, and the lifted
+solution's residual in the full system may exceed _RESIDUAL_TOL.  Every
+quantity the estimators read is a quadratic form that the isometry
+leaves alone, so that difference enters them at second order only.
 
 Estimator conventions: the energy norm is realized as sqrt(a(.,.)); edge
 jump terms are weighted per edge by the edge length; every interior edge
@@ -57,8 +65,11 @@ from .spaces import (
     _parents,
 )
 from .assembly import (
+    REFLECTION,
+    TURN,
     NumericalError,
     assemble_energy_form,
+    panel_map,
     assemble_stiffness,
     assemble_rhs_constant,
     assemble_rhs_power,
@@ -179,13 +190,29 @@ class Level:
         """Conforming solution."""
         return self._solve(self.conf, self.load_conf)
 
+    @cached_property
+    def symmetry(self):
+        """(panel map, slot order) of the isometry whose DOF orbits the
+        solves take, or None for the full basis: on a table assembled
+        with the quarter turn, the turn for constant data and the
+        reflection y -> 1 - y for power data, where the mesh has it."""
+        sigma = self.form.sigma
+        if sigma is None:
+            return None
+        if self.data[0] == "constant":
+            return sigma, TURN.slots
+        if self.data[0] == "power":
+            rho = panel_map(self.mesh.triangle_coords(), REFLECTION)
+            return None if rho is None else (rho, REFLECTION.slots)
+        return None
+
     def _solve(self, space, load):
-        """The Galerkin solution in space.  With constant data on a table
-        assembled with the quarter turn, on the orbit indicators of the
-        DOFs, lifted to the space; else on the space's own basis."""
+        """The Galerkin solution in space: with a symmetry, on the
+        indicators of its DOF orbits, with the orbit sums of the load,
+        lifted to the space; else on the space's own basis."""
         orbits = None
-        if self.data[0] == "constant" and self.form.sigma is not None:
-            orbits = dof_orbits(space, self.form.sigma)
+        if self.symmetry is not None:
+            orbits = dof_orbits(space, *self.symmetry)
             load = np.bincount(orbits, weights=load)
         x = solve_spd(assemble_stiffness(self.form, space, orbits), load)
         return CoefVec(space, x if orbits is None else x[orbits])

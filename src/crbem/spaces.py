@@ -36,7 +36,7 @@ __all__ = [
     "jump_field",
     "clement_interpolate",
     "project_pwconst",
-    "dof_turn",
+    "dof_map",
     "dof_orbits",
 ]
 
@@ -123,28 +123,33 @@ def conforming_space(mesh):
                   (0.0, 1.0))
 
 
-def dof_turn(space, sigma):
-    """The DOF map img of a panel map sigma that takes vertex k of panel t
-    to vertex k of panel sigma[t], as the quarter turn of
-    assembly._quarter_turn does: img[element_dofs[t, k]] =
-    element_dofs[sigma[t], k], since slot k's entity goes with vertex k."""
+def dof_map(space, panels, slots):
+    """The DOF map img of a panel map (assembly.panel_map) that takes
+    vertex k of panel t to vertex slots[k] of panel panels[t]:
+    img[element_dofs[t, k]] = element_dofs[panels[t], slots[k]], since
+    slot k's entity, the edge opposite vertex k or vertex k, goes with
+    vertex k.  The quarter turn keeps the slots, (0, 1, 2), and the
+    reflection y -> 1 - y swaps slots 1 and 2, (0, 2, 1)."""
     dofs = space.element_dofs
-    src, dst = dofs.ravel(), dofs[sigma].ravel()
+    src, dst = dofs.ravel(), dofs[panels][:, slots].ravel()
     live = src >= 0
     img = np.empty(space.dof_count, np.intp)
     img[src[live]] = dst[live]
     return img
 
 
-def dof_orbits(space, sigma):
-    """The orbit of each DOF under the quarter turn sigma, numbered 0, 1,
-    ... in the order of each orbit's smallest DOF.  An orbit has four DOFs,
-    but the center vertex of the conforming space is one alone."""
-    img = dof_turn(space, sigma)
-    least = image = np.arange(space.dof_count)
-    for _ in range(3):
-        image = img[image]
+def dof_orbits(space, panels, slots):
+    """The orbit of each DOF under the DOF map of a panel map (dof_map),
+    numbered 0, 1, ... in the order of each orbit's smallest DOF.  Under
+    the quarter turn an orbit has four DOFs, but the center vertex of the
+    conforming space is one alone; under the reflection it has two, but
+    the DOFs on y = 1/2 are one alone each."""
+    img = dof_map(space, panels, slots)
+    ident = np.arange(space.dof_count)
+    least, image = ident, img
+    while not np.array_equal(image, ident):
         least = np.minimum(least, image)
+        image = img[image]
     return np.unique(least, return_inverse=True)[1]
 
 

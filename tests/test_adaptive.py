@@ -283,6 +283,10 @@ FENCE_CASES = {
     # the run's store of singular class values serves
     "adaptive-smooth@1000": ["--experiment", "adaptive-smooth",
                              "--max-fine-dofs", "1000", "--levels", "30"],
+    # the benchmark's cap: power data on the reflection's DOF orbits, up to
+    # the 512-panel table
+    "uniform-singular@3000": ["--experiment", "uniform-singular",
+                              "--max-fine-dofs", "3000", "--levels", "30"],
 }
 FENCE_EXACT = ("level", "N_coarse", "N_fine")
 

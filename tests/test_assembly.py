@@ -34,6 +34,7 @@ from crbem.assembly import (
     RHO_FAR,
     RHO_NEAR,
     SINGULAR_ASPECT_LIMIT,
+    REFLECTION,
     NumericalError,
     _aspect_and_diameter,
     _curl_matrices,
@@ -46,10 +47,12 @@ from crbem.assembly import (
     _quarter_turn,
     _robust_pairs,
     _rule_inputs,
+    _rule_monomials,
     _rule_values,
     _self_entry_closed_form,
     _split_pairs,
     _triangle_distances,
+    panel_map,
     single_layer_field,
 )
 
@@ -895,6 +898,36 @@ class TestFarTable:
         assert np.array_equal(coords[sigma, :, 0], 1.0 - coords[..., 1])
         assert np.array_equal(coords[sigma, :, 1], coords[..., 0])
 
+    @pytest.mark.parametrize("kind", ["uniform", "graded2", "graded3"])
+    def test_reflection_found(self, kind):
+        # vertex 0 of panel rho[i] is vertex 0 of panel i reflected, and
+        # vertices 1 and 2 swap, exactly; the panels stay counterclockwise
+        mesh = (_sweep_mesh("uniform") if kind == "uniform"
+                else graded_square_mesh(16, float(kind[-1])))
+        coords = mesh.triangle_coords()
+        rho = panel_map(coords, REFLECTION)
+        assert rho is not None
+        ident = np.arange(len(coords))
+        assert np.array_equal(np.sort(rho), ident)
+        assert np.array_equal(rho[rho], ident)
+        image = coords[rho][:, [0, 2, 1]]
+        assert np.array_equal(image[..., 0], coords[..., 0])
+        assert np.array_equal(image[..., 1], 1.0 - coords[..., 1])
+        d1, d2 = (coords[rho][:, k] - coords[rho][:, 0] for k in (1, 2))
+        assert (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0] > 0.0).all()
+
+    @pytest.mark.parametrize("kind", ["nvb", "moved", "ulp"])
+    def test_no_reflection(self, kind):
+        mesh = _sweep_mesh("nvb" if kind == "nvb" else "graded")
+        vertices = mesh.vertices.copy()
+        if kind == "moved":
+            vertices += [1000.3, -999.7]
+        elif kind == "ulp":
+            interior = np.flatnonzero(~mesh.boundary_vertex)[0]
+            vertices[interior, 1] = np.nextafter(vertices[interior, 1], 2.0)
+        moved = Mesh(vertices, mesh.triangles, mesh.ref_edge)
+        assert panel_map(moved.triangle_coords(), REFLECTION) is None
+
     @pytest.mark.parametrize("kind", ["nvb", "moved", "ulp"])
     def test_no_quarter_turn(self, kind):
         mesh = _sweep_mesh("nvb" if kind == "nvb" else "graded")
@@ -1334,6 +1367,24 @@ def test_rule_values_in_steps_match_the_panel_kernel():
         for lo in range(0, len(k), step)])
     x = np.ascontiguousarray(_rule_inputs(a, b))
     assert np.array_equal(_rule_values(rule, x), want)
+
+
+@pytest.mark.parametrize("case", ["identical", "edge-adjacent",
+                                  "vertex-adjacent", "disjoint"])
+@pytest.mark.parametrize("order", [ORDER - 2, ORDER])
+def test_rule_monomials_match_the_gathered_products(case, order):
+    # the products c_i c_j of c = (1, x1, x2, y1, y2), formed as whole
+    # gathered (15, K) arrays, off-diagonal rows doubled: bit for bit
+    rule = quadrature_rule(case, order)
+    c = np.vstack([np.ones(len(rule.weights)), rule.x_nodes.T,
+                   rule.y_nodes.T])
+    gi, gj = np.triu_indices(5)
+    want = c[gi] * c[gj]
+    want[gi != gj] *= 2.0
+    got = _rule_monomials(case, order)
+    assert got.shape == (15, len(rule.weights))
+    assert np.array_equal(got, want)
+    assert not got.flags.writeable
 
 
 def test_every_gemm_takes_at_most_one_step():

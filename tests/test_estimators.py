@@ -27,7 +27,8 @@ from crbem import (
     uniform_refine,
 )
 from crbem import estimators
-from crbem.spaces import PwConstVecField, dof_turn, jump_field
+from crbem.assembly import REFLECTION, TURN, panel_map
+from crbem.spaces import PwConstVecField, dof_map, jump_field
 from crbem.estimators import Level, SolvePair
 
 from conforming import conforming_to_cr, prolong_conforming
@@ -175,9 +176,28 @@ def _uniform_mesh(panels):
 _SOLVES = [("cr", "phi", "load_cr"), ("conf", "phi0", "load_conf")]
 
 
+def _check_full_solve_energies(level, names):
+    """load . phi and the energy of the level's solution match those of
+    the full solve to 1e-12 relative."""
+    space, phi, load = (getattr(level, name) for name in names)
+    full = CoefVec(space, solve_spd(assemble_stiffness(level.form, space),
+                                    load))
+    for x in (phi, full):
+        assert np.abs(x.values).max() > 0.0
+    assert load @ phi.values == pytest.approx(load @ full.values,
+                                              rel=1e-12, abs=0.0)
+
+    def energy(x):
+        w = curl_field(x)
+        return energy_inner(level.form, w, w)
+
+    assert energy(phi) == pytest.approx(energy(full), rel=1e-12, abs=0.0)
+
+
 class TestReducedSolve:
-    """Constant data on a table with the quarter turn: the Galerkin solve
-    on the DOF-orbit indicators."""
+    """Constant data on a table with the quarter turn, and power data on
+    one that the reflection y -> 1 - y maps onto itself too: the Galerkin
+    solve on the DOF-orbit indicators."""
 
     @pytest.fixture(scope="class", params=["uniform", "graded"])
     def level(self, request):
@@ -191,31 +211,51 @@ class TestReducedSolve:
     @pytest.mark.parametrize("names", _SOLVES, ids=["cr", "conforming"])
     def test_lifted_solution_is_turn_invariant(self, level, names):
         space, x = getattr(level, names[0]), getattr(level, names[1]).values
-        assert np.array_equal(x[dof_turn(space, level.form.sigma)], x)
+        img = dof_map(space, level.form.sigma, TURN.slots)
+        assert np.array_equal(x[img], x)
 
     @pytest.mark.parametrize("names", _SOLVES, ids=["cr", "conforming"])
     def test_energies_match_the_full_solve(self, level, names):
-        space, phi, load = (getattr(level, name) for name in names)
-        full = CoefVec(space, solve_spd(assemble_stiffness(level.form, space),
-                                        load))
-        for x in (phi, full):
-            assert np.abs(x.values).max() > 0.0
-        assert load @ phi.values == pytest.approx(load @ full.values,
-                                                  rel=1e-12, abs=0.0)
+        _check_full_solve_energies(level, names)
 
-        def energy(x):
-            w = curl_field(x)
-            return energy_inner(level.form, w, w)
+    @pytest.fixture(scope="class")
+    def power_level(self):
+        level = Level(_uniform_mesh(512), ("power", -0.6))
+        assert level.mesh.num_triangles == 512
+        assert level.form.sigma is not None
+        return level
 
-        assert energy(phi) == pytest.approx(energy(full), rel=1e-12, abs=0.0)
+    @pytest.mark.parametrize("names", _SOLVES, ids=["cr", "conforming"])
+    def test_lifted_power_solution_is_reflection_invariant(self, power_level,
+                                                           names):
+        level = power_level
+        space, x = getattr(level, names[0]), getattr(level, names[1]).values
+        rho = panel_map(level.mesh.triangle_coords(), REFLECTION)
+        img = dof_map(space, rho, REFLECTION.slots)
+        assert not np.array_equal(img, np.arange(len(img)))
+        assert np.array_equal(x[img], x)
+        # x^-0.6 is not turn-invariant, and neither is the solution
+        turn = dof_map(space, level.form.sigma, TURN.slots)
+        assert np.abs(x[turn] - x).max() > 1e-3 * np.abs(x).max()
+
+    @pytest.mark.parametrize("names", _SOLVES, ids=["cr", "conforming"])
+    def test_power_energies_match_the_full_solve(self, power_level, names):
+        _check_full_solve_energies(power_level, names)
 
     @pytest.mark.parametrize("case", ["constant", "power", "no turn",
-                                      "small table"])
+                                      "small table", "power, no turn"])
     def test_which_solves_are_reduced(self, monkeypatch, case):
         mesh = _uniform_mesh(32 if case == "small table" else 128)
         if case == "no turn":
             mesh = refine_nvb(mesh, [0])[0]
-        data = ("power", -0.6) if case == "power" else ("constant",)
+        elif case == "power, no turn":
+            # an NVB mesh that the reflection maps onto itself, but not
+            # the turn
+            rho = panel_map(mesh.triangle_coords(), REFLECTION)
+            mesh = refine_nvb(mesh, [0, rho[0]])[0]
+            assert panel_map(mesh.triangle_coords(), REFLECTION) is not None
+        data = (("power", -0.6) if case.startswith("power")
+                else ("constant",))
         level = Level(mesh, data)
         sizes = []
 
@@ -225,12 +265,21 @@ class TestReducedSolve:
 
         monkeypatch.setattr(estimators, "solve_spd", counted)
         level.phi, level.phi0
-        assert (level.form.sigma is None) == (case in ("no turn",
-                                                       "small table"))
+        assert (level.form.sigma is None) == (case in (
+            "no turn", "small table", "power, no turn"))
         full = [level.cr.dof_count, level.conf.dof_count]
         if case == "constant":
             # 4 DOFs an orbit, the center vertex alone
             assert sizes == [full[0] // 4, (full[1] + 3) // 4]
+        elif case == "power":
+            # 2 DOFs an orbit, the edge midpoints and nodes on y = 1/2
+            # alone
+            mesh = level.mesh
+            alone = [(points[space.dof_to_entity][:, 1] == 0.5).sum()
+                     for points, space in ((mesh.edge_midpoints, level.cr),
+                                           (mesh.vertices, level.conf))]
+            assert sizes == [(n + k) // 2 for n, k in zip(full, alone)]
+            assert sizes == [92, 28]
         else:
             assert sizes == full
 

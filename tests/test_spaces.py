@@ -17,12 +17,12 @@ from crbem import (
     graded_square_mesh,
     uniform_refine,
 )
-from crbem.assembly import _quarter_turn
+from crbem.assembly import REFLECTION, TURN, _quarter_turn, panel_map
 from crbem.spaces import (
     PwConstVecField,
     barycentric_gradients,
+    dof_map,
     dof_orbits,
-    dof_turn,
     element_vertex_values,
 )
 
@@ -70,7 +70,14 @@ class TestDofOrbits:
         sigma = _quarter_turn(mesh.triangle_coords())
         assert sigma is not None
         space = space_fn(mesh)
-        return space, sigma, dof_turn(space, sigma)
+        return space, sigma, dof_map(space, sigma, TURN.slots)
+
+    def _reflect(self, kind, space_fn):
+        mesh = _turnable_mesh(kind)
+        rho = panel_map(mesh.triangle_coords(), REFLECTION)
+        assert rho is not None
+        space = space_fn(mesh)
+        return space, rho, dof_map(space, rho, REFLECTION.slots)
 
     def test_permutation_of_order_four(self, kind, space_fn):
         space, _, img = self._turn(kind, space_fn)
@@ -101,7 +108,7 @@ class TestDofOrbits:
 
     def test_orbit_sizes(self, kind, space_fn):
         space, sigma, img = self._turn(kind, space_fn)
-        orbits = dof_orbits(space, sigma)
+        orbits = dof_orbits(space, sigma, TURN.slots)
         sizes = np.bincount(orbits)
         lone = np.flatnonzero(sizes == 1)
         assert set(sizes) <= {1, 4}
@@ -113,6 +120,46 @@ class TestDofOrbits:
             center = space.dof_to_entity[orbits == lone[0]]
             assert np.array_equal(space.mesh.vertices[center], [[0.5, 0.5]])
         # numbered by smallest DOF, and an orbit is closed under the turn
+        first = np.unique(orbits, return_index=True)[1]
+        assert np.array_equal(orbits[first], np.arange(len(sizes)))
+        assert np.all(np.diff(first) > 0)
+        assert np.array_equal(orbits[img], orbits)
+
+    def test_reflection_permutation_of_order_two(self, kind, space_fn):
+        space, _, img = self._reflect(kind, space_fn)
+        ident = np.arange(space.dof_count)
+        assert np.array_equal(np.sort(img), ident)
+        assert not np.array_equal(img, ident)
+        assert np.array_equal(img[img], ident)
+
+    def test_reflection_slots_give_the_same_image(self, kind, space_fn):
+        # slot k of panel t goes to slot (0, 2, 1)[k] of panel rho[t]
+        space, rho, img = self._reflect(kind, space_fn)
+        dofs = space.element_dofs
+        live = dofs >= 0
+        assert np.array_equal(img[dofs[live]], dofs[rho][:, [0, 2, 1]][live])
+
+    def test_image_is_the_reflected_entity(self, kind, space_fn):
+        space, _, img = self._reflect(kind, space_fn)
+        mesh = space.mesh
+        # the edge midpoint or the node of each DOF, reflected exactly
+        points = (mesh.edge_midpoints if space.kind == "cr"
+                  else mesh.vertices)
+        xy = points[space.dof_to_entity]
+        reflected = np.stack([xy[:, 0], 1.0 - xy[:, 1]], axis=-1)
+        assert np.array_equal(points[space.dof_to_entity[img]], reflected)
+
+    def test_reflection_orbit_sizes(self, kind, space_fn):
+        space, rho, img = self._reflect(kind, space_fn)
+        orbits = dof_orbits(space, rho, REFLECTION.slots)
+        sizes = np.bincount(orbits)
+        assert set(sizes) == {1, 2}
+        # alone: exactly the DOFs on the axis y = 1/2
+        mesh = space.mesh
+        points = (mesh.edge_midpoints if space.kind == "cr"
+                  else mesh.vertices)
+        on_axis = points[space.dof_to_entity][:, 1] == 0.5
+        assert np.array_equal(sizes[orbits] == 1, on_axis)
         first = np.unique(orbits, return_index=True)[1]
         assert np.array_equal(orbits[first], np.arange(len(sizes)))
         assert np.all(np.diff(first) > 0)
