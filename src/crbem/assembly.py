@@ -114,21 +114,21 @@ exponent g, the 2-adic valuation of its integers, and its forms: the id
 of the unordered pair {v1 - v0, v2 - v0} / 2^g under each of the
 square's eight symmetries.  The smallest form is the panel's shape, and
 the symmetries that give it are its frames, two where a mirror swaps its
-edges (a panel whose vertex 0 is the apex of an isosceles triangle).  _lattice_classes keys a band pair (a, b) in a frame h of a by
-a's shape, b's form under h, g_b - g_a and h (b0 - a0) over 2^s, s the
-smaller exponent, takes the smallest such key over a's frames and over
-both orders of the pair, and packs it and the pair's place into one
-int64.  Pairs of equal key are copies of each other under the square's
-symmetries, translation, scaling by 2^(s - s_rep) and exchange of the
-panels, so their values agree up to rounding and the factor
-8^(s - s_rep), and the classes keep the contract of _key_classes: the
-first pair of a class in the band's order is evaluated, and the others
-take its value times 8^(s - s_rep).  Both mechanisms take the first row
-of each run of a stable sort from one helper, _first_of_runs.  Tables
-without a lattice (gradings whose coordinates are not dyadic, meshes
-translated off their grid, whose edges over 2^g do not fit the shape
-codes), tables of at most _SMALL_TABLE panels and keys that do not fit
-an int64 evaluate every band pair.
+edges (a panel whose vertex 0 is the apex of an isosceles triangle).
+_lattice_classes keys a band pair (a, b) in a frame h of a by a's shape,
+b's form under h, g_b - g_a and h (b0 - a0) over 2^s, s the smaller
+exponent, takes the smallest such key over a's frames and over both orders
+of the pair, and packs it and the pair's place into one int64.  Pairs of
+equal key are copies of each other under the square's symmetries,
+translation, scaling by 2^(s - s_rep) and exchange of the panels, so their
+values agree up to rounding and the factor 8^(s - s_rep), and the classes
+keep the contract of _key_classes: the first pair of a class in the band's
+order is evaluated, and the others take its value times 8^(s - s_rep).
+Both mechanisms take the first row of each run of a stable sort from one
+helper, _first_of_runs.  Tables without a lattice (gradings whose
+coordinates are not dyadic, meshes translated off their grid, whose edges
+over 2^g do not fit the shape codes), tables of at most _SMALL_TABLE
+panels and keys that do not fit an int64 evaluate every band pair.
 
 Memory: the table G (nt x nt) and a Galerkin matrix A (n x n) are the only
 quadratic arrays of a run; estimators.solve_spd factors A in place.
@@ -186,8 +186,8 @@ _ROBUST_RTOL, so a flipped decision would move a table entry by about
 lies within rounding of the threshold.  The tests check against such a
 mapped-point reference that the path evaluates the same cells and stays
 within the rounding bound.  A block's GEMM must round a row alike
-wherever it stands, so that neither the block size nor the thread count
-changes a bit; the tests check that too.
+wherever it stands, so that the block size changes no bit; the tests
+check that too.
 The triangle distances that pick the disjoint bands work on split
 x and y coordinate arrays and keep the floating-point operations of the
 earlier (M, K, 2) formulation, in the same order, as the bands compare
@@ -199,24 +199,11 @@ and only the disjoint ones among them get exact distances, with the same
 bands.  The robust path runs once per block of pairs; its stop test reads
 only sums per pair, so blocking changes no bit.  Past _ROBUST_MAX_CELLS
 live cells in a block it raises NumericalError.
-
-Threads: one robust-path call opens a ThreadPoolExecutor with one thread
-per core the process may use, and each set of cells is split statically:
-thread s evaluates every workers-th block from the s-th on, in its own
-work arrays (the GEMM's coefficients and output, the cell values and
-_edge_potential's five), which the caller's thread allocates.  Each block
-writes only its own slice of the cell values, so the table has the same
-bits on any number of threads.  The subdivision, the stop test and the
-cell cap stay on the caller's thread.  This is the only thread pool of
-the package: the far pass and the near-field gathers run on the caller's
-thread, as pooling them raised the peak RSS of the smallest runs.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple
@@ -262,9 +249,9 @@ SINGULAR_ASPECT_LIMIT = 3.0
 _ROBUST_RTOL = 1e-6
 _ROBUST_ORDER = 5
 _ROBUST_MAX_DEPTH = 24
-# cells per block of the robust-path kernel: a thread's eight (1024, 25)
-# work arrays take 1.6 MB, about one core's L2 cache (timings of other
-# sizes in CHANGES.md)
+# cells per block of the robust-path kernel: its eight (1024, 25) work
+# arrays take 1.6 MB, about one core's L2 cache (timings of other sizes
+# in CHANGES.md)
 _ROBUST_BLOCK = 1024
 # live cells of one robust-path call, one block of at most _PAIR_BLOCK
 # pairs, before it gives up with NumericalError: far above the peak of the
@@ -850,12 +837,10 @@ def _robust_pairs(ta, tb):
     pair, taken in the same order, gets bitwise the same value.
 
     A block of cells gets the inner potential at its Duffy points from
-    one call of _panel_potential.  The blocks of _ROBUST_BLOCK cells run
-    on one thread per core the process may use: thread s takes every
-    workers-th block from the s-th on, with work arrays of its own.  The
-    subdivision, the stop test and the cell cap stay on the caller's
-    thread.  Raises NumericalError when the live cells of the subdivision
-    exceed _ROBUST_MAX_CELLS.
+    one call of _panel_potential; the blocks of _ROBUST_BLOCK cells run
+    in turn in one set of work arrays, each into its own slice of the
+    cell values.  Raises NumericalError when the live cells of the
+    subdivision exceed _ROBUST_MAX_CELLS.
     """
     nodes, wts = _gauss_duffy(_ROBUST_ORDER)
     # the nodes of _panel_potential: the Duffy points of every cell
@@ -868,64 +853,53 @@ def _robust_pairs(ta, tb):
     n_pairs = len(ta)
     settled = np.zeros(n_pairs)
     owner = np.arange(n_pairs)
-    # os.sched_getaffinity exists only on some platforms, Linux among them
-    workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-               else os.cpu_count() or 1)
-    # work arrays per thread, those of _panel_potential: the cell values,
-    # d and s_a (one array of 2 _ROBUST_BLOCK rows, the GEMM's output) and
-    # _edge_potential's five, and the GEMM's coefficient rows of each
-    # edge.  They come from the caller's thread, as what a pool thread
-    # allocates stays resident in its own malloc arena after it is freed.
-    work = np.empty((workers, 8, _ROBUST_BLOCK, len(wts)))
-    coefs = np.empty((workers, 3, 3, 2 * _ROBUST_BLOCK))
-    with ThreadPoolExecutor(workers) as pool:
+    # the work arrays of _panel_potential: the cell values, d and s_a (one
+    # array of 2 _ROBUST_BLOCK rows, the GEMM's output) and
+    # _edge_potential's five, and the GEMM's coefficient rows of each edge
+    work = np.empty((8, _ROBUST_BLOCK, len(wts)))
+    coefs = np.empty((3, 3, 2 * _ROBUST_BLOCK))
 
-        def cell_values(cells, owner):
-            out = np.empty(len(cells))
-            starts = range(0, len(cells), _ROBUST_BLOCK)
+    def cell_values(cells, owner):
+        out = np.empty(len(cells))
+        for lo in range(0, len(cells), _ROBUST_BLOCK):
+            hi = lo + _ROBUST_BLOCK
+            c = cells[lo:hi]
+            total = _panel_potential(c, frames[owner[lo:hi]], basis, coefs,
+                                     work)
+            total *= wts
+            out[lo:hi] = _doubled_area(c) * total.sum(axis=1)
+        return out
 
-            def run(s):
-                for lo in starts[s::workers]:
-                    hi = lo + _ROBUST_BLOCK
-                    c = cells[lo:hi]
-                    total = _panel_potential(c, frames[owner[lo:hi]], basis,
-                                             coefs[s], work[s])
-                    total *= wts
-                    out[lo:hi] = _doubled_area(c) * total.sum(axis=1)
-
-            list(pool.map(run, range(min(workers, len(starts)))))
-            return out
-
-        parent = cell_values(cells, owner)
-        scale = np.abs(parent)
-        for depth in range(_ROBUST_MAX_DEPTH):
-            if not len(owner):
-                break
-            if 4 * len(owner) > _ROBUST_MAX_CELLS:
-                raise NumericalError(
-                    f"robust panel quadrature did not settle: "
-                    f"{4 * len(owner)} live cells at depth {depth + 1} "
-                    f"exceed the cap of {_ROBUST_MAX_CELLS} (panels too "
-                    f"anisotropic)")
-            # vertices 0, 1, 2 and the midpoints of edges 01, 12, 20
-            pts = np.concatenate([cells, 0.5 * (cells + cells[:, [1, 2, 0]])],
-                                 axis=1)
-            kids = pts[:, children]
-            kv = cell_values(kids.reshape(-1, 3, 2),
-                             np.repeat(owner, 4)).reshape(-1, 4)
-            ksum = kv.sum(axis=1)
-            done = (np.abs(ksum - parent)
-                    <= _ROBUST_RTOL * np.maximum(scale[owner], 1e-300))
-            if depth == _ROBUST_MAX_DEPTH - 1:
-                done = np.ones_like(done)
-            np.add.at(settled, owner[done], ksum[done])
-            keep = ~done
-            owner = np.repeat(owner[keep], 4)
-            cells = kids[keep].reshape(-1, 3, 2)
-            parent = kv[keep].ravel()
-            running = settled.copy()
-            np.add.at(running, owner, np.abs(parent))
-            scale = np.maximum(scale, np.abs(running))
+    parent = cell_values(cells, owner)
+    scale = np.abs(parent)
+    for depth in range(_ROBUST_MAX_DEPTH):
+        if not len(owner):
+            break
+        if 4 * len(owner) > _ROBUST_MAX_CELLS:
+            raise NumericalError(
+                f"robust panel quadrature did not settle: "
+                f"{4 * len(owner)} live cells at depth {depth + 1} "
+                f"exceed the cap of {_ROBUST_MAX_CELLS} (panels too "
+                f"anisotropic)")
+        # vertices 0, 1, 2 and the midpoints of edges 01, 12, 20
+        pts = np.concatenate([cells, 0.5 * (cells + cells[:, [1, 2, 0]])],
+                             axis=1)
+        kids = pts[:, children]
+        kv = cell_values(kids.reshape(-1, 3, 2),
+                         np.repeat(owner, 4)).reshape(-1, 4)
+        ksum = kv.sum(axis=1)
+        done = (np.abs(ksum - parent)
+                <= _ROBUST_RTOL * np.maximum(scale[owner], 1e-300))
+        if depth == _ROBUST_MAX_DEPTH - 1:
+            done = np.ones_like(done)
+        np.add.at(settled, owner[done], ksum[done])
+        keep = ~done
+        owner = np.repeat(owner[keep], 4)
+        cells = kids[keep].reshape(-1, 3, 2)
+        parent = kv[keep].ravel()
+        running = settled.copy()
+        np.add.at(running, owner, np.abs(parent))
+        scale = np.maximum(scale, np.abs(running))
     return settled / FOUR_PI
 
 

@@ -1,7 +1,4 @@
-import itertools
 import math
-import os
-import threading
 import tracemalloc
 
 import numpy as np
@@ -432,15 +429,13 @@ class TestSplitKernels:
     def test_robust_pairs_bitwise_on_graded_mesh(self, graded_robust_case,
                                                  monkeypatch):
         # within rounding of the reference, with the same cells, and
-        # bitwise the same on any block size and number of threads: a
-        # block's GEMM must round a row alike wherever it stands
+        # bitwise the same on any block size: a block's GEMM must round a
+        # row alike wherever it stands
         coords, _, (ri, rj) = graded_robust_case
         assert len(ri) > 100
         ta, tb = coords[ri], coords[rj]
         got = _robust_near_reference(monkeypatch, ta, tb)
-        for block, cpus in ((37, {0}), (1000, {0, 1}), (4096, {0, 1})):
-            monkeypatch.setattr(os, "sched_getaffinity",
-                                lambda pid, cpus=cpus: cpus)
+        for block in (37, 1000, 4096):
             monkeypatch.setattr("crbem.assembly._ROBUST_BLOCK", block)
             assert np.array_equal(_robust_pairs(ta, tb), got)
 
@@ -509,17 +504,14 @@ class TestSplitKernels:
     @pytest.mark.parametrize("block", [3, 1024])
     def test_robust_pairs_off_block_size(self, monkeypatch, block):
         # 1031 shape-regular close pairs: neither the pair count nor the
-        # child counts are multiples of the block size.  On two threads
-        # the 61 pairs' 21 blocks of 3 at the first call split 11 to 10.
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        # child counts are multiples of the block size
         monkeypatch.setattr("crbem.assembly._ROBUST_BLOCK", block)
         rng = np.random.default_rng(5)
         n = 1031 if block == 1024 else 61
         ta = UNIT_RIGHT + rng.uniform(-0.05, 0.05, (n, 3, 2))
         tb = ta + [1.0 + rng.uniform(0.05, 0.3), 0.0]
         got = _robust_near_reference(monkeypatch, ta, tb)
-        # one thread and one block per call give the same bits
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        # one block per call gives the same bits
         monkeypatch.setattr("crbem.assembly._ROBUST_BLOCK", 1 << 16)
         assert np.array_equal(_robust_pairs(ta, tb), got)
 
@@ -2053,53 +2045,6 @@ class TestEnergyForm:
         monkeypatch.setattr("crbem.assembly._PAIR_BLOCK", 256)
         monkeypatch.setattr("crbem.assembly._ROBUST_MAX_CELLS", 16384)
         assert np.array_equal(assemble_energy_form(mesh).table, G)
-
-    def test_robust_path_same_bits_on_one_and_two_workers(self,
-                                                           monkeypatch):
-        # 1800 robust pairs: two blocks of cells at the first call, more
-        # below it
-        mesh = graded_square_mesh(16, 2.0)
-        tables = []
-        for cpus in ({0}, {0, 1}):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
-            tables.append(assemble_energy_form(mesh).table)
-        assert np.array_equal(tables[0], tables[1])
-
-    @pytest.mark.parametrize("cpus", [None, 2])
-    def test_robust_pairs_without_sched_getaffinity(self, monkeypatch, cpus):
-        # some platforms have no os.sched_getaffinity; the pool then takes
-        # os.cpu_count() threads, or one where that is unknown
-        rng = np.random.default_rng(5)
-        ta = UNIT_RIGHT + rng.uniform(-0.05, 0.05, (1031, 3, 2))
-        ref = _robust_pairs(ta, ta + [1.2, 0.0])
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        assert np.array_equal(_robust_pairs(ta, ta + [1.2, 0.0]), ref)
-
-    def test_robust_worker_error_reaches_caller(self, monkeypatch):
-        # 1031 pairs: at the first call thread 0 takes the block at 0 and
-        # thread 1 the block at 1024, and the second call of the edge
-        # kernel fails, in whichever thread makes it
-        class KernelFailure(Exception):
-            pass
-
-        calls = itertools.count()
-        real = assembly._edge_potential
-
-        def failing(*args):
-            if next(calls) == 1:
-                raise KernelFailure
-            return real(*args)
-
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr("crbem.assembly._edge_potential", failing)
-        rng = np.random.default_rng(5)
-        ta = UNIT_RIGHT + rng.uniform(-0.05, 0.05, (1031, 3, 2))
-        threads = threading.active_count()
-        with pytest.raises(KernelFailure):
-            _robust_pairs(ta, ta + [1.2, 0.0])
-        assert next(calls) >= 2
-        assert threading.active_count() == threads
 
     def test_graded_entries_match_oracle(self):
         mesh = graded_square_mesh(8, 3.0)

@@ -192,23 +192,6 @@ def test_overflowing_grading_is_one_failure_line(tmp_path, capsys, beta):
     assert len(err.strip().splitlines()) == 1
 
 
-def test_graded_run_without_sched_getaffinity(tmp_path, monkeypatch):
-    # the robust path runs on platforms without os.sched_getaffinity too
-    import crbem.assembly
-
-    calls = []
-    robust = crbem.assembly._robust_pairs
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr("crbem.assembly._robust_pairs",
-                        lambda ta, tb: calls.append(len(ta)) or robust(ta, tb))
-    code = main([
-        "run", "--experiment", "graded-smooth", "--levels", "2",
-        "--out-csv", str(tmp_path / "x.csv"), "--quiet",
-    ])
-    assert code == 0
-    assert sum(calls) > 0
-
-
 @pytest.mark.slow
 def test_runaway_robust_path_is_a_numerical_failure(tmp_path, capsys):
     # beta = 50 slivers never settle; the live-cell cap stops the run
