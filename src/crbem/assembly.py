@@ -131,7 +131,9 @@ over 2^g do not fit the shape codes), tables of at most _SMALL_TABLE
 panels and keys that do not fit an int64 evaluate every band pair.
 
 Memory: the table G (nt x nt) and a Galerkin matrix A (n x n) are the only
-quadratic arrays of a run; estimators.solve_spd factors A in place.
+quadratic arrays of a run, and no step makes a temporary of their size.
+estimators.solve_spd factors A in place, and assemble_energy_form checks
+G by its minimum and maximum, which NaN fails too, and by square tiles.
 assemble_stiffness fills A by blocks of _STIFF_BLOCK DOF rows, then
 symmetrizes it in place, one pair of square tiles of that side at a time.
 On the orbit indicators of the quarter turn (constant data, see
@@ -148,11 +150,16 @@ blocks, as maps built per strip raised the peak memory of the graded runs.
 The near-field pass works in blocks too: _classify_pairs labels the near
 candidates in blocks of _PAIR_BLOCK rows with one byte each, after the
 table is allocated, as classifying before it left more freed heap behind
-for the rest of the run, and _pair_values keeps per label only the indices
-of its pairs (and for a keyed label their kernel inputs, for a band with
-lattice classes one key, then one representative, per pair), and one loop,
-_gathered, gathers the panels of a block of pairs, in the vertex order of
-their case, for a kernel that sees only that block.
+for the rest of the run.  _pair_values keeps one written flag a candidate,
+and per label only the indices of its pairs (and for a keyed label their
+kernel inputs, for a band with lattice classes one key, then one
+representative, per pair).  It writes each block of values straight into
+G, and its class and orbit copies read their sources back from G in
+blocks of _PAIR_BLOCK, so no array of values spans the candidates.  One
+loop, _gathered, gathers the panels of a block of pairs, in the vertex
+order of their case, for a kernel that sees only that block, and the
+robust path takes _ROBUST_BLOCK / 4 pairs a call, so that its live cells
+grow with one block only.
 
 The transformed rules converge geometrically for shape-regular panels but
 degrade on strongly anisotropic ones (boundary-graded meshes).  Pairs
@@ -251,11 +258,12 @@ _ROBUST_ORDER = 5
 _ROBUST_MAX_DEPTH = 24
 # cells per block of the robust-path kernel: its eight (1024, 25) work
 # arrays take 1.6 MB, about one core's L2 cache (timings of other sizes
-# in CHANGES.md)
+# in CHANGES.md).  The near-field pass hands the path a quarter of this
+# many pairs a call, whose first children fill one block.
 _ROBUST_BLOCK = 1024
-# live cells of one robust-path call, one block of at most _PAIR_BLOCK
-# pairs, before it gives up with NumericalError: far above the peak of the
-# graded presets, and without a cap beta=50 runs out of memory
+# live cells of one robust-path call, _ROBUST_BLOCK / 4 pairs, before it
+# gives up with NumericalError: far above the peak of the graded presets,
+# and without a cap beta=50 runs out of memory
 _ROBUST_MAX_CELLS = 1 << 20
 # panel pairs per block of the near-field pass: of _classify_pairs and of
 # each gather that feeds a kernel
@@ -1074,42 +1082,53 @@ def _classify_pairs(coords, tris, aspect, diam, i, j, close):
     return label
 
 
-def _pair_values(coords, rows, tris, i, j, label, orbit=None, classes=None):
-    """Table entries of the panel pairs (i[k], j[k]), i <= j, of one mesh.
+def _pair_values(G, coords, rows, tris, i, j, label, orbit=None,
+                 classes=None):
+    """Write the table entries G[i, j] and G[j, i] of the panel pairs
+    (i[k], j[k]), i <= j, of one mesh.
 
-    label, from _classify_pairs, says what evaluates each pair.  One loop,
-    _gathered, hands the singular rules, the self entries and the robust
-    path the panels of one block of the pairs of a label, and the bands
-    take _rule_pairs.  orbit, if given, is the pair (rep, kept) of
-    _split_pairs: each pair's representative under the quarter
-    turn and whether the turn keeps the pair's order.  One copy rule
-    serves every label: a pair takes its representative's value where
-    that is another pair of its label and, for the robust path, whose
-    outer and inner panels play unlike roles, where the order is kept.
-    Every other pair is evaluated.  A representative is its own, so it is
-    evaluated, and the copies are made once all labels are.  On dyadic
-    meshes a copied self entry or robust value is bitwise the pair's own;
-    a rule copy differs from it by the GEMM's rounding.  On tables of
-    more than _SMALL_TABLE panels the identical, edge and vertex rules
-    store the kernel inputs of their pairs, evaluate one row per class of
-    _key_classes, the first in the rule's order, and scale its value to
-    the other pairs of the class; the disjoint bands do the same with
-    the classes of _lattice_classes where the mesh has a lattice.  The
-    singular rules read the class values that classes, a store of a run
+    label, from _classify_pairs, says what evaluates each pair.  The
+    singular rules take their kernel inputs from _gathered, which hands
+    them the panels of one block of the pairs of a label; the bands take
+    _rule_pairs one GEMM step of pairs at a time, the self entries the
+    panels of _PAIR_BLOCK pairs and the robust path those of
+    _ROBUST_BLOCK / 4 pairs, whose first children fill one block of its
+    kernel.  Each block of values goes straight into both triangles of G.
+    orbit, if given, is the pair (rep, kept) of _split_pairs: each pair's
+    representative under the quarter turn and whether the turn keeps the
+    pair's order.  One copy rule serves every label: a pair takes its
+    representative's value where that is another pair of its label and,
+    for the robust path, whose outer and inner panels play unlike roles,
+    where the order is kept.  Every other pair is evaluated.  A
+    representative is its own, so it is evaluated, and the copies read
+    the representatives' values back from G, in blocks of _PAIR_BLOCK
+    pairs, once all labels are written.  On dyadic meshes a copied self
+    entry or robust value is bitwise the pair's own; a rule copy differs
+    from it by the GEMM's rounding.  On tables of more than _SMALL_TABLE
+    panels the identical, edge and vertex rules store the kernel inputs of
+    their pairs, evaluate one row per class of _key_classes, the first in
+    the rule's order, and scale its value, read back from G, to the other
+    pairs of the class; the disjoint bands do the same with the classes
+    of _lattice_classes where the mesh has a lattice.  The singular rules
+    read the class values that classes, a store of a run
     (assemble_energy_form), holds, and evaluate and store only the others;
-    None gives a fresh store.  The band pairs take their inputs from
-    rows, the _panel_rows of coords.
+    None gives a fresh store.  The band pairs take their inputs from rows,
+    the _panel_rows of coords.  A pair is marked written when it gets a
+    value, and a copy only if its source was, so a pair that no evaluator
+    reached raises NumericalError: G comes from np.empty and holds no NaN
+    to show it.
 
-    Besides per-block work arrays, the pass holds at most 64 bytes per
-    pair: values, labels, the orbit and the copy flags, and for one label
-    its pair indices (4 bytes) and the panel indices of one block; the
+    Besides per-block work arrays, the pass holds 12 bytes per pair: the
+    label, the copy and written flags, the orbit (5 bytes) and, for the
+    label at work, its pair indices (4 bytes), which take 3 bytes per pair
+    and 12 per pair of the label for a moment while they are picked; the
     classification runs before it.  A keyed label adds its kernel inputs,
     136 bytes per pair of that label, up to three times that while
     _key_classes runs, and then 8: representative and exponent.  A band
     with lattice classes adds 14 bytes per pair while they are found, its
     int64 key, sorted in place, an int8 exponent, a start flag and the
-    int32 representative, then 5, and 16 per class while its first pairs
-    are evaluated: their places, pair indices and values.
+    int32 representative, then 6 with the flag of its first pairs, and 4
+    per class: their pair indices.
 
     The kernel's GEMM rounds a row differently depending on its position
     in the block, so rows keep a fixed order: edge pairs sorted by their
@@ -1117,13 +1136,32 @@ def _pair_values(coords, rows, tris, i, j, label, orbit=None, classes=None):
     other label in the order given.  The robust path takes (coords[i],
     coords[j]) as they are.
     """
-    out = np.full(len(i), np.nan)
+    written = np.zeros(len(i), bool)
     copy = np.zeros(len(i), bool)
     classes = {} if classes is None else classes
     if orbit is not None:
         rep, kept = orbit
-        copy = ((rep != np.arange(len(i))) & (label.take(rep) == label)
-                & (kept | (label != _ROBUST)))
+        for lo in range(0, len(i), _PAIR_BLOCK):
+            r, own = rep[lo:lo + _PAIR_BLOCK], label[lo:lo + _PAIR_BLOCK]
+            copy[lo:lo + len(r)] = (
+                (r != np.arange(lo, lo + len(r))) & (label.take(r) == own)
+                & (kept[lo:lo + len(r)] | (own != _ROBUST)))
+
+    def put(k, vals, done=True):
+        a, b = i.take(k), j.take(k)
+        G[a, b] = vals
+        G[b, a] = vals
+        written[k] = done
+
+    def put_copies(k, src, exponent=0):
+        # the pairs k take the values of the pairs src times 2^exponent
+        vals = G[i.take(src), j.take(src)]
+        put(k, np.ldexp(vals, exponent, out=vals), written.take(src))
+
+    def emit(k, evaluate, size):
+        for lo in range(0, len(k), size):
+            m = k[lo:lo + size]
+            put(m, evaluate(m))
 
     def along_shared_edge(k):
         ti = tris[i[k]]
@@ -1151,57 +1189,65 @@ def _pair_values(coords, rows, tris, i, j, label, orbit=None, classes=None):
         return np.flatnonzero((label == kind) & ~copy).astype(np.int32)
 
     def spread(k, classes, evaluate):
-        # evaluate the first row of each class, then scale its value to
-        # the other rows of the class, in blocks
+        # evaluate(rows) writes the first row of each class; its value is
+        # then scaled to the other rows of the class, in blocks
         cls, f = classes
-        own = np.flatnonzero(cls == np.arange(len(k), dtype=cls.dtype))
-        own = own.astype(np.int32)
-        out[k[own]] = evaluate(own)
+        first = cls == np.arange(len(k), dtype=cls.dtype)
+        evaluate(np.flatnonzero(first).astype(np.int32))
         for lo in range(0, len(k), _PAIR_BLOCK):
-            r = cls[lo:lo + _PAIR_BLOCK]
+            m = lo + np.flatnonzero(~first[lo:lo + _PAIR_BLOCK])
+            r = cls.take(m)
             # the difference of two exponents fits their type, 3 times it
             # may not
-            df = (f[lo:lo + _PAIR_BLOCK] - f.take(r)).astype(np.int32)
-            out[k[lo:lo + _PAIR_BLOCK]] = np.ldexp(out.take(k.take(r)), 3 * df)
+            put_copies(k.take(m), k.take(r),
+                       3 * (f.take(m) - f.take(r)).astype(np.int32))
 
     def singular_rule(kind, case, ordered=lambda k: (k, None)):
         k, slots = ordered(evaluated(kind))
         rule = quadrature_rule(case, ORDER)
         x = _gathered(_rule_inputs, coords, i, j, k, slots)
         if len(coords) <= _SMALL_TABLE or not len(k):
-            out[k] = _rule_values(rule, x)
+            put(k, _rule_values(rule, x))
             return
         store = classes.setdefault((case, ORDER), {})
-        spread(k, _key_classes(x), lambda own: _stored_values(
-            store, x[own], lambda new: _rule_values(rule, x[own[new]])))
+        spread(k, _key_classes(x), lambda own: put(k[own], _stored_values(
+            store, x[own], lambda new: _rule_values(rule, x[own[new]]))))
 
     def band_rules():
-        # the lattice is dropped before the robust path, the peak of the pass
+        # the lattice is dropped before the self entries and the robust path
         lattice = (_panel_lattice(coords) if len(coords) > _SMALL_TABLE
                    else None)
         for kind, p in ((_DISJOINT, ORDER - 1), (_CLOSE, ORDER)):
             k = evaluated(kind)
             rule = quadrature_rule("disjoint", p)
+            step = _rule_step(rule)
+
+            def band(m):
+                return _rule_pairs(rule, rows, i, j, m)
+
             classes = lattice and _lattice_classes(lattice, i, j, k)
             if classes:
-                spread(k, classes,
-                       lambda own: _rule_pairs(rule, rows, i, j, k[own]))
+                spread(k, classes, lambda own: emit(k[own], band, step))
             else:
-                out[k] = _rule_pairs(rule, rows, i, j, k)
+                emit(k, band, step)
 
     singular_rule(_IDENTICAL, "identical")
     singular_rule(_EDGE, "edge-adjacent", along_shared_edge)
     singular_rule(_VERTEX, "vertex-adjacent", at_shared_vertex)
     band_rules()
-    k = evaluated(_SELF)
-    out[k] = _gathered(lambda a, b: _self_entry_closed_form(a), coords, i, j,
-                       k)
-    k = evaluated(_ROBUST)
-    out[k] = _gathered(_robust_pairs, coords, i, j, k)
+    emit(evaluated(_SELF),
+         lambda m: _self_entry_closed_form(coords[i.take(m)]), _PAIR_BLOCK)
+    emit(evaluated(_ROBUST),
+         lambda m: _robust_pairs(coords[i.take(m)], coords[j.take(m)]),
+         _ROBUST_BLOCK // 4)
     if orbit is not None:
-        k = np.flatnonzero(copy)
-        out[k] = out[rep[k]]
-    return out
+        for lo in range(0, len(i), _PAIR_BLOCK):
+            k = lo + np.flatnonzero(copy[lo:lo + _PAIR_BLOCK])
+            put_copies(k, rep.take(k))
+    if not written.all():
+        raise NumericalError(
+            f"energy table: {np.count_nonzero(~written)} near pairs got no "
+            f"value")
 
 
 # -- public operations ----------------------------------------------------------
@@ -1428,8 +1474,9 @@ def assemble_energy_form(mesh, classes=None):
     every entry is written once.  Tables of more than _SMALL_TABLE panels
     take the quarter turn in both passes, where the mesh has one.  Both
     passes take the rule kernel's panel rows, formed once (_panel_rows).
-    The check compares the square tiles G[r, c] with G[c, r].T
-    (_tile_pairs) instead of G with G.T as a whole.
+    The check makes no nt x nt temporary: it takes G.min() and G.max(),
+    which NaN fails as well, and compares the square tiles G[r, c] with
+    G[c, r].T (_tile_pairs) instead of G with G.T as a whole.
 
     classes is the store of the singular rules' class values, a dict that
     the tables of one run share, so that each evaluates only the classes
@@ -1443,15 +1490,10 @@ def assemble_energy_form(mesh, classes=None):
     rows = _panel_rows(coords)
     i, j, close, orbit = _split_pairs(G, coords, rows, diam, sigma)
     label = _classify_pairs(coords, mesh.triangles, aspect, diam, i, j, close)
-    vals = _pair_values(coords, rows, mesh.triangles, i, j, label, orbit,
-                        classes)
-    G[i, j] = vals
-    G[j, i] = vals
-
-    if not (np.isfinite(G).all()
+    _pair_values(G, coords, rows, mesh.triangles, i, j, label, orbit, classes)
+    if not (G.min() > 0.0 and G.max() < np.inf
             and all((G[r, c] == G[c, r].T).all()
-                    for r, c in _tile_pairs(len(G)))
-            and G.min() > 0.0):
+                    for r, c in _tile_pairs(len(G)))):
         raise NumericalError("energy table is not finite, symmetric and "
                              "positive")
     G.setflags(write=False)

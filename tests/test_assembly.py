@@ -141,7 +141,7 @@ class TestRuleKernel:
         for tris in (mesh.triangles,
                      np.take_along_axis(mesh.triangles, turn, axis=1)):
             values.append(
-                _pair_values(*_near_plan(mesh.vertices[tris], tris)))
+                _near_values(*_near_plan(mesh.vertices[tris], tris)))
         shared = (mesh.triangles[ci][:, :, None]
                   == mesh.triangles[cj][:, None, :]).sum(axis=(1, 2))
         adjacent = (shared == 1) | (shared == 2)
@@ -185,6 +185,45 @@ class TestRuleKernel:
 
         monkeypatch.setattr(assembly, "_split_pairs", one_sided)
         with pytest.raises(NumericalError):
+            assemble_energy_form(mesh)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0],
+                             ids=["nan", "inf", "zero"])
+    def test_bad_entry_raises(self, monkeypatch, value):
+        # one far entry set to NaN, +inf or zero in both triangles of an
+        # otherwise valid table: the table stays symmetric but for NaN,
+        # and the reductions G.min() > 0 and G.max() < inf fail it
+        mesh = _sweep_mesh("uniform")
+        real = assembly._split_pairs
+
+        def spoiled(G, *args):
+            out = real(G, *args)
+            r, c = np.nonzero(_far_mask(len(G), out[:2]))
+            G[r[0], c[0]] = G[c[0], r[0]] = value
+            return out
+
+        monkeypatch.setattr(assembly, "_split_pairs", spoiled)
+        with pytest.raises(NumericalError):
+            assemble_energy_form(mesh)
+
+    @pytest.mark.parametrize("finder", ["_key_classes", "_lattice_classes"])
+    def test_pair_without_value_raises(self, monkeypatch, finder):
+        # The table comes from np.empty, so a near pair that its label's
+        # evaluator skips would keep whatever the memory held.  Here the
+        # classes of the singular rules, or of the disjoint bands, make
+        # each pair a copy of the next one: no pair of those labels is
+        # evaluated, and every copy reads an entry that was never
+        # written.  The near pass's written flags catch it.
+        mesh = _sweep_mesh("graded")
+        real = getattr(assembly, finder)
+
+        def no_first_rows(*args):
+            rep, exp = real(*args)
+            return (np.arange(1, len(rep) + 1) % len(rep)).astype(
+                rep.dtype), exp
+
+        monkeypatch.setattr(assembly, finder, no_first_rows)
+        with pytest.raises(NumericalError, match="got no value"):
             assemble_energy_form(mesh)
 
 
@@ -397,6 +436,14 @@ def _near_plan(coords, tris):
         coords, tris, aspect, diam, ci, cj, close)
 
 
+def _near_values(coords, rows, tris, i, j, label, *orbit):
+    """The entries G[i, j] that _pair_values writes for the pairs (i, j),
+    read back from a table of NaN."""
+    G = np.full((len(coords),) * 2, np.nan)
+    _pair_values(G, coords, rows, tris, i, j, label, *orbit)
+    return G[i, j]
+
+
 def _near_pairs(mesh):
     """Near candidates (i <= j, the diagonal included) of a mesh, as
     assemble_energy_form finds them, and the number of vertex indices each
@@ -439,6 +486,18 @@ class TestSplitKernels:
             monkeypatch.setattr("crbem.assembly._ROBUST_BLOCK", block)
             assert np.array_equal(_robust_pairs(ta, tb), got)
 
+    def test_robust_pairs_independent_of_batching(self, graded_robust_case):
+        # the near pass hands the robust path _ROBUST_BLOCK / 4 pairs a
+        # call: pairs taken one, seven or all at a time get the same bits,
+        # as the stop test reads sums per pair only
+        coords, _, (ri, rj) = graded_robust_case
+        ta, tb = coords[ri], coords[rj]
+        ref = _robust_pairs(ta, tb)
+        for chunk in (1, 7):
+            assert np.array_equal(np.concatenate([
+                _robust_pairs(ta[lo:lo + chunk], tb[lo:lo + chunk])
+                for lo in range(0, len(ta), chunk)]), ref)
+
     def test_triangle_distances_bitwise_on_graded_mesh(self,
                                                        graded_robust_case):
         coords, (ci, cj), _ = graded_robust_case
@@ -459,11 +518,11 @@ class TestSplitKernels:
         # the robust path included, block by block
         mesh = graded_square_mesh(16, 2.0)
         coords = mesh.triangle_coords()
-        ref = _pair_values(*_near_plan(coords, mesh.triangles))
+        ref = _near_values(*_near_plan(coords, mesh.triangles))
         for block in (37, 256):
             monkeypatch.setattr("crbem.assembly._PAIR_BLOCK", block)
             assert np.array_equal(
-                _pair_values(*_near_plan(coords, mesh.triangles)), ref)
+                _near_values(*_near_plan(coords, mesh.triangles)), ref)
 
     @pytest.mark.parametrize("kind", ["uniform", "nvb", "graded", "moved"])
     def test_centroid_bound_keeps_bands(self, monkeypatch, kind):
@@ -710,28 +769,35 @@ def _traced_peak(fn, *args):
 
 def test_pair_values_memory_is_blocked(graded_robust_case):
     # Per near candidate the classification and evaluation hold at most
-    # 64 bytes: its value and label, and for a disjoint pair its index,
-    # distance and the two panel indices gathered for one call.  The
-    # per-block work arrays stay under 4 MiB: the rule kernel's r^2 block
-    # of _RULE_CHUNK doubles (1 MiB), and its panel chunks and the
-    # distance and classification arrays of _PAIR_BLOCK rows.  The robust
-    # path's own peak grows with its live cells and is measured on the same
-    # pairs.  Gathering the (P, 3, 2) coordinates of both panels of every
-    # disjoint pair alone takes 96 bytes a candidate.
+    # 56 bytes: its label, and for a disjoint pair its index, distance and
+    # the two panel indices gathered for one call; the values go straight
+    # into the table.  The per-block work arrays stay under 4 MiB: the
+    # rule kernel's r^2 block of _RULE_CHUNK doubles (1 MiB), and its
+    # panel chunks and the distance and classification arrays of
+    # _PAIR_BLOCK rows.  The robust path takes _ROBUST_BLOCK / 4 pairs a
+    # call, and its own peak grows with their live cells: it is measured
+    # on each such block of the same pairs.  Gathering the (P, 3, 2)
+    # coordinates of both panels of every disjoint pair alone takes 96
+    # bytes a candidate.
     coords, _, (ri, rj) = graded_robust_case
     tris = uniform_refine(graded_square_mesh(8, 2.0))[0].triangles
     aspect, diam = _aspect_and_diameter(coords)
     ci, cj, close = _candidates(coords, diam)
     rows = _panel_rows(coords)
+    G = np.empty((len(coords),) * 2)
 
     def near_pass():
         label = assembly._classify_pairs(coords, tris, aspect, diam, ci, cj,
                                          close)
-        return _pair_values(coords, rows, tris, ci, cj, label)
+        _pair_values(G, coords, rows, tris, ci, cj, label)
 
     near_pass()  # builds the cached quadrature rules
-    robust = _traced_peak(_robust_pairs, coords[ri], coords[rj])
-    assert _traced_peak(near_pass) < robust + 64 * len(ci) + (4 << 20)
+    size = assembly._ROBUST_BLOCK // 4
+    assert len(ri) > 2 * size
+    robust = max(_traced_peak(_robust_pairs, coords[ri[lo:lo + size]],
+                              coords[rj[lo:lo + size]])
+                 for lo in range(0, len(ri), size))
+    assert _traced_peak(near_pass) < robust + 56 * len(ci) + (4 << 20)
 
 
 def test_far_table_memory():
@@ -1153,11 +1219,11 @@ def test_robust_and_self_copies_keep_the_table(beta):
     G = assemble_energy_form(mesh).table
     real = assembly._pair_values
 
-    def no_copies(coords, rows, tris, i, j, label, orbit, classes):
+    def no_copies(G, coords, rows, tris, i, j, label, orbit, classes):
         rep, kept = orbit
         own = (label == assembly._ROBUST) | (label == assembly._SELF)
         rep = np.where(own, np.arange(len(rep)), rep)
-        return real(coords, rows, tris, i, j, label, (rep, kept), classes)
+        return real(G, coords, rows, tris, i, j, label, (rep, kept), classes)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(assembly, "_pair_values", no_copies)
@@ -1267,25 +1333,25 @@ class TestNearTurn:
         mesh = _sweep_mesh("graded")
         args = _near_plan(mesh.triangle_coords(), mesh.triangles)
         labels = args[-1]
-        ref = _pair_values(*args)
+        ref = _near_values(*args)
         disjoint = np.flatnonzero(labels == assembly._DISJOINT)
         k, m = disjoint[:2]
         rep = np.arange(len(labels))
         kept = np.ones(len(labels), bool)
         rep[k] = np.flatnonzero(labels == assembly._EDGE)[0]
-        assert np.array_equal(_pair_values(*args, (rep, kept)), ref)
+        assert np.array_equal(_near_values(*args, (rep, kept)), ref)
         # a representative of the same label lends its value
         rep[k] = m
-        got = _pair_values(*args, (rep, kept))
+        got = _near_values(*args, (rep, kept))
         assert got[k] == got[m] and ref[k] != ref[m]
         # a robust pair copies only where the turn keeps its order
         robust = np.flatnonzero(labels == assembly._ROBUST)
         k, m = robust[:2]
         rep[k] = m
         kept[k] = False
-        assert _pair_values(*args, (rep, kept))[k] == ref[k] != ref[m]
+        assert _near_values(*args, (rep, kept))[k] == ref[k] != ref[m]
         kept[k] = True
-        assert _pair_values(*args, (rep, kept))[k] == ref[m]
+        assert _near_values(*args, (rep, kept))[k] == ref[m]
 
 
 def _ref_rule_inputs(a, b):
@@ -1775,9 +1841,9 @@ def test_no_singular_key_twice_in_a_run(monkeypatch):
     seen, panels = {}, [0]
     real = assembly._pair_values, assembly._rule_values
 
-    def pair_values(coords, *args):
+    def pair_values(G, coords, *args):
         panels[0] = len(coords)
-        return real[0](coords, *args)
+        return real[0](G, coords, *args)
 
     def kernel(rule, x):
         if rule.case != "disjoint" and panels[0] > assembly._SMALL_TABLE:
@@ -2039,10 +2105,12 @@ class TestEnergyForm:
 
     def test_robust_cell_cap_holds_per_block(self, monkeypatch):
         # 1800 robust pairs whose subdivision peaks at 32,064 live cells
-        # over the whole table, but at most 4,752 in a block of 256 pairs
+        # over the whole table, but at most 4,752 in a block of 256 pairs,
+        # _ROBUST_BLOCK / 4, which the near pass hands the path per call.
+        # Without the quarter turn every robust pair is evaluated.
         mesh = graded_square_mesh(16, 2.0)
+        monkeypatch.setattr(assembly, "_quarter_turn", lambda coords: None)
         G = assemble_energy_form(mesh).table
-        monkeypatch.setattr("crbem.assembly._PAIR_BLOCK", 256)
         monkeypatch.setattr("crbem.assembly._ROBUST_MAX_CELLS", 16384)
         assert np.array_equal(assemble_energy_form(mesh).table, G)
 
