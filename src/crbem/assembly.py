@@ -21,10 +21,12 @@ the larger diameter the pair is a near candidate, the diagonal included;
 the others are far, and the pass writes them at once with the disjoint
 rule of order ORDER - 2 from the rule kernel below, one GEMM step a block
 of gathered pairs.  _classify_pairs labels the candidates and
-_pair_values evaluates them.  Each pass writes G[i, j] and G[j, i] of a
-pair with the same value, so every entry is written once and the table
-is bitwise symmetric.  panel_integral assembles the table of a one- or
-two-panel mesh, so single pairs take exactly the table's path.  Timings
+_pair_values evaluates them.  Both passes write only G[i, j], i <= j, and
+read only such entries back; assemble_energy_form then mirrors the upper
+triangle onto the lower one, tile by tile, the one writer below the
+diagonal, so the table is bitwise symmetric by construction.
+panel_integral assembles the table of a one- or two-panel mesh, so single
+pairs take exactly the table's path.  Timings
 and memory measurements of every design choice below are in CHANGES.md.
 
 The meshes of the uniform and graded runs map onto themselves under the
@@ -132,8 +134,9 @@ panels and keys that do not fit an int64 evaluate every band pair.
 
 Memory: the table G (nt x nt) and a Galerkin matrix A (n x n) are the only
 quadratic arrays of a run, and no step makes a temporary of their size.
-estimators.solve_spd factors A in place, and assemble_energy_form checks
-G by its minimum and maximum, which NaN fails too, and by square tiles.
+estimators.solve_spd factors A in place, and assemble_energy_form mirrors
+G by square tiles and checks it by its minimum and maximum, which NaN
+fails too.
 assemble_stiffness fills A by blocks of _STIFF_BLOCK DOF rows, then
 symmetrizes it in place, one pair of square tiles of that side at a time.
 On the orbit indicators of the quarter turn (constant data, see
@@ -158,8 +161,9 @@ G, and its class and orbit copies read their sources back from G in
 blocks of _PAIR_BLOCK, so no array of values spans the candidates.  One
 loop, _gathered, gathers the panels of a block of pairs, in the vertex
 order of their case, for a kernel that sees only that block, and the
-robust path takes _ROBUST_BLOCK / 4 pairs a call, so that its live cells
-grow with one block only.
+robust path takes _ROBUST_BLOCK / 4 pairs a call, each pair of at most
+_ROBUST_MAX_CELLS live cells, so that its live cells grow with one block
+only.
 
 The transformed rules converge geometrically for shape-regular panels but
 degrade on strongly anisotropic ones (boundary-graded meshes).  Pairs
@@ -205,7 +209,9 @@ centroid bound, less a rounding margin, cannot place at rho >= RHO_NEAR,
 and only the disjoint ones among them get exact distances, with the same
 bands.  The robust path runs once per block of pairs; its stop test reads
 only sums per pair, so blocking changes no bit.  Past _ROBUST_MAX_CELLS
-live cells in a block it raises NumericalError.
+live cells of one pair it raises NumericalError, which names the pair's
+panels and the depth, so whether a pair settles does not depend on the
+pairs of its block either.
 """
 
 from __future__ import annotations
@@ -261,10 +267,11 @@ _ROBUST_MAX_DEPTH = 24
 # in CHANGES.md).  The near-field pass hands the path a quarter of this
 # many pairs a call, whose first children fill one block.
 _ROBUST_BLOCK = 1024
-# live cells of one robust-path call, _ROBUST_BLOCK / 4 pairs, before it
-# gives up with NumericalError: far above the peak of the graded presets,
-# and without a cap beta=50 runs out of memory
-_ROBUST_MAX_CELLS = 1 << 20
+# live cells of one pair in the robust path before it gives up with
+# NumericalError: twice the deepest subdivision measured in graded runs,
+# 2048 cells of a pair at beta=6, and without a cap beta=50 runs out of
+# memory.  A call of _ROBUST_BLOCK / 4 pairs so holds at most 2^20.
+_ROBUST_MAX_CELLS = 4096
 # panel pairs per block of the near-field pass: of _classify_pairs and of
 # each gather that feeds a kernel
 _PAIR_BLOCK = 4096
@@ -281,14 +288,15 @@ _SCAN_STRIP = 16
 # that rounding cannot decide" under the decisions for the maintainers).
 _SMALL_TABLE = 32
 # DOF rows per block of assemble_stiffness, and the side of the square
-# tiles in which it symmetrizes A and assemble_energy_form checks that G
-# is symmetric
+# tiles in which it symmetrizes A and assemble_energy_form mirrors G's
+# upper triangle
 _STIFF_BLOCK = 32
 
 
 class NumericalError(RuntimeError):
-    """A numerical step failed: an energy table that is not finite,
-    symmetric and positive, a non-SPD matrix or a bad solver residual."""
+    """A numerical step failed: an energy table that is not finite and
+    positive, a robust-path pair that does not settle, a non-SPD matrix
+    or a bad solver residual."""
 
 
 @dataclass(frozen=True)
@@ -617,8 +625,12 @@ def _panel_lattice(coords):
     all panels and symmetries, u = (K1 - K0) / 2^g and w = (K2 - K0) / 2^g.
     Its shape is its smallest form, and its frames are the first and the
     last h that give the shape; they differ only where a mirror swaps u
-    and w.  Where they differ for no panel, as on the presets' tables of
-    more than _SMALL_TABLE panels, the first is the only frame.  A mesh
+    and w, on a panel whose vertex 0 is the apex of an isosceles triangle.
+    The initial mesh's panels [4, 1, 8], [5, 2, 8], [6, 3, 8] and
+    [7, 0, 8] list their side midpoint, the right-angle apex, first, so a
+    table that keeps one of them unrefined has two frames, as
+    adaptive-singular's 42-panel table keeps (1, 1/2), (1, 1), (1/2, 1/2).
+    Where they differ for no panel, the first is the only frame.  A mesh
     translated off its grid has edges of the size of its coordinates over
     2^g, and takes no lattice.
     Returns (g, frames, shape, forms (8, nt), K0x, K0y, number of forms),
@@ -833,7 +845,7 @@ def _gauss_duffy(p):
     return nodes, (wa * wb * a).ravel()
 
 
-def _robust_pairs(ta, tb):
+def _robust_pairs(ta, tb, panels=None):
     """Adaptive outer quadrature over ta of the closed-form inner
     potential of tb; handles arbitrarily anisotropic or close panels.
 
@@ -847,8 +859,10 @@ def _robust_pairs(ta, tb):
     A block of cells gets the inner potential at its Duffy points from
     one call of _panel_potential; the blocks of _ROBUST_BLOCK cells run
     in turn in one set of work arrays, each into its own slice of the
-    cell values.  Raises NumericalError when the live cells of the
-    subdivision exceed _ROBUST_MAX_CELLS.
+    cell values.  Raises NumericalError when the live cells of one pair
+    exceed _ROBUST_MAX_CELLS, so whether a pair settles does not depend on
+    the pairs that share its call; the error names the pair by panels, a
+    pair of panel index arrays, or else by its place in the call.
     """
     nodes, wts = _gauss_duffy(_ROBUST_ORDER)
     # the nodes of _panel_potential: the Duffy points of every cell
@@ -883,12 +897,15 @@ def _robust_pairs(ta, tb):
     for depth in range(_ROBUST_MAX_DEPTH):
         if not len(owner):
             break
-        if 4 * len(owner) > _ROBUST_MAX_CELLS:
+        live = 4 * np.bincount(owner)
+        p = int(live.argmax())
+        if live[p] > _ROBUST_MAX_CELLS:
+            who = (f"pair {p} of the call" if panels is None else
+                   f"the pair of panels {panels[0][p]} and {panels[1][p]}")
             raise NumericalError(
-                f"robust panel quadrature did not settle: "
-                f"{4 * len(owner)} live cells at depth {depth + 1} "
-                f"exceed the cap of {_ROBUST_MAX_CELLS} (panels too "
-                f"anisotropic)")
+                f"robust panel quadrature did not settle: {who} takes "
+                f"{live[p]} live cells at depth {depth + 1}, over the cap "
+                f"of {_ROBUST_MAX_CELLS} a pair (panels too anisotropic)")
         # vertices 0, 1, 2 and the midpoints of edges 01, 12, 20
         pts = np.concatenate([cells, 0.5 * (cells + cells[:, [1, 2, 0]])],
                              axis=1)
@@ -1084,8 +1101,8 @@ def _classify_pairs(coords, tris, aspect, diam, i, j, close):
 
 def _pair_values(G, coords, rows, tris, i, j, label, orbit=None,
                  classes=None):
-    """Write the table entries G[i, j] and G[j, i] of the panel pairs
-    (i[k], j[k]), i <= j, of one mesh.
+    """Write the table entries G[i, j] of the panel pairs (i[k], j[k]),
+    i <= j, of one mesh, and no entry below the diagonal.
 
     label, from _classify_pairs, says what evaluates each pair.  The
     singular rules take their kernel inputs from _gathered, which hands
@@ -1093,7 +1110,7 @@ def _pair_values(G, coords, rows, tris, i, j, label, orbit=None,
     _rule_pairs one GEMM step of pairs at a time, the self entries the
     panels of _PAIR_BLOCK pairs and the robust path those of
     _ROBUST_BLOCK / 4 pairs, whose first children fill one block of its
-    kernel.  Each block of values goes straight into both triangles of G.
+    kernel.  Each block of values goes straight into G[i, j].
     orbit, if given, is the pair (rep, kept) of _split_pairs: each pair's
     representative under the quarter turn and whether the turn keeps the
     pair's order.  One copy rule serves every label: a pair takes its
@@ -1148,9 +1165,7 @@ def _pair_values(G, coords, rows, tris, i, j, label, orbit=None,
                 & (kept[lo:lo + len(r)] | (own != _ROBUST)))
 
     def put(k, vals, done=True):
-        a, b = i.take(k), j.take(k)
-        G[a, b] = vals
-        G[b, a] = vals
+        G[i.take(k), j.take(k)] = vals
         written[k] = done
 
     def put_copies(k, src, exponent=0):
@@ -1238,7 +1253,8 @@ def _pair_values(G, coords, rows, tris, i, j, label, orbit=None,
     emit(evaluated(_SELF),
          lambda m: _self_entry_closed_form(coords[i.take(m)]), _PAIR_BLOCK)
     emit(evaluated(_ROBUST),
-         lambda m: _robust_pairs(coords[i.take(m)], coords[j.take(m)]),
+         lambda m: _robust_pairs(coords[i.take(m)], coords[j.take(m)],
+                                 (i.take(m), j.take(m))),
          _ROBUST_BLOCK // 4)
     if orbit is not None:
         for lo in range(0, len(i), _PAIR_BLOCK):
@@ -1382,12 +1398,13 @@ def _split_pairs(G, coords, rows, diam, sigma):
     bound less 1e-9 S gives rho >= RHO_NEAR, the computed distance does
     too: a pair that is not close keeps its band without one.
 
-    A strip's far pairs get the rule kernel, in G[i, j] and G[j, i]
-    alike.  With sigma, a far pair whose representative, its image of
-    smallest code (_smallest_image), is far too copies that image's
-    entry, which lies in this strip or an earlier one, so a strip
-    evaluates its other pairs first.  The loop keeps each candidate as
-    its code i nt + j; the index lists are split from the joined codes.
+    A strip's far pairs get the rule kernel, in G[i, j], i <= j, only; the
+    lower triangle is left to assemble_energy_form's mirror.  With sigma,
+    a far pair whose representative, its image of smallest code
+    (_smallest_image), is far too copies that image's entry G[min, max],
+    which lies in this strip or an earlier one, so a strip evaluates its
+    other pairs first.  The loop keeps each candidate as its code
+    i nt + j; the index lists are split from the joined codes.
     The orbit map (rep, kept) gives each candidate's representative,
     itself where that is no candidate, and whether some turn onto it maps
     i onto its smaller index.  It is built after the loop, in blocks of
@@ -1417,8 +1434,7 @@ def _split_pairs(G, coords, rows, diam, sigma):
         close.append(bound[ii, jj]
                      - 1e-9 * np.maximum(scale.take(a), scale.take(b))
                      < RHO_NEAR * dmax[ii, jj])
-        far = np.triu(~near)
-        a, b = np.nonzero(far)
+        a, b = np.nonzero(np.triu(~near))
         a += i0
         b += i0
         ra, rb, copy = a, b, np.zeros(len(a), bool)
@@ -1432,10 +1448,6 @@ def _split_pairs(G, coords, rows, diam, sigma):
         G[a[k], b[k]] = _rule_pairs(rule, rows, a, b, k)
         k = np.flatnonzero(copy)
         G[a[k], b[k]] = G[ra[k], rb[k]]
-        # G[j, i] = G[i, j] of the strip's far pairs, by one masked copy of
-        # its column block rather than a scatter down the columns
-        np.copyto(G[i0:, i0:i0 + _SCAN_STRIP], G[i0:i0 + _SCAN_STRIP, i0:].T,
-                  where=far.T)
     codes, close = np.concatenate(codes), np.concatenate(close)
     i, j = (x.astype(np.int32, copy=False) for x in np.divmod(codes, nt))
     if sigma is None:
@@ -1470,13 +1482,15 @@ def assemble_energy_form(mesh, classes=None):
     The table comes from np.empty.  _split_pairs writes the far pairs
     and returns the near candidates, the diagonal included, which are
     labelled by _classify_pairs, from its close flags, and evaluated by
-    _pair_values.  Each pass writes G[i, j] and G[j, i] of its pairs, so
-    every entry is written once.  Tables of more than _SMALL_TABLE panels
-    take the quarter turn in both passes, where the mesh has one.  Both
-    passes take the rule kernel's panel rows, formed once (_panel_rows).
-    The check makes no nt x nt temporary: it takes G.min() and G.max(),
-    which NaN fails as well, and compares the square tiles G[r, c] with
-    G[c, r].T (_tile_pairs) instead of G with G.T as a whole.
+    _pair_values.  Each pass writes G[i, j], i <= j, of its pairs, so every
+    entry of the upper triangle is written once.  Tables of more than
+    _SMALL_TABLE panels take the quarter turn in both passes, where the
+    mesh has one.  Both passes take the rule kernel's panel rows, formed
+    once (_panel_rows).  Then the lower triangle is filled, the one write
+    below the diagonal: each square tile below it (_tile_pairs) is set to
+    the transposed tile above, and each tile on it gets its strict lower
+    part, so G equals G.T bitwise with no nt x nt temporary.  The check
+    takes G.min() and G.max(), which NaN fails as well.
 
     classes is the store of the singular rules' class values, a dict that
     the tables of one run share, so that each evaluates only the classes
@@ -1491,11 +1505,14 @@ def assemble_energy_form(mesh, classes=None):
     i, j, close, orbit = _split_pairs(G, coords, rows, diam, sigma)
     label = _classify_pairs(coords, mesh.triangles, aspect, diam, i, j, close)
     _pair_values(G, coords, rows, mesh.triangles, i, j, label, orbit, classes)
-    if not (G.min() > 0.0 and G.max() < np.inf
-            and all((G[r, c] == G[c, r].T).all()
-                    for r, c in _tile_pairs(len(G)))):
-        raise NumericalError("energy table is not finite, symmetric and "
-                             "positive")
+    for r, c in _tile_pairs(len(G)):
+        # a tile below the diagonal is its partner above, transposed; a
+        # tile on it keeps its upper part and takes that part's transpose
+        # below, plus zeros, which change no bit of a positive value
+        G[r, c] = (G[c, r].T if r != c
+                   else np.triu(G[r, c]) + np.triu(G[r, c], 1).T)
+    if not (G.min() > 0.0 and G.max() < np.inf):
+        raise NumericalError("energy table is not finite and positive")
     G.setflags(write=False)
     return EnergyForm(mesh, G, sigma)
 

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -163,43 +164,19 @@ class TestRuleKernel:
         with pytest.raises(NumericalError):
             assemble_energy_form(initial_mesh)
 
-    @pytest.mark.parametrize("same_tile", [True, False])
-    def test_asymmetric_table_raises(self, monkeypatch, same_tile):
-        # the check compares square tiles with their transposed partners:
-        # one far entry G[r, c] off by one part in 2^40, in a tile on the
-        # diagonal or off it, fails it.  The panels are shuffled, so that
-        # a tile on the diagonal holds far pairs.
-        mesh = _sweep_mesh("uniform")
-        order = np.random.default_rng(5).permutation(mesh.num_triangles)
-        mesh = Mesh(mesh.vertices, mesh.triangles[order],
-                    mesh.ref_edge[order])
-        side = assembly._STIFF_BLOCK
-        real = assembly._split_pairs
-
-        def one_sided(G, *args):
-            out = real(G, *args)
-            r, c = np.nonzero(_far_mask(len(G), out[:2]))
-            k = np.flatnonzero((r // side == c // side) == same_tile)[0]
-            G[r[k], c[k]] *= 1.0 + 2.0 ** -40
-            return out
-
-        monkeypatch.setattr(assembly, "_split_pairs", one_sided)
-        with pytest.raises(NumericalError):
-            assemble_energy_form(mesh)
-
     @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0],
                              ids=["nan", "inf", "zero"])
     def test_bad_entry_raises(self, monkeypatch, value):
-        # one far entry set to NaN, +inf or zero in both triangles of an
-        # otherwise valid table: the table stays symmetric but for NaN,
-        # and the reductions G.min() > 0 and G.max() < inf fail it
+        # one far entry G[i, j], i < j, set to NaN, +inf or zero in an
+        # otherwise valid table, which the mirror copies to G[j, i]: the
+        # reductions G.min() > 0 and G.max() < inf fail it
         mesh = _sweep_mesh("uniform")
         real = assembly._split_pairs
 
         def spoiled(G, *args):
             out = real(G, *args)
             r, c = np.nonzero(_far_mask(len(G), out[:2]))
-            G[r[0], c[0]] = G[c[0], r[0]] = value
+            G[r[0], c[0]] = value
             return out
 
         monkeypatch.setattr(assembly, "_split_pairs", spoiled)
@@ -767,37 +744,55 @@ def _traced_peak(fn, *args):
         tracemalloc.stop()
 
 
-def test_pair_values_memory_is_blocked(graded_robust_case):
-    # Per near candidate the classification and evaluation hold at most
-    # 56 bytes: its label, and for a disjoint pair its index, distance and
-    # the two panel indices gathered for one call; the values go straight
-    # into the table.  The per-block work arrays stay under 4 MiB: the
-    # rule kernel's r^2 block of _RULE_CHUNK doubles (1 MiB), and its
-    # panel chunks and the distance and classification arrays of
-    # _PAIR_BLOCK rows.  The robust path takes _ROBUST_BLOCK / 4 pairs a
-    # call, and its own peak grows with their live cells: it is measured
-    # on each such block of the same pairs.  Gathering the (P, 3, 2)
-    # coordinates of both panels of every disjoint pair alone takes 96
-    # bytes a candidate.
-    coords, _, (ri, rj) = graded_robust_case
-    tris = uniform_refine(graded_square_mesh(8, 2.0))[0].triangles
+def test_pair_values_memory_is_blocked(monkeypatch):
+    # The near pass holds, per candidate, its label and its copy and
+    # written flags (3 bytes), and no array of values: they go straight
+    # into the table.  On top, one phase at a time:
+    # - the classifier: per close candidate (a superset of its unsure
+    #   pairs) the index, distance, both gathered diameters and their
+    #   maximum, 40 bytes;
+    # - per label, the index list of its pairs, 4 bytes a pair, and for
+    #   a disjoint band the lattice keys, exponents, start flags and
+    #   representatives while its classes are found, 14 more;
+    # - for a singular label its kernel inputs, 136 bytes a pair, up to
+    #   three times over while _key_classes runs, and its class keys;
+    # - the robust path's own peak, measured on each of its calls of
+    #   _ROBUST_BLOCK / 4 pairs, and their index list.
+    # Each phase's work arrays stay under 1 MiB: blocks of _PAIR_BLOCK
+    # pairs and the lattice's codes of 2048 panels.  On this table
+    # 8 bytes a candidate, 5.1 MB, exceed that term, so one more array
+    # of a value or an int64 index per candidate fails the bound.  The
+    # store of singular class values is filled by a first pass, so that
+    # the measured pass adds no class to it.
+    mesh = graded_square_mesh(32, 2.0)
+    coords, tris = mesh.triangle_coords(), mesh.triangles
     aspect, diam = _aspect_and_diameter(coords)
     ci, cj, close = _candidates(coords, diam)
     rows = _panel_rows(coords)
     G = np.empty((len(coords),) * 2)
+    store = {}
 
     def near_pass():
         label = assembly._classify_pairs(coords, tris, aspect, diam, ci, cj,
                                          close)
-        _pair_values(G, coords, rows, tris, ci, cj, label)
+        _pair_values(G, coords, rows, tris, ci, cj, label, None, store)
+        return label
 
-    near_pass()  # builds the cached quadrature rules
+    label = near_pass()  # builds the cached rules and the store
+    count = np.bincount(label, minlength=7)
     size = assembly._ROBUST_BLOCK // 4
+    ri, rj = ci[label == assembly._ROBUST], cj[label == assembly._ROBUST]
     assert len(ri) > 2 * size
     robust = max(_traced_peak(_robust_pairs, coords[ri[lo:lo + size]],
                               coords[rj[lo:lo + size]])
                  for lo in range(0, len(ri), size))
-    assert _traced_peak(near_pass) < robust + 56 * len(ci) + (4 << 20)
+    bands = count[assembly._DISJOINT], count[assembly._CLOSE]
+    singular = (count[assembly._IDENTICAL], count[assembly._EDGE],
+                count[assembly._VERTEX])
+    phase = max(40 * np.count_nonzero(close), 18 * max(bands),
+                (4 + 3 * 136 + 200) * max(singular), 4 * len(ri) + robust)
+    assert 8 * len(ci) > 1 << 20
+    assert _traced_peak(near_pass) < 3 * len(ci) + phase + (1 << 20)
 
 
 def test_far_table_memory():
@@ -884,11 +879,18 @@ def _nvb_mesh(panels):
 
 
 def _far_mask(nt, *candidates):
-    """True where (i, j) is no near candidate of any of the lists."""
-    far = np.ones((nt, nt), dtype=bool)
+    """True where (i, j), i <= j, is no near candidate of any of the
+    lists: the far entries that _split_pairs writes."""
+    far = np.triu(np.ones((nt, nt), dtype=bool))
     for ci, cj in candidates:
-        far[ci, cj] = far[cj, ci] = False
+        far[ci, cj] = False
     return far
+
+
+def _strict_lower(G):
+    """The entries G[i, j], i > j, which no pass writes before the mirror
+    of assemble_energy_form."""
+    return G[np.tril_indices(len(G), -1)]
 
 
 class TestFarTable:
@@ -903,10 +905,10 @@ class TestFarTable:
         assert np.array_equal(ci, ri) and np.array_equal(cj, rj)
 
     def test_table_bitwise_symmetric(self, swept):
-        # the far entries, and the table of assemble_energy_form that
-        # holds them
+        # the far entries, i <= j, and the table of assemble_energy_form
+        # that holds them and their mirror
         mesh, (G, ci, cj) = swept
-        assert np.array_equal(G, G.T, equal_nan=True)
+        assert np.isnan(_strict_lower(G)).all()
         table = assemble_energy_form(mesh).table
         assert np.array_equal(table, table.T)
         far = _far_mask(mesh.num_triangles, (ci, cj))
@@ -923,21 +925,23 @@ class TestFarTable:
         assert assembly._rule_step(quadrature_rule("disjoint", 3)) == 37
         H, hi, hj = _far_sweep(mesh)
         assert np.array_equal(hi, ci) and np.array_equal(hj, cj)
-        assert np.array_equal(H, H.T, equal_nan=True)
+        assert np.isnan(_strict_lower(H)).all()
         far = _far_mask(mesh.num_triangles, (ci, cj))
         assert far.any()
         assert (np.abs(H[far] - G[far]) / G[far]).max() <= 1e-15
 
     def test_far_entries_match_direct_sum(self, swept):
-        # every far entry of a few rows, summed pair by pair
+        # every far entry of a few rows, summed pair by pair; the split
+        # writes the pair (i, j) as G[min, max]
         mesh, (G, ci, cj) = swept
         rule = quadrature_rule("disjoint", 3)
         coords = mesh.triangle_coords()
         far = _far_mask(mesh.num_triangles, (ci, cj))
+        far |= far.T
         for i in (0, mesh.num_triangles // 2, mesh.num_triangles - 1):
             for j in np.flatnonzero(far[i]):
                 ref = _direct_rule_value(rule, coords[i], coords[j])
-                assert abs(G[i, j] - ref) <= 1e-14 * ref
+                assert abs(G[min(i, j), max(i, j)] - ref) <= 1e-14 * ref
 
     @pytest.mark.parametrize("kind", ["uniform", "graded1", "graded2",
                                       "graded3", "refined"])
@@ -1006,9 +1010,9 @@ class TestFarTable:
                             lambda coords: None)
         H, hi, hj = _far_sweep(mesh)
         assert np.array_equal(ci, hi) and np.array_equal(cj, hj)
-        assert np.array_equal(G, G.T, equal_nan=True)
+        assert np.isnan(_strict_lower(G)).all()
         far = _far_mask(mesh.num_triangles, (ci, cj))
-        assert far.sum() > 0.3 * far.size
+        assert 2 * far.sum() > 0.3 * far.size
         assert (np.abs(G[far] - H[far]) / H[far]).max() <= 2e-15
 
     @pytest.mark.parametrize("levels", [0, 1])
@@ -1038,19 +1042,19 @@ class TestFarTable:
         G, ci, cj = _far_sweep(mesh)
         H, hi, hj = _far_sweep(moved)
         far = _far_mask(mesh.num_triangles, (ci, cj), (hi, hj))
-        assert far.sum() > 0.3 * far.size
+        assert 2 * far.sum() > 0.3 * far.size
         assert (np.abs(H[far] - G[far]) / G[far]).max() <= 1e-12
 
 
 @pytest.mark.parametrize("kind", ["uniform", "nvb", "graded", "moved"])
 def test_far_pairs_and_candidates_partition_the_table(kind):
     # The table comes from np.empty.  On a table of NaNs the split
-    # writes G[i, j] and G[j, i] of exactly the pairs i <= j that are no
-    # candidate of the dense reference: it writes no near entry, and a
-    # quarter-turn copy never reads an entry it has not written.  The
-    # candidates it returns are the reference's, so the far entries and
-    # the candidates partition the pairs.  uniform and graded have the
-    # turn.
+    # writes G[i, j] of exactly the pairs i <= j that are no candidate of
+    # the dense reference: it writes no near entry and nothing below the
+    # diagonal, and a quarter-turn copy never reads an entry it has not
+    # written.  The candidates it returns are the reference's, so the far
+    # entries and the candidates partition the pairs i <= j.  uniform and
+    # graded have the turn.
     mesh = _sweep_mesh("graded" if kind == "moved" else kind)
     if kind == "moved":
         mesh = Mesh(mesh.vertices + [1000.3, -999.7], mesh.triangles,
@@ -1064,9 +1068,9 @@ def test_far_pairs_and_candidates_partition_the_table(kind):
     ri, rj = _ref_near_candidates(mesh)
     assert np.array_equal(ci, ri) and np.array_equal(cj, rj)
     far = _far_mask(nt, (ri, rj))
-    assert far.sum() > 0.2 * nt * nt
+    assert 2 * far.sum() > 0.2 * nt * nt
     assert np.array_equal(~np.isnan(G), far)
-    assert np.array_equal(G, G.T, equal_nan=True)
+    assert np.isnan(_strict_lower(G)).all()
 
 
 def test_far_pair_with_a_near_representative_is_evaluated(monkeypatch):
@@ -1091,8 +1095,9 @@ def test_far_pair_with_a_near_representative_is_evaluated(monkeypatch):
     ci, cj, *_ = _split_pairs(G, coords, rows, diam, sigma)
     _split_pairs(H, coords, rows, diam, None)
     far = _far_mask(nt, (ci, cj))
+    both = far | far.T
     # pairs (0, b), near, whose image (sigma 0, sigma b) is far
-    assert (~far[0] & far[sigma[0], sigma]).sum() > 10
+    assert (~both[0] & both[sigma[0], sigma]).sum() > 10
     assert np.array_equal(~np.isnan(G), far)
     assert (np.abs(G[far] - H[far]) / H[far]).max() <= 2e-15
 
@@ -1501,8 +1506,8 @@ class TestRuleClasses:
                     labels.append(real[0](*args))
                     return labels[-1]
 
-                def robust_pairs(ta, tb):
-                    robust.append(real[1](ta, tb))
+                def robust_pairs(*args):
+                    robust.append(real[1](*args))
                     return robust[-1]
 
                 def kernel(rule, x):
@@ -2103,16 +2108,32 @@ class TestEnergyForm:
         eigvals = np.linalg.eigvalsh(a)
         assert eigvals.min() > 0
 
-    def test_robust_cell_cap_holds_per_block(self, monkeypatch):
-        # 1800 robust pairs whose subdivision peaks at 32,064 live cells
-        # over the whole table, but at most 4,752 in a block of 256 pairs,
-        # _ROBUST_BLOCK / 4, which the near pass hands the path per call.
-        # Without the quarter turn every robust pair is evaluated.
+    def test_robust_cell_cap_holds_per_pair(self, monkeypatch):
+        # 1800 robust pairs, each of whose subdivision peaks at no more than
+        # 256 live cells, in calls of 256 pairs, _ROBUST_BLOCK / 4.
+        # Without the quarter turn every robust pair is evaluated.  At a
+        # cap of 256 a pair the table keeps its bits; at 252 a pair that
+        # peaks at 256 fails, in its call and alone.
         mesh = graded_square_mesh(16, 2.0)
+        coords = mesh.triangle_coords()
         monkeypatch.setattr(assembly, "_quarter_turn", lambda coords: None)
         G = assemble_energy_form(mesh).table
-        monkeypatch.setattr("crbem.assembly._ROBUST_MAX_CELLS", 16384)
+        monkeypatch.setattr(assembly, "_ROBUST_MAX_CELLS", 256)
         assert np.array_equal(assemble_energy_form(mesh).table, G)
+        monkeypatch.setattr(assembly, "_ROBUST_MAX_CELLS", 252)
+        with pytest.raises(NumericalError, match="takes 256 live cells at "
+                           "depth") as failed:
+            assemble_energy_form(mesh)
+        a, b = map(int, re.search(r"the pair of panels (\d+) and (\d+)",
+                                  str(failed.value)).groups())
+        with pytest.raises(NumericalError, match="pair 0 of the call takes "
+                           "256 live cells"):
+            _robust_pairs(coords[[a]], coords[[b]])
+        # 256 copies of the pair hold 65,536 live cells together, and each
+        # settles under a cap of 256 with the value of the pair alone
+        monkeypatch.setattr(assembly, "_ROBUST_MAX_CELLS", 256)
+        many = _robust_pairs(coords[[a] * 256], coords[[b] * 256])
+        assert np.array_equal(many, np.full(256, G[a, b]))
 
     def test_graded_entries_match_oracle(self):
         mesh = graded_square_mesh(8, 3.0)

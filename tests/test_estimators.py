@@ -100,6 +100,33 @@ class TestSolvePair:
         assert pair_manufactured.coarse.phi0.values == pytest.approx(
             [1.0], abs=1e-10)
 
+    def test_manufactured_conforming_is_exact_on_every_level(
+            self, center_hat_recipe):
+        # uniform-exact's levels 0-3 (1, 9, 49 and 225 conforming DOFs):
+        # the data make the initial mesh's center hat the conforming
+        # solution of every refinement, whatever the table's quadrature
+        # error, so phi0 matches the hat at the interior vertices up to
+        # the solve's rounding, the Cholesky backward error gamma_(3n+1)
+        # times cond_2(A).  E_h = load_conf . phi0 is the hat's energy
+        # on each level's table, so the levels differ by quadrature
+        # error only, below the accuracy floor: ORDER 5 -> 6 moves the
+        # CSVs by up to 8.7e-7 relative.
+        recipe, mesh = center_hat_recipe
+        level = Level(mesh, recipe)
+        energies = []
+        for dofs in (1, 9, 49, 225):
+            conf = level.conf
+            assert conf.dof_count == dofs
+            x, y = level.mesh.vertices[conf.dof_to_entity].T
+            hat = 1.0 - 2.0 * np.maximum(np.abs(x - 0.5), np.abs(y - 0.5))
+            cond = np.linalg.cond(assemble_stiffness(level.form, conf))
+            assert (np.linalg.norm(level.phi0.values - hat)
+                    <= cond * (3 * dofs + 1) * 2.0 ** -53
+                    * np.linalg.norm(hat))
+            energies.append(level.load_conf @ level.phi0.values)
+            level = level.refined(uniform_refine(level.mesh)[0])
+        assert max(energies) - min(energies) <= 1e-6 * max(energies)
+
     def test_partial_orthogonality(self, fixture_pairs):
         for name, pair in fixture_pairs.items():
             wphi = curl_field(pair.coarse.phi)
