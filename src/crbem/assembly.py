@@ -60,7 +60,7 @@ turn, evaluate every pair and keep their bits.
 
 Every rule-based pair (the three singular cases, the near and close
 disjoint bands and the far pairs) is evaluated by one kernel, which sees
-a pair only through 17 numbers, _rule_inputs.  A node pair (x1, x2),
+a pair only through 17 numbers, _pair_inputs.  A node pair (x1, x2),
 (y1, y2) maps to x - y = d + x1 e1a + x2 e2a - y1 e1b - y2 e2b with
 d = a0 - b0, so |x - y|^2 is a quadratic form in c = (1, x1, x2, y1, y2)
 with the Gram matrix of (d, e1a, e2a, -e1b, -e2b).  Its 15 entries, each
@@ -71,19 +71,22 @@ in-place square root and reciprocal and a GEMV with the weights.  Only
 coordinate differences enter, so there is no cancellation on absolute
 coordinates.  The GEMM rounds a row by its position in the block, so
 _rule_values runs every GEMM on _rule_step(rule) rows in a fixed order.
-A pair in natural vertex order, a far pair or one of the disjoint bands,
-takes 8 of its inputs from one panel each: the three Gram entries within
-a panel and the areas.  _panel_rows forms 10 numbers per panel once per
-table, with the operations of _rule_inputs: vertex 0, e1 = v1 - v0,
-e2 = v2 - v1, the Gram entries e1.e1, e1.e2 and e2.e2, and the doubled
-area.  _rule_pairs, the one call of the far pass and the bands, gathers
-two such rows per pair for one GEMM step of pairs at a time, and
-_pair_inputs forms only the nine entries with d = a0 - b0 or a vector of
-each panel, with -e1b and -e2b as exact negations.  So every input equals
-that of _rule_inputs; a zero may differ in sign, which the GEMM's sums do
-not tell apart, and the tables keep their bits.  The singular labels take
-each pair's panels in a vertex order of its own, so they gather
-coordinates and form all 17 inputs by _rule_inputs.
+Each rule takes a pair's panels in a vertex order: the natural one for
+far pairs and the bands, the shared vertex or edge first for the vertex
+and edge cases.  A pair takes 8 of its inputs from one panel each: the
+three Gram entries within a panel and the areas.  _panel_rows forms 10
+numbers per panel and vertex order once per table, for the six orders of
+_ORDERS: vertex 0, e1 = v1 - v0, e2 = v2 - v1, the Gram entries e1.e1,
+e1.e2 and e2.e2, and the doubled area.  _pair_inputs gathers two such
+columns per pair and forms only the nine entries with d = a0 - b0 or a
+vector of each panel, with -e1b and -e2b as exact negations.  That is the
+one feed of the kernel: _rule_pairs, the call of the far pass and the
+bands, reads the natural order's columns for one GEMM step of pairs at a
+time, and a singular label reads each pair's own orders (_order_id) for
+all its pairs at once.  Every input equals the one formed from the
+reordered panels' coordinates, up to the sign of a zero, which neither
+the GEMM's sums, nor the compares of _key_classes, nor the +0.0 keys of
+_stored_values tell apart, so the tables keep their bits.
 
 The identical, edge and vertex rules then evaluate one pair per class of
 equal kernel input.  _pair_values stores the inputs of such a label,
@@ -158,12 +161,13 @@ and per label only the indices of its pairs (and for a keyed label their
 kernel inputs, for a band with lattice classes one key, then one
 representative, per pair).  It writes each block of values straight into
 G, and its class and orbit copies read their sources back from G in
-blocks of _PAIR_BLOCK, so no array of values spans the candidates.  One
-loop, _gathered, gathers the panels of a block of pairs, in the vertex
-order of their case, for a kernel that sees only that block, and the
-robust path takes _ROBUST_BLOCK / 4 pairs a call, each pair of at most
-_ROBUST_MAX_CELLS live cells, so that its live cells grow with one block
-only.
+blocks of _PAIR_BLOCK, so no array of values spans the candidates.  A
+singular label forms its kernel inputs from the panel rows, 38 doubles a
+pair while they are formed and 17 after; the classifier's distances, the
+self entries and the robust path gather the panels of one block of
+pairs at a time, and the robust path takes _ROBUST_BLOCK / 4 pairs a
+call, each pair of at most _ROBUST_MAX_CELLS live cells, so that its live
+cells grow with one block only.
 
 The transformed rules converge geometrically for shape-regular panels but
 degrade on strongly anisotropic ones (boundary-graded meshes).  Pairs
@@ -209,9 +213,10 @@ centroid bound, less a rounding margin, cannot place at rho >= RHO_NEAR,
 and only the disjoint ones among them get exact distances, with the same
 bands.  The robust path runs once per block of pairs; its stop test reads
 only sums per pair, so blocking changes no bit.  Past _ROBUST_MAX_CELLS
-live cells of one pair it raises NumericalError, which names the pair's
-panels and the depth, so whether a pair settles does not depend on the
-pairs of its block either.
+live cells of one pair, or past _ROBUST_MAX_DEPTH levels, it raises
+NumericalError, which names the pair's panels and the depth, so whether
+a pair settles does not depend on the pairs of its block either, and no
+pair is accepted unsettled.
 """
 
 from __future__ import annotations
@@ -261,6 +266,11 @@ SINGULAR_ASPECT_LIMIT = 3.0
 
 _ROBUST_RTOL = 1e-6
 _ROBUST_ORDER = 5
+# levels of subdivision in the robust path: a pair that has not settled
+# once its cells reach this depth raises NumericalError, as past
+# _ROBUST_MAX_CELLS, so no pair is accepted unsettled.  The graded runs at
+# 13000 fine DOFs form cells down to depth 6 (beta=2) and 8 (beta=3),
+# beta=6 at 3000 down to 9.
 _ROBUST_MAX_DEPTH = 24
 # cells per block of the robust-path kernel: its eight (1024, 25) work
 # arrays take 1.6 MB, about one core's L2 cache (timings of other sizes
@@ -445,29 +455,19 @@ def _rule_step(rule):
     return max(1, _RULE_CHUNK // len(rule.weights))
 
 
-def _rule_inputs(a, b):
-    """All the rule kernel sees of the panel pairs (a[p], b[p]), (P, 3, 2)
-    each, in the rule's vertex order, as (P, 17) rows: the 15 Gram entries
-    of (d, e1a, e2a, -e1b, -e2b) in _GRAM_I, _GRAM_J order, each the
-    two-term dot product x x' + y y', then the doubled areas of a and b.
-
-    The five vectors are formed component by component as (5, P) rows and
-    each input is one contiguous row of a (17, P) array, returned
-    transposed, so the work arrays take 17 + 10 + 5 + 1 doubles a pair."""
-    x = np.empty((17, len(a)))
-    x[15] = _doubled_area(a)
-    x[16] = _doubled_area(b)
-    vx, vy = (np.stack([a[:, 0, c] - b[:, 0, c], a[:, 1, c] - a[:, 0, c],
-                        a[:, 2, c] - a[:, 1, c], b[:, 0, c] - b[:, 1, c],
-                        b[:, 1, c] - b[:, 2, c]]) for c in (0, 1))
-    tmp = np.empty(len(a))
-    for row, (p, q) in enumerate(zip(_GRAM_I, _GRAM_J)):
-        np.multiply(vx[p], vx[q], out=x[row])
-        x[row] += np.multiply(vy[p], vy[q], out=tmp)
-    return x.T
+# the six vertex orders of a panel, order 0 the natural one; _order_id
+# numbers them
+_ORDERS = np.array([[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1],
+                    [2, 1, 0]])
 
 
-# the Gram entries of _rule_inputs that take one vector of each panel of a
+def _order_id(first, second):
+    """The index in _ORDERS of the vertex order in which vertex first leads
+    and vertex second follows."""
+    return 2 * first + (second > 3 - first - second)
+
+
+# the Gram entries of _pair_inputs that take one vector of each panel of a
 # pair, or d, as (entry, p, q); the other six, each within one panel, are
 # the rows 6 to 8 of _panel_rows
 _CROSS = [(e, p, q) for e, (p, q) in enumerate(zip(_GRAM_I, _GRAM_J))
@@ -475,30 +475,41 @@ _CROSS = [(e, p, q) for e, (p, q) in enumerate(zip(_GRAM_I, _GRAM_J))
 
 
 def _panel_rows(coords):
-    """What the kernel inputs of a pair in natural vertex order take from
-    each panel (nt, 3, 2), as (10, nt) rows: vertex 0, e1 = v1 - v0 and
-    e2 = v2 - v1 (x, y each), the Gram entries e1.e1, e1.e2 and e2.e2, and
-    the doubled area, each by the operations of _rule_inputs."""
-    v0, v1, v2 = coords.transpose(1, 2, 0)
-    rows = np.empty((10, len(coords)))
+    """What the kernel inputs of a pair take from each of its panels, for
+    the panels coords (nt, 3, 2) in each vertex order of _ORDERS, as
+    (10, 6 nt) rows: column o nt + t holds panel t with its vertices taken
+    in order o, coords[t, _ORDERS[o]].  The rows are vertex 0,
+    e1 = v1 - v0 and e2 = v2 - v1 (x, y each), the Gram entries e1.e1,
+    e1.e2 and e2.e2, each the two-term dot product x x' + y y', and the
+    doubled area.  Order 0 is the natural one, so pairs in natural vertex
+    order read the columns [0, nt)."""
+    panels = coords[:, _ORDERS].swapaxes(0, 1).reshape(-1, 3, 2)
+    v0, v1, v2 = panels.transpose(1, 2, 0)
+    rows = np.empty((10, len(panels)))
     rows[0:2] = v0
     e1 = np.subtract(v1, v0, out=rows[2:4])
     e2 = np.subtract(v2, v1, out=rows[4:6])
     for row, (u, v) in enumerate(((e1, e1), (e1, e2), (e2, e2)), 6):
         np.multiply(u[0], v[0], out=rows[row])
         rows[row] += u[1] * v[1]
-    rows[9] = _doubled_area(coords)
+    rows[9] = _doubled_area(panels)
     return rows
 
 
 def _pair_inputs(rows, a, b):
-    """_rule_inputs of the panel pairs (a[p], b[p]), index arrays, in
-    natural vertex order, from the rows of _panel_rows: the six Gram
-    entries within one panel and the areas are copied, and only the nine
-    with d = a0 - b0 or one vector of each panel are formed.  -e1b and
-    -e2b are exact negations, so every input equals that of _rule_inputs;
-    a zero may differ in sign, which no sum of the kernel's GEMM tells
-    apart."""
+    """All the rule kernel sees of the panel pairs (a[p], b[p]), columns of
+    the rows of _panel_rows and so each panel in the vertex order of its
+    column, as (P, 17) rows: the 15 Gram entries of (d, e1a, e2a, -e1b,
+    -e2b), d = a0 - b0, in _GRAM_I, _GRAM_J order, each the two-term dot
+    product x x' + y y', then the doubled areas of a and b.
+
+    The six Gram entries within one panel and the areas are copied from
+    the rows, and only the nine with d or one vector of each panel are
+    formed.  -e1b and -e2b are exact negations of e1 and e2, so every
+    input equals the one formed from the reordered panels' coordinates,
+    b0 - b1 and b1 - b2 included, up to the sign of a zero, which no sum of
+    the kernel's GEMM tells apart.  The work arrays take 10 + 10 + 17 + 1
+    doubles a pair."""
     ra, rb = rows.take(a, axis=1), rows.take(b, axis=1)
     x = np.empty((17, len(a)))
     x[[5, 6, 9, 15]] = ra[6:]
@@ -515,7 +526,7 @@ def _pair_inputs(rows, a, b):
 
 
 def _rule_values(rule, x):
-    """Rule values of the pairs whose kernel inputs (_rule_inputs) are the
+    """Rule values of the pairs whose kernel inputs (_pair_inputs) are the
     rows of x: per GEMM step of _rule_step(rule) rows, r^2 = x[:, :15] @
     monomials in one GEMM, then an in-place square root and reciprocal and
     a GEMV with the weights.  The GEMM rounds a row by its position, so
@@ -549,7 +560,7 @@ def _first_of_runs(order, start):
 
 def _normalised(x):
     """The exponent f and key of each row of x, (n, 17) inputs of
-    _rule_inputs: f is half the binary exponent of the row's largest Gram
+    _pair_inputs: f is half the binary exponent of the row's largest Gram
     diagonal entry and the key is the row times 4^-f, or NaN throughout
     where that does not round-trip.  A row scaled by 4^g has the same key
     and f + g, and its rule value is 8^(f - f') times that of a row of
@@ -563,7 +574,7 @@ def _normalised(x):
 
 def _key_classes(x):
     """Classes of equal kernel input among the rows of x, (n, 17) inputs
-    of _rule_inputs: the index of each row's class representative, its
+    of _pair_inputs: the index of each row's class representative, its
     first row, and the exponent f of each row's key (_normalised).
 
     One stable lexsort of the keys puts each run of equal keys in row
@@ -860,9 +871,11 @@ def _robust_pairs(ta, tb, panels=None):
     one call of _panel_potential; the blocks of _ROBUST_BLOCK cells run
     in turn in one set of work arrays, each into its own slice of the
     cell values.  Raises NumericalError when the live cells of one pair
-    exceed _ROBUST_MAX_CELLS, so whether a pair settles does not depend on
-    the pairs that share its call; the error names the pair by panels, a
-    pair of panel index arrays, or else by its place in the call.
+    exceed _ROBUST_MAX_CELLS, or when a pair still has live cells at depth
+    _ROBUST_MAX_DEPTH, so no pair is accepted unsettled, and whether a pair
+    settles does not depend on the pairs that share its call; the error
+    names the pair by panels, a pair of panel index arrays, or else by its
+    place in the call.
     """
     nodes, wts = _gauss_duffy(_ROBUST_ORDER)
     # the nodes of _panel_potential: the Duffy points of every cell
@@ -894,18 +907,19 @@ def _robust_pairs(ta, tb, panels=None):
 
     parent = cell_values(cells, owner)
     scale = np.abs(parent)
-    for depth in range(_ROBUST_MAX_DEPTH):
+    for depth in range(_ROBUST_MAX_DEPTH + 1):
         if not len(owner):
             break
         live = 4 * np.bincount(owner)
         p = int(live.argmax())
-        if live[p] > _ROBUST_MAX_CELLS:
+        if live[p] > _ROBUST_MAX_CELLS or depth == _ROBUST_MAX_DEPTH:
             who = (f"pair {p} of the call" if panels is None else
                    f"the pair of panels {panels[0][p]} and {panels[1][p]}")
             raise NumericalError(
                 f"robust panel quadrature did not settle: {who} takes "
-                f"{live[p]} live cells at depth {depth + 1}, over the cap "
-                f"of {_ROBUST_MAX_CELLS} a pair (panels too anisotropic)")
+                f"{live[p]} live cells at depth {depth + 1}, and a pair may "
+                f"take {_ROBUST_MAX_CELLS} down to depth {_ROBUST_MAX_DEPTH} "
+                f"(panels too anisotropic)")
         # vertices 0, 1, 2 and the midpoints of edges 01, 12, 20
         pts = np.concatenate([cells, 0.5 * (cells + cells[:, [1, 2, 0]])],
                              axis=1)
@@ -915,8 +929,6 @@ def _robust_pairs(ta, tb, panels=None):
         ksum = kv.sum(axis=1)
         done = (np.abs(ksum - parent)
                 <= _ROBUST_RTOL * np.maximum(scale[owner], 1e-300))
-        if depth == _ROBUST_MAX_DEPTH - 1:
-            done = np.ones_like(done)
         np.add.at(settled, owner[done], ksum[done])
         keep = ~done
         owner = np.repeat(owner[keep], 4)
@@ -1011,32 +1023,6 @@ def _triangle_distances(a, b):
     return best
 
 
-def _slot_order(first, second):
-    """Vertex orders (P, 3) in which slot ``first`` leads and slot
-    ``second`` follows; the remaining slot fills the last place."""
-    return np.stack([first, second, 3 - first - second], axis=1)
-
-
-def _gathered(kernel, coords, i, j, k, slots=None):
-    """The rows of kernel(a, b) over the panel pairs (i[k], j[k]), stacked,
-    in blocks of _PAIR_BLOCK pairs of gathered panels; slots, if given, is
-    a pair of (len(k), 3) vertex orders in which the panels are taken.  An
-    empty k gives an empty 1-D array."""
-    out = np.empty(0)
-    for lo in range(0, len(k), _PAIR_BLOCK):
-        rows = slice(lo, lo + _PAIR_BLOCK)
-        a, b = i[k[rows]], j[k[rows]]
-        if slots is None:
-            vals = kernel(coords[a], coords[b])
-        else:
-            vals = kernel(coords[a[:, None], slots[0][rows]],
-                          coords[b[:, None], slots[1][rows]])
-        if not lo:
-            out = np.empty((len(k),) + vals.shape[1:])
-        out[rows] = vals
-    return out
-
-
 def _rule_pairs(rule, rows, i, j, k):
     """Rule values of the panel pairs (i[k], j[k]) in natural vertex order,
     from the panel rows of _panel_rows: the inputs of one GEMM step of
@@ -1092,7 +1078,11 @@ def _classify_pairs(coords, tris, aspect, diam, i, j, close):
                & (aspect.take(b) <= SINGULAR_ASPECT_LIMIT))
         label[lo:lo + _PAIR_BLOCK] = _BY_COUNT[count + 4 * ~iso]
     unsure = np.flatnonzero(close & (label == _DISJOINT))
-    rho = _gathered(_triangle_distances, coords, i, j, unsure)
+    rho = np.empty(len(unsure))
+    for lo in range(0, len(unsure), _PAIR_BLOCK):
+        m = unsure[lo:lo + _PAIR_BLOCK]
+        rho[lo:lo + len(m)] = _triangle_distances(coords[i.take(m)],
+                                                  coords[j.take(m)])
     rho /= np.maximum(diam.take(i.take(unsure)), diam.take(j.take(unsure)))
     label[unsure[rho < RHO_NEAR]] = _CLOSE
     label[unsure[rho < RHO_CLOSE]] = _ROBUST
@@ -1104,13 +1094,14 @@ def _pair_values(G, coords, rows, tris, i, j, label, orbit=None,
     """Write the table entries G[i, j] of the panel pairs (i[k], j[k]),
     i <= j, of one mesh, and no entry below the diagonal.
 
-    label, from _classify_pairs, says what evaluates each pair.  The
-    singular rules take their kernel inputs from _gathered, which hands
-    them the panels of one block of the pairs of a label; the bands take
-    _rule_pairs one GEMM step of pairs at a time, the self entries the
-    panels of _PAIR_BLOCK pairs and the robust path those of
-    _ROBUST_BLOCK / 4 pairs, whose first children fill one block of its
-    kernel.  Each block of values goes straight into G[i, j].
+    label, from _classify_pairs, says what evaluates each pair.  rows,
+    the _panel_rows of coords, feed the rule kernel: the singular rules
+    form the kernel inputs of all the pairs of a label at once, each
+    panel in its case's vertex order, and the bands take _rule_pairs one
+    GEMM step of pairs at a time.  The self entries take the panels of
+    _PAIR_BLOCK pairs and the robust path those of _ROBUST_BLOCK / 4
+    pairs, whose first children fill one block of its kernel.  Each block
+    of values goes straight into G[i, j].
     orbit, if given, is the pair (rep, kept) of _split_pairs: each pair's
     representative under the quarter turn and whether the turn keeps the
     pair's order.  One copy rule serves every label: a pair takes its
@@ -1129,8 +1120,7 @@ def _pair_values(G, coords, rows, tris, i, j, label, orbit=None,
     of _lattice_classes where the mesh has a lattice.  The singular rules
     read the class values that classes, a store of a run
     (assemble_energy_form), holds, and evaluate and store only the others;
-    None gives a fresh store.  The band pairs take their inputs from rows,
-    the _panel_rows of coords.  A pair is marked written when it gets a
+    None gives a fresh store.  A pair is marked written when it gets a
     value, and a copy only if its source was, so a pair that no evaluator
     reached raises NumericalError: G comes from np.empty and holds no NaN
     to show it.
@@ -1139,11 +1129,13 @@ def _pair_values(G, coords, rows, tris, i, j, label, orbit=None,
     label, the copy and written flags, the orbit (5 bytes) and, for the
     label at work, its pair indices (4 bytes), which take 3 bytes per pair
     and 12 per pair of the label for a moment while they are picked; the
-    classification runs before it.  A keyed label adds its kernel inputs,
-    136 bytes per pair of that label, up to three times that while
-    _key_classes runs, and then 8: representative and exponent.  A band
-    with lattice classes adds 14 bytes per pair while they are found, its
-    int64 key, sorted in place, an int8 exponent, a start flag and the
+    classification runs before it.  A keyed label adds its kernel inputs:
+    while they are formed, the pairs' vertex orders and column indices
+    (int64) and 38 doubles (_pair_inputs), about 330 bytes per pair of
+    that label, then the 136 bytes of the inputs, up to three times that
+    while _key_classes runs, and then 8: representative and exponent.  A
+    band with lattice classes adds 14 bytes per pair while they are found,
+    its int64 key, sorted in place, an int8 exponent, a start flag and the
     int32 representative, then 6 with the flag of its first pairs, and 4
     per class: their pair indices.
 
@@ -1153,6 +1145,7 @@ def _pair_values(G, coords, rows, tris, i, j, label, orbit=None,
     other label in the order given.  The robust path takes (coords[i],
     coords[j]) as they are.
     """
+    nt = len(coords)
     written = np.zeros(len(i), bool)
     copy = np.zeros(len(i), bool)
     classes = {} if classes is None else classes
@@ -1186,10 +1179,11 @@ def _pair_values(G, coords, rows, tris, i, j, label, orbit=None,
         k, ends = k[by_edge], ends[by_edge]
 
         def along_edge(t):
-            return _slot_order(*(np.argmax(tris[t] == v[:, None], axis=1)
-                                 for v in ends.T))
+            # the edge's ends lead, lo then hi
+            return _order_id(*(np.argmax(tris[t] == v[:, None], axis=1)
+                               for v in ends.T))
 
-        return k, (along_edge(i[k]), along_edge(j[k]))
+        return k, along_edge(i[k]), along_edge(j[k])
 
     def at_shared_vertex(k):
         # the shared vertex leads on both panels, the others follow in
@@ -1197,8 +1191,7 @@ def _pair_values(G, coords, rows, tris, i, j, label, orbit=None,
         shared = tris[i[k]][:, :, None] == tris[j[k]][:, None, :]
         vi = np.argmax(shared.any(axis=2), axis=1)
         vj = np.argmax(shared.any(axis=1), axis=1)
-        return k, (_slot_order(vi, (vi + 1) % 3),
-                   _slot_order(vj, (vj + 1) % 3))
+        return k, _order_id(vi, (vi + 1) % 3), _order_id(vj, (vj + 1) % 3)
 
     def evaluated(kind):
         return np.flatnonzero((label == kind) & ~copy).astype(np.int32)
@@ -1217,11 +1210,12 @@ def _pair_values(G, coords, rows, tris, i, j, label, orbit=None,
             put_copies(k.take(m), k.take(r),
                        3 * (f.take(m) - f.take(r)).astype(np.int32))
 
-    def singular_rule(kind, case, ordered=lambda k: (k, None)):
-        k, slots = ordered(evaluated(kind))
+    def singular_rule(kind, case, ordered=lambda k: (k, 0, 0)):
+        # the pairs k with the vertex orders oi, oj of their panels
+        k, oi, oj = ordered(evaluated(kind))
         rule = quadrature_rule(case, ORDER)
-        x = _gathered(_rule_inputs, coords, i, j, k, slots)
-        if len(coords) <= _SMALL_TABLE or not len(k):
+        x = _pair_inputs(rows, oi * nt + i.take(k), oj * nt + j.take(k))
+        if nt <= _SMALL_TABLE or not len(k):
             put(k, _rule_values(rule, x))
             return
         store = classes.setdefault((case, ORDER), {})
@@ -1230,8 +1224,7 @@ def _pair_values(G, coords, rows, tris, i, j, label, orbit=None,
 
     def band_rules():
         # the lattice is dropped before the self entries and the robust path
-        lattice = (_panel_lattice(coords) if len(coords) > _SMALL_TABLE
-                   else None)
+        lattice = _panel_lattice(coords) if nt > _SMALL_TABLE else None
         for kind, p in ((_DISJOINT, ORDER - 1), (_CLOSE, ORDER)):
             k = evaluated(kind)
             rule = quadrature_rule("disjoint", p)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import tracemalloc
@@ -44,7 +45,6 @@ from crbem.assembly import (
     _power_moments,
     _quarter_turn,
     _robust_pairs,
-    _rule_inputs,
     _rule_monomials,
     _rule_values,
     _self_entry_closed_form,
@@ -124,8 +124,8 @@ class TestRuleKernel:
     def test_matches_direct_evaluation(self, case, order):
         rule = quadrature_rule(case, order)
         pairs = _kernel_pairs(case)
-        got = _rule_values(rule, _rule_inputs(np.array([a for a, _ in pairs]),
-                                              np.array([b for _, b in pairs])))
+        got = _rule_values(rule, _ref_rule_inputs(
+            np.array([a for a, _ in pairs]), np.array([b for _, b in pairs])))
         for value, (ta, tb) in zip(got, pairs):
             ref = _direct_rule_value(rule, ta, tb)
             assert abs(value - ref) / ref < 1e-13
@@ -1170,8 +1170,8 @@ def test_labels_match_dense_reference(kind):
 
 @pytest.mark.parametrize("beta", [2.0, 3.0])
 def test_robust_path_settles_below_its_depth_cap(monkeypatch, beta):
-    # Subdivision accepts every cell at depth _ROBUST_MAX_DEPTH - 1
-    # without a word.  With a cap of 8 instead of 24 the robust pairs of
+    # A pair with live cells at depth _ROBUST_MAX_DEPTH raises
+    # NumericalError.  With a cap of 8 instead of 24 the robust pairs of
     # the refined graded mesh keep their bits, so none of them comes
     # near the cap.
     mesh = uniform_refine(graded_square_mesh(8, beta))[0]
@@ -1183,6 +1183,24 @@ def test_robust_path_settles_below_its_depth_cap(monkeypatch, beta):
     ref = _robust_pairs(ta, tb)
     monkeypatch.setattr("crbem.assembly._ROBUST_MAX_DEPTH", 8)
     assert np.array_equal(_robust_pairs(ta, tb), ref)
+
+
+def test_robust_path_raises_at_its_depth_cap(monkeypatch):
+    # No pair is accepted unsettled: with a cap of 3 levels some robust
+    # pair of the refined graded mesh still has live cells, and both the
+    # path and the table raise, naming the depth and, in the table, the
+    # pair's panels
+    mesh = uniform_refine(graded_square_mesh(8, 3.0))[0]
+    coords, *_, ci, cj, labels = _near_plan(mesh.triangle_coords(),
+                                           mesh.triangles)
+    k = np.flatnonzero(labels == assembly._ROBUST)
+    monkeypatch.setattr("crbem.assembly._ROBUST_MAX_DEPTH", 3)
+    with pytest.raises(NumericalError, match="live cells at depth 4, and a "
+                       "pair may take 4096 down to depth 3"):
+        _robust_pairs(coords[ci[k]], coords[cj[k]])
+    with pytest.raises(NumericalError, match=r"the pair of panels \d+ and "
+                       r"\d+ takes \d+ live cells at depth 4"):
+        assemble_energy_form(mesh)
 
 
 @pytest.mark.parametrize("beta", [2.0, 3.0])
@@ -1360,9 +1378,9 @@ class TestNearTurn:
 
 
 def _ref_rule_inputs(a, b):
-    """The rule kernel's 15 Gram entries and two doubled areas, (P, 17), as
-    the einsum over gathered (P, 15, 2) vector pairs formed them before
-    _rule_inputs."""
+    """The rule kernel's 15 Gram entries and two doubled areas, (P, 17), of
+    the panel pairs (a[p], b[p]), (P, 3, 2) each, in the rule's vertex
+    order, as an einsum over gathered (P, 15, 2) vector pairs."""
     gi, gj = np.triu_indices(5)
     vecs = np.stack([a[:, 0] - b[:, 0], a[:, 1] - a[:, 0], a[:, 2] - a[:, 1],
                      b[:, 0] - b[:, 1], b[:, 1] - b[:, 2]], axis=1)
@@ -1380,55 +1398,63 @@ def _ref_keys(x):
     return key + 0.0, f, (np.ldexp(key, 2 * f[:, None]) == x).all(axis=1)
 
 
+def test_order_ids_number_the_vertex_orders():
+    orders = assembly._ORDERS
+    assert sorted(map(tuple, orders)) == sorted(
+        itertools.permutations(range(3)))
+    assert np.array_equal(orders[0], [0, 1, 2])
+    assert np.array_equal(assembly._order_id(orders[:, 0], orders[:, 1]),
+                          np.arange(len(orders)))
+
+
 def test_rule_inputs_keep_the_earlier_bits():
-    # Two-term products on split components give the einsum's values
+    # Two panel rows in any of the 36 pairs of vertex orders give the
+    # einsum's inputs of the panels with their vertices so reordered
     # (np.array_equal; a zero may differ in sign, which no sum of the
-    # kernel's GEMM tells apart)
+    # kernel's GEMM tells apart), on random panels of magnitudes 1e-12 to
+    # 1e3 and on the singular pairs of a mesh
     rng = np.random.default_rng(13)
-    a, b = (rng.standard_normal((20000, 3, 2))
-            * 10.0 ** rng.uniform(-12.0, 3.0, (20000, 3, 2))
-            for _ in range(2))
-    pairs = [(a, b)]
+    n = 20000
+    panels = (rng.standard_normal((2 * n, 3, 2))
+              * 10.0 ** rng.uniform(-12.0, 3.0, (2 * n, 3, 2)))
+    cases = [(panels, np.arange(n), np.arange(n, 2 * n))]
     mesh = uniform_refine(graded_square_mesh(16, 2.0))[0]
-    coords = mesh.triangle_coords()
     ci, cj, shared = _near_pairs(mesh)
     singular = shared > 0
     assert singular.sum() > 10000
-    pairs.append((coords[ci[singular]], coords[cj[singular]]))
-    for a, b in pairs:
-        got = _rule_inputs(a, b)
-        assert got.shape == (len(a), 17)
-        assert np.array_equal(got, _ref_rule_inputs(a, b))
-
-
-def test_rule_inputs_memory():
-    # On one block of P = 4096 pairs the work arrays are the (17, P)
-    # result, the (5, P) differences of both components, the five
-    # differences of one component before they are stacked and a product
-    # row: at most 33 doubles a pair, and the doubled areas, formed first,
-    # take fewer.  The bound leaves two rows for small temporaries.
-    # Gathering (P, 15) copies of the differences would take 15 doubles a
-    # pair per copy.
-    rng = np.random.default_rng(19)
-    a, b = rng.uniform(0.0, 1.0, (2, 4096, 3, 2))
-    assert _traced_peak(_rule_inputs, a, b) < 35 * 8 * len(a)
+    cases.append((mesh.triangle_coords(), ci[singular], cj[singular]))
+    orders = assembly._ORDERS
+    for coords, i, j in cases:
+        rows = _panel_rows(coords)
+        nt = len(coords)
+        for oi, oj in itertools.product(range(len(orders)), repeat=2):
+            got = assembly._pair_inputs(rows, oi * nt + i, oj * nt + j)
+            assert got.shape == (len(i), 17)
+            want = _ref_rule_inputs(coords[i][:, orders[oi]],
+                                    coords[j][:, orders[oj]])
+            assert np.array_equal(got, want)
 
 
 def test_rule_values_in_steps_match_the_panel_kernel():
-    # the keyed labels evaluate rows of stored (n, 17) inputs, with the
-    # bits of the streamed labels, which form their inputs per GEMM step
+    # the keyed labels evaluate rows of inputs formed for all their pairs
+    # at once, with the bits of the streamed labels, which form their
+    # inputs per GEMM step; so do rows of inputs in C order
     mesh = _nvb_mesh(200)
     coords = mesh.triangle_coords()
+    rows = _panel_rows(coords)
     ci, cj, shared = _near_pairs(mesh)
     k = np.flatnonzero(shared == 0)[:500]
-    a, b = coords[ci[k]], coords[cj[k]]
+    a, b = ci[k], cj[k]
     rule = quadrature_rule("identical", 5)
     step = assembly._rule_step(rule)
     assert step < len(k)
     want = np.concatenate([
-        _rule_values(rule, _rule_inputs(a[lo:lo + step], b[lo:lo + step]))
+        _rule_values(rule, assembly._pair_inputs(rows, a[lo:lo + step],
+                                                 b[lo:lo + step]))
         for lo in range(0, len(k), step)])
-    x = np.ascontiguousarray(_rule_inputs(a, b))
+    assert np.array_equal(
+        _rule_values(rule, assembly._pair_inputs(rows, a, b)), want)
+    x = np.ascontiguousarray(_ref_rule_inputs(coords[a], coords[b]))
     assert np.array_equal(_rule_values(rule, x), want)
 
 
@@ -1593,7 +1619,7 @@ def test_inexact_key_is_its_own_class():
     coords = np.stack([1e150 * unit, 1e-150 * unit, unit, unit[[0, 2, 1]]
                        * np.array([-1.0, 1.0])])
     i, j = np.array([0, 0, 2, 2]), np.array([1, 1, 3, 3])
-    x = _rule_inputs(coords[i], coords[j])
+    x = _ref_rule_inputs(coords[i], coords[j])
     assert np.array_equal(_ref_keys(x)[2], [False, False, True, True])
     rep, _ = _key_classes(x)
     assert np.array_equal(rep, [0, 1, 2, 2])
@@ -1680,9 +1706,9 @@ def test_scaled_mesh_scales_keyed_entries_exactly():
 @pytest.mark.parametrize("kind", ["uniform", "nvb", "graded", "moved"])
 def test_panel_rows_give_the_rule_inputs(kind, monkeypatch):
     # pairs in natural vertex order, near and far, get from two panel rows
-    # the inputs that _rule_inputs forms from their coordinates (a zero
-    # may differ in sign), and _rule_pairs gives the values of inputs
-    # formed per GEMM step, bitwise, at odd steps too
+    # the inputs that the einsum forms from their coordinates (a zero may
+    # differ in sign), and _rule_pairs gives the values of inputs formed
+    # per GEMM step, bitwise, at odd steps too
     mesh = _sweep_mesh("graded" if kind == "moved" else kind)
     if kind == "moved":
         mesh = Mesh(mesh.vertices + [1000.3, -999.7], mesh.triangles,
@@ -1693,7 +1719,7 @@ def test_panel_rows_give_the_rule_inputs(kind, monkeypatch):
     far = np.random.default_rng(3).integers(0, len(coords), (2, 20000))
     a, b = np.concatenate([ci, far[0]]), np.concatenate([cj, far[1]])
     assert np.array_equal(assembly._pair_inputs(rows, a, b),
-                          _rule_inputs(coords[a], coords[b]))
+                          _ref_rule_inputs(coords[a], coords[b]))
     k = np.flatnonzero(shared == 0)[:5000]
     for order, chunk in ((ORDER - 1, None), (ORDER - 1, 37 * 256),
                          (ORDER - 2, 101 * 81)):
@@ -1702,8 +1728,8 @@ def test_panel_rows_give_the_rule_inputs(kind, monkeypatch):
         rule = quadrature_rule("disjoint", order)
         step = assembly._rule_step(rule)
         want = np.concatenate([
-            _rule_values(rule, _rule_inputs(coords[ci[k[lo:lo + step]]],
-                                            coords[cj[k[lo:lo + step]]]))
+            _rule_values(rule, _ref_rule_inputs(
+                coords[ci[k[lo:lo + step]]], coords[cj[k[lo:lo + step]]]))
             for lo in range(0, len(k), step)])
         assert np.array_equal(assembly._rule_pairs(rule, rows, ci, cj, k),
                               want)
@@ -1784,7 +1810,7 @@ def test_lattice_classes_join_scaled_copies(kind):
         assert np.array_equal(rep, first)
         # the exponents up to the scale of the lattice
         assert len(np.unique(s - ref_s)) == 1
-        x = _rule_inputs(coords[ci[k]], coords[cj[k]])
+        x = _ref_rule_inputs(coords[ci[k]], coords[cj[k]])
         by_key = _key_classes(x)[0]
         assert np.array_equal(rep[by_key], rep)
         assert len(np.unique(rep)) < len(np.unique(by_key))
@@ -1814,7 +1840,7 @@ def test_mirrored_turned_scaled_and_exchanged_pairs_form_one_class():
                                        np.arange(len(i)))
     assert np.array_equal(rep, np.zeros(len(i)))
     assert np.array_equal(s - s[0], [0, 0, 0, 0, 0, 1, 0])
-    x = _rule_inputs(coords[i], coords[j])
+    x = _ref_rule_inputs(coords[i], coords[j])
     # the classes of equal float key join the turned and scaled copies
     # only
     assert np.array_equal(_key_classes(x)[0], [0, 0, 0, 0, 4, 0, 6])
@@ -1959,7 +1985,7 @@ class TestPanelIntegral:
     def test_order_escalation_identical(self):
         a = UNIT_RIGHT[None]
         v5, v7 = (_rule_values(quadrature_rule("identical", p),
-                               _rule_inputs(a, a))[0] for p in (5, 7))
+                               _ref_rule_inputs(a, a))[0] for p in (5, 7))
         assert abs(v7 - v5) / abs(v5) < 1e-6
 
     @pytest.mark.parametrize("s", [0.5, 2.0])
